@@ -7,7 +7,7 @@ opaque tag that only ever participates in exact kind equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 STMT_LIST = "StmtList"
 ASSIGN = "Assign"
@@ -70,6 +70,24 @@ class AstNode:
     depth: int = 0
 
 
+# One scan position: (stmt_list_id, stmt_list_depth, start, sibling_count).
+Anchor = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
+class AnchorIndex:
+    """Where a statement program can start in one unit.
+
+    Every (StmtList, start) position is listed once in `anchors` and once
+    under the kind of the statement at that position in `by_kind`; both are
+    in document order (StmtLists in pre-order, starts ascending).  `symbols`
+    holds every node's symbol, None included.
+    """
+    anchors: list[Anchor]
+    by_kind: dict[str, list[Anchor]]
+    symbols: frozenset
+
+
 @dataclass
 class SourceUnit:
     path: str
@@ -77,6 +95,8 @@ class SourceUnit:
     nodes: dict[int, AstNode]
     node_count: int = 0
     max_depth: int = 0
+    _index: AnchorIndex | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def node(self, node_id: int) -> AstNode:
         return self.nodes[node_id]
@@ -101,6 +121,28 @@ class SourceUnit:
 
     def stmt_lists(self) -> list[AstNode]:
         return [n for n in self.iter_preorder() if n.kind == STMT_LIST]
+
+    def anchor_index(self) -> AnchorIndex:
+        """The unit's AnchorIndex, built on first use and cached.
+
+        The cache assumes the tree is not edited after it is first scanned.
+        """
+        if self._index is None:
+            nodes = self.nodes
+            anchors: list[Anchor] = []
+            by_kind: dict[str, list[Anchor]] = {}
+            symbols = set()
+            for n in self.iter_preorder():
+                symbols.add(n.symbol)
+                if n.kind != STMT_LIST:
+                    continue
+                count = len(n.children)
+                for start, c in enumerate(n.children):
+                    a = (n.id, n.depth, start, count)
+                    anchors.append(a)
+                    by_kind.setdefault(nodes[c].kind, []).append(a)
+            self._index = AnchorIndex(anchors, by_kind, frozenset(symbols))
+        return self._index
 
 
 def compute_depths(unit: SourceUnit) -> SourceUnit:

@@ -1,10 +1,15 @@
 """Execute matcher programs against source units.
 
-Matching is anchored: a program of k statements is tried against every run of
-k consecutive sibling statements under each StmtList, in document order.
-Target nodes may have extra trailing children beyond what the program
-specifies (a call with more arguments still matches) unless exact_arity is
-requested.
+Matching is anchored: a program of k statements matches a run of k
+consecutive sibling statements under some StmtList.  The scan does not try
+every run.  It reads the unit's cached AnchorIndex and tries only the starts
+whose statement has the kind named by the program's first KIND step (every
+start when the program does not open with one), skipping StmtLists too deep
+for the template and starts with fewer than k statements left.  The runs it
+skips would fail on the first step, so the matches, and their document
+order, are those of an exhaustive scan.  Target nodes may have extra
+trailing children beyond what the program specifies (a call with more
+arguments still matches) unless exact_arity is requested.
 """
 from __future__ import annotations
 
@@ -27,6 +32,13 @@ class ScanOptions:
 
 @dataclass
 class ComparisonCounter:
+    """Work done by one scan.
+
+    candidates_tried counts the anchors passed to match_at: those left after
+    the kind index, depth pruning and the arity window (start + statement
+    count <= sibling count).  node_comparisons counts the KIND, SYMBOL, BIND
+    and CHECK steps executed.
+    """
     node_comparisons: int = 0
     candidates_tried: int = 0
 
@@ -122,28 +134,34 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
 
 def scan_unit(p: MatcherProgram, unit: SourceUnit,
               opts: ScanOptions | None = None) -> tuple[list[Match], ComparisonCounter]:
-    """Enumerate all anchors in document order and collect every match.
+    """Collect every match of the program in the unit, in document order.
 
-    With depth pruning on, statements too deep to contain the template
-    (depth > max_depth(unit) - template_depth + 1) are skipped; the pruned
-    and unpruned scans return identical match sets.
+    Only anchors whose first statement has the kind of the program's first
+    KIND step are tried.  With depth pruning on, statement lists too deep to
+    contain the template (depth > max_depth(unit) - template_depth) are
+    skipped; the pruned and unpruned scans return identical match sets.
     """
     opts = opts or ScanOptions()
     counter = ComparisonCounter()
     matches: list[Match] = []
+    index = unit.anchor_index()
+    if p.steps and p.steps[0].op == compiler.KIND:
+        anchors = index.by_kind.get(p.steps[0].kind, ())
+    else:
+        anchors = index.anchors
+    pruning = opts.depth_pruning
     depth_limit = unit.max_depth - p.template_depth + 1
-    for sl in unit.stmt_lists():
-        if opts.depth_pruning and sl.depth + 1 > depth_limit:
+    k = p.statement_count
+    cap = opts.max_matches_per_unit
+    for sl_id, sl_depth, start, siblings in anchors:
+        if (pruning and sl_depth >= depth_limit) or start + k > siblings:
             continue
-        top = len(sl.children) - p.statement_count
-        for start in range(0, top + 1):
-            counter.candidates_tried += 1
-            m = match_at(p, unit, sl.id, start, opts, counter)
-            if m is not None:
-                matches.append(m)
-                if (opts.max_matches_per_unit is not None
-                        and len(matches) >= opts.max_matches_per_unit):
-                    return matches, counter
+        counter.candidates_tried += 1
+        m = match_at(p, unit, sl_id, start, opts, counter)
+        if m is not None:
+            matches.append(m)
+            if cap is not None and len(matches) >= cap:
+                break
     return matches, counter
 
 

@@ -2,9 +2,10 @@
 
 Per repository: discover source files by extension, parse each into an AST
 (recording skips instead of failing), run every query program over every
-parsed unit, and aggregate matches plus per-query statistics.  Repositories
-are independent, so they can be scanned by parallel worker processes; output
-order always follows input order regardless of scheduling.
+parsed unit that holds all of the program's preserved symbols, and aggregate
+matches plus per-query statistics.  Repositories are independent, so they
+can be scanned by parallel worker processes; output order always follows
+input order regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .astree import SourceUnit
-from .compiler import MatcherProgram
+from .compiler import SYMBOL, MatcherProgram
 from .engine import Match, ScanOptions, attach_excerpt, match_to_record, scan_unit
 from .php_parser import LexError, ParseError, parse_source
 
@@ -24,6 +25,7 @@ SKIP_PARSE_ERROR = "parse-error"
 SKIP_TOO_LARGE = "too-large"
 SKIP_BINARY = "binary"
 SKIP_UNREADABLE = "unreadable"
+SKIP_TOO_DEEP = "too-deep"
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,13 @@ class SkippedFile:
 
 @dataclass
 class ScanStats:
+    """One query over one repository.
+
+    nodes_scanned is the node count of all parsed units.  candidates_tried
+    sums the anchors passed to match_at after the kind index, depth pruning
+    and the arity window; units_skipped counts the units never scanned
+    because they lack one of the query's preserved symbols.
+    """
     query_id: str
     repo: str
     wall_time_s: float
@@ -49,6 +58,7 @@ class ScanStats:
     node_comparisons: int
     candidates_tried: int
     match_count: int
+    units_skipped: int
 
 
 @dataclass
@@ -106,6 +116,10 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
         except (LexError, ParseError) as e:
             skipped.append(SkippedFile(label, SKIP_PARSE_ERROR, str(e)))
             continue
+        except RecursionError:
+            skipped.append(SkippedFile(label, SKIP_TOO_DEEP,
+                                       "nesting exceeds the parser's recursion limit"))
+            continue
         units.append((unit, text))
     return units, skipped
 
@@ -127,8 +141,13 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     nodes_total = sum(u.node_count for u, _ in units)
     for program in programs:
         t0 = time.perf_counter()
-        comparisons = candidates = found = 0
+        comparisons = candidates = found = units_skipped = 0
+        # A unit lacking a symbol the program filters on cannot match it.
+        required = {s.name for s in program.steps if s.op == SYMBOL}
         for unit, text in units:
+            if not required <= unit.anchor_index().symbols:
+                units_skipped += 1
+                continue
             matches, counter = scan_unit(program, unit, opts.scan)
             comparisons += counter.node_comparisons
             candidates += counter.candidates_tried
@@ -140,7 +159,8 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
             query_id=program.query_id, repo=repo_id,
             wall_time_s=time.perf_counter() - t0,
             nodes_scanned=nodes_total, node_comparisons=comparisons,
-            candidates_tried=candidates, match_count=found))
+            candidates_tried=candidates, match_count=found,
+            units_skipped=units_skipped))
     return result
 
 
@@ -194,6 +214,7 @@ def write_mining_outputs(results: list[RepoScanResult], out_dir: str | Path) -> 
                     "node_comparisons": s.node_comparisons,
                     "candidates_tried": s.candidates_tried,
                     "matches": s.match_count,
+                    "units_skipped": s.units_skipped,
                 }, sort_keys=True) + "\n")
     with open(paths["skipped"], "w", encoding="utf-8") as fh:
         for r in results:

@@ -11,9 +11,11 @@ from analogue.compiler import compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet)
 from analogue.miner import (MinerOptions, SKIP_BINARY, SKIP_PARSE_ERROR,
-                            SKIP_TOO_LARGE, SKIP_UNREADABLE, discover_files,
+                            SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
+                            discover_files,
                             mine_repositories, scan_repository,
                             write_mining_outputs)
+from analogue.engine import match_to_record
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
 
@@ -115,6 +117,32 @@ def test_parse_failure_does_not_suppress_other_files(tmp_path):
     shutil.copy(FIXTURES / "tutorial_books.php", repo / "ok.php")
     result = scan_repository(repo, strict_programs())
     assert len(result.matches) == 2
+
+
+DEEP_FILES = {
+    "parens": "<?php\n$x = " + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+    "ifs": "<?php\n" + "if ($a) {\n" * 1500 + "echo 1;\n" + "}\n" * 1500,
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("shape", sorted(DEEP_FILES))
+def test_too_deep_file_is_skipped_not_fatal(tmp_path, shape, jobs):
+    rng = random.Random(13)
+    seeds = distinct_snippets(rng, 2, n_statements=3)
+    generate_test_corpus(seeds, tmp_path / "corpus", repo_count=3, rng_seed=2)
+    programs, _ = seed_programs(seeds)
+    repos = sorted(p for p in (tmp_path / "corpus").iterdir() if p.is_dir())
+    before = mine_repositories(repos, programs, jobs=jobs)
+    (repos[1] / "src" / "deep.php").write_text(DEEP_FILES[shape])
+    after = mine_repositories(repos, programs, jobs=jobs)
+    assert [s for r in before for s in r.files_skipped] == []
+    assert [(s.path, s.reason) for r in after for s in r.files_skipped] \
+        == [("repo001/src/deep.php", SKIP_TOO_DEEP)]
+    assert [r.error for r in after] == [None] * 3
+    assert [match_to_record(m) for r in after for m in r.matches] \
+        == [match_to_record(m) for r in before for m in r.matches]
+    assert any(r.matches for r in after)
 
 
 def test_symlinks_are_ignored(tmp_path):
