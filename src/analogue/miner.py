@@ -3,9 +3,14 @@
 Per repository: discover source files by extension, parse each into an AST
 (recording skips instead of failing), run every query program over every
 parsed unit that holds all of the program's preserved symbols, and aggregate
-matches plus per-query statistics.  Repositories are independent, so they
-can be scanned by parallel worker processes; output order always follows
-input order regardless of scheduling.
+matches plus per-query statistics.  A repository whose scan raises becomes
+a result carrying the error instead of aborting the run.
+
+Repositories are independent, so they can be scanned by parallel worker
+processes.  The programs and options are shipped once per worker, when it
+starts; each task then carries only a repository path, and the paths are
+handed out in batches.  Output order always follows input order regardless
+of scheduling.
 """
 from __future__ import annotations
 
@@ -164,8 +169,28 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     return result
 
 
-def _scan_task(args: tuple) -> RepoScanResult:
-    return scan_repository(*args)
+def _scan_one(repo: str, programs: list[MatcherProgram],
+              opts: MinerOptions) -> RepoScanResult:
+    """Scan one repository; whatever it raises becomes the result's error."""
+    try:
+        return scan_repository(repo, programs, opts)
+    except Exception as e:
+        return RepoScanResult(repo_id=Path(repo).name, path=repo,
+                              error="%s: %s" % (type(e).__name__, e))
+
+
+# The programs and options of a worker process, set once by _init_worker when
+# the worker starts; the parent process never sets it.
+_worker_args: tuple[list[MatcherProgram], MinerOptions] | None = None
+
+
+def _init_worker(programs: list[MatcherProgram], opts: MinerOptions) -> None:
+    global _worker_args
+    _worker_args = (programs, opts)
+
+
+def _scan_in_worker(repo: str) -> RepoScanResult:
+    return _scan_one(repo, *_worker_args)
 
 
 def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
@@ -173,19 +198,25 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
                       opts: MinerOptions | None = None) -> list[RepoScanResult]:
     """Scan repositories with up to `jobs` worker processes.
 
-    Results come back in input order whatever the scheduling, so two runs
-    over the same corpus are identical for any jobs value.
+    Each worker receives the programs and options once, when it starts, and
+    then takes repository paths in batches of len(repos) // (4 * jobs), at
+    least one.  No more workers start than there are repositories.  Results
+    come back in input order whatever the scheduling, so two runs over the
+    same corpus are identical for any jobs value.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if not programs:
         raise ValueError("no programs to run")
     opts = opts or MinerOptions()
-    tasks = [(str(r), programs, opts) for r in repos]
-    if jobs == 1 or len(tasks) <= 1:
-        return [_scan_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_scan_task, tasks))
+    paths = [str(r) for r in repos]
+    if jobs == 1 or len(paths) <= 1:
+        return [_scan_one(p, programs, opts) for p in paths]
+    chunksize = max(1, len(paths) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(paths)),
+                             initializer=_init_worker,
+                             initargs=(programs, opts)) as pool:
+        return list(pool.map(_scan_in_worker, paths, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import functools
+import json
+import multiprocessing
 import random
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from analogue.astree import slice_statements
-from analogue.compiler import compile_template
+from analogue import miner
+from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet)
 from analogue.miner import (MinerOptions, SKIP_BINARY, SKIP_PARSE_ERROR,
@@ -214,7 +219,6 @@ def test_output_files_shape(tmp_path):
     (repo / "broken.php").write_text("<?php $x = 'nope\n")
     results = mine_repositories([repo], strict_programs())
     paths = write_mining_outputs(results, tmp_path / "out")
-    import json
     match_lines = [json.loads(ln) for ln in
                    paths["matches"].read_text().splitlines()]
     assert len(match_lines) == 2
@@ -224,3 +228,112 @@ def test_output_files_shape(tmp_path):
     assert {s["query"] for s in stats_lines} == {p.query_id for p in strict_programs()}
     skipped = [json.loads(ln) for ln in paths["skipped"].read_text().splitlines()]
     assert [s["reason"] for s in skipped] == [SKIP_PARSE_ERROR]
+
+
+@pytest.fixture(scope="module")
+def many_repos(tmp_path_factory):
+    """41 small repositories, so no jobs value splits them into equal batches;
+    every tenth holds an unparsable file."""
+    root = tmp_path_factory.mktemp("many")
+    rng = random.Random(17)
+    seeds = distinct_snippets(rng, 3, n_statements=3)
+    generate_test_corpus(seeds, root, repo_count=41, rng_seed=5, files_per_repo=2)
+    repos = sorted(p for p in root.iterdir() if p.is_dir())
+    for repo in repos[::10]:
+        (repo / "src" / "broken.php").write_text("<?php $x = 'nope\n")
+    programs, _ = seed_programs(seeds)
+    return repos, programs
+
+
+def mined_outputs(repos, programs, jobs, out_dir):
+    """matches.jsonl and skipped.jsonl bytes, and the stats records without
+    their timings."""
+    paths = write_mining_outputs(mine_repositories(repos, programs, jobs=jobs),
+                                 out_dir)
+    stats = [json.loads(ln) for ln in paths["stats"].read_text().splitlines()]
+    for s in stats:
+        s.pop("wall_time_s", None)
+    return (paths["matches"].read_bytes(), paths["skipped"].read_bytes(), stats)
+
+
+def test_batched_mining_is_identical_across_job_counts(tmp_path, many_repos):
+    repos, programs = many_repos
+    outs = [mined_outputs(repos, programs, jobs, tmp_path / ("j%d" % jobs))
+            for jobs in (1, 2, 3)]
+    matches, skipped, stats = outs[0]
+    assert matches.count(b"\n") > 20
+    assert skipped.count(b"\n") == 5
+    assert len(stats) == len(repos) * len(programs)
+    assert outs[1] == outs[0]
+    assert outs[2] == outs[0]
+
+
+def test_programs_are_shipped_once_per_worker(monkeypatch, many_repos):
+    repos, programs = many_repos
+    repos = repos[:40]
+    pickled = []
+    real = MatcherProgram.__reduce_ex__
+
+    def counting(self, protocol):
+        pickled.append(self.query_id)
+        return real(self, protocol)
+
+    monkeypatch.setattr(MatcherProgram, "__reduce_ex__", counting)
+    results = mine_repositories(repos, programs, jobs=2)
+    assert [r.repo_id for r in results] == [p.name for p in repos]
+    assert len(pickled) <= 2 * len(programs)
+
+
+def test_mining_under_spawn_matches_jobs_1(tmp_path, monkeypatch, many_repos):
+    repos, programs = many_repos
+    expected = mined_outputs(repos, programs, 1, tmp_path / "j1")
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    assert mined_outputs(repos, programs, 2, tmp_path / "spawn") == expected
+
+
+def test_no_more_workers_than_repositories(monkeypatch, many_repos):
+    repos, programs = many_repos
+    started = []
+
+    def recording(**kwargs):
+        started.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", recording)
+    results = mine_repositories(repos[:3], programs, jobs=8)
+    assert started == [3]
+    assert [r.repo_id for r in results] == [p.name for p in repos[:3]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_repository_is_isolated(tmp_path, monkeypatch, many_repos, jobs):
+    repos, programs = many_repos
+    repos = repos[:6]
+    before = mine_repositories(repos, programs, jobs=jobs)
+    real_parse = miner.parse_source
+
+    def flaky_parse(text, path=""):
+        if path.startswith("repo002/"):
+            raise ValueError("cannot handle %s" % path)
+        return real_parse(text, path=path)
+
+    monkeypatch.setattr(miner, "parse_source", flaky_parse)
+    # The patch reaches worker processes only if they are forked.
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    after = mine_repositories(repos, programs, jobs=jobs)
+    assert [r.repo_id for r in after] == [p.name for p in repos]
+    bad = after[2]
+    assert bad.error.startswith("ValueError: cannot handle repo002/")
+    assert (bad.matches, bad.stats) == ([], [])
+    assert before[2].matches
+    for b, a in zip(before[:2] + before[3:], after[:2] + after[3:]):
+        assert a.error is None
+        assert [match_to_record(m) for m in a.matches] \
+            == [match_to_record(m) for m in b.matches]
+    assert any(a.matches for a in after)
+    paths = write_mining_outputs(after, tmp_path / "out")
+    errors = [rec for rec in map(json.loads, paths["stats"].read_text().splitlines())
+              if "error" in rec]
+    assert errors == [{"repo": "repo002", "error": bad.error}]
