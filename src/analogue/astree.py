@@ -58,7 +58,7 @@ class AmbiguousSlice(Exception):
     """The requested line range selects statements from more than one block."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     id: int
     kind: str
@@ -237,10 +237,8 @@ class TreeBuilder:
         node_id = self._next
         self._next += 1
         self._nodes[node_id] = AstNode(
-            id=node_id, kind=kind, children=tuple(children),
-            symbol=symbol, value=value,
-            line_start=line_start,
-            line_end=line_end if line_end is not None else line_start)
+            node_id, kind, tuple(children), symbol, value, line_start,
+            line_start if line_end is None else line_end)
         return node_id
 
     def mark(self) -> int:
@@ -253,11 +251,16 @@ class TreeBuilder:
         self._next = mark
 
     def span_from_children(self, node_id: int) -> None:
-        n = self._nodes[node_id]
-        if not n.children:
-            return
-        n.line_start = min(n.line_start, *(self._nodes[c].line_start for c in n.children))
-        n.line_end = max(n.line_end, *(self._nodes[c].line_end for c in n.children))
+        nodes = self._nodes
+        n = nodes[node_id]
+        lo, hi = n.line_start, n.line_end
+        for c in n.children:
+            child = nodes[c]
+            if child.line_start < lo:
+                lo = child.line_start
+            if child.line_end > hi:
+                hi = child.line_end
+        n.line_start, n.line_end = lo, hi
 
     def finish(self, path: str, root: int) -> SourceUnit:
         unit = SourceUnit(path=path, root=root, nodes=self._nodes,

@@ -184,10 +184,27 @@ def match_to_json(m: Match) -> str:
     return json.dumps(match_to_record(m), sort_keys=True)
 
 
-def attach_excerpt(m: Match, source_text: str, max_lines: int = 10) -> Match:
-    """Fill the excerpt with up to max_lines source lines from the match span."""
-    lines = source_text.splitlines()
+def source_lines(text: str) -> list[str]:
+    """text split at newlines, the only line break the lexer counts.
+
+    A final newline ends the last line rather than opening an empty one.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def attach_excerpt(m: Match, source: str | list[str], max_lines: int = 10) -> Match:
+    """Fill the excerpt with up to max_lines source lines from the match span.
+
+    source is the unit's text, or its source_lines when one text gets many
+    excerpts.  Lines are numbered as the lexer numbers them, and each loses
+    one trailing carriage return, so a CRLF file gives the same excerpt as
+    its LF copy.
+    """
+    lines = source_lines(source) if isinstance(source, str) else source
     lo = max(m.line_start - 1, 0)
-    hi = min(m.line_end, len(lines))
-    m.excerpt = "\n".join(lines[lo:hi][:max_lines])
+    m.excerpt = "\n".join(ln[:-1] if ln.endswith("\r") else ln
+                          for ln in lines[lo:min(m.line_end, lo + max_lines)])
     return m

@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .astree import SourceUnit
 from .compiler import SYMBOL, MatcherProgram
-from .engine import Match, ScanOptions, attach_excerpt, match_to_record, scan_unit
+from .engine import (Match, ScanOptions, attach_excerpt, match_to_record, scan_unit,
+                     source_lines)
 from .php_parser import LexError, ParseError, parse_source
 
 SKIP_PARSE_ERROR = "parse-error"
@@ -125,7 +126,8 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
             skipped.append(SkippedFile(label, SKIP_TOO_DEEP,
                                        "nesting exceeds the parser's recursion limit"))
             continue
-        units.append((unit, text))
+        # parse_source drops a leading BOM itself; excerpts must not start with one
+        units.append((unit, text.removeprefix("\ufeff")))
     return units, skipped
 
 
@@ -144,6 +146,7 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     units, result.files_skipped = _load_units(repo_path, repo_id, rel_files, opts)
     result.files_scanned = len(units)
     nodes_total = sum(u.node_count for u, _ in units)
+    lines_of: dict[str, list[str]] = {}  # unit path -> source_lines, split at its first match
     for program in programs:
         t0 = time.perf_counter()
         comparisons = candidates = found = units_skipped = 0
@@ -156,8 +159,12 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
             matches, counter = scan_unit(program, unit, opts.scan)
             comparisons += counter.node_comparisons
             candidates += counter.candidates_tried
-            for m in matches:
-                attach_excerpt(m, text)
+            if matches:
+                lines = lines_of.get(unit.path)
+                if lines is None:
+                    lines = lines_of[unit.path] = source_lines(text)
+                for m in matches:
+                    attach_excerpt(m, lines)
             result.matches.extend(matches)
             found += len(matches)
         result.stats.append(ScanStats(

@@ -8,6 +8,7 @@ children, so files never need full-language support to be scannable.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import astree
@@ -26,7 +27,7 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: str            # html | var | ident | number | sq | dq | op | eof
     value: str
@@ -86,141 +87,93 @@ def lex_fragment(fragment: str, start_line: int) -> list[Token]:
     return toks
 
 
+_LEX_ERRORS = {
+    "comment": "unterminated block comment",
+    "sq_open": "unterminated single-quoted string",
+    "dq_open": "unterminated double-quoted string",
+}
+
+# One token and the whitespace and comments before it.  Alternatives are
+# tried in order: "var" comes before the "$" operator, "close" before "?",
+# "heredoc" before "<<", "comment" (an unterminated one) before "/", and
+# "number" before ".".  "bad" takes any other character and "end" the end of
+# the text, so once the greedy prefix stops the match cannot fail and never
+# backtracks into it.  "number" marks only the first character, because
+# str.isdigit accepts digits such as "²" that no regex class matches; a "."
+# before a non-ASCII character that is not a digit is the "." operator.
+_TOKEN = re.compile(
+    r"(?:[ \t\n\r\v\f]+|(?://|\#)[^\n?]*(?:\?(?!>)[^\n?]*)*|/\*.*?\*/)*"
+    r"(?:(?P<var>\$%(ident)s)|(?P<ident>%(ident)s)"
+    r"|(?P<close>\?>\n?)|(?P<heredoc><<<)|(?P<comment>/\*)"
+    r"|(?P<number>[0-9]|\.(?=[0-9\x80-\U0010ffff]))"
+    r"|(?P<op>%(ops)s|[%(ops1)s])"
+    r"|(?P<sq>'[^'\\]*(?:\\.[^'\\]*)*')|(?P<dq>\"[^\"\\]*(?:\\.[^\"\\]*)*\")"
+    r"|(?P<sq_open>')|(?P<dq_open>\")|(?P<bad>.)|(?P<end>\Z))"
+    % {"ident": r"[A-Za-z_\x80-\U0010ffff][0-9A-Za-z_\x80-\U0010ffff]*",
+       "ops": "|".join(map(re.escape, _OPS3 + _OPS2)),
+       "ops1": re.escape(_OPS1)},
+    re.DOTALL)
+
+
 def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r\v\f":
-            i += 1
-            continue
-        if text.startswith("?>", i):
-            toks.append(Token("op", "?>", line, line))
-            i += 2
-            if i < n and text[i] == "\n":  # PHP swallows one newline after ?>
-                i += 1
-                line += 1
-            return i, line
-        if text.startswith("//", i) or ch == "#":
-            j = i + 2 if ch == "/" else i + 1
-            while j < n and text[j] != "\n" and not text.startswith("?>", j):
-                j += 1
-            i = j  # line comments end at newline or at a closing tag
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line)
-            line += text.count("\n", i, end + 2)
-            i = end + 2
-            continue
-        if ch == "$":
-            j = i + 1
-            if j < n and _is_ident_start(text[j]):
-                k = j + 1
-                while k < n and _is_ident_char(text[k]):
-                    k += 1
-                toks.append(Token("var", text[i:k], line, line))
-                i = k
-                continue
-            toks.append(Token("op", "$", line, line))
-            i += 1
-            continue
-        if _is_ident_start(ch):
-            k = i + 1
-            while k < n and _is_ident_char(text[k]):
-                k += 1
-            toks.append(Token("ident", text[i:k], line, line))
-            i = k
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            k = i
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                k = i + 2
-                while k < n and (text[k] in "abcdefABCDEF_" or text[k].isdigit()):
-                    k += 1
+    """Lex PHP code from text[i] up to a closing tag (consumed) or the end."""
+    match, count, append = _TOKEN.match, text.count, toks.append
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        s, e = m.span(kind)
+        if s != i:
+            line += count("\n", i, s)
+        i = e
+        if kind == "op" or kind == "ident" or kind == "var":
+            append(Token(kind, text[s:i], line, line))
+        elif kind == "sq" or kind == "dq":
+            value = text[s + 1:i - 1]
+            end = line + value.count("\n")
+            append(Token(kind, value, line, end))
+            line = end
+        elif kind == "number":
+            if text[s] == "." and not text[i].isdigit():
+                append(Token("op", ".", line, line))
             else:
-                seen_dot = seen_exp = False
-                while k < n:
-                    c = text[k]
-                    if c.isdigit() or c == "_":
-                        k += 1
-                    elif c == "." and not seen_dot and not seen_exp:
-                        seen_dot = True
-                        k += 1
-                    elif c in "eE" and not seen_exp and k + 1 < n and (
-                            text[k + 1].isdigit() or text[k + 1] in "+-"):
-                        seen_exp = True
-                        k += 2 if text[k + 1] in "+-" else 1
-                    else:
-                        break
-            toks.append(Token("number", text[i:k], line, line))
-            i = k
-            continue
-        if ch == "'":
-            j, ln = i + 1, line
-            buf = []
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    buf.append(text[j:j + 2])
-                    if text[j + 1] == "\n":
-                        ln += 1
-                    j += 2
-                    continue
-                if c == "'":
-                    break
-                if c == "\n":
-                    ln += 1
-                buf.append(c)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated single-quoted string", line)
-            toks.append(Token("sq", "".join(buf), line, ln))
-            i = j + 1
-            line = ln
-            continue
-        if ch == '"':
-            j, ln = i + 1, line
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    if text[j + 1] == "\n":
-                        ln += 1
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                if c == "\n":
-                    ln += 1
-                j += 1
-            if j >= n:
-                raise LexError("unterminated double-quoted string", line)
-            toks.append(Token("dq", text[i + 1:j], line, ln))
-            i = j + 1
-            line = ln
-            continue
-        if text.startswith("<<<", i):
-            i, line = _lex_heredoc(text, i, line, toks)
-            continue
-        if text.startswith(_OPS3, i):
-            toks.append(Token("op", text[i:i + 3], line, line))
-            i += 3
-            continue
-        two = text[i:i + 2]
-        if two in _OPS2:
-            toks.append(Token("op", two, line, line))
-            i += 2
-            continue
-        if ch in _OPS1:
-            toks.append(Token("op", ch, line, line))
-            i += 1
-            continue
-        raise LexError("unexpected character %r" % ch, line)
-    return i, line
+                i = _number_end(text, s)
+                append(Token("number", text[s:i], line, line))
+        elif kind == "close":  # PHP swallows one newline after ?>
+            append(Token("op", "?>", line, line))
+            return i, line + i - s - 2
+        elif kind == "heredoc":
+            i, line = _lex_heredoc(text, s, line, toks)
+        elif kind == "end":
+            return i, line
+        else:
+            raise LexError(_LEX_ERRORS.get(kind) or "unexpected character %r" % text[s],
+                           line)
+
+
+def _number_end(text: str, i: int) -> int:
+    """End of the number literal starting at text[i]."""
+    n = len(text)
+    if text.startswith(("0x", "0X"), i):
+        k = i + 2
+        while k < n and (text[k] in "abcdefABCDEF_" or text[k].isdigit()):
+            k += 1
+        return k
+    k = i
+    seen_dot = seen_exp = False
+    while k < n:
+        c = text[k]
+        if c.isdigit() or c == "_":
+            k += 1
+        elif c == "." and not seen_dot and not seen_exp:
+            seen_dot = True
+            k += 1
+        elif c in "eE" and not seen_exp and k + 1 < n and (
+                text[k + 1].isdigit() or text[k + 1] in "+-"):
+            seen_exp = True
+            k += 2 if text[k + 1] in "+-" else 1
+        else:
+            break
+    return k
 
 
 def _lex_heredoc(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
@@ -298,65 +251,71 @@ _BIN_PREC = {
     "instanceof": 8,
 }
 
+_AUG_ASSIGN = frozenset({"+=", "-=", "*=", "/=", ".=", "%=", "**=", "??=", "|=", "&=",
+                         "^=", "<<=", ">>="})
+_UNARY = frozenset({"!", "-", "+", "~", "++", "--"})
+_POSTFIX = frozenset({"(", "[", "->", "::", "++", "--"})
+_WORD_OPS = frozenset({"or", "and", "xor"})
+
 _EOF = Token("eof", "", 0, 0)
+# Lookahead reads at most two tokens past pos, and pos passes the first EOF
+# (by one) only right before a ParseError, so three EOFs after the last token
+# keep every read in range without a bounds check.
+_EOF_PAD = [_EOF] * 3
 
 
 class _Parser:
     def __init__(self, toks: list[Token], builder: TreeBuilder):
-        self.toks = toks
+        self.toks = toks + _EOF_PAD
         self.pos = 0
         self.b = builder
+        self.last_line = toks[-1].line_end if toks else 1
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
-        idx = self.pos + ahead
-        return self.toks[idx] if idx < len(self.toks) else _EOF
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def at_op(self, *vals: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.type == "op" and t.value in vals
 
     def at_kw(self, *words: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.type == "ident" and t.value.lower() in words
 
     def expect_op(self, val: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.type != "op" or t.value != val:
             raise ParseError("expected %r, found %r" % (val, t.value or t.type),
-                             t.line or self._last_line())
-        return self.next()
-
-    def _last_line(self) -> int:
-        return self.toks[-1].line_end if self.toks else 1
+                             t.line or self.last_line)
+        self.pos += 1
+        return t
 
     # -- statements --------------------------------------------------------
     def parse_statements_until(self, closers: tuple[str, ...],
                                kw_closers: tuple[str, ...] = ()) -> list[int]:
         out: list[int] = []
         while True:
-            t = self.peek()
+            t = self.toks[self.pos]
             if t.type == "eof":
                 break
-            if t.type == "op" and t.value in closers:
-                break
-            if kw_closers and t.type == "ident" and t.value.lower() in kw_closers:
-                break
-            if t.type == "op" and t.value == "?>":
-                self.next()
-                continue
-            if t.type == "op" and t.value == ";":
-                self.next()
-                continue
-            if t.type == "html":
-                self.next()
+            if t.type == "op":
+                if t.value in closers:
+                    break
+                if t.value == "?>" or t.value == ";":
+                    self.pos += 1
+                    continue
+            elif t.type == "html":
+                self.pos += 1
                 out.append(self.b.add(astree.HTML, line_start=t.line, line_end=t.line_end))
                 continue
+            elif kw_closers and t.type == "ident" and t.value.lower() in kw_closers:
+                break
             start_pos = self.pos
             node_mark = self.b.mark()
             try:
@@ -420,16 +379,14 @@ class _Parser:
         return expr
 
     def _finish_simple_statement(self, node_id: int) -> None:
-        if self.at_op(";"):
-            semi = self.next()
+        t = self.toks[self.pos]
+        if t.type == "op" and t.value == ";":
+            self.pos += 1
             n = self.b._nodes[node_id]
-            if semi.line_end > n.line_end:
-                n.line_end = semi.line_end
-        elif self.at_op("?>") or self.peek().type == "eof":
-            pass
-        else:
-            t = self.peek()
-            raise ParseError("expected ';' after statement", t.line or self._last_line())
+            if t.line_end > n.line_end:
+                n.line_end = t.line_end
+        elif not (t.type == "op" and t.value == "?>" or t.type == "eof"):
+            raise ParseError("expected ';' after statement", t.line or self.last_line)
 
     def _parse_keyword_statement(self, kw: str) -> int | None:
         t = self.next()
@@ -654,7 +611,7 @@ class _Parser:
             return sl, semi.line_end
         stmt = self.parse_statement()
         stmts = [stmt] if stmt is not None else []
-        start = self.b._nodes[stmt].line_start if stmt is not None else self._last_line()
+        start = self.b._nodes[stmt].line_start if stmt is not None else self.last_line
         sl = self.b.add(astree.STMT_LIST, stmts, line_start=start)
         self.b.span_from_children(sl)
         return sl, self.b._nodes[sl].line_end
@@ -736,7 +693,7 @@ class _Parser:
         while depth:
             tok = self.next()
             if tok.type == "eof":
-                raise ParseError("unbalanced parentheses", self._last_line())
+                raise ParseError("unbalanced parentheses", self.last_line)
             if tok.type == "op":
                 if tok.value == "(":
                     depth += 1
@@ -747,14 +704,14 @@ class _Parser:
     def _skip_balanced_braces(self) -> int:
         while not self.at_op("{"):
             if self.peek().type == "eof":
-                raise ParseError("expected '{'", self._last_line())
+                raise ParseError("expected '{'", self.last_line)
             self.next()
         self.next()
         depth = 1
         while depth:
             tok = self.next()
             if tok.type == "eof":
-                raise ParseError("unbalanced braces", self._last_line())
+                raise ParseError("unbalanced braces", self.last_line)
             if tok.type == "op":
                 if tok.value == "{":
                     depth += 1
@@ -765,164 +722,154 @@ class _Parser:
     # -- expressions -------------------------------------------------------
     def parse_expr(self) -> int:
         node = self._parse_assign()
-        while self.at_kw("or", "and", "xor"):
-            op = self.next()
+        t = self.toks[self.pos]
+        while t.type == "ident" and t.value.lower() in _WORD_OPS:
+            self.pos += 1
             rhs = self._parse_assign()
-            node = self._binnode(op.value.lower(), node, rhs)
+            node = self._binnode(t.value.lower(), node, rhs)
+            t = self.toks[self.pos]
         return node
 
     def _parse_assign(self) -> int:
         left = self._parse_ternary()
-        if self.at_op("="):
-            self.next()
-            right = self._parse_assign()
-            node = self.b.add(astree.ASSIGN, [left, right],
-                              line_start=self.b._nodes[left].line_start)
-            self.b.span_from_children(node)
-            return node
-        if self.at_op("+=", "-=", "*=", "/=", ".=", "%=", "**=", "??=", "|=", "&=", "^=", "<<=", ">>="):
-            op = self.next()
-            right = self._parse_assign()
-            node = self.b.add("AugAssign:" + op.value, [left, right],
-                              line_start=self.b._nodes[left].line_start)
-            self.b.span_from_children(node)
-            return node
-        return left
+        t = self.toks[self.pos]
+        if t.type != "op":
+            return left
+        if t.value == "=":
+            kind = astree.ASSIGN
+        elif t.value in _AUG_ASSIGN:
+            kind = "AugAssign:" + t.value
+        else:
+            return left
+        self.pos += 1
+        right = self._parse_assign()
+        node = self.b.add(kind, (left, right), line_start=self.b._nodes[left].line_start)
+        self.b.span_from_children(node)
+        return node
 
     def _parse_ternary(self) -> int:
         cond = self._parse_binary(1)
-        if self.at_op("?"):
-            self.next()
-            if self.at_op(":"):
-                self.next()
-                other_branch = self._parse_assign()
-                node = self.b.add(astree.other("ternary"), [cond, other_branch],
-                                  line_start=self.b._nodes[cond].line_start)
-            else:
-                then = self._parse_assign()
-                self.expect_op(":")
-                other_branch = self._parse_assign()
-                node = self.b.add(astree.other("ternary"), [cond, then, other_branch],
-                                  line_start=self.b._nodes[cond].line_start)
-            self.b.span_from_children(node)
-            return node
-        return cond
+        t = self.toks[self.pos]
+        if t.type != "op" or t.value != "?":
+            return cond
+        self.pos += 1
+        children = [cond]
+        if self.at_op(":"):
+            self.pos += 1
+        else:
+            children.append(self._parse_assign())
+            self.expect_op(":")
+        children.append(self._parse_assign())
+        node = self.b.add(astree.other("ternary"), children,
+                          line_start=self.b._nodes[cond].line_start)
+        self.b.span_from_children(node)
+        return node
 
     def _parse_binary(self, min_prec: int) -> int:
         left = self._parse_unary()
         while True:
-            t = self.peek()
-            op = None
-            if t.type == "op" and t.value in _BIN_PREC:
+            t = self.toks[self.pos]
+            if t.type == "op":
                 op = t.value
-            elif t.type == "ident" and t.value.lower() == "instanceof":
-                op = "instanceof"
-            if op is None or _BIN_PREC[op] < min_prec:
+            elif t.type == "ident":
+                op = t.value.lower()  # only "instanceof" has a precedence
+            else:
                 return left
-            self.next()
-            right = self._parse_binary(_BIN_PREC[op] + 1)
+            prec = _BIN_PREC.get(op, 0)
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            right = self._parse_binary(prec + 1)
             left = self._binnode(op, left, right)
 
     def _binnode(self, op: str, left: int, right: int) -> int:
         kind = astree.CONCAT if op == "." else astree.binop(op)
-        node = self.b.add(kind, [left, right],
+        node = self.b.add(kind, (left, right),
                           line_start=self.b._nodes[left].line_start)
         self.b.span_from_children(node)
         return node
 
     def _parse_unary(self) -> int:
-        t = self.peek()
-        if t.type == "op" and t.value in ("!", "-", "+", "~", "++", "--"):
-            self.next()
-            operand = self._parse_unary()
-            node = self.b.add("UnaryOp:" + t.value, [operand], line_start=t.line)
-            self.b.span_from_children(node)
-            return node
-        if t.type == "op" and t.value in ("@", "&"):
-            self.next()  # error-suppression and references are transparent
-            return self._parse_unary()
-        if t.type == "op" and t.value == "(":
-            nxt, after = self.peek(1), self.peek(2)
-            if (nxt.type == "ident" and nxt.value.lower() in _CASTS
-                    and after.type == "op" and after.value == ")"):
-                self.next()
-                self.next()
-                self.next()
+        t = self.toks[self.pos]
+        if t.type == "op":
+            if t.value in _UNARY:
+                self.pos += 1
                 operand = self._parse_unary()
-                node = self.b.add("Cast:" + nxt.value.lower(), [operand], line_start=t.line)
+                node = self.b.add("UnaryOp:" + t.value, (operand,), line_start=t.line)
                 self.b.span_from_children(node)
                 return node
-        if t.type == "ident" and t.value.lower() in ("new", "clone"):
-            self.next()
-            operand = self._parse_unary()
-            node = self.b.add(astree.other(t.value.lower()), [operand], line_start=t.line)
-            self.b.span_from_children(node)
-            return node
-        if t.type == "ident" and t.value.lower() == "print":
-            self.next()
-            operand = self.parse_expr()
-            node = self.b.add(astree.other("print"), [operand], line_start=t.line)
-            self.b.span_from_children(node)
-            return node
+            if t.value == "@" or t.value == "&":
+                self.pos += 1  # error-suppression and references are transparent
+                return self._parse_unary()
+            if t.value == "(":
+                nxt, after = self.toks[self.pos + 1], self.toks[self.pos + 2]
+                if (nxt.type == "ident" and nxt.value.lower() in _CASTS
+                        and after.type == "op" and after.value == ")"):
+                    self.pos += 3
+                    operand = self._parse_unary()
+                    node = self.b.add("Cast:" + nxt.value.lower(), (operand,),
+                                      line_start=t.line)
+                    self.b.span_from_children(node)
+                    return node
+        elif t.type == "ident":
+            word = t.value.lower()
+            if word == "new" or word == "clone" or word == "print":
+                self.pos += 1
+                operand = self.parse_expr() if word == "print" else self._parse_unary()
+                node = self.b.add(astree.other(word), (operand,), line_start=t.line)
+                self.b.span_from_children(node)
+                return node
         return self._parse_postfix()
 
     def _parse_postfix(self) -> int:
         node = self._parse_primary()
+        toks, nodes = self.toks, self.b._nodes
         while True:
-            if self.at_op("("):
+            t = toks[self.pos]
+            if t.type != "op" or t.value not in _POSTFIX:
+                return node
+            base = nodes[node]
+            if t.value == "(":
                 args = self._parse_arglist()
-                callee = self.b._nodes[node]
-                kind = astree.CALL if callee.kind in (astree.NAME, astree.VAR) \
+                kind = astree.CALL if base.kind in (astree.NAME, astree.VAR) \
                     else astree.other("call")
-                node = self.b.add(kind, [node, args], line_start=callee.line_start)
-                self.b.span_from_children(node)
-                continue
-            if self.at_op("["):
-                open_tok = self.next()
+                node = self.b.add(kind, (node, args), line_start=base.line_start)
+            elif t.value == "[":
+                self.pos += 1
                 if self.at_op("]"):
                     close = self.next()
                     idx = self.b.add(astree.other("empty_index"),
-                                     line_start=open_tok.line, line_end=close.line_end)
+                                     line_start=t.line, line_end=close.line_end)
                 else:
                     idx = self.parse_expr()
                     close = self.expect_op("]")
-                base = self.b._nodes[node]
-                node = self.b.add(astree.ARRAY_DIM, [node, idx],
+                node = self.b.add(astree.ARRAY_DIM, (node, idx),
                                   line_start=base.line_start, line_end=close.line_end)
-                self.b.span_from_children(node)
-                continue
-            if self.at_op("->", "::"):
-                op = self.next()
-                member_tok = self.peek()
+            elif t.value == "->" or t.value == "::":
+                self.pos += 1
+                member_tok = toks[self.pos]
                 if member_tok.type == "ident":
-                    self.next()
+                    self.pos += 1
                     member = self.b.add(astree.NAME, symbol=member_tok.value,
                                         line_start=member_tok.line)
                 elif member_tok.type == "var":
-                    self.next()
+                    self.pos += 1
                     member = self.b.add(astree.VAR, symbol=member_tok.value,
                                         line_start=member_tok.line)
                 elif member_tok.type == "op" and member_tok.value == "{":
-                    self.next()
+                    self.pos += 1
                     member = self.parse_expr()
                     self.expect_op("}")
                 else:
-                    raise ParseError("expected member name after %r" % op.value,
-                                     op.line)
-                tag = "prop" if op.value == "->" else "static_prop"
-                base = self.b._nodes[node]
-                node = self.b.add(astree.other(tag), [node, member],
+                    raise ParseError("expected member name after %r" % t.value, t.line)
+                tag = "prop" if t.value == "->" else "static_prop"
+                node = self.b.add(astree.other(tag), (node, member),
                                   line_start=base.line_start)
-                self.b.span_from_children(node)
-                continue
-            if self.at_op("++", "--"):
-                op = self.next()
-                base = self.b._nodes[node]
-                node = self.b.add("UnaryOp:post" + op.value, [node],
-                                  line_start=base.line_start, line_end=op.line_end)
-                self.b.span_from_children(node)
-                continue
-            return node
+            else:  # postfix ++ / --
+                self.pos += 1
+                node = self.b.add("UnaryOp:post" + t.value, (node,),
+                                  line_start=base.line_start, line_end=t.line_end)
+            self.b.span_from_children(node)
 
     def _parse_arglist(self) -> int:
         open_tok = self.expect_op("(")
@@ -957,72 +904,63 @@ class _Parser:
         return node
 
     def _parse_primary(self) -> int:
-        t = self.peek()
-        if t.type == "var":
-            self.next()
+        t = self.toks[self.pos]
+        tt = t.type
+        if tt == "var":
+            self.pos += 1
             return self.b.add(astree.VAR, symbol=t.value, line_start=t.line)
-        if t.type == "op" and t.value == "$":
-            self.next()
-            if self.at_op("{"):
-                self.next()
-                inner = self.parse_expr()
-                close = self.expect_op("}")
-                node = self.b.add(astree.other("varvar"), [inner],
-                                  line_start=t.line, line_end=close.line_end)
-                return node
-            inner = self._parse_primary()
-            node = self.b.add(astree.other("varvar"), [inner], line_start=t.line)
-            self.b.span_from_children(node)
-            return node
-        if t.type == "ident":
+        if tt == "number" or tt == "sq":
+            self.pos += 1
+            return self.b.add(astree.LITERAL, value=t.value,
+                              line_start=t.line, line_end=t.line_end)
+        if tt == "dq":
+            self.pos += 1
+            return _build_interpolated(self.b, t)
+        symbol = None
+        if tt == "ident":
             word = t.value.lower()
+            self.pos += 1
             if word in ("true", "false", "null"):
-                self.next()
                 return self.b.add(astree.LITERAL, value=word, line_start=t.line)
             if word == "function":
-                self.next()
                 return self._parse_closure(t)
             if word == "fn":
-                self.next()
                 self._skip_balanced_parens()
                 self.expect_op("=>")
                 body = self.parse_expr()
                 node = self.b.add(astree.other("closure"), [body], line_start=t.line)
                 self.b.span_from_children(node)
                 return node
-            self.next()
             symbol = t.value
-            while self.at_op("\\") and self.peek(1).type == "ident":
-                self.next()
-                symbol += "\\" + self.next().value
-            return self.b.add(astree.NAME, symbol=symbol, line_start=t.line)
-        if t.type == "op" and t.value == "\\" and self.peek(1).type == "ident":
-            self.next()
-            nm = self.next()
-            symbol = "\\" + nm.value
-            while self.at_op("\\") and self.peek(1).type == "ident":
-                self.next()
-                symbol += "\\" + self.next().value
-            return self.b.add(astree.NAME, symbol=symbol, line_start=t.line)
-        if t.type == "number":
-            self.next()
-            return self.b.add(astree.LITERAL, value=t.value, line_start=t.line)
-        if t.type == "sq":
-            self.next()
-            return self.b.add(astree.LITERAL, value=t.value,
-                              line_start=t.line, line_end=t.line_end)
-        if t.type == "dq":
-            self.next()
-            return _build_interpolated(self.b, t)
-        if t.type == "op" and t.value == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if t.type == "op" and t.value == "[":
-            return self._parse_array_literal()
-        raise ParseError("unexpected token %r" % (t.value or t.type),
-                         t.line or self._last_line())
+        elif tt == "op":
+            if t.value == "(":
+                self.pos += 1
+                inner = self.parse_expr()
+                self.expect_op(")")
+                return inner
+            if t.value == "[":
+                return self._parse_array_literal()
+            if t.value == "$":
+                self.pos += 1
+                if self.at_op("{"):
+                    self.pos += 1
+                    inner = self.parse_expr()
+                    close = self.expect_op("}")
+                    return self.b.add(astree.other("varvar"), [inner],
+                                      line_start=t.line, line_end=close.line_end)
+                inner = self._parse_primary()
+                node = self.b.add(astree.other("varvar"), [inner], line_start=t.line)
+                self.b.span_from_children(node)
+                return node
+            if t.value == "\\" and self.toks[self.pos + 1].type == "ident":
+                symbol = ""  # a fully qualified name: the loop below takes "\\name"
+        if symbol is None:
+            raise ParseError("unexpected token %r" % (t.value or t.type),
+                             t.line or self.last_line)
+        while self.at_op("\\") and self.toks[self.pos + 1].type == "ident":
+            symbol += "\\" + self.toks[self.pos + 1].value
+            self.pos += 2
+        return self.b.add(astree.NAME, symbol=symbol, line_start=t.line)
 
     def _parse_closure(self, t: Token) -> int:
         self._skip_balanced_parens()
@@ -1220,6 +1158,6 @@ def parse_source(text: str | bytes, path: str = "<memory>") -> SourceUnit:
     stmts = p.parse_statements_until(())
     if p.peek().type != "eof":
         raise ParseError("unexpected %r at top level" % p.peek().value, p.peek().line)
-    last_line = max((t.line_end for t in toks), default=1)
-    root = b.add(astree.STMT_LIST, stmts, line_start=1, line_end=max(last_line, 1))
+    # token lines never decrease, so the last token ends on the last line
+    root = b.add(astree.STMT_LIST, stmts, line_start=1, line_end=p.last_line)
     return b.finish(path, root)
