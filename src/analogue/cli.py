@@ -18,7 +18,8 @@ from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
 from .engine import ScanOptions, attach_excerpt, match_to_json, scan_unit
-from .miner import MinerOptions, mine_repositories, write_mining_outputs
+from .miner import (MinerOptions, mine_repositories, parse_file,
+                    write_mining_outputs)
 from .php_parser import LexError, ParseError, parse_source
 from .template import (EmptyInput, TemplateFormatError, derive_template,
                        deserialize_template, serialize_template)
@@ -57,12 +58,13 @@ def load_query(path: Path) -> MatcherProgram:
     text = path.read_text(encoding="utf-8")
     try:
         return deserialize_program(text)
-    except ProgramFormatError:
-        pass
+    except ProgramFormatError as e:
+        not_a_program = e
     try:
         return compile_template(deserialize_template(text))
     except TemplateFormatError as e:
-        raise CliError("%s is neither a program nor a template: %s" % (path, e))
+        raise CliError("%s is neither a program (%s) nor a template (%s)"
+                       % (path, not_a_program, e))
 
 
 def load_query_dir(path: Path) -> list[MatcherProgram]:
@@ -126,8 +128,8 @@ def cmd_scan(args) -> int:
     opts = _scan_options(args)
     out_lines = []
     for f in args.files:
-        text = _read(f)
-        unit = parse_source(text, path=f)
+        data = sys.stdin.buffer.read() if f == "-" else Path(f).read_bytes()
+        unit, text = parse_file(data, f)
         matches, _counter = scan_unit(program, unit, opts)
         for m in matches:
             attach_excerpt(m, text)

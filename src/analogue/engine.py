@@ -9,7 +9,9 @@ for the template and starts with fewer than k statements left.  The runs it
 skips would fail on the first step, so the matches, and their document
 order, are those of an exhaustive scan.  Target nodes may have extra
 trailing children beyond what the program specifies (a call with more
-arguments still matches) unless exact_arity is requested.
+arguments still matches) unless exact_arity is requested.  Each attempt runs
+the straight-line Python function generated from the program for the scan's
+options (MatcherProgram.matcher).
 """
 from __future__ import annotations
 
@@ -34,10 +36,10 @@ class ScanOptions:
 class ComparisonCounter:
     """Work done by one scan.
 
-    candidates_tried counts the anchors passed to match_at: those left after
-    the kind index, depth pruning and the arity window (start + statement
-    count <= sibling count).  node_comparisons counts the KIND, SYMBOL, BIND
-    and CHECK steps executed.
+    candidates_tried counts the anchors the program is tried at: those left
+    after the kind index, depth pruning and the arity window (start +
+    statement count <= sibling count).  node_comparisons counts the KIND,
+    SYMBOL, BIND and CHECK steps executed.
     """
     node_comparisons: int = 0
     candidates_tried: int = 0
@@ -67,69 +69,36 @@ class Match:
                 self.line_start, self.line_end)
 
 
+def _new_match(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
+               start_index: int, bindings: dict[int, str]) -> Match:
+    stmts = unit.nodes[stmt_list_id].children
+    return Match(unit_path=unit.path, query_id=p.query_id,
+                 stmt_list_id=stmt_list_id, start_index=start_index,
+                 statement_span=p.statement_count, bindings=bindings,
+                 line_start=unit.nodes[stmts[start_index]].line_start,
+                 line_end=unit.nodes[stmts[start_index + p.statement_count - 1]].line_end)
+
+
 def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
              start_index: int, opts: ScanOptions | None = None,
              counter: ComparisonCounter | None = None) -> Match | None:
     """Try the program against consecutive statements starting at start_index.
 
     A fresh binding environment is used per attempt; absence of a match is a
-    normal result.
+    normal result.  Runs the program's generated matcher, as scan_unit does.
     """
     opts = opts or ScanOptions()
     sl = unit.nodes[stmt_list_id]
     if sl.kind != STMT_LIST:
         raise ValueError("anchor %d is not a StmtList" % stmt_list_id)
-    stmts = sl.children
-    if start_index < 0 or start_index + p.statement_count > len(stmts):
+    if start_index < 0 or start_index + p.statement_count > len(sl.children):
         return None
-
-    counting = counter is not None and opts.count_comparisons
-    bindings: dict[int, str] = {}
-    stmt_pos = start_index
-    cur = unit.nodes[stmts[stmt_pos]]
-    stack: list = []
-
-    for step in p.steps:
-        op = step.op
-        if op == compiler.DESCEND:
-            if step.child_index >= len(cur.children):
-                return None
-            stack.append(cur)
-            cur = unit.nodes[cur.children[step.child_index]]
-            continue
-        if op == compiler.ASCEND:
-            cur = stack.pop()
-            continue
-        if op == compiler.NEXT:
-            stmt_pos += 1
-            cur = unit.nodes[stmts[stmt_pos]]
-            stack.clear()
-            continue
-        if counting:
-            counter.node_comparisons += 1
-        if op == compiler.KIND:
-            if cur.kind != step.kind:
-                return None
-            if opts.exact_arity and len(cur.children) != step.arity:
-                return None
-        elif op == compiler.SYMBOL:
-            if cur.symbol != step.name:
-                return None
-        elif op == compiler.BIND:
-            name = cur.symbol or ""
-            if opts.injective_bindings and name in bindings.values():
-                return None
-            bindings[step.class_id] = name
-        elif op == compiler.CHECK:
-            if bindings.get(step.class_id) != (cur.symbol or ""):
-                return None
-
-    first = unit.nodes[stmts[start_index]]
-    last = unit.nodes[stmts[start_index + p.statement_count - 1]]
-    return Match(unit_path=unit.path, query_id=p.query_id,
-                 stmt_list_id=stmt_list_id, start_index=start_index,
-                 statement_span=p.statement_count, bindings=dict(bindings),
-                 line_start=first.line_start, line_end=last.line_end)
+    found = p.matcher(opts.exact_arity, opts.injective_bindings)(
+        unit.nodes, sl.children, start_index)
+    failed = type(found) is int
+    if counter is not None and opts.count_comparisons:
+        counter.node_comparisons += found if failed else p.comparison_steps
+    return None if failed else _new_match(p, unit, stmt_list_id, start_index, found)
 
 
 def scan_unit(p: MatcherProgram, unit: SourceUnit,
@@ -142,26 +111,34 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     skipped; the pruned and unpruned scans return identical match sets.
     """
     opts = opts or ScanOptions()
-    counter = ComparisonCounter()
     matches: list[Match] = []
     index = unit.anchor_index()
     if p.steps and p.steps[0].op == compiler.KIND:
         anchors = index.by_kind.get(p.steps[0].kind, ())
     else:
         anchors = index.anchors
+    match = p.matcher(opts.exact_arity, opts.injective_bindings)
+    nodes = unit.nodes
     pruning = opts.depth_pruning
     depth_limit = unit.max_depth - p.template_depth + 1
     k = p.statement_count
     cap = opts.max_matches_per_unit
+    comparisons = tried = 0
     for sl_id, sl_depth, start, siblings in anchors:
         if (pruning and sl_depth >= depth_limit) or start + k > siblings:
             continue
-        counter.candidates_tried += 1
-        m = match_at(p, unit, sl_id, start, opts, counter)
-        if m is not None:
-            matches.append(m)
-            if cap is not None and len(matches) >= cap:
-                break
+        tried += 1
+        found = match(nodes, nodes[sl_id].children, start)
+        if type(found) is int:
+            comparisons += found
+            continue
+        comparisons += p.comparison_steps
+        matches.append(_new_match(p, unit, sl_id, start, found))
+        if cap is not None and len(matches) >= cap:
+            break
+    counter = ComparisonCounter(candidates_tried=tried)
+    if opts.count_comparisons:
+        counter.node_comparisons = comparisons
     return matches, counter
 
 

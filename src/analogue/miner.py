@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .astree import SourceUnit
-from .compiler import SYMBOL, MatcherProgram
+from .compiler import MatcherProgram
 from .engine import (Match, ScanOptions, attach_excerpt, match_to_record, scan_unit,
                      source_lines)
 from .php_parser import LexError, ParseError, parse_source
@@ -53,8 +53,8 @@ class ScanStats:
     """One query over one repository.
 
     nodes_scanned is the node count of all parsed units.  candidates_tried
-    sums the anchors passed to match_at after the kind index, depth pruning
-    and the arity window; units_skipped counts the units never scanned
+    sums the anchors the program was tried at after the kind index, depth
+    pruning and the arity window; units_skipped counts the units never scanned
     because they lack one of the query's preserved symbols.
     """
     query_id: str
@@ -93,6 +93,19 @@ def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
     return sorted(found)
 
 
+def parse_file(data: bytes, path: str) -> tuple[SourceUnit, str]:
+    """Parse a file's bytes as `mine` and `scan` both read them.
+
+    Returns the unit and the text its excerpts are cut from.  The bytes are
+    decoded as UTF-8 with undecodable bytes replaced, and every line end is
+    kept as it is, since the lexer counts lines at \\n only.  parse_source
+    drops a leading BOM itself; the excerpt text drops it after parsing, as
+    dropping it before would change the tree of a file that starts with two.
+    """
+    text = data.decode("utf-8", errors="replace")
+    return parse_source(text, path=path), text.removeprefix("\ufeff")
+
+
 def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
                 opts: MinerOptions) -> tuple[list[tuple[SourceUnit, str]], list[SkippedFile]]:
     units: list[tuple[SourceUnit, str]] = []
@@ -116,9 +129,8 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
         if b"\x00" in data[:8192]:
             skipped.append(SkippedFile(label, SKIP_BINARY))
             continue
-        text = data.decode("utf-8", errors="replace")
         try:
-            unit = parse_source(text, path=label)
+            unit, text = parse_file(data, label)
         except (LexError, ParseError) as e:
             skipped.append(SkippedFile(label, SKIP_PARSE_ERROR, str(e)))
             continue
@@ -126,8 +138,7 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
             skipped.append(SkippedFile(label, SKIP_TOO_DEEP,
                                        "nesting exceeds the parser's recursion limit"))
             continue
-        # parse_source drops a leading BOM itself; excerpts must not start with one
-        units.append((unit, text.removeprefix("\ufeff")))
+        units.append((unit, text))
     return units, skipped
 
 
@@ -150,10 +161,8 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     for program in programs:
         t0 = time.perf_counter()
         comparisons = candidates = found = units_skipped = 0
-        # A unit lacking a symbol the program filters on cannot match it.
-        required = {s.name for s in program.steps if s.op == SYMBOL}
         for unit, text in units:
-            if not required <= unit.anchor_index().symbols:
+            if not program.preserved_symbols <= unit.anchor_index().symbols:
                 units_skipped += 1
                 continue
             matches, counter = scan_unit(program, unit, opts.scan)

@@ -248,3 +248,31 @@ def test_unknown_config_is_an_error(tmp_path, capsys):
                        "derive", "x.php", "--full")
     assert code == 1
     assert "config" in err
+
+
+def test_scan_reads_files_as_mine_does(tmp_path, capsys, monkeypatch):
+    """A lone carriage return is no line break for the lexer, and a BOM never
+    starts an excerpt, whichever command reads the file."""
+    body = "$x = $_POST['q'];\nmysql_query(\"SELECT '$x'\");\n"
+    seed = tmp_path / "seed.php"
+    seed.write_text("<?php\n" + body)
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    assert run(capsys, "derive", str(seed), "--full",
+               "-o", str(queries / "q.tmpl.jsonl"))[0] == 0
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "cr.php").write_bytes(b"<?php\n/* one\rtwo */\n" + body.encode())
+    (repo / "bom.php").write_bytes("\ufeff<?php ".encode() + body.encode())
+    (tmp_path / "repos.txt").write_text("repo\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+               "--out", "out")[0] == 0
+    mined = (tmp_path / "out" / "matches.jsonl").read_text().splitlines()
+    code, out, _ = run(capsys, "scan", "queries/q.tmpl.jsonl",
+                       "repo/bom.php", "repo/cr.php")
+    assert code == 0
+    assert out.splitlines() == mined
+    lines = {json.loads(r)["file"]: json.loads(r)["lines"] for r in mined}
+    assert lines == {"repo/cr.php": [3, 4], "repo/bom.php": [1, 2]}
+    assert all(not json.loads(r)["excerpt"].startswith("\ufeff") for r in mined)

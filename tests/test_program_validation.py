@@ -1,0 +1,138 @@
+"""prog-v1 files are validated in full when they are loaded.
+
+The generated matcher relies on every step carrying a value of its type, so
+a defect in a program file must stop the load with ProgramFormatError, and
+`analogue scan` must report it with the program's own reason.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from analogue.cli import main
+from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, SYMBOL,
+                               ProgramFormatError, compile_template,
+                               deserialize_program, serialize_program,
+                               validate_program)
+from analogue.php_parser import parse_source
+from analogue.template import derive_template
+
+SEED = "<?php\n$a = $_POST['x'];\n$r = mysql_query(\"SELECT '$a'\");\n"
+
+
+def program_doc() -> dict:
+    unit = parse_source(SEED)
+    p = compile_template(derive_template(unit, unit.children_of(unit.nodes[unit.root])))
+    return json.loads(serialize_program(p))
+
+
+def first_step(doc: dict, op: str) -> dict:
+    return next(s for s in doc["steps"] if s["op"] == op)
+
+
+def load(doc: dict):
+    return deserialize_program(json.dumps(doc))
+
+
+def test_a_compiled_program_loads():
+    doc = program_doc()
+    assert {s["op"] for s in doc["steps"]} >= {KIND, SYMBOL, BIND, CHECK, DESCEND, ASCEND}
+    validate_program(load(doc))
+
+
+def test_unknown_op_is_rejected():
+    doc = program_doc()
+    doc["steps"][0]["op"] = "kindd"
+    with pytest.raises(ProgramFormatError, match="step 0: unknown op 'kindd'"):
+        load(doc)
+
+
+def test_child_index_given_as_a_string_is_rejected():
+    doc = program_doc()
+    first_step(doc, DESCEND)["child"] = "0"
+    with pytest.raises(ProgramFormatError, match="child must be an int >= 0"):
+        load(doc)
+
+
+def test_negative_child_index_is_rejected():
+    doc = program_doc()
+    first_step(doc, DESCEND)["child"] = -1
+    with pytest.raises(ProgramFormatError, match="child must be an int >= 0"):
+        load(doc)
+
+
+def test_missing_child_index_is_rejected():
+    doc = program_doc()
+    del first_step(doc, DESCEND)["child"]
+    with pytest.raises(ProgramFormatError, match="child must be an int >= 0"):
+        load(doc)
+
+
+@pytest.mark.parametrize("kind", [7, None, ["Assign"]])
+def test_kind_that_is_not_a_string_is_rejected(kind):
+    doc = program_doc()
+    doc["steps"][0]["kind"] = kind
+    with pytest.raises(ProgramFormatError, match="step 0: kind must be a string"):
+        load(doc)
+
+
+@pytest.mark.parametrize("name", [3, None, {"n": "mysql_query"}])
+def test_name_that_is_not_a_string_is_rejected(name):
+    doc = program_doc()
+    first_step(doc, SYMBOL)["name"] = name
+    with pytest.raises(ProgramFormatError, match="name must be a string"):
+        load(doc)
+
+
+@pytest.mark.parametrize("op", [BIND, CHECK])
+@pytest.mark.parametrize("class_id", ["0", 0.0, True, None])
+def test_class_that_is_not_an_int_is_rejected(op, class_id):
+    doc = program_doc()
+    first_step(doc, op)["class"] = class_id
+    with pytest.raises(ProgramFormatError, match="class must be an int"):
+        load(doc)
+
+
+def test_arity_may_be_absent_but_not_a_string():
+    doc = program_doc()
+    del doc["steps"][0]["arity"]
+    assert load(doc).steps[0].arity is None
+    doc["steps"][0]["arity"] = "2"
+    with pytest.raises(ProgramFormatError, match="step 0: arity must be an int >= 0"):
+        load(doc)
+
+
+def test_unbalanced_navigation_is_a_format_error():
+    doc = program_doc()
+    i = doc["steps"].index(first_step(doc, ASCEND))
+    del doc["steps"][i]
+    with pytest.raises(ProgramFormatError, match="statement boundary inside a subtree"):
+        load(doc)
+
+
+@pytest.mark.parametrize("key,value", [("template_depth", "3"),
+                                       ("statement_count", -1),
+                                       ("query_id", 5),
+                                       ("origin", {"path": "x.php"}),
+                                       ("origin", "x.php:1-2")])
+def test_malformed_header_is_a_format_error(key, value):
+    doc = program_doc()
+    doc[key] = value
+    with pytest.raises(ProgramFormatError):
+        load(doc)
+
+
+def test_scan_reports_a_bad_program_with_its_reason(tmp_path, capsys):
+    doc = program_doc()
+    i = doc["steps"].index(first_step(doc, ASCEND))
+    del doc["steps"][i]
+    prog = tmp_path / "bad.prog.json"
+    prog.write_text(json.dumps(doc))
+    target = tmp_path / "s.php"
+    target.write_text(SEED)
+    assert main(["scan", str(prog), str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is neither a program (step " % prog)
+    assert "statement boundary inside a subtree" in err
+    assert "Traceback" not in err
