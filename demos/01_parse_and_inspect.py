@@ -12,7 +12,8 @@ echo "<p>" . $row['title'] . "</p>";
 """
 
 unit = parse_source(SOURCE, path="snippet.php")
-print("parsed %d nodes, max depth %d\n" % (unit.node_count, unit.max_depth))
+print("parsed %d nodes, max depth %d\n" % (unit.node_count,
+                                              unit.anchor_index().max_depth))
 
 # The tree keeps identifiers on Var/Name nodes and raw content on Literals.
 # Note how the interpolated query string becomes an Encapsed node whose

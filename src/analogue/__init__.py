@@ -6,7 +6,7 @@ program, and scan units or whole repositories for anchored matches.  A
 repository spider assembles corpora from a GitHub-compatible REST API.
 """
 from .astree import (AmbiguousSlice, AstNode, EmptySlice, InvariantError,
-                     SourceUnit, compute_depths, slice_statements,
+                     SourceUnit, slice_statements,
                      structurally_equal, validate_unit)
 from .php_parser import LexError, ParseError, parse_source
 from .interchange import InterchangeError, export_ast, import_ast
@@ -39,7 +39,7 @@ __all__ = [
     "RateBudget", "RepoMeta", "RepoScanResult", "ReportRow", "ScanOptions",
     "ScanStats", "Snippet", "SourceUnit", "SystemClock", "Template",
     "TemplateFormatError", "attach_excerpt", "brute_force_scan", "classify",
-    "classify_stars", "compile_template", "compute_depths", "derive_template",
+    "classify_stars", "compile_template", "derive_template",
     "distinct_snippets",
     "deserialize_program", "deserialize_template", "download_repo",
     "enumerate_repos", "export_ast", "export_traversal_script",

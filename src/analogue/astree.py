@@ -67,7 +67,6 @@ class AstNode:
     value: str | None = None       # raw literal content for Literal
     line_start: int = 1
     line_end: int = 1
-    depth: int = 0
 
 
 # One scan position: (stmt_list_id, stmt_list_depth, start, sibling_count).
@@ -81,11 +80,13 @@ class AnchorIndex:
     Every (StmtList, start) position is listed once in `anchors` and once
     under the kind of the statement at that position in `by_kind`; both are
     in document order (StmtLists in pre-order, starts ascending).  `symbols`
-    holds every node's symbol, None included.
+    holds every node's symbol, None included.  `max_depth` is the depth of
+    the deepest node, the root being at depth 0.
     """
     anchors: list[Anchor]
     by_kind: dict[str, list[Anchor]]
     symbols: frozenset
+    max_depth: int
 
 
 @dataclass
@@ -94,7 +95,6 @@ class SourceUnit:
     root: int
     nodes: dict[int, AstNode]
     node_count: int = 0
-    max_depth: int = 0
     _index: AnchorIndex | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -132,33 +132,31 @@ class SourceUnit:
             anchors: list[Anchor] = []
             by_kind: dict[str, list[Anchor]] = {}
             symbols = set()
-            for n in self.iter_preorder():
+            max_depth = 0
+            # Pre-order with an explicit stack of (node id, depth) pairs:
+            # children are pushed in reverse so they pop left to right.
+            stack = [(self.root, 0)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                node_id, depth = pop()
+                n = nodes[node_id]
                 symbols.add(n.symbol)
-                if n.kind != STMT_LIST:
-                    continue
-                count = len(n.children)
-                for start, c in enumerate(n.children):
-                    a = (n.id, n.depth, start, count)
-                    anchors.append(a)
-                    by_kind.setdefault(nodes[c].kind, []).append(a)
-            self._index = AnchorIndex(anchors, by_kind, frozenset(symbols))
+                children = n.children
+                if children:
+                    if n.kind == STMT_LIST:
+                        count = len(children)
+                        for start, c in enumerate(children):
+                            a = (node_id, depth, start, count)
+                            anchors.append(a)
+                            by_kind.setdefault(nodes[c].kind, []).append(a)
+                    depth += 1
+                    for c in reversed(children):
+                        push((c, depth))
+                elif depth > max_depth:
+                    max_depth = depth
+            self._index = AnchorIndex(anchors, by_kind, frozenset(symbols),
+                                      max_depth)
         return self._index
-
-
-def compute_depths(unit: SourceUnit) -> SourceUnit:
-    """Populate every node's depth (root = 0) and the unit's max_depth."""
-    max_depth = 0
-    stack = [(unit.root, 0)]
-    while stack:
-        node_id, d = stack.pop()
-        n = unit.nodes[node_id]
-        n.depth = d
-        if d > max_depth:
-            max_depth = d
-        for c in n.children:
-            stack.append((c, d + 1))
-    unit.max_depth = max_depth
-    return unit
 
 
 def validate_unit(unit: SourceUnit) -> None:
@@ -263,10 +261,8 @@ class TreeBuilder:
         n.line_start, n.line_end = lo, hi
 
     def finish(self, path: str, root: int) -> SourceUnit:
-        unit = SourceUnit(path=path, root=root, nodes=self._nodes,
+        return SourceUnit(path=path, root=root, nodes=self._nodes,
                           node_count=len(self._nodes))
-        compute_depths(unit)
-        return unit
 
 
 def statement_parent_index(unit: SourceUnit) -> dict[int, tuple[int, int]]:

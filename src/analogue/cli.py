@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 from . import astree, interchange, report as report_mod, spider as spider_mod
-from .astree import AmbiguousSlice, EmptySlice, slice_statements
+from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
 from .engine import ScanOptions, attach_excerpt, match_to_json, scan_unit
-from .miner import (MinerOptions, mine_repositories, parse_file,
+from .miner import (SKIP_TOO_DEEP, MinerOptions, mine_repositories, parse_file,
                     write_mining_outputs)
-from .php_parser import LexError, ParseError, parse_source
+from .php_parser import LexError, ParseError
 from .template import (EmptyInput, TemplateFormatError, derive_template,
                        deserialize_template, serialize_template)
 
@@ -35,6 +35,12 @@ def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8", errors="replace")
+
+
+def _parse_php(path: str) -> tuple[SourceUnit, str]:
+    """Parse a PHP file, or stdin for "-", as `mine` reads files."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return parse_file(data, path)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -81,7 +87,7 @@ def load_query_dir(path: Path) -> list[MatcherProgram]:
 
 def cmd_ast(args) -> int:
     if args.action == "export":
-        unit = parse_source(_read(args.file), path=args.file)
+        unit, _ = _parse_php(args.file)
         _write_out(interchange.export_ast(unit), args.out)
         return 0
     unit = interchange.import_ast(_read(args.file))
@@ -90,7 +96,7 @@ def cmd_ast(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    unit = parse_source(_read(args.snippet), path=args.snippet)
+    unit, _ = _parse_php(args.snippet)
     if args.lines:
         first, last = _parse_lines(args.lines)
         stmts = slice_statements(unit, first, last)
@@ -128,8 +134,7 @@ def cmd_scan(args) -> int:
     opts = _scan_options(args)
     out_lines = []
     for f in args.files:
-        data = sys.stdin.buffer.read() if f == "-" else Path(f).read_bytes()
-        unit, text = parse_file(data, f)
+        unit, text = _parse_php(f)
         matches, _counter = scan_unit(program, unit, opts)
         for m in matches:
             attach_excerpt(m, text)
@@ -226,7 +231,7 @@ def cmd_pipeline(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise CliError("corpus directory %s does not exist" % corpus)
-    unit = parse_source(_read(args.seed), path=args.seed)
+    unit, _ = _parse_php(args.seed)
     if args.lines:
         first, last = _parse_lines(args.lines)
         stmts = slice_statements(unit, first, last)
@@ -400,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: %s: nesting exceeds the recursion limit" % SKIP_TOO_DEEP,
+              file=sys.stderr)
         return 1
 
 

@@ -107,7 +107,7 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
 
     Only anchors whose first statement has the kind of the program's first
     KIND step are tried.  With depth pruning on, statement lists too deep to
-    contain the template (depth > max_depth(unit) - template_depth) are
+    contain the template (depth > index.max_depth - template_depth) are
     skipped; the pruned and unpruned scans return identical match sets.
     """
     opts = opts or ScanOptions()
@@ -120,7 +120,7 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     match = p.matcher(opts.exact_arity, opts.injective_bindings)
     nodes = unit.nodes
     pruning = opts.depth_pruning
-    depth_limit = unit.max_depth - p.template_depth + 1
+    depth_limit = index.max_depth - p.template_depth + 1
     k = p.statement_count
     cap = opts.max_matches_per_unit
     comparisons = tried = 0

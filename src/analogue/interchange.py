@@ -132,6 +132,4 @@ def import_ast(stream: str | Iterable[str]) -> SourceUnit:
         if n.kind == astree.LITERAL and n.value is None:
             raise InterchangeError("Literal node lacks 'value'", rec_index[node_id])
 
-    unit = SourceUnit(path=path, root=root, nodes=nodes, node_count=len(nodes))
-    astree.compute_depths(unit)
-    return unit
+    return SourceUnit(path=path, root=root, nodes=nodes, node_count=len(nodes))

@@ -1,10 +1,20 @@
 """Mine repositories for code analogues.
 
-Per repository: discover source files by extension, parse each into an AST
-(recording skips instead of failing), run every query program over every
-parsed unit that holds all of the program's preserved symbols, and aggregate
-matches plus per-query statistics.  A repository whose scan raises becomes
-a result carrying the error instead of aborting the run.
+Per repository: find the candidate source files, parse each into an AST,
+run every query program over every parsed unit that holds all of the
+program's preserved symbols, and aggregate matches plus per-query
+statistics.
+
+Discovery walks the repository with os.scandir.  A file is a candidate when
+its extension, lowercased, is one of MinerOptions.extensions; every symbolic
+link, to a file or to a directory, is skipped, and the relative paths come
+back sorted.  Each candidate is opened once: its size is read from the open
+handle, and its bytes only when it is within max_file_bytes.  A file that
+cannot be opened or read, is too large, looks binary, fails to parse, nests
+too deep for the parser, or makes the parser raise anything else becomes a
+SkippedFile with a reason, and the repository's other files are still
+scanned.  A repository whose scan raises becomes a result carrying the
+error instead of aborting the run.
 
 Repositories are independent, so they can be scanned by parallel worker
 processes.  The programs and options are shipped once per worker, when it
@@ -32,6 +42,7 @@ SKIP_TOO_LARGE = "too-large"
 SKIP_BINARY = "binary"
 SKIP_UNREADABLE = "unreadable"
 SKIP_TOO_DEEP = "too-deep"
+SKIP_ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -79,18 +90,37 @@ class RepoScanResult:
 
 
 def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
-    """Relative paths of candidate source files, sorted; symlinks ignored."""
+    """Relative paths of candidate source files, sorted; symlinks ignored.
+
+    A directory that cannot be listed, in full, is passed over.
+    """
+    extensions = opts.extensions
+    splitext = os.path.splitext
     found: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(repo_path, followlinks=False):
-        dirnames.sort()
-        for fn in sorted(filenames):
-            if os.path.splitext(fn)[1].lower() not in opts.extensions:
-                continue
-            full = Path(dirpath) / fn
-            if full.is_symlink():
-                continue
-            found.append(str(full.relative_to(repo_path)).replace(os.sep, "/"))
-    return sorted(found)
+    stack = [("", os.fspath(repo_path))]
+    while stack:
+        prefix, path = stack.pop()
+        n_found, n_stack = len(found), len(stack)
+        try:
+            with os.scandir(path) as entries:
+                for entry in entries:
+                    if entry.is_symlink():
+                        continue
+                    name = entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        stack.append((prefix + name + "/", entry.path))
+                    elif splitext(name)[1].lower() in extensions:
+                        found.append(prefix + name)
+        except OSError:
+            # Drop what a listing that failed part-way found.
+            del found[n_found:], stack[n_stack:]
+    found.sort()
+    return found
+
+
+def _describe(e: Exception) -> str:
+    """An exception as an output record's detail: its type and message."""
+    return "%s: %s" % (type(e).__name__, e)
 
 
 def parse_file(data: bytes, path: str) -> tuple[SourceUnit, str]:
@@ -110,21 +140,19 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
                 opts: MinerOptions) -> tuple[list[tuple[SourceUnit, str]], list[SkippedFile]]:
     units: list[tuple[SourceUnit, str]] = []
     skipped: list[SkippedFile] = []
+    root = os.fspath(repo_path)
+    limit = opts.max_file_bytes
     for rel in rel_files:
-        full = repo_path / rel
         label = "%s/%s" % (repo_id, rel)
         try:
-            size = full.stat().st_size
+            with open(os.path.join(root, rel), "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                data = fh.read() if size <= limit else None
         except OSError as e:
             skipped.append(SkippedFile(label, SKIP_UNREADABLE, str(e)))
             continue
-        if size > opts.max_file_bytes:
+        if data is None:
             skipped.append(SkippedFile(label, SKIP_TOO_LARGE, "%d bytes" % size))
-            continue
-        try:
-            data = full.read_bytes()
-        except OSError as e:
-            skipped.append(SkippedFile(label, SKIP_UNREADABLE, str(e)))
             continue
         if b"\x00" in data[:8192]:
             skipped.append(SkippedFile(label, SKIP_BINARY))
@@ -137,6 +165,9 @@ def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
         except RecursionError:
             skipped.append(SkippedFile(label, SKIP_TOO_DEEP,
                                        "nesting exceeds the parser's recursion limit"))
+            continue
+        except Exception as e:
+            skipped.append(SkippedFile(label, SKIP_ERROR, _describe(e)))
             continue
         units.append((unit, text))
     return units, skipped
@@ -192,7 +223,7 @@ def _scan_one(repo: str, programs: list[MatcherProgram],
         return scan_repository(repo, programs, opts)
     except Exception as e:
         return RepoScanResult(repo_id=Path(repo).name, path=repo,
-                              error="%s: %s" % (type(e).__name__, e))
+                              error=_describe(e))
 
 
 # The programs and options of a worker process, set once by _init_worker when
@@ -239,35 +270,42 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
 # Output files
 # ---------------------------------------------------------------------------
 
+# One encoder for every record but the stats lines: json.dumps with keyword
+# arguments builds a new JSONEncoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+# A ScanStats record as json.dumps(record, sort_keys=True) writes it: keys in
+# sorted order, strings through the same ASCII escaper, the float by repr.
+_STATS_LINE = ('{"candidates_tried": %d, "matches": %d, "node_comparisons": %d, '
+               '"nodes_scanned": %d, "query": %s, "repo": %s, '
+               '"units_skipped": %d, "wall_time_s": %r}\n')
+
+
 def write_mining_outputs(results: list[RepoScanResult], out_dir: str | Path) -> dict[str, Path]:
     """Write matches.jsonl / stats.jsonl / skipped.jsonl; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / (name + ".jsonl") for name in ("matches", "stats", "skipped")}
+    encode = _ENCODER.encode
+    quote = json.encoder.encode_basestring_ascii
     with open(paths["matches"], "w", encoding="utf-8") as fh:
         for r in results:
             for m in r.matches:
-                fh.write(json.dumps(match_to_record(m), sort_keys=True) + "\n")
+                fh.write(encode(match_to_record(m)) + "\n")
     with open(paths["stats"], "w", encoding="utf-8") as fh:
         for r in results:
             if r.error:
-                fh.write(json.dumps({"repo": r.repo_id, "error": r.error},
-                                    sort_keys=True) + "\n")
+                fh.write(encode({"repo": r.repo_id, "error": r.error}) + "\n")
             for s in r.stats:
-                fh.write(json.dumps({
-                    "repo": s.repo, "query": s.query_id,
-                    "wall_time_s": round(s.wall_time_s, 6),
-                    "nodes_scanned": s.nodes_scanned,
-                    "node_comparisons": s.node_comparisons,
-                    "candidates_tried": s.candidates_tried,
-                    "matches": s.match_count,
-                    "units_skipped": s.units_skipped,
-                }, sort_keys=True) + "\n")
+                fh.write(_STATS_LINE % (
+                    s.candidates_tried, s.match_count, s.node_comparisons,
+                    s.nodes_scanned, quote(s.query_id), quote(s.repo),
+                    s.units_skipped, round(s.wall_time_s, 6)))
     with open(paths["skipped"], "w", encoding="utf-8") as fh:
         for r in results:
             for s in r.files_skipped:
-                fh.write(json.dumps({
+                fh.write(encode({
                     "repo": r.repo_id, "file": s.path,
                     "reason": s.reason, "detail": s.detail,
-                }, sort_keys=True) + "\n")
+                }) + "\n")
     return paths

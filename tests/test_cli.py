@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import shutil
 from pathlib import Path
@@ -276,3 +277,46 @@ def test_scan_reads_files_as_mine_does(tmp_path, capsys, monkeypatch):
     lines = {json.loads(r)["file"]: json.loads(r)["lines"] for r in mined}
     assert lines == {"repo/cr.php": [3, 4], "repo/bom.php": [1, 2]}
     assert all(not json.loads(r)["excerpt"].startswith("\ufeff") for r in mined)
+
+
+def test_derive_ast_and_pipeline_read_files_as_mine_does(tmp_path, capsys,
+                                                        monkeypatch):
+    """derive, ast export and pipeline number lines as scan and mine do: a
+    lone carriage return is no line break, on a file and on stdin."""
+    data = b'<?php\n/* a\rb */\n$x = $_POST[1];\nmysql_query("SELECT $x");\n'
+    seed = tmp_path / "seed.php"
+    seed.write_bytes(data)
+    code, out, _ = run(capsys, "derive", str(seed), "--lines", "3:4")
+    assert code == 0
+    header = json.loads(out.splitlines()[0])
+    assert (header["origin"]["lines"], len(header["roots"])) == ([3, 4], 2)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(capsys, "derive", "-", "--lines", "3:4")[1].splitlines()[1:] \
+        == out.splitlines()[1:]
+
+    code, out, _ = run(capsys, "ast", "export", str(seed))
+    assert code == 0
+    records = [json.loads(ln) for ln in out.splitlines()[1:]]
+    assert [r["line"] for r in records if r["kind"] == "Assign"] == [[3, 3]]
+
+    corpus = tmp_path / "corpus"
+    (corpus / "repo").mkdir(parents=True)
+    (corpus / "repo" / "page.php").write_bytes(data)
+    code, _, _ = run(capsys, "pipeline", str(seed), str(corpus), "--lines", "3:4",
+                     "--out", str(tmp_path / "out"))
+    assert code == 0
+    matches = (tmp_path / "out" / "matches.jsonl").read_text().splitlines()
+    assert [json.loads(m)["lines"] for m in matches] == [[3, 4]]
+
+
+def test_too_deep_input_is_an_error_not_a_traceback(tmp_path, capsys):
+    deep = tmp_path / "deep.php"
+    deep.write_text("<?php\n$x = " + " . ".join("$a%d" % i for i in range(20_000))
+                    + ";\n")
+    (tmp_path / "corpus" / "repo").mkdir(parents=True)
+    for argv in (["derive", str(deep)],
+                 ["pipeline", str(deep), str(tmp_path / "corpus"),
+                  "--out", str(tmp_path / "out")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: too-deep: ") and "Traceback" not in err

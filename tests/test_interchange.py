@@ -30,7 +30,7 @@ def test_roundtrip_identity_on_fixtures(tutorial_books, tutorial_search, clone_u
         again = import_ast(export_ast(unit))
         assert structurally_equal(unit, again)
         assert again.node_count == unit.node_count
-        assert again.max_depth == unit.max_depth
+        assert again.anchor_index() == unit.anchor_index()
 
 
 def test_roundtrip_identity_on_random_corpus():

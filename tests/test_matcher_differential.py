@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from analogue.astree import STMT_LIST, SourceUnit, TreeBuilder, compute_depths
+from analogue.astree import STMT_LIST, SourceUnit, TreeBuilder
 from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT, SYMBOL,
                                MatcherProgram, MatcherStep, deserialize_program,
                                matcher_source, serialize_program)
@@ -50,7 +50,7 @@ def shrunk(unit, rng: random.Random):
     nodes = {i: dataclasses.replace(n, children=n.children[:-1]
                                     if n.children and rng.random() < 0.3 else n.children)
              for i, n in unit.nodes.items()}
-    return compute_depths(SourceUnit(unit.path, unit.root, nodes, len(nodes)))
+    return SourceUnit(unit.path, unit.root, nodes, len(nodes))
 
 
 def anchors(unit):
@@ -99,7 +99,7 @@ def test_scan_unit_counts_what_the_interpreter_counts():
                     index = unit.anchor_index()
                     tried = (index.by_kind.get(p.steps[0].kind, ())
                              if p.steps[0].op == KIND else index.anchors)
-                    depth_limit = unit.max_depth - p.template_depth + 1
+                    depth_limit = index.max_depth - p.template_depth + 1
                     want, want_c = [], ComparisonCounter()
                     for sl_id, depth, start, siblings in tried:
                         if ((opts.depth_pruning and depth >= depth_limit)

@@ -3,23 +3,27 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
+import os
 import random
 import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from analogue.astree import slice_statements
 from analogue import miner
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet)
-from analogue.miner import (MinerOptions, SKIP_BINARY, SKIP_PARSE_ERROR,
+from analogue.miner import (MinerOptions, RepoScanResult, ScanStats,
+                            SKIP_BINARY, SKIP_ERROR, SKIP_PARSE_ERROR,
                             SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
-                            discover_files,
-                            mine_repositories, scan_repository,
-                            write_mining_outputs)
+                            discover_files, mine_repositories,
+                            scan_repository, write_mining_outputs)
 from analogue.engine import match_to_record
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
@@ -96,14 +100,12 @@ def test_skip_reasons(tmp_path, monkeypatch):
     (repo / "sub" / "inner.inc").write_text("<?php echo 2;\n")
     (repo / "locked.php").write_text("<?php echo 3;\n")
 
-    real_read = Path.read_bytes
-
-    def fake_read(self):
-        if self.name == "locked.php":
+    def fake_open(path, mode):
+        if path.endswith("/locked.php"):
             raise OSError("permission denied")
-        return real_read(self)
+        return open(path, mode)
 
-    monkeypatch.setattr(Path, "read_bytes", fake_read)
+    monkeypatch.setattr(miner, "open", fake_open, raising=False)
     opts = MinerOptions(max_file_bytes=2048)
     result = scan_repository(repo, strict_programs(), opts)
     reasons = {s.path.split("/")[-1]: s.reason for s in result.files_skipped}
@@ -148,6 +150,96 @@ def test_too_deep_file_is_skipped_not_fatal(tmp_path, shape, jobs):
     assert [match_to_record(m) for r in after for m in r.matches] \
         == [match_to_record(m) for r in before for m in r.matches]
     assert any(r.matches for r in after)
+
+
+def walk_discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
+    """discover_files as written with os.walk: the oracle for the scandir walk."""
+    found: list[str] = []
+    for dirpath, dirnames, filenames in os.walk(repo_path, followlinks=False):
+        dirnames.sort()
+        for fn in sorted(filenames):
+            if os.path.splitext(fn)[1].lower() not in opts.extensions:
+                continue
+            full = Path(dirpath) / fn
+            if full.is_symlink():
+                continue
+            found.append(str(full.relative_to(repo_path)).replace(os.sep, "/"))
+    return sorted(found)
+
+
+def random_tree(rng: random.Random, root: Path) -> None:
+    """Nested directories, source and other files, and links to files, to
+    directories (ancestors included) and to nothing."""
+    root.mkdir()
+    dirs, files = [root], []
+    for i in range(rng.randint(10, 60)):
+        parent = rng.choice(dirs)
+        stem = rng.choice(["a", "Index", "lib", ".hidden", "x.php", "v1.2"]) + str(i)
+        ext = rng.choice([".php", ".PHP", ".Inc", ".inc", ".phtml", ".txt",
+                          ".js", "", ".php.bak", ".php"])
+        what = rng.random()
+        if what < 0.25:
+            (parent / stem).mkdir()
+            dirs.append(parent / stem)
+        elif what < 0.3:
+            (parent / (stem + ".php")).mkdir()
+            dirs.append(parent / (stem + ".php"))
+        elif what < 0.75:
+            (parent / (stem + ext)).write_text("<?php echo %d;\n" % i)
+            files.append(parent / (stem + ext))
+        elif what < 0.85 and files:
+            (parent / (stem + ext)).symlink_to(rng.choice(files))
+        elif what < 0.95:
+            (parent / (stem + ext)).symlink_to(rng.choice(dirs), target_is_directory=True)
+        else:
+            (parent / (stem + ext)).symlink_to(parent / "missing")
+
+
+class FaultyListing:
+    """An os.scandir iterator that fails after its first two entries."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.left = 2
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.entries.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if not self.left:
+            raise OSError("listing failed")
+        self.left -= 1
+        return next(self.entries)
+
+
+@pytest.mark.parametrize("faults", [False, True])
+@pytest.mark.parametrize("seed", range(25))
+def test_discovery_equals_the_os_walk_oracle(tmp_path, monkeypatch, seed, faults):
+    rng = random.Random(seed)
+    repo = tmp_path / "repo"
+    random_tree(rng, repo)
+    if faults:
+        # Directories that cannot be opened, or whose listing fails part-way.
+        real_scandir = os.scandir
+
+        def faulty_scandir(path):
+            name = os.path.basename(path)
+            if name.startswith("lib"):
+                raise PermissionError("cannot list %s" % path)
+            if name.startswith("Index"):
+                return FaultyListing(real_scandir(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", faulty_scandir)
+    for opts in (MinerOptions(), MinerOptions(extensions=(".php",))):
+        assert discover_files(repo, opts) == walk_discover_files(repo, opts)
+        assert discover_files(str(repo), opts) == walk_discover_files(repo, opts)
 
 
 def test_symlinks_are_ignored(tmp_path):
@@ -203,6 +295,33 @@ def test_mining_is_deterministic_across_job_counts(tmp_path):
         paths = write_mining_outputs(results, tmp_path / out_name)
         outs.append(paths["matches"].read_bytes())
     assert outs[0] == outs[1]
+
+
+ODD_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\udc80é€😀'),
+                             st.characters()), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repo=ODD_TEXT, query=ODD_TEXT,
+       wall=st.one_of(st.sampled_from([0.0, 4e-7, 1e-05, 1234.5]),
+                      st.floats(min_value=0, max_value=1e7)),
+       counts=st.lists(st.integers(0, 2 ** 63), min_size=5, max_size=5))
+@example(repo='r"\\', query="q\u2028\n", wall=4e-7, counts=[0] * 5)
+def test_stats_line_equals_json_dumps(repo, query, wall, counts):
+    nodes, comparisons, candidates, found, units_skipped = counts
+    stats = ScanStats(query_id=query, repo=repo, wall_time_s=wall,
+                      nodes_scanned=nodes, node_comparisons=comparisons,
+                      candidates_tried=candidates, match_count=found,
+                      units_skipped=units_skipped)
+    record = {"repo": repo, "query": query, "wall_time_s": round(wall, 6),
+              "nodes_scanned": nodes, "node_comparisons": comparisons,
+              "candidates_tried": candidates, "matches": found,
+              "units_skipped": units_skipped}
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_mining_outputs(
+            [RepoScanResult(repo_id=repo, path=repo, stats=[stats])], out)
+        line = paths["stats"].read_bytes()
+    assert line == (json.dumps(record, sort_keys=True) + "\n").encode()
 
 
 def test_mine_rejects_bad_arguments(tmp_path):
@@ -306,22 +425,26 @@ def test_no_more_workers_than_repositories(monkeypatch, many_repos):
     assert [r.repo_id for r in results] == [p.name for p in repos[:3]]
 
 
+def fork_workers(monkeypatch):
+    """Start mining workers by fork, so that patches reach them."""
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_repository_is_isolated(tmp_path, monkeypatch, many_repos, jobs):
     repos, programs = many_repos
     repos = repos[:6]
     before = mine_repositories(repos, programs, jobs=jobs)
-    real_parse = miner.parse_source
+    real_scan = miner.scan_unit
 
-    def flaky_parse(text, path=""):
-        if path.startswith("repo002/"):
-            raise ValueError("cannot handle %s" % path)
-        return real_parse(text, path=path)
+    def flaky_scan(program, unit, opts=None):
+        if unit.path.startswith("repo002/"):
+            raise ValueError("cannot handle %s" % unit.path)
+        return real_scan(program, unit, opts)
 
-    monkeypatch.setattr(miner, "parse_source", flaky_parse)
-    # The patch reaches worker processes only if they are forked.
-    monkeypatch.setattr(miner, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(miner, "scan_unit", flaky_scan)
+    fork_workers(monkeypatch)
     after = mine_repositories(repos, programs, jobs=jobs)
     assert [r.repo_id for r in after] == [p.name for p in repos]
     bad = after[2]
@@ -337,3 +460,36 @@ def test_failing_repository_is_isolated(tmp_path, monkeypatch, many_repos, jobs)
     errors = [rec for rec in map(json.loads, paths["stats"].read_text().splitlines())
               if "error" in rec]
     assert errors == [{"repo": "repo002", "error": bad.error}]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_file_is_isolated(tmp_path, monkeypatch, many_repos, jobs):
+    """A parser exception other than the three it is known to raise skips
+    the one file, and the repository's other files keep their matches."""
+    repos, programs = many_repos
+    repos = repos[:6]
+    before = mine_repositories(repos, programs, jobs=jobs)
+    real_parse = miner.parse_source
+
+    def flaky_parse(text, path=""):
+        if path == "repo002/src/file1.php":
+            raise ValueError("cannot handle %s" % path)
+        return real_parse(text, path=path)
+
+    monkeypatch.setattr(miner, "parse_source", flaky_parse)
+    fork_workers(monkeypatch)
+    after = mine_repositories(repos, programs, jobs=jobs)
+    assert [r.error for r in after] == [None] * len(repos)
+    assert [r.files_skipped for r in after[:2] + after[3:]] \
+        == [r.files_skipped for r in before[:2] + before[3:]]
+    assert [(s.path, s.reason, s.detail) for s in after[2].files_skipped] \
+        == [("repo002/src/file1.php", SKIP_ERROR,
+             "ValueError: cannot handle repo002/src/file1.php")]
+    assert (before[2].files_scanned, after[2].files_scanned) == (2, 1)
+    assert before[2].matches
+    assert [match_to_record(m) for r in after for m in r.matches] \
+        == [match_to_record(m) for r in before for m in r.matches]
+    paths = write_mining_outputs(after, tmp_path / "out")
+    assert {"repo": "repo002", "file": "repo002/src/file1.php", "reason": "error",
+            "detail": "ValueError: cannot handle repo002/src/file1.php"} \
+        in map(json.loads, paths["skipped"].read_text().splitlines())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analogue import astree
-from analogue.astree import TreeBuilder, compute_depths, validate_unit
+from analogue.astree import TreeBuilder, validate_unit
 from analogue.corpusgen import filler_file, plant_file, random_snippet
 from analogue.php_parser import LexError, ParseError, parse_source
 
@@ -81,15 +81,25 @@ def test_thousand_assignments_against_emission_log():
 
 def test_depths_root_is_zero_and_literals_sit_deep(tutorial_books):
     unit, _ = tutorial_books
-    assert unit.nodes[unit.root].depth == 0
+    parents = unit.parent_map()
+
+    def depth(node_id: int) -> int:
+        d = 0
+        while node_id != unit.root:
+            node_id, d = parents[node_id], d + 1
+        return d
+
+    index = unit.anchor_index()
+    assert [a[1] for a in index.anchors if a[0] == unit.root] \
+        == [0] * len(unit.nodes[unit.root].children)
+    assert index.max_depth == max(map(depth, unit.nodes))
     # literal leaves inside the interpolated query string sit >= 4 levels
     # below their statement node
     stmt = next(s for s in unit.children_of(unit.nodes[unit.root])
                 if s.line_start == 6)
     encapsed = [n for n in unit.iter_preorder() if n.kind == astree.ENCAPSED][0]
-    lits = [unit.nodes[c] for c in encapsed.children
-            if unit.nodes[c].kind == astree.LITERAL]
-    assert lits and all(lit.depth - stmt.depth >= 4 for lit in lits)
+    lits = [c for c in encapsed.children if unit.nodes[c].kind == astree.LITERAL]
+    assert lits and all(depth(lit) - depth(stmt.id) >= 4 for lit in lits)
 
 
 def _random_tree_unit(rng: random.Random, n_nodes: int):
@@ -99,7 +109,8 @@ def _random_tree_unit(rng: random.Random, n_nodes: int):
     children: dict[int, list[int]] = {root: []}
     for _ in range(n_nodes - 1):
         parent = rng.choice(ids)
-        node = b.add("Other:n", line_start=1, line_end=1)
+        kind = astree.STMT_LIST if rng.random() < 0.3 else "Other:n"
+        node = b.add(kind, line_start=1, line_end=1)
         children[parent].append(node)
         children[node] = []
         ids.append(node)
@@ -112,7 +123,7 @@ def test_depths_match_recursive_oracle():
     rng = random.Random(99)
     unit = _random_tree_unit(rng, 10_000)
 
-    # independent recursion (the implementation walks an explicit stack)
+    # independent recursion (the index walks an explicit stack)
     oracle: dict[int, int] = {}
 
     def walk(node_id: int, depth: int) -> None:
@@ -120,12 +131,13 @@ def test_depths_match_recursive_oracle():
         for c in unit.nodes[node_id].children:
             walk(c, depth + 1)
 
-    import sys
-    sys.setrecursionlimit(50_000)
     walk(unit.root, 0)
-    compute_depths(unit)
-    assert all(unit.nodes[i].depth == d for i, d in oracle.items())
-    assert unit.max_depth == max(oracle.values())
+    index = unit.anchor_index()
+    stmt_lists = [n for n in unit.iter_preorder()
+                  if n.kind == astree.STMT_LIST and n.children]
+    assert index.anchors == [(n.id, oracle[n.id], start, len(n.children))
+                             for n in stmt_lists for start in range(len(n.children))]
+    assert index.max_depth == max(oracle.values())
 
 
 def test_parent_spans_contain_child_spans_over_generated_corpus():
