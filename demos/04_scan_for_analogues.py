@@ -2,9 +2,9 @@
 # Scan lookalike files with one query and watch what survives: renames and
 # changed literals do, broken data flow and inserted statements do not.
 
-from analogue import (ScanOptions, brute_force_scan, compile_template,
-                      derive_template, parse_source, scan_unit,
-                      slice_statements)
+from analogue import (ScanOptions, compile_template, derive_template,
+                      parse_source, scan_unit, slice_statements)
+from analogue.oracle import brute_force_scan
 
 SEED = """<?php
 $term = $_POST['q'];

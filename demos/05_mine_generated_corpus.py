@@ -6,10 +6,10 @@ import random
 import tempfile
 from pathlib import Path
 
-from analogue import (compile_template, derive_template, generate_test_corpus,
-                      mine_repositories, parse_source, render_snippet,
-                      write_mining_outputs)
-from analogue.corpusgen import distinct_snippets, render_file
+from analogue import (compile_template, derive_template, mine_repositories,
+                      parse_source, write_mining_outputs)
+from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
+                                render_file, render_snippet)
 from analogue.report import load_match_records, render_summary, rows_from_records
 
 workdir = Path(tempfile.mkdtemp(prefix="analogue-demo-"))

@@ -18,12 +18,8 @@ from .compiler import (MatcherProgram, MatcherStep, compile_template,
                        serialize_program, validate_program)
 from .engine import (ComparisonCounter, Match, ScanOptions, attach_excerpt,
                      match_at, match_to_record, scan_unit)
-from .oracle import brute_force_scan
 from .miner import (MinerOptions, RepoScanResult, ScanStats, mine_repositories,
                     scan_repository, write_mining_outputs)
-from .corpusgen import (CorpusLedger, Snippet, distinct_snippets,
-                        generate_test_corpus, mutate, plant_file,
-                        random_snippet, render_snippet)
 from .spider import (AuthError, DownloadError, RateBudget, RepoMeta,
                      SystemClock, classify, classify_stars, download_repo,
                      enumerate_repos, filter_candidates)
@@ -33,22 +29,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousSlice", "AstNode", "AuthError", "ComparisonCounter",
-    "CorpusLedger", "DownloadError", "EmptyInput", "EmptySlice",
-    "InterchangeError", "InvariantError", "LexError", "Match",
-    "MatcherProgram", "MatcherStep", "MinerOptions", "ParseError",
-    "RateBudget", "RepoMeta", "RepoScanResult", "ReportRow", "ScanOptions",
-    "ScanStats", "Snippet", "SourceUnit", "SystemClock", "Template",
-    "TemplateFormatError", "attach_excerpt", "brute_force_scan", "classify",
-    "classify_stars", "compile_template", "derive_template",
-    "distinct_snippets",
+    "DownloadError", "EmptyInput", "EmptySlice", "InterchangeError",
+    "InvariantError", "LexError", "Match", "MatcherProgram", "MatcherStep",
+    "MinerOptions", "ParseError", "RateBudget", "RepoMeta",
+    "RepoScanResult", "ReportRow", "ScanOptions", "ScanStats", "SourceUnit",
+    "SystemClock", "Template", "TemplateFormatError", "attach_excerpt",
+    "classify", "classify_stars", "compile_template", "derive_template",
     "deserialize_program", "deserialize_template", "download_repo",
     "enumerate_repos", "export_ast", "export_traversal_script",
-    "filter_candidates", "generate_test_corpus", "import_ast", "match_at",
-    "match_to_record", "mine_repositories", "mutate", "parse_source",
-    "plant_file", "query_id_of", "random_snippet", "render_snippet",
-    "render_summary", "render_text", "rows_from_records", "scan_repository",
-    "scan_unit", "serialize_program", "serialize_template",
-    "slice_statements", "structurally_equal", "template_stats",
-    "templates_equal", "validate_program", "validate_unit",
-    "write_mining_outputs",
+    "filter_candidates", "import_ast", "match_at", "match_to_record",
+    "mine_repositories", "parse_source", "query_id_of", "render_summary",
+    "render_text", "rows_from_records", "scan_repository", "scan_unit",
+    "serialize_program", "serialize_template", "slice_statements",
+    "structurally_equal", "template_stats", "templates_equal",
+    "validate_program", "validate_unit", "write_mining_outputs",
 ]

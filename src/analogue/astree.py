@@ -47,7 +47,12 @@ def is_binop(kind: str) -> bool:
 
 
 class InvariantError(Exception):
-    """A SourceUnit violates a structural invariant."""
+    """A SourceUnit violates a structural invariant; `node` is the id of the
+    offending node, or None when no one node is to blame."""
+
+    def __init__(self, message: str, node: int | None = None):
+        self.node = node
+        super().__init__(message)
 
 
 class EmptySlice(Exception):
@@ -162,46 +167,57 @@ class SourceUnit:
 def validate_unit(unit: SourceUnit) -> None:
     """Check tree shape, line spans and symbol/value placement.
 
-    Raises InvariantError with the offending node id.  Symbol/value rules are
-    enforced for canonical kinds only; tagged kinds from external frontends
-    may carry either field and keep it verbatim.
+    The tree shape: the root is a StmtList, every child reference names a
+    node, no node is reached twice (no shared child, no cycle), and every
+    node is reachable from the root.  A node's line span is not inverted and
+    lies within its parent's.  Var and Name nodes carry a symbol, Literal
+    nodes a value, and no other canonical kind (BinOp included) carries
+    either; tagged kinds from external frontends may carry either field and
+    keep it verbatim.
+
+    Raises InvariantError naming the offending node: the parent of a
+    dangling reference, the child whose span escapes, and, of the
+    unreachable nodes, the first in the order of unit.nodes.
     """
-    if unit.root not in unit.nodes:
+    nodes = unit.nodes
+    if unit.root not in nodes:
         raise InvariantError("root id %d not present" % unit.root)
-    if unit.nodes[unit.root].kind != STMT_LIST:
-        raise InvariantError("root must be a StmtList")
+    if nodes[unit.root].kind != STMT_LIST:
+        raise InvariantError("root must be a StmtList", unit.root)
     seen: set[int] = set()
     stack = [unit.root]
     while stack:
         node_id = stack.pop()
         if node_id in seen:
-            raise InvariantError("node %d has multiple parents or a cycle" % node_id)
+            raise InvariantError("node %d has multiple parents or a cycle"
+                                 % node_id, node_id)
         seen.add(node_id)
-        n = unit.nodes.get(node_id)
-        if n is None:
-            raise InvariantError("dangling child reference %d" % node_id)
+        n = nodes[node_id]
         if n.line_start > n.line_end:
-            raise InvariantError("node %d has inverted line span" % node_id)
+            raise InvariantError("node %d has inverted line span" % node_id, node_id)
         for c in n.children:
-            child = unit.nodes.get(c)
+            child = nodes.get(c)
             if child is None:
-                raise InvariantError("dangling child reference %d in node %d" % (c, node_id))
+                raise InvariantError("dangling child reference %d in node %d"
+                                     % (c, node_id), node_id)
             if child.line_start < n.line_start or child.line_end > n.line_end:
                 raise InvariantError(
-                    "child %d span escapes parent %d span" % (c, node_id))
+                    "child %d span escapes parent %d span" % (c, node_id), c)
             stack.append(c)
         if n.kind in (VAR, NAME):
             if n.symbol is None:
-                raise InvariantError("node %d (%s) lacks a symbol" % (node_id, n.kind))
+                raise InvariantError("node %d (%s) lacks a symbol"
+                                     % (node_id, n.kind), node_id)
         elif n.kind == LITERAL:
             if n.value is None:
-                raise InvariantError("Literal node %d lacks a value" % node_id)
+                raise InvariantError("Literal node %d lacks a value" % node_id, node_id)
         elif n.kind in CANONICAL_KINDS or is_binop(n.kind):
             if n.symbol is not None or n.value is not None:
-                raise InvariantError("node %d (%s) carries symbol/value" % (node_id, n.kind))
-    if len(seen) != len(unit.nodes):
-        stray = sorted(set(unit.nodes) - seen)
-        raise InvariantError("unreachable nodes: %s" % stray[:5])
+                raise InvariantError("node %d (%s) carries symbol/value"
+                                     % (node_id, n.kind), node_id)
+    if len(seen) != len(nodes):
+        stray = [node_id for node_id in nodes if node_id not in seen]
+        raise InvariantError("unreachable nodes: %s" % stray[:5], stray[0])
     if unit.node_count != len(seen):
         raise InvariantError("node_count %d != reachable %d" % (unit.node_count, len(seen)))
 

@@ -17,12 +17,13 @@ from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
-from .engine import ScanOptions, attach_excerpt, match_to_json, scan_unit
-from .miner import (SKIP_TOO_DEEP, MinerOptions, mine_repositories, parse_file,
-                    write_mining_outputs)
+from .engine import (ScanOptions, attach_excerpt, match_to_json,
+                     match_to_record, scan_unit)
+from .miner import (SKIP_TOO_DEEP, MinerOptions, RepoScanResult,
+                    mine_repositories, parse_file, write_mining_outputs)
 from .php_parser import LexError, ParseError
-from .template import (EmptyInput, TemplateFormatError, derive_template,
-                       deserialize_template, serialize_template)
+from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
+                       derive_template, deserialize_template, serialize_template)
 
 log = logging.getLogger("analogue")
 
@@ -95,17 +96,28 @@ def cmd_ast(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    unit, _ = _parse_php(args.snippet)
-    if args.lines:
-        first, last = _parse_lines(args.lines)
+def _derive_seed(path: str, lines: str | None, symbols: str,
+                 mode: str | None = None) -> Template:
+    """The template of a seed file: the `lines` slice, strict unless `mode`
+    says otherwise, or every top-level statement but inline HTML, normal
+    unless `mode` says otherwise."""
+    unit, _ = _parse_php(path)
+    if lines:
+        first, last = _parse_lines(lines)
         stmts = slice_statements(unit, first, last)
-        mode = args.mode or "strict"
     else:
-        stmts = unit.children_of(unit.nodes[unit.root])
-        stmts = [s for s in stmts if s.kind != astree.HTML]
-        mode = args.mode or "normal"
-    t = derive_template(unit, stmts, mode=mode, symbol_policy=args.symbols)
+        stmts = [s for s in unit.children_of(unit.nodes[unit.root])
+                 if s.kind != astree.HTML]
+    return derive_template(unit, stmts, mode=mode or ("strict" if lines else "normal"),
+                           symbol_policy=symbols)
+
+
+def _origin_label(origin: SeedOrigin) -> str:
+    return "%s:%d-%d" % (origin.path, origin.line_start, origin.line_end)
+
+
+def cmd_derive(args) -> int:
+    t = _derive_seed(args.snippet, args.lines, args.symbols, args.mode)
     _write_out(serialize_template(t), args.out)
     return 0
 
@@ -143,19 +155,26 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _mine(repos: list[str], programs: list[MatcherProgram],
+          args) -> tuple[list[RepoScanResult], dict[str, Path]]:
+    """Mine the repositories into args.out, name the failed ones on stderr,
+    and return the results and the paths of the written files."""
+    results = mine_repositories(repos, programs, jobs=args.jobs,
+                                opts=MinerOptions(scan=_scan_options(args)))
+    paths = write_mining_outputs(results, args.out)
+    failed = [r.repo_id for r in results if r.error]
+    if failed:
+        print("failed repositories: %s" % ", ".join(failed), file=sys.stderr)
+    return results, paths
+
+
 def cmd_mine(args) -> int:
     repo_list = [ln.strip() for ln in _read(args.repos).splitlines()
                  if ln.strip() and not ln.startswith("#")]
-    programs = load_query_dir(Path(args.queries))
-    opts = MinerOptions(scan=_scan_options(args))
-    results = mine_repositories(repo_list, programs, jobs=args.jobs, opts=opts)
-    paths = write_mining_outputs(results, args.out)
+    results, paths = _mine(repo_list, load_query_dir(Path(args.queries)), args)
     total = sum(len(r.matches) for r in results)
-    failed = [r.repo_id for r in results if r.error]
     print("scanned %d repositories, %d matches -> %s"
           % (len(results), total, paths["matches"]))
-    if failed:
-        print("failed repositories: %s" % ", ".join(failed), file=sys.stderr)
     return 0
 
 
@@ -204,8 +223,7 @@ def cmd_report(args) -> int:
     if args.queries:
         for p in load_query_dir(Path(args.queries)):
             if p.origin is not None:
-                origins[p.query_id] = "%s:%d-%d" % (
-                    p.origin.path, p.origin.line_start, p.origin.line_end)
+                origins[p.query_id] = _origin_label(p.origin)
     bucket_for = None
     if args.repos:
         repo_records = [json.loads(ln) for ln in _read(args.repos).splitlines()
@@ -231,32 +249,15 @@ def cmd_pipeline(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise CliError("corpus directory %s does not exist" % corpus)
-    unit, _ = _parse_php(args.seed)
-    if args.lines:
-        first, last = _parse_lines(args.lines)
-        stmts = slice_statements(unit, first, last)
-        mode = "strict"
-    else:
-        stmts = [s for s in unit.children_of(unit.nodes[unit.root])
-                 if s.kind != astree.HTML]
-        mode = "normal"
-    t = derive_template(unit, stmts, mode=mode, symbol_policy=args.symbols)
+    t = _derive_seed(args.seed, args.lines, args.symbols)
     program = compile_template(t)
-
-    repos = sorted(str(p) for p in corpus.iterdir() if p.is_dir())
-    if not repos:
-        repos = [str(corpus)]
-    results = mine_repositories(repos, [program], jobs=args.jobs,
-                                opts=MinerOptions(scan=_scan_options(args)))
-    out_dir = Path(args.out)
-    paths = write_mining_outputs(results, out_dir)
-    records, _ = report_mod.load_match_records(
-        paths["matches"].read_text(encoding="utf-8"))
-    origin = "%s:%d-%d" % (t.seed_origin.path, t.seed_origin.line_start,
-                           t.seed_origin.line_end)
-    rows = report_mod.rows_from_records(records, {program.query_id: origin})
+    repos = sorted(str(p) for p in corpus.iterdir() if p.is_dir()) or [str(corpus)]
+    results, _ = _mine(repos, [program], args)
+    records = [match_to_record(m) for r in results for m in r.matches]
+    rows = report_mod.rows_from_records(
+        records, {program.query_id: _origin_label(t.seed_origin)})
     report_text = report_mod.render_text(rows)
-    (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
+    (Path(args.out) / "report.txt").write_text(report_text, encoding="utf-8")
     sys.stdout.write(report_text)
     return 0
 

@@ -26,8 +26,6 @@ from .compiler import MatcherProgram
 @dataclass
 class ScanOptions:
     depth_pruning: bool = True
-    max_matches_per_unit: int | None = None
-    count_comparisons: bool = True
     exact_arity: bool = False
     injective_bindings: bool = False
 
@@ -96,7 +94,7 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
     found = p.matcher(opts.exact_arity, opts.injective_bindings)(
         unit.nodes, sl.children, start_index)
     failed = type(found) is int
-    if counter is not None and opts.count_comparisons:
+    if counter is not None:
         counter.node_comparisons += found if failed else p.comparison_steps
     return None if failed else _new_match(p, unit, stmt_list_id, start_index, found)
 
@@ -122,7 +120,6 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     pruning = opts.depth_pruning
     depth_limit = index.max_depth - p.template_depth + 1
     k = p.statement_count
-    cap = opts.max_matches_per_unit
     comparisons = tried = 0
     for sl_id, sl_depth, start, siblings in anchors:
         if (pruning and sl_depth >= depth_limit) or start + k > siblings:
@@ -134,12 +131,8 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
             continue
         comparisons += p.comparison_steps
         matches.append(_new_match(p, unit, sl_id, start, found))
-        if cap is not None and len(matches) >= cap:
-            break
-    counter = ComparisonCounter(candidates_tried=tried)
-    if opts.count_comparisons:
-        counter.node_comparisons = comparisons
-    return matches, counter
+    return matches, ComparisonCounter(node_comparisons=comparisons,
+                                      candidates_tried=tried)
 
 
 # ---------------------------------------------------------------------------

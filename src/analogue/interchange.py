@@ -3,14 +3,19 @@
 Lets external full-language frontends feed the pipeline: one JSON record per
 node after a header record.  Unknown kind strings are kept verbatim and act
 as opaque tags during matching.
+
+import_ast checks each record on its own: valid JSON, fields of the right
+types, no duplicate id, and a root id that has a record.  Everything that
+concerns the tree as a whole (shape, reachability, line spans, symbol and
+value placement) is astree.validate_unit's, and its verdict is reported as
+an InterchangeError on the record of the node it blames.
 """
 from __future__ import annotations
 
 import json
 from typing import Iterable
 
-from . import astree
-from .astree import AstNode, SourceUnit
+from .astree import AstNode, InvariantError, SourceUnit, validate_unit
 
 FORMAT = "ast-v1"
 
@@ -98,38 +103,9 @@ def import_ast(stream: str | Iterable[str]) -> SourceUnit:
 
     if root not in nodes:
         raise InterchangeError("root %d not among node records" % root, hdr_idx)
-    if nodes[root].kind != astree.STMT_LIST:
-        raise InterchangeError("root node must be a StmtList", rec_index[root])
-
-    # Structure: single parent per node, no cycles, no unreachable records.
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node_id = stack.pop()
-        if node_id in seen:
-            raise InterchangeError("node %d reached twice (cycle or shared child)"
-                                   % node_id, rec_index[node_id])
-        seen.add(node_id)
-        n = nodes[node_id]
-        if n.line_start > n.line_end:
-            raise InterchangeError("inverted line span", rec_index[node_id])
-        for c in n.children:
-            child = nodes.get(c)
-            if child is None:
-                raise InterchangeError("dangling child reference %d" % c,
-                                       rec_index[node_id])
-            if child.line_start < n.line_start or child.line_end > n.line_end:
-                raise InterchangeError(
-                    "child %d span escapes parent span" % c, rec_index[c])
-            stack.append(c)
-    if len(seen) != len(nodes):
-        stray = next(node_id for node_id in nodes if node_id not in seen)
-        raise InterchangeError("node %d unreachable from root" % stray,
-                               rec_index[stray])
-    for node_id, n in nodes.items():
-        if n.kind in (astree.VAR, astree.NAME) and n.symbol is None:
-            raise InterchangeError("%s node lacks 'symbol'" % n.kind, rec_index[node_id])
-        if n.kind == astree.LITERAL and n.value is None:
-            raise InterchangeError("Literal node lacks 'value'", rec_index[node_id])
-
-    return SourceUnit(path=path, root=root, nodes=nodes, node_count=len(nodes))
+    unit = SourceUnit(path=path, root=root, nodes=nodes, node_count=len(nodes))
+    try:
+        validate_unit(unit)
+    except InvariantError as e:
+        raise InterchangeError(str(e), rec_index.get(e.node)) from None
+    return unit

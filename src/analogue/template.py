@@ -5,13 +5,19 @@ names become numbered wildcard classes, literal values are erased, and callee
 names are either preserved (``symbol_policy="preserve"``) or erased too
 (``"wildcard"``).  Two variable positions with the same class id must bind the
 same concrete name in any match; those constraints are the data-flow edges.
+
+The classes carry the data flow in full, so a template stores no edges:
+``Template.dataflow_edges`` derives them from the tree.  The ``tmpl-v1``
+edges record and the query id still list them, and a ``tmpl-v1`` file whose
+edges record differs from the pairs its classes imply does not load.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import astree
 from .astree import AstNode, SourceUnit
@@ -76,7 +82,6 @@ class SeedOrigin:
 class Template:
     statements: tuple[int, ...]              # root node id per seed statement
     nodes: dict[int, TemplateNode]
-    dataflow_edges: frozenset[tuple[int, int]]
     mode: str = "normal"
     symbol_policy: str = "preserve"
     seed_origin: SeedOrigin | None = None
@@ -99,6 +104,20 @@ class Template:
         return len({n.leaf_role.class_id for n in self.iter_preorder()
                     if isinstance(n.leaf_role, VarWildcard)})
 
+    @property
+    def dataflow_edges(self) -> frozenset[tuple[int, int]]:
+        """Every pair (a, b), a < b, of variable wildcards of one class."""
+        return _same_class_pairs(self.iter_preorder())
+
+
+def _same_class_pairs(nodes: Iterable[TemplateNode]) -> frozenset[tuple[int, int]]:
+    classes: dict[int, list[int]] = {}
+    for n in nodes:
+        if type(n.leaf_role) is VarWildcard:
+            classes.setdefault(n.leaf_role.class_id, []).append(n.id)
+    return frozenset(itertools.chain.from_iterable(
+        itertools.combinations(sorted(ids), 2) for ids in classes.values()))
+
 
 def derive_template(unit: SourceUnit, statements: list[AstNode],
                     mode: str = "normal",
@@ -118,52 +137,53 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
 
     nodes: dict[int, TemplateNode] = {}
     classes: dict[str, int] = {}
-    class_occurrences: dict[int, list[int]] = {}
     counter = 0
 
-    def copy(src: AstNode, depth: int) -> tuple[int, int]:
+    def copy(src: AstNode) -> int:
         nonlocal counter
         node_id = counter
         counter += 1
         role: LeafRole | None = None
         if src.kind == astree.VAR:
-            cls = classes.setdefault(src.symbol, len(classes))
-            role = VarWildcard(cls)
-            class_occurrences.setdefault(cls, []).append(node_id)
+            role = VarWildcard(classes.setdefault(src.symbol, len(classes)))
         elif src.kind == astree.LITERAL:
             role = LiteralWildcard()
         elif src.kind == astree.NAME:
             role = ApiSymbol(src.symbol) if symbol_policy == "preserve" else CallWildcard()
-        child_ids = []
-        max_depth = depth
-        for c in unit.children_of(src):
-            cid, d = copy(c, depth + 1)
-            child_ids.append(cid)
-            max_depth = max(max_depth, d)
+        children = tuple([copy(c) for c in unit.children_of(src)])
         nodes[node_id] = TemplateNode(id=node_id, kind=src.kind,
-                                      children=tuple(child_ids), leaf_role=role)
-        return node_id, max_depth
+                                      children=children, leaf_role=role)
+        return node_id
 
-    roots = []
-    depth = 0
-    for stmt in statements:
-        rid, d = copy(stmt, 0)
-        roots.append(rid)
-        depth = max(depth, d)
-
-    edges = set()
-    for occ in class_occurrences.values():
-        for i in range(len(occ)):
-            for j in range(i + 1, len(occ)):
-                edges.add((occ[i], occ[j]))
-
+    roots = tuple(copy(stmt) for stmt in statements)
     origin = SeedOrigin(path=unit.path,
                         line_start=min(s.line_start for s in statements),
                         line_end=max(s.line_end for s in statements))
-    return Template(statements=tuple(roots), nodes=nodes,
-                    dataflow_edges=frozenset(edges), mode=mode,
+    return Template(statements=roots, nodes=nodes, mode=mode,
                     symbol_policy=symbol_policy, seed_origin=origin,
-                    template_depth=depth)
+                    template_depth=_depth(nodes, roots))
+
+
+def _depth(nodes: dict[int, TemplateNode], roots: Iterable[int]) -> int:
+    """Depth of the deepest node under the roots, each root at depth 0.
+
+    A node reached twice, through a cycle or a shared child, is a format
+    error: the tree of a template is a forest.
+    """
+    deepest = 0
+    seen: set[int] = set()
+    stack = [(r, 0) for r in roots]
+    while stack:
+        node_id, depth = stack.pop()
+        if node_id in seen:
+            raise TemplateFormatError("node %d is reached twice" % node_id)
+        seen.add(node_id)
+        children = nodes[node_id].children
+        if children:
+            depth += 1
+            deepest = max(deepest, depth)
+            stack += [(c, depth) for c in children]
+    return deepest
 
 
 @dataclass(frozen=True)
@@ -297,7 +317,8 @@ def deserialize_template(text: str) -> Template:
         if "edges" in rec:
             raw = rec["edges"]
             if not isinstance(raw, list) or not all(
-                    isinstance(e, list) and len(e) == 2 for e in raw):
+                    isinstance(e, list) and len(e) == 2
+                    and all(isinstance(end, int) for end in e) for e in raw):
                 raise TemplateFormatError("malformed edges record", i)
             edges = frozenset(tuple(sorted(e)) for e in raw)
             continue
@@ -322,29 +343,16 @@ def deserialize_template(text: str) -> Template:
         for c in n.children:
             if c not in nodes:
                 raise TemplateFormatError("dangling child reference %d" % c)
-    for a, b in edges:
-        for end in (a, b):
-            if end not in nodes:
-                raise TemplateFormatError("edge endpoint %d has no node" % end)
-        ra, rb = nodes[a].leaf_role, nodes[b].leaf_role
-        if not (isinstance(ra, VarWildcard) and isinstance(rb, VarWildcard)
-                and ra.class_id == rb.class_id):
-            raise TemplateFormatError(
-                "edge (%d, %d) does not join same-class var wildcards" % (a, b))
 
-    t = Template(statements=tuple(roots), nodes=nodes, dataflow_edges=edges,
-                 mode=mode, symbol_policy=policy, seed_origin=origin,
-                 template_depth=header.get("template_depth", 0))
-    t.template_depth = _compute_depth(t)
+    t = Template(statements=tuple(roots), nodes=nodes, mode=mode,
+                 symbol_policy=policy, seed_origin=origin,
+                 template_depth=_depth(nodes, roots))
+    derived = t.dataflow_edges
+    if edges != derived:
+        raise TemplateFormatError(
+            "edges record is not the set of same-class variable pairs "
+            "(missing %s, extra %s)" % (sorted(derived - edges), sorted(edges - derived)))
     return t
-
-
-def _compute_depth(t: Template) -> int:
-    def depth_of(node_id: int, d: int) -> int:
-        n = t.nodes[node_id]
-        return max([d] + [depth_of(c, d + 1) for c in n.children])
-
-    return max(depth_of(r, 0) for r in t.statements)
 
 
 def canonical_form(t: Template, include_origin: bool = False) -> str:
@@ -364,7 +372,7 @@ def canonical_form(t: Template, include_origin: bool = False) -> str:
         "statements": [remap[r] for r in t.statements],
         "nodes": [[remap[n.id], n.kind, [remap[c] for c in n.children],
                    _role_to_json(n.leaf_role)] for n in order],
-        "edges": sorted(sorted((remap[a], remap[b])) for a, b in t.dataflow_edges),
+        "edges": sorted(sorted((remap[a], remap[b])) for a, b in _same_class_pairs(order)),
     }
     if include_origin and t.seed_origin is not None:
         payload["origin"] = [t.seed_origin.path, t.seed_origin.line_start,

@@ -29,7 +29,7 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
     if start_index < 0 or start_index + p.statement_count > len(stmts):
         return None
 
-    counting = counter is not None and opts.count_comparisons
+    counting = counter is not None
     bindings: dict[int, str] = {}
     stmt_pos = start_index
     cur = unit.nodes[stmts[stmt_pos]]

@@ -320,3 +320,43 @@ def test_too_deep_input_is_an_error_not_a_traceback(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: too-deep: ") and "Traceback" not in err
+
+
+def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
+                                                         monkeypatch):
+    from analogue import miner
+    corpus = tmp_path / "corpus"
+    for name in ("repoA", "repoB"):
+        (corpus / name).mkdir(parents=True)
+        shutil.copy(FIXTURES / "clone_users.php", corpus / name / "page.php")
+    real_scan = miner.scan_unit
+
+    def flaky_scan(program, unit, opts=None):
+        if unit.path.startswith("repoA/"):
+            raise ValueError("cannot handle %s" % unit.path)
+        return real_scan(program, unit, opts)
+
+    monkeypatch.setattr(miner, "scan_unit", flaky_scan)
+    seed = str(FIXTURES / "tutorial_search.php")
+    code, out, err = run(capsys, "pipeline", seed, str(corpus), "--lines", "4:6",
+                         "--jobs", "1", "--out", str(tmp_path / "p"))
+    assert code == 0
+    assert err == "failed repositories: repoA\n"
+    assert out == (tmp_path / "p" / "report.txt").read_text()
+    assert out.endswith("\n1 analogue\n") and "repoB/page.php:3-4" in out
+
+    (tmp_path / "repos.txt").write_text("%s\n%s\n" % (corpus / "repoA", corpus / "repoB"))
+    queries = tmp_path / "q"
+    queries.mkdir()
+    assert run(capsys, "derive", seed, "--lines", "4:6",
+               "-o", str(queries / "q.tmpl.jsonl"))[0] == 0
+    code, _, mine_err = run(capsys, "mine", "--repos", str(tmp_path / "repos.txt"),
+                            "--queries", str(queries), "--out", str(tmp_path / "m"))
+    assert code == 0 and mine_err == err
+    for name in ("matches", "stats", "skipped"):
+        piped = (tmp_path / "p" / (name + ".jsonl")).read_text()
+        mined = (tmp_path / "m" / (name + ".jsonl")).read_text()
+        if name == "stats":
+            piped, mined = ([{k: v for k, v in json.loads(ln).items() if k != "wall_time_s"}
+                             for ln in text.splitlines()] for text in (piped, mined))
+        assert piped == mined

@@ -215,13 +215,6 @@ def test_depth_pruning_skips_candidates():
     assert on_ctr.candidates_tried <= off_ctr.candidates_tried
 
 
-def test_max_matches_cap():
-    _, _, p = make_program("<?php echo $a;")
-    text = "<?php\n" + "\n".join("echo $v%d;" % i for i in range(10)) + "\n"
-    ms, _ = scan_unit(p, parse_source(text), ScanOptions(max_matches_per_unit=3))
-    assert len(ms) == 3
-
-
 def test_alpha_rename_of_target_preserves_anchors():
     import re
     rng = random.Random(29)
@@ -242,9 +235,6 @@ def test_counter_counts_are_monotone_and_populated():
     unit, t, p = make_program(SEED)
     ms, ctr = scan_unit(p, unit)
     assert ms and ctr.node_comparisons > 0 and ctr.candidates_tried > 0
-    ms2, ctr2 = scan_unit(p, unit, ScanOptions(count_comparisons=False))
-    assert [m.key() for m in ms2] == [m.key() for m in ms]
-    assert ctr2.node_comparisons == 0
 
 
 def test_empty_unit_scans_clean():

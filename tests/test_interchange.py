@@ -119,6 +119,11 @@ def test_unknown_kinds_survive_roundtrip_verbatim():
     # child span escapes parent span (blamed on the child record)
     ([header(0), rec(0, "StmtList", [1], line=(1, 1)),
       rec(1, "Echo", [], line=(1, 9))], 2),
+    # a canonical kind other than Var, Name and Literal carrying a symbol
+    ([header(0), rec(0, "StmtList", [1]), rec(1, "Call", [2], symbol="f"),
+      rec(2, "Name", symbol="f")], 2),
+    # unreachable records out of id order: the first in the stream is blamed
+    ([header(0), rec(0, "StmtList", []), rec(9, "Echo", []), rec(4, "Echo", [])], 2),
 ])
 def test_schema_violations_rejected(lines, expect_record):
     with pytest.raises(InterchangeError) as exc:

@@ -62,7 +62,7 @@ def anchors(unit):
 def test_match_at_equals_the_step_interpreter_everywhere():
     rng = random.Random(97)
     attempts = matched = 0
-    for _ in range(10):
+    for _ in range(32):
         seed = random_snippet(rng)
         units = [planted_unit(seed, rng), planted_unit(random_snippet(rng), rng)]
         units.append(shrunk(units[0], rng))
@@ -109,8 +109,6 @@ def test_scan_unit_counts_what_the_interpreter_counts():
                         m = reference_matcher.match_at(p, unit, sl_id, start, opts, want_c)
                         if m is not None:
                             want.append(m)
-                            if len(want) == opts.max_matches_per_unit:
-                                break
                     assert (got, counter) == (want, want_c)
 
 
@@ -176,7 +174,7 @@ def test_hostile_strings_match_exactly_and_never_reach_the_source(kind):
                 assert len({(type(c), c) for c in consts}) == len(consts)
         for opts in OPTION_GRID:
             got, _ = scan_unit(p, unit, opts)
-            assert [m.start_index for m in got] == [0, 6][:opts.max_matches_per_unit]
+            assert [m.start_index for m in got] == [0, 6]
             assert all(m.bindings == {0: name} for m in got)
 
 

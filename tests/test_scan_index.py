@@ -39,9 +39,6 @@ def exhaustive_scan(p, unit, opts):
             m = match_at(p, unit, sl.id, start, opts)
             if m is not None:
                 matches.append(m)
-                if (opts.max_matches_per_unit is not None
-                        and len(matches) >= opts.max_matches_per_unit):
-                    return matches
     return matches
 
 
@@ -60,16 +57,13 @@ def planted_unit(seed, rng):
     return parse_source(render_file(body))
 
 
-OPTION_GRID = [ScanOptions(depth_pruning=d, exact_arity=e, injective_bindings=i,
-                           count_comparisons=c, max_matches_per_unit=cap)
-               for d, e, i, c, cap in itertools.product(
-                   (True, False), (True, False), (True, False), (True, False),
-                   (None, 1, 2))]
+OPTION_GRID = [ScanOptions(depth_pruning=d, exact_arity=e, injective_bindings=i)
+               for d, e, i in itertools.product((True, False), repeat=3)]
 
 
 def test_indexed_scan_equals_exhaustive_loop():
     rng = random.Random(41)
-    seen_matches = capped = 0
+    seen_matches = 0
     for _ in range(12):
         seed = random_snippet(rng)
         unit = planted_unit(seed, rng)
@@ -79,15 +73,11 @@ def test_indexed_scan_equals_exhaustive_loop():
             p = program_for(seed, policy)
             for u in (unit, other):
                 for opts in OPTION_GRID:
-                    got, counter = scan_unit(p, u, opts)
+                    got, _ = scan_unit(p, u, opts)
                     want = exhaustive_scan(p, u, opts)
                     assert [m.key() for m in got] == [m.key() for m in want]
                     seen_matches += len(got)
-                    if opts.max_matches_per_unit and len(got) == opts.max_matches_per_unit:
-                        capped += 1
-                    if not opts.count_comparisons:
-                        assert counter.node_comparisons == 0
-    assert seen_matches and capped
+    assert seen_matches
 
 
 def test_program_not_opening_with_kind_falls_back_to_every_anchor():

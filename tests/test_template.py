@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -242,3 +243,36 @@ def test_query_id_ignores_seed_origin(tmp_path):
     t2 = derive_template(unit2, unit2.children_of(unit2.nodes[unit2.root]))
     assert t1.seed_origin != t2.seed_origin
     assert query_id_of(t1) == query_id_of(t2)
+
+
+def _with_edges(text: str, edges) -> str:
+    lines = text.splitlines()
+    assert '"edges"' in lines[-1]
+    return "\n".join(lines[:-1] + [json.dumps({"edges": edges})]) + "\n"
+
+
+def test_deserialize_rejects_edges_that_differ_from_the_classes(tutorial_books):
+    unit, _ = tutorial_books
+    t = derive_template(unit, slice_statements(unit, 5, 6))
+    text = serialize_template(t)
+    edges = sorted(sorted(e) for e in t.dataflow_edges)
+    assert edges
+    assert templates_equal(deserialize_template(_with_edges(text, edges)), t)
+    # a same-class pair left out
+    with pytest.raises(TemplateFormatError, match="missing"):
+        deserialize_template(_with_edges(text, edges[1:]))
+    # a pair that joins a variable to a node of another role
+    lit = next(n.id for n in t.iter_preorder() if isinstance(n.leaf_role, LiteralWildcard))
+    with pytest.raises(TemplateFormatError, match="extra"):
+        deserialize_template(_with_edges(text, edges + [sorted((edges[0][0], lit))]))
+
+
+def test_deserialize_rejects_a_node_reached_twice():
+    good = serialize_template(derive_from("<?php $a = $b;"))
+    lines = [json.loads(ln) for ln in good.splitlines()]
+    for rec in lines[1:-1]:
+        if rec["kind"] == "Var":
+            rec["children"] = [lines[0]["roots"][0]]
+            break
+    with pytest.raises(TemplateFormatError, match="reached twice"):
+        deserialize_template("\n".join(json.dumps(rec) for rec in lines))
