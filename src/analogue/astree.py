@@ -223,19 +223,24 @@ def validate_unit(unit: SourceUnit) -> None:
 
 
 def structurally_equal(a: SourceUnit, b: SourceUnit, include_lines: bool = True) -> bool:
-    """Node-for-node tree equality: kind, symbol, value, child order (ids may differ)."""
+    """Node-for-node tree equality: kind, symbol, value, child order (ids may differ).
 
-    def eq(na: AstNode, nb: AstNode) -> bool:
+    Both units must be trees, as validate_unit checks.  Node pairs are
+    compared in pre-order, with an explicit stack, so depth is not limited
+    by the recursion limit.
+    """
+    stack = [(a.root, b.root)]
+    while stack:
+        ia, ib = stack.pop()
+        na, nb = a.nodes[ia], b.nodes[ib]
         if (na.kind, na.symbol, na.value) != (nb.kind, nb.symbol, nb.value):
             return False
         if include_lines and (na.line_start, na.line_end) != (nb.line_start, nb.line_end):
             return False
         if len(na.children) != len(nb.children):
             return False
-        return all(eq(a.nodes[ca], b.nodes[cb])
-                   for ca, cb in zip(na.children, nb.children))
-
-    return eq(a.nodes[a.root], b.nodes[b.root])
+        stack.extend(zip(reversed(na.children), reversed(nb.children)))
+    return True
 
 
 class TreeBuilder:

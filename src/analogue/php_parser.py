@@ -5,11 +5,29 @@ echo, array indexing, superglobals, single/double-quoted strings with
 interpolation, concatenation, if/while/foreach, return and inline HTML.
 Anything else is represented as a tagged ``Other:*`` node with best-effort
 children, so files never need full-language support to be scannable.
+
+A token is a plain tuple ``(type, value, line, line_end, heredoc)``: type is
+one of html, var, ident, number, sq, dq, op and eof; line and line_end are
+the first and last line of its text; heredoc is True only for the sq/dq
+token of a heredoc or nowdoc body, whose text starts on the line after
+``line``.
+
+``parse_expr`` climbs these precedence levels, loosest first:
+
+- ``or``, ``and``, ``xor``: one level, left-associative;
+- ``=`` and the ``op=`` assignments: right-associative;
+- the ternary ``? :`` and ``?:``: both branches at assignment level;
+- the binary operators of ``_BIN_PREC``, 1 (``??``) to 12 (``**``),
+  ``instanceof`` among them: left-associative;
+- prefix operators and casts, then postfix operators, then primaries.
+
+The left operand of an assignment is whatever binds tighter, so
+``$a + $b = 1`` is ``Assign(BinOp, 1)``, and a ternary's else branch takes a
+following assignment, as in ``$a ? $b : ($c = 1)``.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import astree
 from .astree import TreeBuilder, SourceUnit
@@ -27,13 +45,8 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(slots=True)
-class Token:
-    type: str            # html | var | ident | number | sq | dq | op | eof
-    value: str
-    line: int
-    line_end: int
-    heredoc: bool = False
+# (type, value, line, line_end, heredoc); see the module docstring.
+Token = tuple[str, str, int, int, bool]
 
 
 _OPS3 = ("===", "!==", "<=>", "**=", "<<=", ">>=", "??=", "...")
@@ -64,7 +77,7 @@ def tokenize(text: str) -> list[Token]:
             m = n
         if m > i:
             seg = text[i:m]
-            toks.append(Token("html", seg, line, line + seg.count("\n")))
+            toks.append(("html", seg, line, line + seg.count("\n"), False))
             line += seg.count("\n")
             i = m
         if i >= n:
@@ -72,7 +85,7 @@ def tokenize(text: str) -> list[Token]:
         if text.startswith("<?php", i):
             i += 5
         elif text.startswith("<?=", i):
-            toks.append(Token("ident", "echo", line, line))
+            toks.append(("ident", "echo", line, line, False))
             i += 3
         else:
             i += 2
@@ -126,20 +139,20 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             line += count("\n", i, s)
         i = e
         if kind == "op" or kind == "ident" or kind == "var":
-            append(Token(kind, text[s:i], line, line))
+            append((kind, text[s:i], line, line, False))
         elif kind == "sq" or kind == "dq":
             value = text[s + 1:i - 1]
             end = line + value.count("\n")
-            append(Token(kind, value, line, end))
+            append((kind, value, line, end, False))
             line = end
         elif kind == "number":
             if text[s] == "." and not text[i].isdigit():
-                append(Token("op", ".", line, line))
+                append(("op", ".", line, line, False))
             else:
                 i = _number_end(text, s)
-                append(Token("number", text[s:i], line, line))
+                append(("number", text[s:i], line, line, False))
         elif kind == "close":  # PHP swallows one newline after ?>
-            append(Token("op", "?>", line, line))
+            append(("op", "?>", line, line, False))
             return i, line + i - s - 2
         elif kind == "heredoc":
             i, line = _lex_heredoc(text, s, line, toks)
@@ -214,8 +227,7 @@ def _lex_heredoc(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, 
             body = text[body_start:pos]
             if body.endswith("\n"):
                 body = body[:-1]
-            toks.append(Token("sq" if nowdoc else "dq", body,
-                              line, max(line, ln - 1), heredoc=True))
+            toks.append(("sq" if nowdoc else "dq", body, line, max(line, ln - 1), True))
             indent = len(raw_line) - len(stripped)
             # resume lexing right after the terminator label
             return pos + indent + len(label), ln
@@ -251,13 +263,25 @@ _BIN_PREC = {
     "instanceof": 8,
 }
 
-_AUG_ASSIGN = frozenset({"+=", "-=", "*=", "/=", ".=", "%=", "**=", "??=", "|=", "&=",
-                         "^=", "<<=", ">>="})
+_WORD_PREC, _ASSIGN_PREC, _TERNARY_PREC = -2, -1, 0
+
+# operator -> (precedence, precedence of its right operand, node kind).
+# Binary operators are left-associative, assignments right-associative, and
+# both branches of a ternary are parsed at assignment level.
+_OPERATORS = {op: (prec, prec + 1, astree.CONCAT if op == "." else astree.binop(op))
+              for op, prec in _BIN_PREC.items()}
+_OPERATORS.update({op: (_WORD_PREC, _ASSIGN_PREC, astree.binop(op))
+                   for op in ("or", "and", "xor")})
+_OPERATORS.update({op: (_ASSIGN_PREC, _ASSIGN_PREC, "AugAssign:" + op)
+                   for op in ("+=", "-=", "*=", "/=", ".=", "%=", "**=", "??=", "|=",
+                              "&=", "^=", "<<=", ">>=")})
+_OPERATORS["="] = (_ASSIGN_PREC, _ASSIGN_PREC, astree.ASSIGN)
+_OPERATORS["?"] = (_TERNARY_PREC, _ASSIGN_PREC, astree.other("ternary"))
+
 _UNARY = frozenset({"!", "-", "+", "~", "++", "--"})
 _POSTFIX = frozenset({"(", "[", "->", "::", "++", "--"})
-_WORD_OPS = frozenset({"or", "and", "xor"})
 
-_EOF = Token("eof", "", 0, 0)
+_EOF = ("eof", "", 0, 0, False)
 # Lookahead reads at most two tokens past pos, and pos passes the first EOF
 # (by one) only right before a ParseError, so three EOFs after the last token
 # keep every read in range without a bounds check.
@@ -269,7 +293,7 @@ class _Parser:
         self.toks = toks + _EOF_PAD
         self.pos = 0
         self.b = builder
-        self.last_line = toks[-1].line_end if toks else 1
+        self.last_line = toks[-1][3] if toks else 1
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -282,17 +306,17 @@ class _Parser:
 
     def at_op(self, *vals: str) -> bool:
         t = self.toks[self.pos]
-        return t.type == "op" and t.value in vals
+        return t[0] == "op" and t[1] in vals
 
     def at_kw(self, *words: str) -> bool:
         t = self.toks[self.pos]
-        return t.type == "ident" and t.value.lower() in words
+        return t[0] == "ident" and t[1].lower() in words
 
     def expect_op(self, val: str) -> Token:
         t = self.toks[self.pos]
-        if t.type != "op" or t.value != val:
-            raise ParseError("expected %r, found %r" % (val, t.value or t.type),
-                             t.line or self.last_line)
+        if t[0] != "op" or t[1] != val:
+            raise ParseError("expected %r, found %r" % (val, t[1] or t[0]),
+                             t[2] or self.last_line)
         self.pos += 1
         return t
 
@@ -302,19 +326,19 @@ class _Parser:
         out: list[int] = []
         while True:
             t = self.toks[self.pos]
-            if t.type == "eof":
+            if t[0] == "eof":
                 break
-            if t.type == "op":
-                if t.value in closers:
+            if t[0] == "op":
+                if t[1] in closers:
                     break
-                if t.value == "?>" or t.value == ";":
+                if t[1] == "?>" or t[1] == ";":
                     self.pos += 1
                     continue
-            elif t.type == "html":
+            elif t[0] == "html":
                 self.pos += 1
-                out.append(self.b.add(astree.HTML, line_start=t.line, line_end=t.line_end))
+                out.append(self.b.add(astree.HTML, line_start=t[2], line_end=t[3]))
                 continue
-            elif kw_closers and t.type == "ident" and t.value.lower() in kw_closers:
+            elif kw_closers and t[0] == "ident" and t[1].lower() in kw_closers:
                 break
             start_pos = self.pos
             node_mark = self.b.mark()
@@ -336,42 +360,42 @@ class _Parser:
         progressed = False
         while True:
             t = self.peek()
-            if t.type == "eof":
+            if t[0] == "eof":
                 if depth > 0:
-                    raise ParseError("unbalanced delimiters", last.line_end)
+                    raise ParseError("unbalanced delimiters", last[3])
                 break
-            if t.type == "op":
-                if t.value in "([{":
+            if t[0] == "op":
+                if t[1] in "([{":
                     depth += 1
-                elif t.value in ")]}":
+                elif t[1] in ")]}":
                     if depth == 0:
                         if not progressed:
-                            raise ParseError("unexpected %r" % t.value, t.line)
+                            raise ParseError("unexpected %r" % t[1], t[2])
                         break
                     depth -= 1
-                elif t.value == ";" and depth == 0:
+                elif t[1] == ";" and depth == 0:
                     last = self.next()
                     progressed = True
                     break
-                elif t.value == "?>" and depth == 0:
+                elif t[1] == "?>" and depth == 0:
                     break
             last = self.next()
             progressed = True
         if not progressed:
             return None
-        return self.b.add(astree.other("opaque"), line_start=t0.line, line_end=last.line_end)
+        return self.b.add(astree.other("opaque"), line_start=t0[2], line_end=last[3])
 
     def parse_statement(self) -> int | None:
         t = self.peek()
-        if t.type == "ident":
-            kw = t.value.lower()
+        if t[0] == "ident":
+            kw = t[1].lower()
             if kw in _KEYWORDS:
                 return self._parse_keyword_statement(kw)
-        if t.type == "op" and t.value == "{":
+        if t[0] == "op" and t[1] == "{":
             self.next()
             stmts = self.parse_statements_until(("}",))
             close = self.expect_op("}")
-            sl = self.b.add(astree.STMT_LIST, stmts, line_start=t.line, line_end=close.line_end)
+            sl = self.b.add(astree.STMT_LIST, stmts, line_start=t[2], line_end=close[3])
             self.b.span_from_children(sl)
             return sl
         expr = self.parse_expr()
@@ -380,13 +404,13 @@ class _Parser:
 
     def _finish_simple_statement(self, node_id: int) -> None:
         t = self.toks[self.pos]
-        if t.type == "op" and t.value == ";":
+        if t[0] == "op" and t[1] == ";":
             self.pos += 1
             n = self.b._nodes[node_id]
-            if t.line_end > n.line_end:
-                n.line_end = t.line_end
-        elif not (t.type == "op" and t.value == "?>" or t.type == "eof"):
-            raise ParseError("expected ';' after statement", t.line or self.last_line)
+            if t[3] > n.line_end:
+                n.line_end = t[3]
+        elif not (t[0] == "op" and t[1] == "?>" or t[0] == "eof"):
+            raise ParseError("expected ';' after statement", t[2] or self.last_line)
 
     def _parse_keyword_statement(self, kw: str) -> int | None:
         t = self.next()
@@ -395,26 +419,26 @@ class _Parser:
             while self.at_op(","):
                 self.next()
                 exprs.append(self.parse_expr())
-            node = self.b.add(astree.ECHO, exprs, line_start=t.line, line_end=t.line_end)
+            node = self.b.add(astree.ECHO, exprs, line_start=t[2], line_end=t[3])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw == "print":
             expr = self.parse_expr()
-            node = self.b.add(astree.other("print"), [expr], line_start=t.line)
+            node = self.b.add(astree.other("print"), [expr], line_start=t[2])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw == "if":
             return self._parse_if(t)
         if kw in ("endif", "endwhile", "endforeach", "endfor", "endswitch"):
-            raise ParseError("'%s' without matching block" % kw, t.line)
+            raise ParseError("'%s' without matching block" % kw, t[2])
         if kw == "while":
             self.expect_op("(")
             cond = self.parse_expr()
             self.expect_op(")")
             body, end_line = self._parse_block("endwhile")
-            node = self.b.add(astree.WHILE, [cond, body], line_start=t.line, line_end=end_line)
+            node = self.b.add(astree.WHILE, [cond, body], line_start=t[2], line_end=end_line)
             self.b.span_from_children(node)
             return node
         if kw == "foreach":
@@ -423,9 +447,9 @@ class _Parser:
             return self._parse_for(t)
         if kw == "return":
             children = []
-            if not (self.at_op(";") or self.at_op("?>") or self.peek().type == "eof"):
+            if not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
                 children.append(self.parse_expr())
-            node = self.b.add(astree.RETURN, children, line_start=t.line, line_end=t.line_end)
+            node = self.b.add(astree.RETURN, children, line_start=t[2], line_end=t[3])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
@@ -435,18 +459,18 @@ class _Parser:
             return self._parse_classlike(t, kw)
         if kw == "global":
             children = []
-            while self.peek().type == "var":
+            while self.peek()[0] == "var":
                 v = self.next()
-                children.append(self.b.add(astree.VAR, symbol=v.value, line_start=v.line))
+                children.append(self.b.add(astree.VAR, symbol=v[1], line_start=v[2]))
                 if self.at_op(","):
                     self.next()
-            node = self.b.add(astree.other("global"), children, line_start=t.line, line_end=t.line_end)
+            node = self.b.add(astree.other("global"), children, line_start=t[2], line_end=t[3])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw in ("include", "include_once", "require", "require_once"):
             expr = self.parse_expr()
-            node = self.b.add(astree.other(kw), [expr], line_start=t.line)
+            node = self.b.add(astree.other(kw), [expr], line_start=t[2])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
@@ -455,25 +479,25 @@ class _Parser:
             cond = self.parse_expr()
             self.expect_op(")")
             end_line = self._skip_balanced_braces()
-            node = self.b.add(astree.other("switch"), [cond], line_start=t.line, line_end=end_line)
+            node = self.b.add(astree.other("switch"), [cond], line_start=t[2], line_end=end_line)
             return node
         if kw == "do":
             body, _ = self._parse_block(None)
             if not self.at_kw("while"):
-                raise ParseError("expected 'while' after do block", self.peek().line)
+                raise ParseError("expected 'while' after do block", self.peek()[2])
             self.next()
             self.expect_op("(")
             cond = self.parse_expr()
             close = self.expect_op(")")
             node = self.b.add(astree.other("do"), [body, cond],
-                              line_start=t.line, line_end=close.line_end)
+                              line_start=t[2], line_end=close[3])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw in ("break", "continue"):
-            if self.peek().type == "number":
+            if self.peek()[0] == "number":
                 self.next()
-            node = self.b.add(astree.other(kw), line_start=t.line, line_end=t.line_end)
+            node = self.b.add(astree.other(kw), line_start=t[2], line_end=t[3])
             self._finish_simple_statement(node)
             return node
         if kw == "try":
@@ -483,26 +507,26 @@ class _Parser:
                 if self.at_op("("):
                     self._skip_balanced_parens()
                 end_line = self._skip_balanced_braces()
-            return self.b.add(astree.other("try"), line_start=t.line, line_end=end_line)
+            return self.b.add(astree.other("try"), line_start=t[2], line_end=end_line)
         if kw == "throw":
             expr = self.parse_expr()
-            node = self.b.add(astree.other("throw"), [expr], line_start=t.line)
+            node = self.b.add(astree.other("throw"), [expr], line_start=t[2])
             self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw in ("namespace", "use"):
             last = t
-            while not (self.at_op(";") or self.at_op("?>") or self.peek().type == "eof"):
+            while not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
                 if self.at_op("{"):
                     end_line = self._skip_balanced_braces()
-                    return self.b.add(astree.other(kw), line_start=t.line, line_end=end_line)
+                    return self.b.add(astree.other(kw), line_start=t[2], line_end=end_line)
                 last = self.next()
             if self.at_op(";"):
                 last = self.next()
-            return self.b.add(astree.other(kw), line_start=t.line, line_end=last.line_end)
+            return self.b.add(astree.other(kw), line_start=t[2], line_end=last[3])
         if kw in ("elseif", "else"):
-            raise ParseError("'%s' without matching if" % kw, t.line)
-        raise ParseError("unhandled keyword %r" % kw, t.line)
+            raise ParseError("'%s' without matching if" % kw, t[2])
+        raise ParseError("unhandled keyword %r" % kw, t[2])
 
     def _parse_if(self, t: Token) -> int:
         self.expect_op("(")
@@ -515,7 +539,7 @@ class _Parser:
             self.next()
             nested = self._parse_if(kw_tok)
             else_sl = self.b.add(astree.STMT_LIST, [nested],
-                                 line_start=kw_tok.line)
+                                 line_start=kw_tok[2])
             self.b.span_from_children(else_sl)
             children.append(else_sl)
         elif self.at_kw("else"):
@@ -524,12 +548,12 @@ class _Parser:
                 kw_tok = self.peek()
                 self.next()
                 nested = self._parse_if(kw_tok)
-                else_sl = self.b.add(astree.STMT_LIST, [nested], line_start=kw_tok.line)
+                else_sl = self.b.add(astree.STMT_LIST, [nested], line_start=kw_tok[2])
                 self.b.span_from_children(else_sl)
             else:
                 else_sl, end_line = self._parse_block("endif")
             children.append(else_sl)
-        node = self.b.add(astree.IF, children, line_start=t.line, line_end=end_line)
+        node = self.b.add(astree.IF, children, line_start=t[2], line_end=end_line)
         self.b.span_from_children(node)
         return node
 
@@ -537,7 +561,7 @@ class _Parser:
         self.expect_op("(")
         iterable = self.parse_expr()
         if not self.at_kw("as"):
-            raise ParseError("expected 'as' in foreach", self.peek().line)
+            raise ParseError("expected 'as' in foreach", self.peek()[2])
         self.next()
         if self.at_op("&"):
             self.next()
@@ -553,7 +577,7 @@ class _Parser:
         self.expect_op(")")
         body, end_line = self._parse_block("endforeach")
         children = [iterable] + ([key] if key is not None else []) + [value, body]
-        node = self.b.add(astree.FOREACH, children, line_start=t.line, line_end=end_line)
+        node = self.b.add(astree.FOREACH, children, line_start=t[2], line_end=end_line)
         self.b.span_from_children(node)
         return node
 
@@ -571,7 +595,7 @@ class _Parser:
         self.expect_op(")")
         body, end_line = self._parse_block("endfor")
         children.append(body)
-        node = self.b.add(astree.other("for"), children, line_start=t.line, line_end=end_line)
+        node = self.b.add(astree.other("for"), children, line_start=t[2], line_end=end_line)
         self.b.span_from_children(node)
         return node
 
@@ -586,29 +610,29 @@ class _Parser:
             stmts = self.parse_statements_until(("}",))
             close = self.expect_op("}")
             sl = self.b.add(astree.STMT_LIST, stmts,
-                            line_start=open_tok.line, line_end=close.line_end)
-            return sl, close.line_end
+                            line_start=open_tok[2], line_end=close[3])
+            return sl, close[3]
         if self.at_op(":") and alt_end is not None:
             open_tok = self.next()
             kw_stops = (alt_end,) + tuple(alt_closers)
             stmts = self.parse_statements_until((), kw_closers=kw_stops)
             t = self.peek()
-            if t.type == "eof":
-                raise ParseError("unterminated '%s' block" % alt_end, open_tok.line)
-            end_line = t.line
+            if t[0] == "eof":
+                raise ParseError("unterminated '%s' block" % alt_end, open_tok[2])
+            end_line = t[2]
             if self.at_kw(alt_end):
                 self.next()
                 if self.at_op(";"):
-                    end_line = self.next().line_end
+                    end_line = self.next()[3]
             sl = self.b.add(astree.STMT_LIST, stmts,
-                            line_start=open_tok.line, line_end=end_line)
+                            line_start=open_tok[2], line_end=end_line)
             self.b.span_from_children(sl)
             return sl, end_line
         if self.at_op(";"):
             semi = self.next()
             sl = self.b.add(astree.STMT_LIST, [],
-                            line_start=semi.line, line_end=semi.line_end)
-            return sl, semi.line_end
+                            line_start=semi[2], line_end=semi[3])
+            return sl, semi[3]
         stmt = self.parse_statement()
         stmts = [stmt] if stmt is not None else []
         start = self.b._nodes[stmt].line_start if stmt is not None else self.last_line
@@ -617,25 +641,25 @@ class _Parser:
         return sl, self.b._nodes[sl].line_end
 
     def _parse_function(self, t: Token) -> int:
-        if self.peek().type == "ident" or self.at_op("&"):
+        if self.peek()[0] == "ident" or self.at_op("&"):
             if self.at_op("&"):
                 self.next()
-            if self.peek().type == "ident":
+            if self.peek()[0] == "ident":
                 self.next()  # function name, not preserved
         self._skip_balanced_parens()
-        while not self.at_op("{") and self.peek().type != "eof":
+        while not self.at_op("{") and self.peek()[0] != "eof":
             if self.at_op(";"):  # abstract/interface signature
                 semi = self.next()
                 return self.b.add(astree.other("function"),
-                                  line_start=t.line, line_end=semi.line_end)
+                                  line_start=t[2], line_end=semi[3])
             self.next()
         open_tok = self.expect_op("{")
         stmts = self.parse_statements_until(("}",))
         close = self.expect_op("}")
         body = self.b.add(astree.STMT_LIST, stmts,
-                          line_start=open_tok.line, line_end=close.line_end)
+                          line_start=open_tok[2], line_end=close[3])
         node = self.b.add(astree.other("function"), [body],
-                          line_start=t.line, line_end=close.line_end)
+                          line_start=t[2], line_end=close[3])
         return node
 
     def _parse_classlike(self, t: Token, kw: str) -> int:
@@ -643,33 +667,33 @@ class _Parser:
             self.next()
         if self.at_kw("class", "interface", "trait", "enum"):
             self.next()
-        if self.peek().type == "ident":
+        if self.peek()[0] == "ident":
             self.next()  # class name
-        while not self.at_op("{") and self.peek().type != "eof":
+        while not self.at_op("{") and self.peek()[0] != "eof":
             self.next()  # extends/implements clause
-        if self.peek().type == "eof":
-            raise ParseError("unterminated class declaration", t.line)
+        if self.peek()[0] == "eof":
+            raise ParseError("unterminated class declaration", t[2])
         self.expect_op("{")
         members: list[int] = []
-        end_line = t.line
+        end_line = t[2]
         while True:
             tok = self.peek()
-            if tok.type == "eof":
-                raise ParseError("unbalanced class body", t.line)
-            if tok.type == "op" and tok.value == "}":
-                end_line = self.next().line_end
+            if tok[0] == "eof":
+                raise ParseError("unbalanced class body", t[2])
+            if tok[0] == "op" and tok[1] == "}":
+                end_line = self.next()[3]
                 break
-            if tok.type == "ident" and tok.value.lower() in (
+            if tok[0] == "ident" and tok[1].lower() in (
                     "public", "private", "protected", "static", "var",
                     "final", "abstract", "readonly"):
                 self.next()
                 continue
-            if tok.type == "ident" and tok.value.lower() == "function":
+            if tok[0] == "ident" and tok[1].lower() == "function":
                 self.next()
                 members.append(self._parse_function(tok))
                 continue
-            if tok.type == "ident" and tok.value.lower() in ("const", "use", "case"):
-                while not self.at_op(";") and self.peek().type != "eof":
+            if tok[0] == "ident" and tok[1].lower() in ("const", "use", "case"):
+                while not self.at_op(";") and self.peek()[0] != "eof":
                     if self.at_op("{"):
                         self._skip_balanced_braces()
                         break
@@ -677,14 +701,14 @@ class _Parser:
                 if self.at_op(";"):
                     self.next()
                 continue
-            if tok.type == "var":
-                while not self.at_op(";") and self.peek().type != "eof":
+            if tok[0] == "var":
+                while not self.at_op(";") and self.peek()[0] != "eof":
                     self.next()
                 if self.at_op(";"):
                     self.next()
                 continue
             self.next()  # unknown member token, skip
-        node = self.b.add(astree.other("class"), members, line_start=t.line, line_end=end_line)
+        node = self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
         return node
 
     def _skip_balanced_parens(self) -> int:
@@ -692,131 +716,92 @@ class _Parser:
         depth = 1
         while depth:
             tok = self.next()
-            if tok.type == "eof":
+            if tok[0] == "eof":
                 raise ParseError("unbalanced parentheses", self.last_line)
-            if tok.type == "op":
-                if tok.value == "(":
+            if tok[0] == "op":
+                if tok[1] == "(":
                     depth += 1
-                elif tok.value == ")":
+                elif tok[1] == ")":
                     depth -= 1
-        return tok.line_end
+        return tok[3]
 
     def _skip_balanced_braces(self) -> int:
         while not self.at_op("{"):
-            if self.peek().type == "eof":
+            if self.peek()[0] == "eof":
                 raise ParseError("expected '{'", self.last_line)
             self.next()
         self.next()
         depth = 1
         while depth:
             tok = self.next()
-            if tok.type == "eof":
+            if tok[0] == "eof":
                 raise ParseError("unbalanced braces", self.last_line)
-            if tok.type == "op":
-                if tok.value == "{":
+            if tok[0] == "op":
+                if tok[1] == "{":
                     depth += 1
-                elif tok.value == "}":
+                elif tok[1] == "}":
                     depth -= 1
-        return tok.line_end
+        return tok[3]
 
     # -- expressions -------------------------------------------------------
-    def parse_expr(self) -> int:
-        node = self._parse_assign()
-        t = self.toks[self.pos]
-        while t.type == "ident" and t.value.lower() in _WORD_OPS:
-            self.pos += 1
-            rhs = self._parse_assign()
-            node = self._binnode(t.value.lower(), node, rhs)
-            t = self.toks[self.pos]
-        return node
-
-    def _parse_assign(self) -> int:
-        left = self._parse_ternary()
-        t = self.toks[self.pos]
-        if t.type != "op":
-            return left
-        if t.value == "=":
-            kind = astree.ASSIGN
-        elif t.value in _AUG_ASSIGN:
-            kind = "AugAssign:" + t.value
-        else:
-            return left
-        self.pos += 1
-        right = self._parse_assign()
-        node = self.b.add(kind, (left, right), line_start=self.b._nodes[left].line_start)
-        self.b.span_from_children(node)
-        return node
-
-    def _parse_ternary(self) -> int:
-        cond = self._parse_binary(1)
-        t = self.toks[self.pos]
-        if t.type != "op" or t.value != "?":
-            return cond
-        self.pos += 1
-        children = [cond]
-        if self.at_op(":"):
-            self.pos += 1
-        else:
-            children.append(self._parse_assign())
-            self.expect_op(":")
-        children.append(self._parse_assign())
-        node = self.b.add(astree.other("ternary"), children,
-                          line_start=self.b._nodes[cond].line_start)
-        self.b.span_from_children(node)
-        return node
-
-    def _parse_binary(self, min_prec: int) -> int:
+    def parse_expr(self, min_prec: int = _WORD_PREC) -> int:
+        """An expression whose operators all bind at min_prec or tighter,
+        by precedence climbing over _OPERATORS."""
         left = self._parse_unary()
+        toks, b = self.toks, self.b
         while True:
-            t = self.toks[self.pos]
-            if t.type == "op":
-                op = t.value
-            elif t.type == "ident":
-                op = t.value.lower()  # only "instanceof" has a precedence
+            t = toks[self.pos]
+            if t[0] == "op":
+                entry = _OPERATORS.get(t[1])
+            elif t[0] == "ident":
+                entry = _OPERATORS.get(t[1].lower())
             else:
                 return left
-            prec = _BIN_PREC.get(op, 0)
-            if prec < min_prec:
+            if entry is None or entry[0] < min_prec:
                 return left
             self.pos += 1
-            right = self._parse_binary(prec + 1)
-            left = self._binnode(op, left, right)
-
-    def _binnode(self, op: str, left: int, right: int) -> int:
-        kind = astree.CONCAT if op == "." else astree.binop(op)
-        node = self.b.add(kind, (left, right),
-                          line_start=self.b._nodes[left].line_start)
-        self.b.span_from_children(node)
-        return node
+            prec, rhs_prec, kind = entry
+            if prec == _TERNARY_PREC:
+                children = [left]
+                if self.at_op(":"):
+                    self.pos += 1
+                else:
+                    children.append(self.parse_expr(rhs_prec))
+                    self.expect_op(":")
+                children.append(self.parse_expr(rhs_prec))
+            else:
+                children = (left, self.parse_expr(rhs_prec))
+            left = b.add(kind, children, line_start=b._nodes[left].line_start)
+            b.span_from_children(left)
 
     def _parse_unary(self) -> int:
         t = self.toks[self.pos]
-        if t.type == "op":
-            if t.value in _UNARY:
+        if t[0] == "op":
+            if t[1] in _UNARY:
                 self.pos += 1
                 operand = self._parse_unary()
-                node = self.b.add("UnaryOp:" + t.value, (operand,), line_start=t.line)
+                node = self.b.add("UnaryOp:" + t[1], (operand,), line_start=t[2])
                 self.b.span_from_children(node)
                 return node
-            if t.value == "@" or t.value == "&":
+            if t[1] == "@" or t[1] == "&":
                 self.pos += 1  # error-suppression and references are transparent
                 return self._parse_unary()
-            if t.value == "(":
+            if t[1] == "(":
                 nxt, after = self.toks[self.pos + 1], self.toks[self.pos + 2]
-                if (nxt.type == "ident" and nxt.value.lower() in _CASTS
-                        and after.type == "op" and after.value == ")"):
+                if (nxt[0] == "ident" and nxt[1].lower() in _CASTS
+                        and after[0] == "op" and after[1] == ")"):
                     self.pos += 3
                     operand = self._parse_unary()
-                    node = self.b.add("Cast:" + nxt.value.lower(), (operand,),
-                                      line_start=t.line)
+                    node = self.b.add("Cast:" + nxt[1].lower(), (operand,),
+                                      line_start=t[2])
                     self.b.span_from_children(node)
                     return node
-        elif t.type == "ident":
-            word = t.value.lower()
+        elif t[0] == "ident":
+            word = t[1].lower()
             if word == "new" or word == "clone" or word == "print":
                 self.pos += 1
                 operand = self.parse_expr() if word == "print" else self._parse_unary()
-                node = self.b.add(astree.other(word), (operand,), line_start=t.line)
+                node = self.b.add(astree.other(word), (operand,), line_start=t[2])
                 self.b.span_from_children(node)
                 return node
         return self._parse_postfix()
@@ -826,49 +811,49 @@ class _Parser:
         toks, nodes = self.toks, self.b._nodes
         while True:
             t = toks[self.pos]
-            if t.type != "op" or t.value not in _POSTFIX:
+            if t[0] != "op" or t[1] not in _POSTFIX:
                 return node
             base = nodes[node]
-            if t.value == "(":
+            if t[1] == "(":
                 args = self._parse_arglist()
                 kind = astree.CALL if base.kind in (astree.NAME, astree.VAR) \
                     else astree.other("call")
                 node = self.b.add(kind, (node, args), line_start=base.line_start)
-            elif t.value == "[":
+            elif t[1] == "[":
                 self.pos += 1
                 if self.at_op("]"):
                     close = self.next()
                     idx = self.b.add(astree.other("empty_index"),
-                                     line_start=t.line, line_end=close.line_end)
+                                     line_start=t[2], line_end=close[3])
                 else:
                     idx = self.parse_expr()
                     close = self.expect_op("]")
                 node = self.b.add(astree.ARRAY_DIM, (node, idx),
-                                  line_start=base.line_start, line_end=close.line_end)
-            elif t.value == "->" or t.value == "::":
+                                  line_start=base.line_start, line_end=close[3])
+            elif t[1] == "->" or t[1] == "::":
                 self.pos += 1
                 member_tok = toks[self.pos]
-                if member_tok.type == "ident":
+                if member_tok[0] == "ident":
                     self.pos += 1
-                    member = self.b.add(astree.NAME, symbol=member_tok.value,
-                                        line_start=member_tok.line)
-                elif member_tok.type == "var":
+                    member = self.b.add(astree.NAME, symbol=member_tok[1],
+                                        line_start=member_tok[2])
+                elif member_tok[0] == "var":
                     self.pos += 1
-                    member = self.b.add(astree.VAR, symbol=member_tok.value,
-                                        line_start=member_tok.line)
-                elif member_tok.type == "op" and member_tok.value == "{":
+                    member = self.b.add(astree.VAR, symbol=member_tok[1],
+                                        line_start=member_tok[2])
+                elif member_tok[0] == "op" and member_tok[1] == "{":
                     self.pos += 1
                     member = self.parse_expr()
                     self.expect_op("}")
                 else:
-                    raise ParseError("expected member name after %r" % t.value, t.line)
-                tag = "prop" if t.value == "->" else "static_prop"
+                    raise ParseError("expected member name after %r" % t[1], t[2])
+                tag = "prop" if t[1] == "->" else "static_prop"
                 node = self.b.add(astree.other(tag), (node, member),
                                   line_start=base.line_start)
             else:  # postfix ++ / --
                 self.pos += 1
-                node = self.b.add("UnaryOp:post" + t.value, (node,),
-                                  line_start=base.line_start, line_end=t.line_end)
+                node = self.b.add("UnaryOp:post" + t[1], (node,),
+                                  line_start=base.line_start, line_end=t[3])
             self.b.span_from_children(node)
 
     def _parse_arglist(self) -> int:
@@ -880,7 +865,7 @@ class _Parser:
                     spread_tok = self.next()
                     inner = self.parse_expr()
                     arg = self.b.add(astree.other("spread"), [inner],
-                                     line_start=spread_tok.line)
+                                     line_start=spread_tok[2])
                     self.b.span_from_children(arg)
                 else:
                     arg = self.parse_expr()
@@ -900,89 +885,89 @@ class _Parser:
                 break
         close = self.expect_op(")")
         node = self.b.add(astree.ARG_LIST, args,
-                          line_start=open_tok.line, line_end=close.line_end)
+                          line_start=open_tok[2], line_end=close[3])
         return node
 
     def _parse_primary(self) -> int:
         t = self.toks[self.pos]
-        tt = t.type
+        tt = t[0]
         if tt == "var":
             self.pos += 1
-            return self.b.add(astree.VAR, symbol=t.value, line_start=t.line)
+            return self.b.add(astree.VAR, symbol=t[1], line_start=t[2])
         if tt == "number" or tt == "sq":
             self.pos += 1
-            return self.b.add(astree.LITERAL, value=t.value,
-                              line_start=t.line, line_end=t.line_end)
+            return self.b.add(astree.LITERAL, value=t[1],
+                              line_start=t[2], line_end=t[3])
         if tt == "dq":
             self.pos += 1
             return _build_interpolated(self.b, t)
         symbol = None
         if tt == "ident":
-            word = t.value.lower()
+            word = t[1].lower()
             self.pos += 1
             if word in ("true", "false", "null"):
-                return self.b.add(astree.LITERAL, value=word, line_start=t.line)
+                return self.b.add(astree.LITERAL, value=word, line_start=t[2])
             if word == "function":
                 return self._parse_closure(t)
             if word == "fn":
                 self._skip_balanced_parens()
                 self.expect_op("=>")
                 body = self.parse_expr()
-                node = self.b.add(astree.other("closure"), [body], line_start=t.line)
+                node = self.b.add(astree.other("closure"), [body], line_start=t[2])
                 self.b.span_from_children(node)
                 return node
-            symbol = t.value
+            symbol = t[1]
         elif tt == "op":
-            if t.value == "(":
+            if t[1] == "(":
                 self.pos += 1
                 inner = self.parse_expr()
                 self.expect_op(")")
                 return inner
-            if t.value == "[":
+            if t[1] == "[":
                 return self._parse_array_literal()
-            if t.value == "$":
+            if t[1] == "$":
                 self.pos += 1
                 if self.at_op("{"):
                     self.pos += 1
                     inner = self.parse_expr()
                     close = self.expect_op("}")
                     return self.b.add(astree.other("varvar"), [inner],
-                                      line_start=t.line, line_end=close.line_end)
+                                      line_start=t[2], line_end=close[3])
                 inner = self._parse_primary()
-                node = self.b.add(astree.other("varvar"), [inner], line_start=t.line)
+                node = self.b.add(astree.other("varvar"), [inner], line_start=t[2])
                 self.b.span_from_children(node)
                 return node
-            if t.value == "\\" and self.toks[self.pos + 1].type == "ident":
+            if t[1] == "\\" and self.toks[self.pos + 1][0] == "ident":
                 symbol = ""  # a fully qualified name: the loop below takes "\\name"
         if symbol is None:
-            raise ParseError("unexpected token %r" % (t.value or t.type),
-                             t.line or self.last_line)
-        while self.at_op("\\") and self.toks[self.pos + 1].type == "ident":
-            symbol += "\\" + self.toks[self.pos + 1].value
+            raise ParseError("unexpected token %r" % (t[1] or t[0]),
+                             t[2] or self.last_line)
+        while self.at_op("\\") and self.toks[self.pos + 1][0] == "ident":
+            symbol += "\\" + self.toks[self.pos + 1][1]
             self.pos += 2
-        return self.b.add(astree.NAME, symbol=symbol, line_start=t.line)
+        return self.b.add(astree.NAME, symbol=symbol, line_start=t[2])
 
     def _parse_closure(self, t: Token) -> int:
         self._skip_balanced_parens()
         if self.at_kw("use"):
             self.next()
             self._skip_balanced_parens()
-        while not self.at_op("{") and self.peek().type != "eof":
+        while not self.at_op("{") and self.peek()[0] != "eof":
             self.next()
         open_tok = self.expect_op("{")
         stmts = self.parse_statements_until(("}",))
         close = self.expect_op("}")
         body = self.b.add(astree.STMT_LIST, stmts,
-                          line_start=open_tok.line, line_end=close.line_end)
+                          line_start=open_tok[2], line_end=close[3])
         return self.b.add(astree.other("closure"), [body],
-                          line_start=t.line, line_end=close.line_end)
+                          line_start=t[2], line_end=close[3])
 
     def _parse_array_literal(self) -> int:
         open_tok = self.expect_op("[")
         items: list[int] = []
         while not self.at_op("]"):
-            if self.peek().type == "eof":
-                raise ParseError("unterminated array literal", open_tok.line)
+            if self.peek()[0] == "eof":
+                raise ParseError("unterminated array literal", open_tok[2])
             item = self.parse_expr()
             if self.at_op("=>"):
                 self.next()
@@ -996,7 +981,7 @@ class _Parser:
                 self.next()
         close = self.expect_op("]")
         node = self.b.add(astree.other("array"), items,
-                          line_start=open_tok.line, line_end=close.line_end)
+                          line_start=open_tok[2], line_end=close[3])
         return node
 
 
@@ -1006,11 +991,11 @@ class _Parser:
 
 def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
     """Turn a double-quoted token into Encapsed(Literal/Var/... parts) or a plain Literal."""
-    raw = tok.value
+    raw = tok[1]
     parts: list[int] = []
     buf: list[str] = []
     i, n = 0, len(raw)
-    line = tok.line + 1 if tok.heredoc else tok.line  # heredoc bodies start on the next line
+    line = tok[2] + 1 if tok[4] else tok[2]  # heredoc bodies start on the next line
     seg_line = line
 
     def flush(end_line: int) -> None:
@@ -1071,9 +1056,9 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
         buf.append(ch)
         i += 1
     if not parts:
-        return b.add(astree.LITERAL, value=raw, line_start=tok.line, line_end=tok.line_end)
+        return b.add(astree.LITERAL, value=raw, line_start=tok[2], line_end=tok[3])
     flush(line)
-    node = b.add(astree.ENCAPSED, parts, line_start=tok.line, line_end=tok.line_end)
+    node = b.add(astree.ENCAPSED, parts, line_start=tok[2], line_end=tok[3])
     return node
 
 
@@ -1156,8 +1141,8 @@ def parse_source(text: str | bytes, path: str = "<memory>") -> SourceUnit:
     b = TreeBuilder()
     p = _Parser(toks, b)
     stmts = p.parse_statements_until(())
-    if p.peek().type != "eof":
-        raise ParseError("unexpected %r at top level" % p.peek().value, p.peek().line)
+    if p.peek()[0] != "eof":
+        raise ParseError("unexpected %r at top level" % p.peek()[1], p.peek()[2])
     # token lines never decrease, so the last token ends on the last line
     root = b.add(astree.STMT_LIST, stmts, line_start=1, line_end=p.last_line)
     return b.finish(path, root)

@@ -167,8 +167,9 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
 def _depth(nodes: dict[int, TemplateNode], roots: Iterable[int]) -> int:
     """Depth of the deepest node under the roots, each root at depth 0.
 
-    A node reached twice, through a cycle or a shared child, is a format
-    error: the tree of a template is a forest.
+    A node reached twice, through a cycle or a shared child, or a node that
+    no root reaches is a format error: the tree of a template is a forest of
+    exactly its nodes.
     """
     deepest = 0
     seen: set[int] = set()
@@ -183,6 +184,9 @@ def _depth(nodes: dict[int, TemplateNode], roots: Iterable[int]) -> int:
             depth += 1
             deepest = max(deepest, depth)
             stack += [(c, depth) for c in children]
+    if len(seen) != len(nodes):
+        raise TemplateFormatError("unreachable node records: %s"
+                                  % [n for n in nodes if n not in seen][:5])
     return deepest
 
 

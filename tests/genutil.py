@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 # one "ACCEPTANCE n: PASS/FAIL ..." line per criterion; printed by the
 # pytest_terminal_summary hook in conftest.py
 ACCEPTANCE_LINES: list[str] = []
@@ -10,6 +12,23 @@ ACCEPTANCE_LINES: list[str] = []
 from analogue.corpusgen import MUTATIONS, plant_file, random_snippet, render_file, render_snippet
 from analogue.php_parser import parse_source
 from analogue.template import Template, derive_template
+
+# Text for the lexer and parser properties: pieces of PHP syntax, the
+# characters that end or open tokens, and the characters where str.isdigit,
+# str.isalpha and the regex classes disagree.
+PHP_PIECES = [
+    "<?php ", "<?=", "<?", "?>", "?>\n", "<<<EOT\n", "<<<'EOT'\n", "<<<\"EOT\"\n",
+    "EOT", "EOT;\n", "  EOT\n", "/*", "*/", "//", "#", "'", '"', "\\", "\\'",
+    '\\"', "$", "$a", "${", "{$", "->", "::", "=>", "===", "!==", "<=>", "**=",
+    "<<=", "??=", "...", "<<", "<", "?", ".", "..", ".=", "0x", "0X1F", "1e",
+    "1e+5", "1E-", "1.5", "1_0", "0", "9", "e", "E", "x", "_", "abc", "echo",
+    " ", "\t", "\n", "\r", "\r\n", "\f", "\v", "²", "①", "é", " ",
+    "\x85", "`", "\x00", "(", ")", "[", "]", "{", "}", ";", ",", "=", "+",
+    "-", "*", "/", "%", "!", "&", "|", "^", "~", "@", ":",
+]
+
+php_text = st.lists(st.one_of(st.sampled_from(PHP_PIECES), st.text(max_size=3)),
+                    max_size=40).map("".join)
 
 
 def template_from_snippet(snippet, rng: random.Random,

@@ -1,8 +1,8 @@
 """The character-by-character PHP lexer that php_parser's master regex replaced.
 
-Kept verbatim as a test oracle: tests/test_lexer_differential.py checks that
-php_parser.tokenize yields the same tokens, or the same LexError, as
-`tokenize` here.  Heredocs go through php_parser's own _lex_heredoc in both.
+Kept as a test oracle, unchanged but for building php_parser's token tuples:
+tests/test_lexer_differential.py checks that php_parser.tokenize yields the
+same tokens, or the same LexError, as `tokenize` here.  Heredocs go through php_parser's own _lex_heredoc in both.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ def tokenize(text: str) -> list[Token]:
             m = n
         if m > i:
             seg = text[i:m]
-            toks.append(Token("html", seg, line, line + seg.count("\n")))
+            toks.append(("html", seg, line, line + seg.count("\n"), False))
             line += seg.count("\n")
             i = m
         if i >= n:
@@ -28,7 +28,7 @@ def tokenize(text: str) -> list[Token]:
         if text.startswith("<?php", i):
             i += 5
         elif text.startswith("<?=", i):
-            toks.append(Token("ident", "echo", line, line))
+            toks.append(("ident", "echo", line, line, False))
             i += 3
         else:
             i += 2
@@ -48,7 +48,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             i += 1
             continue
         if text.startswith("?>", i):
-            toks.append(Token("op", "?>", line, line))
+            toks.append(("op", "?>", line, line, False))
             i += 2
             if i < n and text[i] == "\n":  # PHP swallows one newline after ?>
                 i += 1
@@ -73,17 +73,17 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 k = j + 1
                 while k < n and _is_ident_char(text[k]):
                     k += 1
-                toks.append(Token("var", text[i:k], line, line))
+                toks.append(("var", text[i:k], line, line, False))
                 i = k
                 continue
-            toks.append(Token("op", "$", line, line))
+            toks.append(("op", "$", line, line, False))
             i += 1
             continue
         if _is_ident_start(ch):
             k = i + 1
             while k < n and _is_ident_char(text[k]):
                 k += 1
-            toks.append(Token("ident", text[i:k], line, line))
+            toks.append(("ident", text[i:k], line, line, False))
             i = k
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -107,7 +107,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                         k += 2 if text[k + 1] in "+-" else 1
                     else:
                         break
-            toks.append(Token("number", text[i:k], line, line))
+            toks.append(("number", text[i:k], line, line, False))
             i = k
             continue
         if ch == "'":
@@ -129,7 +129,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 j += 1
             if j >= n:
                 raise LexError("unterminated single-quoted string", line)
-            toks.append(Token("sq", "".join(buf), line, ln))
+            toks.append(("sq", "".join(buf), line, ln, False))
             i = j + 1
             line = ln
             continue
@@ -149,7 +149,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 j += 1
             if j >= n:
                 raise LexError("unterminated double-quoted string", line)
-            toks.append(Token("dq", text[i + 1:j], line, ln))
+            toks.append(("dq", text[i + 1:j], line, ln, False))
             i = j + 1
             line = ln
             continue
@@ -157,16 +157,16 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             i, line = _lex_heredoc(text, i, line, toks)
             continue
         if text.startswith(_OPS3, i):
-            toks.append(Token("op", text[i:i + 3], line, line))
+            toks.append(("op", text[i:i + 3], line, line, False))
             i += 3
             continue
         two = text[i:i + 2]
         if two in _OPS2:
-            toks.append(Token("op", two, line, line))
+            toks.append(("op", two, line, line, False))
             i += 2
             continue
         if ch in _OPS1:
-            toks.append(Token("op", ch, line, line))
+            toks.append(("op", ch, line, line, False))
             i += 1
             continue
         raise LexError("unexpected character %r" % ch, line)

@@ -3,7 +3,9 @@
 Each case hashes the ast-v1 export of a parsed input (or the text of the
 LexError/ParseError it raises) with sha256.  The digests were recorded with
 the character-by-character lexer this parser replaced, so a change in any
-token, node, line span or error message shows up here.
+token, node, line span or error message shows up here.  The expression-soup
+digest was recorded with the chain of one function per precedence level that
+the precedence-climbing parse_expr replaced.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from analogue import astree
 from analogue.corpusgen import distinct_snippets, generate_test_corpus, scaled_file
 from analogue.interchange import export_ast
 from analogue.php_parser import LexError, ParseError, parse_source
@@ -117,6 +120,51 @@ MALFORMED = [
     "<?php } $a = 1;",
 ]
 
+_SOUP_ATOMS = ["$a", "$b", "$_GET['q']", "1", "2.5", "'s'", '"x $a {$b[0]}"', "true",
+               "null", "FOO", "Foo::$p", "\\strlen", "[1, 'k' => $a]"]
+_SOUP_BINARY = ["=", ".=", "+=", "??=", "??", "or", "and", "xor", "instanceof", "**",
+                ".", "+", "-", "*", "&&", "||", "==", "<", "&", "|"]
+_SOUP_PREFIX = ["!", "@", "&", "(int)", "(string) ", "new ", "clone ", "print ", "++",
+                "--", "-", "+", "~"]
+_SOUP_POSTFIX = ["++", "--", "()", "[]", "->p", "::$q", "->m($a)"]
+
+
+def _soup_expr(rng: random.Random, depth: int) -> list[str]:
+    """Tokens of one random expression, nested at most `depth` deep."""
+    if depth == 0 or rng.random() < 0.2:
+        return [rng.choice(_SOUP_ATOMS)]
+    sub = lambda: _soup_expr(rng, depth - 1)  # noqa: E731
+    form = rng.randrange(8)
+    if form < 3:
+        return sub() + [rng.choice(_SOUP_BINARY)] + sub()
+    if form == 3:
+        return sub() + ["?"] + sub() + [":"] + sub()
+    if form == 4:
+        return sub() + ["?:"] + sub()
+    if form == 5:
+        return [rng.choice(_SOUP_PREFIX)] + sub()
+    if form == 6:
+        post = rng.choice(_SOUP_POSTFIX + ["[", "("])
+        if post == "[":
+            return sub() + ["["] + sub() + ["]"]
+        if post == "(":
+            return sub() + ["("] + sub() + [","] + sub() + [")"]
+        return sub() + [post]
+    return ["("] + sub() + [")"]
+
+
+def expression_soup(rng: random.Random, count: int) -> list[str]:
+    """`count` one-statement PHP files of random expressions.  One in ten
+    loses a token, so that the parser's error texts are pinned too."""
+    out = []
+    for _ in range(count):
+        toks = _soup_expr(rng, rng.randint(1, 6))
+        if rng.random() < 0.1:
+            del toks[rng.randrange(len(toks))]
+        out.append("<?php\n" + "".join(t + rng.choice(" \n" if rng.random() < 0.1 else " ")
+                                        for t in toks) + ";\n")
+    return out
+
 
 def _outcome(text: str | bytes, path: str) -> str:
     try:
@@ -144,6 +192,8 @@ def tree_digests(work_dir: Path) -> dict[str, str]:
     out["edge-cases"] = _sha([_outcome(EDGE_CASES, "edge.php")])
     out["edge-cases-crlf"] = _sha([_outcome(EDGE_CASES.replace("\n", "\r\n"), "edge.php")])
     out["malformed"] = _sha([_outcome(t, "bad.php") for t in MALFORMED])
+    out["expression-soup"] = _sha([_outcome(t, "soup.php")
+                                   for t in expression_soup(random.Random(11), 4000)])
     return out
 
 
@@ -168,6 +218,8 @@ GOLDEN = {
         "f4338fc234bedc75a0e60d652a95ccfcf10a000408f2a9e842c4410dcc4e8718",
     "malformed":
         "fbeeeed362717e0a7386b0af2f9405e486e33995b282dae3660c2b45db49e20f",
+    "expression-soup":
+        "a6e28c942e86ee07dc267f2d74a5b5ca424b1191ad2a4168e004c0a98d7d6155",
 }
 
 
@@ -183,3 +235,20 @@ def test_parse_output_matches_recorded_digest(digests, case):
 
 def test_every_case_has_a_recorded_digest(digests):
     assert sorted(digests) == sorted(GOLDEN)
+
+
+# Three frames fewer per operand: at the default recursion limit, the parser
+# with one function per precedence level stopped at 140 parentheses and 123
+# concatenation groups; these depths were `too-deep` there.
+@pytest.mark.parametrize("depth", [1, 200])
+def test_nested_parentheses_parse(depth):
+    unit = parse_source("<?php $x = " + "(" * depth + "$y" + ")" * depth + ";")
+    assign = unit.nodes[unit.nodes[unit.root].children[0]]
+    assert [unit.nodes[c].kind for c in assign.children] == [astree.VAR, astree.VAR]
+
+
+@pytest.mark.parametrize("depth", [1, 180])
+def test_nested_concatenations_parse(depth):
+    unit = parse_source("<?php $x = " + "$a . (" * depth + "$y" + ")" * depth + ";")
+    # StmtList > Assign > depth concatenations > the innermost Var
+    assert unit.anchor_index().max_depth == depth + 2

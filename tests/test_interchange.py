@@ -41,6 +41,16 @@ def test_roundtrip_identity_on_random_corpus():
         assert structurally_equal(unit, import_ast(export_ast(unit)))
 
 
+def test_deep_chain_roundtrips_and_compares_equal():
+    terms = ["$v%d" % i for i in range(5000)]
+    unit = parse_source("<?php $x = " + " . ".join(terms) + ";")
+    assert unit.anchor_index().max_depth > 5000
+    assert structurally_equal(unit, import_ast(export_ast(unit)))
+    terms[0] = "$w"
+    assert not structurally_equal(
+        unit, parse_source("<?php $x = " + " . ".join(terms) + ";"))
+
+
 def test_hand_built_statement_tree_reproduces_paths():
     # the two-statement SQLi shape, written as an external record stream
     lines = [

@@ -6,35 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_lexer
+from genutil import php_text
 from analogue.php_parser import LexError, lex_fragment, tokenize
 
 
 def _outcome(lex, *args):
     try:
-        return [(t.type, t.value, t.line, t.line_end, t.heredoc) for t in lex(*args)]
+        return lex(*args)  # (type, value, line, line_end, heredoc) tuples
     except LexError as e:
         return ("LexError", str(e), e.line)
 
 
 def assert_same_tokens(text: str) -> None:
     assert _outcome(tokenize, text) == _outcome(reference_lexer.tokenize, text)
-
-
-# Pieces of PHP syntax, the characters that end or open tokens, and the
-# characters where str.isdigit, str.isalpha and the regex classes disagree.
-_PIECES = [
-    "<?php ", "<?=", "<?", "?>", "?>\n", "<<<EOT\n", "<<<'EOT'\n", "<<<\"EOT\"\n",
-    "EOT", "EOT;\n", "  EOT\n", "/*", "*/", "//", "#", "'", '"', "\\", "\\'",
-    '\\"', "$", "$a", "${", "{$", "->", "::", "=>", "===", "!==", "<=>", "**=",
-    "<<=", "??=", "...", "<<", "<", "?", ".", "..", ".=", "0x", "0X1F", "1e",
-    "1e+5", "1E-", "1.5", "1_0", "0", "9", "e", "E", "x", "_", "abc", "echo",
-    " ", "\t", "\n", "\r", "\r\n", "\f", "\v", "²", "①", "é", " ",
-    "\x85", "`", "\x00", "(", ")", "[", "]", "{", "}", ";", ",", "=", "+",
-    "-", "*", "/", "%", "!", "&", "|", "^", "~", "@", ":",
-]
-
-php_text = st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)),
-                    max_size=40).map("".join)
 
 
 @settings(max_examples=1500, deadline=None)

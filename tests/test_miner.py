@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from analogue.astree import slice_statements
-from analogue import miner
+from analogue import miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet)
@@ -115,6 +115,40 @@ def test_skip_reasons(tmp_path, monkeypatch):
                        "locked.php": SKIP_UNREADABLE}
     assert result.files_scanned == 2  # good.php and sub/inner.inc
     assert result.files_scanned + len(result.files_skipped) == 6
+
+
+def test_front_end_is_called_through_the_module_globals(tmp_path, monkeypatch):
+    """perfbench times the front end by wrapping php_parser.tokenize and
+    miner.parse_source, so every parse must go through both names."""
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    (repo / "good.php").write_text("<?php $a = $_GET['x']; sink(\"q $a\");\n")
+    (repo / "sub" / "inner.inc").write_text("<p>html</p><?php echo 2;\n")
+    (repo / "lexbad.php").write_text("<?php $a = 'unterminated\n")
+    (repo / "parsebad.php").write_text("<?php { $a = 1;\n")
+    (repo / "deep.php").write_text(DEEP_FILES["parens"])
+    (repo / "blob.php").write_bytes(b"<?php\x00binary")
+    programs = strict_programs()
+    parsed, tokenized = [], []
+
+    def tokenize(text):
+        tokenized.append(text)
+        return real_tokenize(text)
+
+    def parse_source(text, path="<memory>"):
+        parsed.append((path, text))
+        return real_parse(text, path)
+
+    real_tokenize, real_parse = php_parser.tokenize, miner.parse_source
+    monkeypatch.setattr(php_parser, "tokenize", tokenize)
+    monkeypatch.setattr(miner, "parse_source", parse_source)
+    result = scan_repository(repo, programs)
+    assert sorted(path for path, _ in parsed) == [
+        "repo/deep.php", "repo/good.php", "repo/lexbad.php", "repo/parsebad.php",
+        "repo/sub/inner.inc"]
+    assert tokenized == [text for _, text in parsed]
+    assert result.files_scanned == 2
+    assert len(result.files_skipped) == 4
 
 
 def test_parse_failure_does_not_suppress_other_files(tmp_path):

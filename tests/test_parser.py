@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genutil import php_text
 from analogue import astree
 from analogue.astree import TreeBuilder, validate_unit
 from analogue.corpusgen import filler_file, plant_file, random_snippet
@@ -164,6 +165,15 @@ def test_parser_never_crashes_on_arbitrary_text(text):
         validate_unit(unit)
     except (LexError, ParseError) as e:
         assert e.line >= 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(["", "<?php ", "<p>\n<?php\n"]), php_text)
+def test_parser_raises_only_its_own_errors_on_php_like_text(prefix, text):
+    try:
+        validate_unit(parse_source(prefix + text))
+    except (LexError, ParseError, RecursionError):
+        pass
 
 
 @settings(max_examples=80, deadline=None)

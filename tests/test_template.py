@@ -276,3 +276,11 @@ def test_deserialize_rejects_a_node_reached_twice():
             break
     with pytest.raises(TemplateFormatError, match="reached twice"):
         deserialize_template("\n".join(json.dumps(rec) for rec in lines))
+
+
+def test_deserialize_rejects_an_unreachable_record():
+    good = serialize_template(derive_from("<?php $a = $b;"))
+    lines = good.splitlines()
+    stray = json.dumps({"id": 99, "kind": "Var", "leaf_role": {"role": "var", "class": 0}})
+    with pytest.raises(TemplateFormatError, match=r"unreachable node records: \[99\]"):
+        deserialize_template("\n".join(lines[:-1] + [stray, lines[-1]]))
