@@ -117,7 +117,7 @@ _LEX_ERRORS = {
 _TOKEN = re.compile(
     r"(?:[ \t\n\r\v\f]+|(?://|\#)[^\n?]*(?:\?(?!>)[^\n?]*)*|/\*.*?\*/)*"
     r"(?:(?P<var>\$%(ident)s)|(?P<ident>%(ident)s)"
-    r"|(?P<close>\?>\n?)|(?P<heredoc><<<)|(?P<comment>/\*)"
+    r"|(?P<close>\?>(?:\r\n|\n|\r)?)|(?P<heredoc><<<)|(?P<comment>/\*)"
     r"|(?P<number>[0-9]|\.(?=[0-9\x80-\U0010ffff]))"
     r"|(?P<op>%(ops)s|[%(ops1)s])"
     r"|(?P<sq>'[^'\\]*(?:\\.[^'\\]*)*')|(?P<dq>\"[^\"\\]*(?:\\.[^\"\\]*)*\")"
@@ -151,9 +151,9 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             else:
                 i = _number_end(text, s)
                 append(("number", text[s:i], line, line, False))
-        elif kind == "close":  # PHP swallows one newline after ?>
+        elif kind == "close":  # PHP swallows one \r\n, \n or \r after ?>
             append(("op", "?>", line, line, False))
-            return i, line + i - s - 2
+            return i, line + (text[i - 1] == "\n")
         elif kind == "heredoc":
             i, line = _lex_heredoc(text, s, line, toks)
         elif kind == "end":

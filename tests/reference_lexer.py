@@ -50,9 +50,11 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
         if text.startswith("?>", i):
             toks.append(("op", "?>", line, line, False))
             i += 2
-            if i < n and text[i] == "\n":  # PHP swallows one newline after ?>
-                i += 1
-                line += 1
+            for nl in ("\r\n", "\n", "\r"):  # PHP swallows one newline after ?>
+                if text.startswith(nl, i):
+                    i += len(nl)
+                    line += nl.count("\n")
+                    break
             return i, line
         if text.startswith("//", i) or ch == "#":
             j = i + 2 if ch == "/" else i + 1

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import logging
 import multiprocessing
 import os
 import random
@@ -527,3 +529,116 @@ def test_failing_file_is_isolated(tmp_path, monkeypatch, many_repos, jobs):
     assert {"repo": "repo002", "file": "repo002/src/file1.php", "reason": "error",
             "detail": "ValueError: cannot handle repo002/src/file1.php"} \
         in map(json.loads, paths["skipped"].read_text().splitlines())
+
+
+def test_mining_makes_no_reference_cycles(tmp_path, monkeypatch):
+    """The collector is paused while a repository is scanned, which is safe
+    only while a scan builds no reference cycle.  With the collector off, a
+    pass over matches, every skip reason, a repository whose scan raises and
+    a missing one leaves nothing for gc.collect() to find."""
+    good = tmp_path / "good"
+    (good / "sub").mkdir(parents=True)
+    shutil.copy(FIXTURES / "tutorial_books.php", good / "books.php")
+    (good / "lexbad.php").write_text("<?php $a = 'unterminated\n")
+    (good / "parsebad.php").write_text("<?php { $a = 1;\n")
+    (good / "deep.php").write_text(DEEP_FILES["parens"])
+    (good / "blob.php").write_bytes(b"<?php\x00binary")
+    (good / "big.php").write_text("<?php // " + "x" * 20000 + "\n")
+    (good / "locked.php").write_text("<?php echo 3;\n")
+    (good / "sub" / "odd.php").write_text("<?php echo 1;\n")
+    failing = tmp_path / "failing"
+    failing.mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", failing / "books.php")
+    repos = [good, failing, tmp_path / "missing"]
+    real_open, real_parse, real_scan = open, miner.parse_source, miner.scan_unit
+
+    def fake_open(path, mode):
+        if path.endswith("/locked.php"):
+            raise OSError("permission denied")
+        return real_open(path, mode)
+
+    def flaky_parse(text, path=""):
+        if path == "good/sub/odd.php":
+            raise ValueError("cannot handle %s" % path)
+        return real_parse(text, path=path)
+
+    def flaky_scan(program, unit, opts=None):
+        if unit.path.startswith("failing/"):
+            raise ValueError("cannot handle %s" % unit.path)
+        return real_scan(program, unit, opts)
+
+    monkeypatch.setattr(miner, "open", fake_open, raising=False)
+    monkeypatch.setattr(miner, "parse_source", flaky_parse)
+    monkeypatch.setattr(miner, "scan_unit", flaky_scan)
+    programs, opts = strict_programs(), MinerOptions(max_file_bytes=16384)
+    mine_repositories(repos, programs, opts=opts)  # one-time caches and imports
+    gc.collect()
+    gc.disable()
+    try:
+        results = mine_repositories(repos, programs, opts=opts)
+        outcome = ([len(r.matches) for r in results], [r.error for r in results],
+                   sorted(s.reason for s in results[0].files_skipped))
+        del results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert outcome == (
+        [2, 0, 0],
+        [None, "ValueError: cannot handle failing/books.php", "missing repository path"],
+        sorted([SKIP_BINARY, SKIP_ERROR, SKIP_PARSE_ERROR, SKIP_PARSE_ERROR,
+                SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE]))
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("was_on", [True, False])
+def test_collector_is_paused_for_each_scan_and_then_restored(tmp_path, monkeypatch,
+                                                             was_on, raises):
+    seen = []
+
+    def scan(repo, programs, opts=None, repo_id=None):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("scan failed")
+        return RepoScanResult(repo_id=Path(repo).name, path=str(repo))
+
+    monkeypatch.setattr(miner, "scan_repository", scan)
+    programs = strict_programs()
+    (gc.enable if was_on else gc.disable)()
+    try:
+        results = mine_repositories([tmp_path / "a", tmp_path / "b"], programs)
+        left_on = gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+    assert left_on is was_on
+    assert [r.error for r in results] == ["RuntimeError: scan failed" if raises else None] * 2
+
+
+def test_workers_scan_with_the_collector_paused(monkeypatch, many_repos):
+    repos, programs = many_repos
+
+    def scan(repo, programs, opts=None, repo_id=None):
+        raise RuntimeError("gc enabled: %s" % gc.isenabled())
+
+    monkeypatch.setattr(miner, "scan_repository", scan)
+    fork_workers(monkeypatch)
+    results = mine_repositories(repos[:6], programs, jobs=2)
+    assert [r.error for r in results] == ["RuntimeError: gc enabled: False"] * 6
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_repository_is_logged_in_input_order(tmp_path, caplog, many_repos, jobs):
+    repos, programs = many_repos
+    repos = repos[:5] + [tmp_path / "missing"]
+    caplog.set_level(logging.INFO, logger="analogue.miner")
+    results = mine_repositories(repos, programs, jobs=jobs)
+    lines = [r.getMessage() for r in caplog.records if r.name == "analogue.miner"]
+    assert len(lines) == len(repos)
+    found = 0
+    for n, (line, r) in enumerate(zip(lines, results), 1):
+        found += len(r.matches)
+        assert line.startswith("%d/6 %s%s: %d matches so far, " % (
+            n, r.repo_id, " (error)" if r.error else "", found))
+    assert [r.repo_id for r in results] == [p.name for p in repos]
+    assert lines[-1].startswith("6/6 missing (error): ") and found > 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from genutil import php_text
 from analogue import astree
 from analogue.astree import TreeBuilder, validate_unit
 from analogue.corpusgen import filler_file, plant_file, random_snippet
-from analogue.php_parser import LexError, ParseError, parse_source
+from analogue.php_parser import LexError, ParseError, parse_source, tokenize
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def kinds_path(unit, *path):
@@ -245,6 +248,25 @@ def test_crlf_input_keeps_line_numbers():
     unit = parse_source("<?php\r\n$a = 1;\r\n$b = 2;\r\n")
     stmts = unit.children_of(unit.nodes[unit.root])
     assert [s.line_start for s in stmts] == [2, 3]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.php")))
+def test_crlf_copy_has_the_node_kinds_and_spans_of_the_lf_copy(name):
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+
+    def shape(src):
+        return [(n.kind, n.line_start, n.line_end)
+                for n in parse_source(src).iter_preorder()]
+
+    assert shape(text.replace("\n", "\r\n")) == shape(text)
+
+
+@pytest.mark.parametrize("end, html, line", [
+    ("\r\n", "<b>", 2), ("\n", "<b>", 2), ("\r", "<b>", 1),
+    ("\n\r\n", "\r\n<b>", 2), (" \n", " \n<b>", 1)])
+def test_close_tag_swallows_one_line_end(end, html, line):
+    toks = tokenize("<?php echo 1; ?>" + end + "<b>")
+    assert toks[-1][:3] == ("html", html, line)
 
 
 def test_kitchen_sink_subset_parses_and_validates():
