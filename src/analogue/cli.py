@@ -1,11 +1,13 @@
 """Command-line entry point: derive, compile, scan, mine, spider, report.
 
 Match absence is success (exit 0); a nonzero exit means the operation itself
-failed.  `--config FILE` supplies JSON defaults for any long option name.
+failed.  `--config FILE` supplies JSON defaults for the optional options,
+keyed by their dest names.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -17,9 +19,8 @@ from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
-from .engine import (ScanOptions, attach_excerpt, match_to_json,
-                     match_to_record, scan_unit)
-from .miner import (SKIP_TOO_DEEP, MinerOptions, RepoScanResult,
+from .engine import ScanOptions, attach_excerpt, match_to_record, scan_unit
+from .miner import (RECORD_ENCODER, SKIP_TOO_DEEP, MinerOptions, RepoScanResult,
                     mine_repositories, parse_file, write_mining_outputs)
 from .php_parser import LexError, ParseError
 from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
@@ -87,11 +88,8 @@ def load_query_dir(path: Path) -> list[MatcherProgram]:
 # ---------------------------------------------------------------------------
 
 def cmd_ast(args) -> int:
-    if args.action == "export":
-        unit, _ = _parse_php(args.file)
-        _write_out(interchange.export_ast(unit), args.out)
-        return 0
-    unit = interchange.import_ast(_read(args.file))
+    unit = (_parse_php(args.file)[0] if args.action == "export"
+            else interchange.import_ast(_read(args.file)))
     _write_out(interchange.export_ast(unit), args.out)
     return 0
 
@@ -137,8 +135,8 @@ def cmd_compile(args) -> int:
 
 
 def _scan_options(args) -> ScanOptions:
-    return ScanOptions(depth_pruning=not getattr(args, "no_depth_pruning", False),
-                       exact_arity=getattr(args, "exact_arity", False))
+    return ScanOptions(depth_pruning=not args.no_depth_pruning,
+                       exact_arity=args.exact_arity)
 
 
 def cmd_scan(args) -> int:
@@ -147,11 +145,10 @@ def cmd_scan(args) -> int:
     out_lines = []
     for f in args.files:
         unit, text = _parse_php(f)
-        matches, _counter = scan_unit(program, unit, opts)
-        for m in matches:
+        for m in scan_unit(program, unit, opts)[0]:
             attach_excerpt(m, text)
-            out_lines.append(match_to_json(m))
-    _write_out("".join(ln + "\n" for ln in out_lines), args.out)
+            out_lines.append(RECORD_ENCODER.encode(match_to_record(m)) + "\n")
+    _write_out("".join(out_lines), args.out)
     return 0
 
 
@@ -182,16 +179,16 @@ def cmd_spider(args) -> int:
     token = os.environ.get("GITHUB_TOKEN")
     budget = spider_mod.RateBudget(min_interval_s=args.min_interval)
     clock = spider_mod.SystemClock()
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out != "-" else sys.stdout
     kept = 0
-    try:
+    with (open(args.out, "w", encoding="utf-8") if args.out != "-"
+          else contextlib.nullcontext(sys.stdout)) as out_fh:
         for meta in spider_mod.crawl(args.api_base, budget, token=token,
                                      clock=clock, state_file=args.state,
                                      per_page=args.per_page,
                                      max_repos=args.max_repos):
-            if args.language and meta.language.lower() != args.language.lower():
-                continue
-            if meta.size_kb >= args.max_size_kb:
+            # one at a time, so records are written as the crawl goes
+            if not spider_mod.filter_candidates([meta], args.language,
+                                                args.max_size_kb):
                 continue
             bucket = spider_mod.classify(meta)
             if args.buckets != "all" and bucket != args.buckets:
@@ -208,9 +205,6 @@ def cmd_spider(args) -> int:
                     rec["download_error"] = str(e)
             out_fh.write(json.dumps(rec, sort_keys=True) + "\n")
             kept += 1
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
     print("spidered %d matching repositories" % kept, file=sys.stderr)
     return 0
 
@@ -219,18 +213,18 @@ def cmd_report(args) -> int:
     records, skipped = report_mod.load_match_records(_read(args.matches))
     if skipped:
         print("warning: skipped %d malformed records" % skipped, file=sys.stderr)
-    origins = {}
-    if args.queries:
-        for p in load_query_dir(Path(args.queries)):
-            if p.origin is not None:
-                origins[p.query_id] = _origin_label(p.origin)
+    origins = {p.query_id: _origin_label(p.origin)
+               for p in (load_query_dir(Path(args.queries)) if args.queries else ())
+               if p.origin is not None}
     bucket_for = None
     if args.repos:
         repo_records = [json.loads(ln) for ln in _read(args.repos).splitlines()
                         if ln.strip()]
         bucket_for = report_mod.bucket_resolver(repo_records)
     rows = report_mod.rows_from_records(records, origins, bucket_for)
-    if args.format == "summary":
+    if args.format == "text":
+        text = report_mod.render_text(rows)
+    else:
         text = report_mod.render_summary(rows)
         if args.stats:
             stats = [json.loads(ln) for ln in _read(args.stats).splitlines()
@@ -239,9 +233,7 @@ def cmd_report(args) -> int:
             text += "%d queries, %.2fs scan time, %d node comparisons\n" % (
                 len(queries), sum(s.get("wall_time_s", 0.0) for s in stats),
                 sum(s.get("node_comparisons", 0) for s in stats))
-        _write_out(text, args.out)
-    else:
-        _write_out(report_mod.render_text(rows), args.out)
+    _write_out(text, args.out)
     return 0
 
 
@@ -266,145 +258,152 @@ def cmd_pipeline(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(cfg: dict) -> argparse.ArgumentParser:
+def _at_least_one(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a whole number >= 1, got %r" % text)
+    return int(text)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # Options that several commands take, each declared once and passed to
+    # those commands as parents: seed selection, scan options and --jobs.
+    seed = argparse.ArgumentParser(add_help=False)
+    g = seed.add_mutually_exclusive_group()
+    g.add_argument("--lines", help="START:END slice of the seed (strict by default)")
+    g.add_argument("--full", dest="lines", action="store_const", const=None,
+                   help="the whole seed (normal by default); overrides a "
+                        "\"lines\" key in --config")
+    seed.add_argument("--symbols", choices=["preserve", "wildcard"],
+                      default="preserve")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--no-depth-pruning", action="store_true")
+    scan.add_argument("--exact-arity", action="store_true")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_at_least_one, default=1)
+
     ap = argparse.ArgumentParser(
         prog="analogue",
         description="Derive structural queries from vulnerable code snippets "
                     "and mine PHP corpora for their analogues.")
     ap.add_argument("--config", help="JSON file with option defaults")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    default=cfg.get("verbose", False))
+    ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ast", help="export or import AST interchange records")
     p.add_argument("action", choices=["export", "import"])
     p.add_argument("file")
-    p.add_argument("-o", "--out", default=cfg.get("out"))
+    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_ast)
 
-    p = sub.add_parser("derive", help="derive a wildcard template from a snippet")
+    p = sub.add_parser("derive", parents=[seed],
+                       help="derive a wildcard template from a snippet")
     p.add_argument("snippet")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--lines", help="START:END slice (implies strict mode)")
-    g.add_argument("--full", action="store_true",
-                   help="whole snippet (implies normal mode)")
-    p.add_argument("--mode", choices=["normal", "strict"],
-                   default=cfg.get("mode"))
-    p.add_argument("--symbols", choices=["preserve", "wildcard"],
-                   default=cfg.get("symbols", "preserve"))
-    p.add_argument("-o", "--out", default=cfg.get("out"))
+    p.add_argument("--mode", choices=["normal", "strict"])
+    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("compile", help="compile a template into a matcher program")
     p.add_argument("template")
     p.add_argument("--emit-script", help="also write the traversal script here")
-    p.add_argument("--out-dir", default=cfg.get("out_dir", "."))
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("scan", help="run one query over PHP files")
+    p = sub.add_parser("scan", parents=[scan], help="run one query over PHP files")
     p.add_argument("query", help="template or program file")
     p.add_argument("files", nargs="+")
-    p.add_argument("--out", "-o", default=cfg.get("out"))
-    p.add_argument("--no-depth-pruning", action="store_true")
-    p.add_argument("--exact-arity", action="store_true",
-                   default=cfg.get("exact_arity", False))
+    p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("mine", help="scan a set of repositories with all queries")
+    p = sub.add_parser("mine", parents=[jobs, scan],
+                       help="scan a set of repositories with all queries")
     p.add_argument("--repos", required=True, help="file listing repository paths")
     p.add_argument("--queries", required=True, help="directory of query files")
-    p.add_argument("--jobs", type=int, default=cfg.get("jobs", 1))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--no-depth-pruning", action="store_true")
-    p.add_argument("--exact-arity", action="store_true",
-                   default=cfg.get("exact_arity", False))
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("spider", help="enumerate and optionally download repositories")
-    p.add_argument("--language", default=cfg.get("language", "php"))
-    p.add_argument("--max-size-kb", type=int,
-                   default=cfg.get("max_size_kb", spider_mod.DEFAULT_MAX_SIZE_KB))
-    p.add_argument("--buckets", default=cfg.get("buckets", "all"),
+    p.add_argument("--language", default="php", help="empty keeps every language")
+    p.add_argument("--max-size-kb", type=int, default=spider_mod.DEFAULT_MAX_SIZE_KB)
+    p.add_argument("--buckets", default="all",
                    choices=["all", spider_mod.NOT_POPULAR, spider_mod.POPULAR,
                             spider_mod.VERY_POPULAR])
-    p.add_argument("--out", default=cfg.get("out", "-"))
+    p.add_argument("--out", default="-")
     p.add_argument("--download", help="download matching repos into this directory")
-    p.add_argument("--strategy", choices=["archive", "clone"],
-                   default=cfg.get("strategy", "archive"))
-    p.add_argument("--api-base", default=cfg.get("api_base", "https://api.github.com"))
-    p.add_argument("--state", help="cursor state file for resumable crawls",
-                   default=cfg.get("state"))
-    p.add_argument("--per-page", type=int, default=cfg.get("per_page", 100))
-    p.add_argument("--max-repos", type=int, default=cfg.get("max_repos"))
+    p.add_argument("--strategy", choices=["archive", "clone"], default="archive")
+    p.add_argument("--api-base", default="https://api.github.com")
+    p.add_argument("--state", help="cursor state file for resumable crawls")
+    p.add_argument("--per-page", type=int, default=100)
+    p.add_argument("--max-repos", type=int)
     p.add_argument("--min-interval", type=float,
-                   default=cfg.get("min_interval", spider_mod.DEFAULT_MIN_INTERVAL_S))
+                   default=spider_mod.DEFAULT_MIN_INTERVAL_S)
     p.set_defaults(func=cmd_spider)
 
     p = sub.add_parser("report", help="render match records for triage")
     p.add_argument("matches")
     p.add_argument("--stats", help="stats.jsonl, adds scan totals to the summary")
-    p.add_argument("--format", choices=["text", "summary"],
-                   default=cfg.get("format", "text"))
-    p.add_argument("--queries", help="query dir, to resolve seed origins",
-                   default=cfg.get("queries"))
-    p.add_argument("--repos", help="spidered repos.jsonl, to resolve buckets",
-                   default=cfg.get("repos"))
-    p.add_argument("-o", "--out", default=cfg.get("out"))
+    p.add_argument("--format", choices=["text", "summary"], default="text")
+    p.add_argument("--queries", help="query dir, to resolve seed origins")
+    p.add_argument("--repos", help="spidered repos.jsonl, to resolve buckets")
+    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pipeline", help="derive + compile + mine + report in one go")
+    p = sub.add_parser("pipeline", parents=[seed, jobs, scan],
+                       help="derive + compile + mine + report in one go")
     p.add_argument("seed")
     p.add_argument("corpus")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--lines", help="START:END vulnerable slice (strict query)")
-    g.add_argument("--full", action="store_true")
-    p.add_argument("--symbols", choices=["preserve", "wildcard"],
-                   default=cfg.get("symbols", "preserve"))
-    p.add_argument("--jobs", type=int, default=cfg.get("jobs", 1))
-    p.add_argument("--out", default=cfg.get("out", "analogue-out"))
-    p.add_argument("--no-depth-pruning", action="store_true")
-    p.add_argument("--exact-arity", action="store_true",
-                   default=cfg.get("exact_arity", False))
+    p.add_argument("--out", default="analogue-out")
     p.set_defaults(func=cmd_pipeline)
     return ap
 
 
-def _load_config(argv: list[str]) -> dict:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return {}
+def _apply_config(ap: argparse.ArgumentParser, path: str) -> None:
+    """Make each key of the JSON object in `path` the default of every
+    optional, non-required option whose dest it names, in every command; a
+    shared option is one action, so a key gets one value in all of them.  A
+    value is true or false for a flag, else null, a string or a number (read
+    as its text) within the option's choices.  Parsing converts it by the
+    option's type, as it does the command line, which still wins."""
     try:
-        cfg = json.loads(Path(known.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
-        raise CliError("cannot read config %s: %s" % (known.config, e))
+        raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    return cfg
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    actions = list(dict.fromkeys(
+        a for p in (ap, *sub.choices.values()) for a in p._actions
+        if a.option_strings and not a.required
+        and a.default is not argparse.SUPPRESS and a.dest != "config"))
+    for key, value in cfg.items():
+        named = [a for a in actions if a.dest == key]
+        if not named:
+            raise CliError("config key %r names no option" % key)
+        for a in named:
+            flag = isinstance(a.const, bool)
+            if not flag and type(value) in (int, float):
+                value = json.dumps(value)
+            ok = isinstance(value, bool) if flag else value is None or isinstance(value, str)
+            if not ok or (a.choices is not None and value not in a.choices):
+                raise CliError("config key %r: %s is no value for %s" % (
+                    key, json.dumps(value), "/".join(a.option_strings)))
+            a.default = value
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = _load_config(argv)
-        args = build_parser(cfg).parse_args(argv)
+        ap = build_parser()
+        args = ap.parse_args(argv)
+        if args.config:     # parse again, over the config's defaults
+            _apply_config(ap, args.config)
+            args = ap.parse_args(argv)
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (LexError, ParseError, EmptySlice, AmbiguousSlice, EmptyInput,
-            TemplateFormatError, ProgramFormatError,
-            interchange.InterchangeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except spider_mod.AuthError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CliError, OSError, LexError, ParseError, EmptySlice, AmbiguousSlice,
+            EmptyInput, TemplateFormatError, ProgramFormatError,
+            interchange.InterchangeError, spider_mod.AuthError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except RecursionError:

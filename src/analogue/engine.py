@@ -15,7 +15,6 @@ options (MatcherProgram.matcher).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import compiler
@@ -148,10 +147,6 @@ def match_to_record(m: Match) -> dict:
         "bindings": {str(k): v for k, v in sorted(m.bindings.items())},
         "excerpt": m.excerpt,
     }
-
-
-def match_to_json(m: Match) -> str:
-    return json.dumps(match_to_record(m), sort_keys=True)
 
 
 def source_lines(text: str) -> list[str]:

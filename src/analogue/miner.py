@@ -273,7 +273,9 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
     come back in input order whatever the scheduling, so two runs over the
     same corpus are identical for any jobs value.  Each repository is logged
     at INFO as its result arrives: n/N, its id, the matches so far and the
-    seconds since scanning began.
+    seconds since scanning began.  At jobs >= 2 results arrive a batch at a
+    time, so the lines come in bursts and the seconds are those of the
+    batch, not of the repository.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -308,8 +310,9 @@ def _logged(results: Iterator[RepoScanResult], total: int) -> list[RepoScanResul
 # ---------------------------------------------------------------------------
 
 # One encoder for every record but the stats lines: json.dumps with keyword
-# arguments builds a new JSONEncoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# arguments builds a new JSONEncoder per call.  `analogue scan` writes its
+# match lines through it too.
+RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 # A ScanStats record as json.dumps(record, sort_keys=True) writes it: keys in
 # sorted order, strings through the same ASCII escaper, the float by repr.
@@ -323,7 +326,7 @@ def write_mining_outputs(results: list[RepoScanResult], out_dir: str | Path) -> 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / (name + ".jsonl") for name in ("matches", "stats", "skipped")}
-    encode = _ENCODER.encode
+    encode = RECORD_ENCODER.encode
     quote = json.encoder.encode_basestring_ascii
     with open(paths["matches"], "w", encoding="utf-8") as fh:
         for r in results:

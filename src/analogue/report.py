@@ -128,17 +128,10 @@ def render_summary(rows: list[ReportRow]) -> str:
     total = 0
     total_sites = 0
     for bucket in order + sorted(k for k in counts if k not in order):
-        if bucket not in counts and bucket != "unclassified":
-            label = BUCKET_LABELS.get(bucket, bucket)
-            lines.append("%-14s %10d %10d  %s" % (label, 0, 0, "(manual review)"))
-            continue
-        if bucket not in counts:
-            continue
-        label = BUCKET_LABELS.get(bucket, bucket)
-        n = counts[bucket]
+        n, n_sites = counts.get(bucket, 0), len(sites.get(bucket, ()))
         total += n
-        total_sites += len(sites[bucket])
-        lines.append("%-14s %10d %10d  %s" % (label, n, len(sites[bucket]),
-                                              "(manual review)"))
+        total_sites += n_sites
+        lines.append("%-14s %10d %10d  %s" % (BUCKET_LABELS.get(bucket, bucket),
+                                              n, n_sites, "(manual review)"))
     lines.append("%-14s %10d %10d" % ("Total", total, total_sites))
     return "\n".join(lines) + "\n"

@@ -132,11 +132,11 @@ def classify(meta: RepoMeta) -> str:
 
 def filter_candidates(metas: list[RepoMeta], language_filter: str = "php",
                       max_size_kb: int = DEFAULT_MAX_SIZE_KB) -> list[RepoMeta]:
-    """Keep repos whose language matches (case-insensitive) and whose size is
-    strictly below max_size_kb."""
+    """Keep repos whose language matches (case-insensitive; an empty filter
+    keeps every language) and whose size is strictly below max_size_kb."""
     want = language_filter.lower()
     return [m for m in metas
-            if m.language.lower() == want and m.size_kb < max_size_kb]
+            if (not want or m.language.lower() == want) and m.size_kb < max_size_kb]
 
 
 def _meta_from_record(rec: dict, fetched_at: float) -> RepoMeta:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import re
+import shlex
 import shutil
 from pathlib import Path
 
-from analogue.cli import main
+import pytest
+
+from analogue import cli
+from analogue.cli import build_parser, main
 from analogue.mock_api import MockHub
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -360,3 +366,232 @@ def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
             piped, mined = ([{k: v for k, v in json.loads(ln).items() if k != "wall_time_s"}
                              for ln in text.splitlines()] for text in (piped, mined))
         assert piped == mined
+
+
+# Each command's options as `analogue` declared them before they were shared
+# between commands: "/"-joined option strings (or a positional's dest) ->
+# [dest, default, sorted choices, required].  The one change since is that
+# --full stores None into `lines` rather than True into `full`.
+PARSER_SPEC = {
+    "ast": {"action": ["action", None, ["export", "import"], True],
+            "file": ["file", None, None, True],
+            "-o/--out": ["out", None, None, False]},
+    "derive": {"snippet": ["snippet", None, None, True],
+               "--lines": ["lines", None, None, False],
+               "--full": ["lines", None, None, False],
+               "--mode": ["mode", None, ["normal", "strict"], False],
+               "--symbols": ["symbols", "preserve", ["preserve", "wildcard"], False],
+               "-o/--out": ["out", None, None, False]},
+    "compile": {"template": ["template", None, None, True],
+                "--emit-script": ["emit_script", None, None, False],
+                "--out-dir": ["out_dir", ".", None, False]},
+    "scan": {"query": ["query", None, None, True],
+             "files": ["files", None, None, True],
+             "--out/-o": ["out", None, None, False],
+             "--no-depth-pruning": ["no_depth_pruning", False, None, False],
+             "--exact-arity": ["exact_arity", False, None, False]},
+    "mine": {"--repos": ["repos", None, None, True],
+             "--queries": ["queries", None, None, True],
+             "--jobs": ["jobs", 1, None, False],
+             "--out": ["out", None, None, True],
+             "--no-depth-pruning": ["no_depth_pruning", False, None, False],
+             "--exact-arity": ["exact_arity", False, None, False]},
+    "spider": {"--language": ["language", "php", None, False],
+               "--max-size-kb": ["max_size_kb", 3072, None, False],
+               "--buckets": ["buckets", "all", ["all", "not-popular", "popular",
+                                                "very-popular"], False],
+               "--out": ["out", "-", None, False],
+               "--download": ["download", None, None, False],
+               "--strategy": ["strategy", "archive", ["archive", "clone"], False],
+               "--api-base": ["api_base", "https://api.github.com", None, False],
+               "--state": ["state", None, None, False],
+               "--per-page": ["per_page", 100, None, False],
+               "--max-repos": ["max_repos", None, None, False],
+               "--min-interval": ["min_interval", 0.72, None, False]},
+    "report": {"matches": ["matches", None, None, True],
+               "--stats": ["stats", None, None, False],
+               "--format": ["format", "text", ["summary", "text"], False],
+               "--queries": ["queries", None, None, False],
+               "--repos": ["repos", None, None, False],
+               "-o/--out": ["out", None, None, False]},
+    "pipeline": {"seed": ["seed", None, None, True],
+                 "corpus": ["corpus", None, None, True],
+                 "--lines": ["lines", None, None, False],
+                 "--full": ["lines", None, None, False],
+                 "--symbols": ["symbols", "preserve", ["preserve", "wildcard"], False],
+                 "--jobs": ["jobs", 1, None, False],
+                 "--out": ["out", "analogue-out", None, False],
+                 "--no-depth-pruning": ["no_depth_pruning", False, None, False],
+                 "--exact-arity": ["exact_arity", False, None, False]},
+}
+
+# The fewest arguments each command parses with.
+MINIMAL_ARGV = {
+    "ast": ["export", "f.php"], "derive": ["s.php"], "compile": ["t.jsonl"],
+    "scan": ["q.json", "f.php"], "spider": [], "report": ["m.jsonl"],
+    "mine": ["--repos", "r.txt", "--queries", "q", "--out", "o"],
+    "pipeline": ["s.php", "corpus"],
+}
+
+
+def _commands(ap):
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _config_options(parser):
+    """The options a config key may set: optional, not required, not -h."""
+    return [a for a in parser._actions if a.option_strings and not a.required
+            and not isinstance(a, argparse._HelpAction)]
+
+
+def test_each_command_keeps_its_options_defaults_and_choices():
+    commands = _commands(build_parser())
+    assert set(commands) == set(PARSER_SPEC)
+    for name, parser in commands.items():
+        spec = {"/".join(a.option_strings) or a.dest:
+                [a.dest, a.default, sorted(a.choices) if a.choices else None,
+                 a.required]
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert spec == PARSER_SPEC[name], name
+
+
+def _config_case(action):
+    """A config value for the option and the parsed value it should give."""
+    if isinstance(action.const, bool):
+        return True, True
+    if action.choices:
+        value = next(c for c in sorted(action.choices) if c != action.default)
+        return value, value
+    if action.type is not None:
+        return 7, 7
+    value = "5:6" if action.dest == "lines" else "from-config"
+    return value, value
+
+
+def _parse_with_config(cfg: dict, tmp_path, *argv):
+    """The arguments main() would hand to a command."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    ap = build_parser()
+    cli._apply_config(ap, str(path))
+    return ap.parse_args(list(argv))
+
+
+def test_config_sets_every_optional_option_and_the_command_line_wins(tmp_path):
+    cases = 0
+    for name, parser in _commands(build_parser()).items():
+        for action in _config_options(parser):
+            value, parsed = _config_case(action)
+            assert parsed != action.default
+            args = _parse_with_config({action.dest: value}, tmp_path, name,
+                                      *MINIMAL_ARGV[name])
+            assert getattr(args, action.dest) == parsed, (name, action.dest)
+            cases += 1
+    assert cases == 37
+    cfg = {"symbols": "wildcard", "jobs": 3, "lines": "5:6", "out": "cfg-out",
+           "verbose": True}
+    args = _parse_with_config(cfg, tmp_path, "pipeline", "s.php", "corpus")
+    assert (args.symbols, args.jobs, args.lines, args.out, args.verbose) == \
+        ("wildcard", 3, "5:6", "cfg-out", True)
+    args = _parse_with_config(cfg, tmp_path, "pipeline", "s.php", "corpus",
+                              "--symbols", "preserve", "--jobs", "2", "--full",
+                              "--out", "cli-out")
+    assert (args.symbols, args.jobs, args.lines, args.out) == \
+        ("preserve", 2, None, "cli-out")
+    # a required option stays on the command line
+    args = _parse_with_config(cfg, tmp_path, "mine", *MINIMAL_ARGV["mine"])
+    assert (args.out, args.jobs) == ("o", 3)
+
+
+def test_full_overrides_a_configured_slice(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lines": "5:6"}))
+    seed = str(FIXTURES / "tutorial_books.php")
+    code, out, _ = run(capsys, "--config", str(cfg), "derive", seed)
+    assert code == 0 and json.loads(out.splitlines()[0])["mode"] == "strict"
+    code, out, _ = run(capsys, "--config", str(cfg), "derive", seed, "--full")
+    assert code == 0 and json.loads(out.splitlines()[0])["mode"] == "normal"
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"lines": "5:6", "jbos": 4}, "jbos"),
+    ({"full": True}, "full"),
+    ({"config": "other.json"}, "config"),
+    ({"help": True}, "help"),
+])
+def test_an_unknown_config_key_is_an_error(tmp_path, capsys, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "--config", str(path), "derive",
+                         str(FIXTURES / "tutorial_books.php"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and repr(named) in err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"symbols": "bogus"}, {"format": "html"}, {"mode": None},
+    {"exact_arity": "yes"}, {"verbose": 1}, {"lines": True}, {"out": ["a"]},
+])
+def test_a_bad_config_value_is_an_error_not_a_traceback(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "--config", str(path), "derive",
+                       str(FIXTURES / "tutorial_books.php"))
+    assert code == 1
+    assert err.startswith("error: config key %r" % next(iter(cfg)))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs, configured", [("0", 0), ("-1", -1), ("two", "two")])
+def test_jobs_below_one_is_a_usage_error_from_either_source(tmp_path, capsys, jobs,
+                                                           configured):
+    argv = ["mine", *MINIMAL_ARGV["mine"]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": configured}))
+    for source in ([*argv, "--jobs", jobs], ["--config", str(cfg), *argv]):
+        with pytest.raises(SystemExit) as exc:
+            main(source)
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "argument --jobs: expected a whole number >= 1" in err
+        assert "Traceback" not in err
+
+
+def test_spider_filters_language_and_size_as_the_library_does(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    hub = MockHub()
+    hub.add_repo(1, "o/upper-php", size_kb=499, language="PHP")
+    hub.add_repo(2, "o/at-limit", size_kb=500, language="php")
+    hub.add_repo(3, "o/js", size_kb=100, language="JavaScript")
+    hub.add_repo(4, "o/unknown", size_kb=100, language="")
+
+    def spidered(*argv):
+        out_file = tmp_path / "repos.jsonl"
+        code, _, _ = run(capsys, "spider", "--api-base", hub.base_url,
+                         "--out", str(out_file), "--min-interval", "0", *argv)
+        assert code == 0
+        return {json.loads(ln)["full_name"]
+                for ln in out_file.read_text().splitlines()}
+
+    with hub:
+        assert spidered("--language", "php", "--max-size-kb", "500") == \
+            {"o/upper-php"}
+        assert spidered("--language", "", "--max-size-kb", "501") == \
+            {"o/upper-php", "o/at-limit", "o/js", "o/unknown"}
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [ln for ln in block.replace("\\\n", " ").splitlines()
+            if ln.startswith("analogue ")]
+
+
+def test_every_readme_cli_example_parses():
+    commands = _readme_commands()
+    assert len(commands) == 12
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.func is not None, line

@@ -73,6 +73,35 @@ def test_summary_counts_per_bucket_and_total():
     assert " 4 " in total
 
 
+
+def test_summary_text_is_pinned_byte_for_byte():
+    """All three canonical buckets (Popular empty), two unknown buckets on
+    either side of `unclassified`, repeated sites, and the empty table."""
+    buckets = {"a": "not-popular", "c": "very-popular", "m": "mystery",
+               "z": "zeta"}
+    records = [rec(file="a/x.php"), rec(file="a/x.php"),
+               rec(file="a/y.php", lines=(1, 2)), rec(file="c/x.php"),
+               rec(file="m/x.php"), rec(file="z/x.php"),
+               rec(file="z/x.php", lines=(5, 9)), rec(file="u/x.php"),
+               rec(file="u/x.php")]
+    rows = rows_from_records(
+        records, bucket_for=lambda f: buckets.get(f.split("/")[0]))
+    assert render_summary(rows) == (
+        "Data set        Analogues      Sites  Vulnerabilities\n"
+        "Not popular             3          2  (manual review)\n"
+        "Popular                 0          0  (manual review)\n"
+        "Very popular            1          1  (manual review)\n"
+        "mystery                 1          1  (manual review)\n"
+        "unclassified            2          1  (manual review)\n"
+        "zeta                    2          2  (manual review)\n"
+        "Total                   9          7\n")
+    assert render_summary([]) == (
+        "Data set        Analogues      Sites  Vulnerabilities\n"
+        "Not popular             0          0  (manual review)\n"
+        "Popular                 0          0  (manual review)\n"
+        "Very popular            0          0  (manual review)\n"
+        "Total                   0          0\n")
+
 def test_three_analogue_scan_renders_three_rows():
     # scanning the three lookalike fixtures with the wildcarded slice query
     # produces one record each; the report shows exactly those three rows
