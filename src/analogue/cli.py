@@ -55,9 +55,12 @@ def _write_out(text: str, out: str | None) -> None:
 def _parse_lines(value: str) -> tuple[int, int]:
     try:
         a, b = value.split(":")
-        return int(a), int(b)
+        first, last = int(a), int(b)
     except ValueError:
         raise CliError("--lines expects START:END, e.g. 4:6")
+    if first > last:
+        raise CliError("--lines %s: START must not exceed END" % value)
+    return first, last
 
 
 def load_query(path: Path) -> MatcherProgram:

@@ -12,6 +12,18 @@ the first and last line of its text; heredoc is True only for the sq/dq
 token of a heredoc or nowdoc body, whose text starts on the line after
 ``line``.
 
+Each statement construct has one rule.  ``parse_statement`` dispatches on
+a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
+statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
+statement position too), an alternative ``: ... endwhile;`` block or a
+single statement.  ``_parse_function`` reads functions, methods and
+closures.  Every call on these paths costs one stack frame per nesting
+level, and the recursion limit turns frames into the deepest nesting a file
+may have.  A closure is already five frames below its statement (an
+assignment's two ``parse_expr`` calls, unary, postfix, primary), so
+``_parse_function`` builds its body inline instead of through
+``_parse_block``, which would cost one more frame per nested closure.
+
 ``parse_expr`` climbs these precedence levels, loosest first:
 
 - ``or``, ``and``, ``xor``: one level, left-associative;
@@ -343,7 +355,10 @@ class _Parser:
             start_pos = self.pos
             node_mark = self.b.mark()
             try:
-                sid = self.parse_statement()
+                if t[0] == "op" and t[1] == "{":
+                    sid = self._parse_block(None)[0]
+                else:
+                    sid = self.parse_statement()
             except ParseError:
                 self.pos = start_pos
                 self.b.rollback(node_mark)
@@ -385,50 +400,23 @@ class _Parser:
             return None
         return self.b.add(astree.other("opaque"), line_start=t0[2], line_end=last[3])
 
-    def parse_statement(self) -> int | None:
-        t = self.peek()
-        if t[0] == "ident":
-            kw = t[1].lower()
-            if kw in _KEYWORDS:
-                return self._parse_keyword_statement(kw)
-        if t[0] == "op" and t[1] == "{":
-            self.next()
-            stmts = self.parse_statements_until(("}",))
-            close = self.expect_op("}")
-            sl = self.b.add(astree.STMT_LIST, stmts, line_start=t[2], line_end=close[3])
-            self.b.span_from_children(sl)
-            return sl
-        expr = self.parse_expr()
-        self._finish_simple_statement(expr)
-        return expr
-
-    def _finish_simple_statement(self, node_id: int) -> None:
+    def parse_statement(self) -> int:
+        """One statement that does not start with '{' (see parse_statements_until)."""
         t = self.toks[self.pos]
-        if t[0] == "op" and t[1] == ";":
-            self.pos += 1
-            n = self.b._nodes[node_id]
-            if t[3] > n.line_end:
-                n.line_end = t[3]
-        elif not (t[0] == "op" and t[1] == "?>" or t[0] == "eof"):
-            raise ParseError("expected ';' after statement", t[2] or self.last_line)
-
-    def _parse_keyword_statement(self, kw: str) -> int | None:
-        t = self.next()
+        kw = t[1].lower() if t[0] == "ident" else ""
+        if kw not in _KEYWORDS:
+            expr = self.parse_expr()
+            self._finish_simple_statement(expr)
+            return expr
+        self.pos += 1
         if kw == "echo":
             exprs = [self.parse_expr()]
             while self.at_op(","):
                 self.next()
                 exprs.append(self.parse_expr())
-            node = self.b.add(astree.ECHO, exprs, line_start=t[2], line_end=t[3])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
+            return self._simple(astree.ECHO, exprs, t)
         if kw == "print":
-            expr = self.parse_expr()
-            node = self.b.add(astree.other("print"), [expr], line_start=t[2])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
+            return self._simple(astree.other("print"), [self.parse_expr()], t)
         if kw == "if":
             return self._parse_if(t)
         if kw in ("endif", "endwhile", "endforeach", "endfor", "endswitch"):
@@ -449,14 +437,11 @@ class _Parser:
             children = []
             if not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
                 children.append(self.parse_expr())
-            node = self.b.add(astree.RETURN, children, line_start=t[2], line_end=t[3])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
+            return self._simple(astree.RETURN, children, t)
         if kw == "function":
-            return self._parse_function(t)
+            return self._parse_function(t, "function")
         if kw in ("class", "interface", "trait", "enum", "abstract", "final"):
-            return self._parse_classlike(t, kw)
+            return self._parse_classlike(t)
         if kw == "global":
             children = []
             while self.peek()[0] == "var":
@@ -464,23 +449,15 @@ class _Parser:
                 children.append(self.b.add(astree.VAR, symbol=v[1], line_start=v[2]))
                 if self.at_op(","):
                     self.next()
-            node = self.b.add(astree.other("global"), children, line_start=t[2], line_end=t[3])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
-        if kw in ("include", "include_once", "require", "require_once"):
-            expr = self.parse_expr()
-            node = self.b.add(astree.other(kw), [expr], line_start=t[2])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
+            return self._simple(astree.other("global"), children, t)
+        if kw in ("include", "include_once", "require", "require_once", "throw"):
+            return self._simple(astree.other(kw), [self.parse_expr()], t)
         if kw == "switch":
             self.expect_op("(")
             cond = self.parse_expr()
             self.expect_op(")")
-            end_line = self._skip_balanced_braces()
-            node = self.b.add(astree.other("switch"), [cond], line_start=t[2], line_end=end_line)
-            return node
+            end_line = self._skip_balanced("{")
+            return self.b.add(astree.other("switch"), [cond], line_start=t[2], line_end=end_line)
         if kw == "do":
             body, _ = self._parse_block(None)
             if not self.at_kw("while"):
@@ -497,36 +474,43 @@ class _Parser:
         if kw in ("break", "continue"):
             if self.peek()[0] == "number":
                 self.next()
-            node = self.b.add(astree.other(kw), line_start=t[2], line_end=t[3])
-            self._finish_simple_statement(node)
-            return node
+            return self._simple(astree.other(kw), [], t)
         if kw == "try":
-            end_line = self._skip_balanced_braces()
+            end_line = self._skip_balanced("{")
             while self.at_kw("catch", "finally"):
                 self.next()
                 if self.at_op("("):
-                    self._skip_balanced_parens()
-                end_line = self._skip_balanced_braces()
+                    self._skip_balanced("(")
+                end_line = self._skip_balanced("{")
             return self.b.add(astree.other("try"), line_start=t[2], line_end=end_line)
-        if kw == "throw":
-            expr = self.parse_expr()
-            node = self.b.add(astree.other("throw"), [expr], line_start=t[2])
-            self.b.span_from_children(node)
-            self._finish_simple_statement(node)
-            return node
         if kw in ("namespace", "use"):
             last = t
             while not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
                 if self.at_op("{"):
-                    end_line = self._skip_balanced_braces()
+                    end_line = self._skip_balanced("{")
                     return self.b.add(astree.other(kw), line_start=t[2], line_end=end_line)
                 last = self.next()
             if self.at_op(";"):
                 last = self.next()
             return self.b.add(astree.other(kw), line_start=t[2], line_end=last[3])
-        if kw in ("elseif", "else"):
-            raise ParseError("'%s' without matching if" % kw, t[2])
-        raise ParseError("unhandled keyword %r" % kw, t[2])
+        raise ParseError("'%s' without matching if" % kw, t[2])  # elseif, else
+
+    def _simple(self, kind: str, children: list[int], t: Token) -> int:
+        """The node of keyword t's statement, spanning t and children; takes its ';'."""
+        node = self.b.add(kind, children, line_start=t[2], line_end=t[3])
+        self.b.span_from_children(node)
+        self._finish_simple_statement(node)
+        return node
+
+    def _finish_simple_statement(self, node_id: int) -> None:
+        t = self.toks[self.pos]
+        if t[0] == "op" and t[1] == ";":
+            self.pos += 1
+            n = self.b._nodes[node_id]
+            if t[3] > n.line_end:
+                n.line_end = t[3]
+        elif not (t[0] == "op" and t[1] == "?>" or t[0] == "eof"):
+            raise ParseError("expected ';' after statement", t[2] or self.last_line)
 
     def _parse_if(self, t: Token) -> int:
         self.expect_op("(")
@@ -534,24 +518,21 @@ class _Parser:
         self.expect_op(")")
         then_sl, end_line = self._parse_block("endif", alt_closers=("elseif", "else"))
         children = [cond, then_sl]
+        elif_tok = None
         if self.at_kw("elseif"):
-            kw_tok = self.peek()
-            self.next()
-            nested = self._parse_if(kw_tok)
-            else_sl = self.b.add(astree.STMT_LIST, [nested],
-                                 line_start=kw_tok[2])
-            self.b.span_from_children(else_sl)
-            children.append(else_sl)
+            elif_tok = self.next()
         elif self.at_kw("else"):
             self.next()
-            if self.at_kw("if"):
-                kw_tok = self.peek()
-                self.next()
-                nested = self._parse_if(kw_tok)
-                else_sl = self.b.add(astree.STMT_LIST, [nested], line_start=kw_tok[2])
-                self.b.span_from_children(else_sl)
+            if self.at_kw("if"):  # "else if" is "elseif"
+                elif_tok = self.next()
             else:
                 else_sl, end_line = self._parse_block("endif")
+                children.append(else_sl)
+        if elif_tok is not None:
+            # the nested if is the else branch's only statement
+            else_sl = self.b.add(astree.STMT_LIST, [self._parse_if(elif_tok)],
+                                 line_start=elif_tok[2])
+            self.b.span_from_children(else_sl)
             children.append(else_sl)
         node = self.b.add(astree.IF, children, line_start=t[2], line_end=end_line)
         self.b.span_from_children(node)
@@ -634,35 +615,33 @@ class _Parser:
                             line_start=semi[2], line_end=semi[3])
             return sl, semi[3]
         stmt = self.parse_statement()
-        stmts = [stmt] if stmt is not None else []
-        start = self.b._nodes[stmt].line_start if stmt is not None else self.last_line
-        sl = self.b.add(astree.STMT_LIST, stmts, line_start=start)
+        sl = self.b.add(astree.STMT_LIST, [stmt], line_start=self.b._nodes[stmt].line_start)
         self.b.span_from_children(sl)
         return sl, self.b._nodes[sl].line_end
 
-    def _parse_function(self, t: Token) -> int:
-        if self.peek()[0] == "ident" or self.at_op("&"):
-            if self.at_op("&"):
-                self.next()
-            if self.peek()[0] == "ident":
-                self.next()  # function name, not preserved
-        self._skip_balanced_parens()
+    def _parse_function(self, t: Token, tag: str) -> int:
+        """A function or method (tag "function") or a closure (tag "closure")
+        after its keyword t; its name, parameters, use list and return type
+        are skipped.  The body is built here, not by _parse_block, to save a
+        frame per nested closure (see the module docstring)."""
+        if self.at_op("&"):
+            self.next()
+        if self.peek()[0] == "ident":
+            self.next()  # function name, not preserved
+        self._skip_balanced("(")
         while not self.at_op("{") and self.peek()[0] != "eof":
             if self.at_op(";"):  # abstract/interface signature
                 semi = self.next()
-                return self.b.add(astree.other("function"),
-                                  line_start=t[2], line_end=semi[3])
+                return self.b.add(astree.other(tag), line_start=t[2], line_end=semi[3])
             self.next()
         open_tok = self.expect_op("{")
         stmts = self.parse_statements_until(("}",))
         close = self.expect_op("}")
         body = self.b.add(astree.STMT_LIST, stmts,
                           line_start=open_tok[2], line_end=close[3])
-        node = self.b.add(astree.other("function"), [body],
-                          line_start=t[2], line_end=close[3])
-        return node
+        return self.b.add(astree.other(tag), [body], line_start=t[2], line_end=close[3])
 
-    def _parse_classlike(self, t: Token, kw: str) -> int:
+    def _parse_classlike(self, t: Token) -> int:
         while self.at_kw("abstract", "final", "readonly"):
             self.next()
         if self.at_kw("class", "interface", "trait", "enum"):
@@ -690,19 +669,16 @@ class _Parser:
                 continue
             if tok[0] == "ident" and tok[1].lower() == "function":
                 self.next()
-                members.append(self._parse_function(tok))
+                members.append(self._parse_function(tok, "function"))
                 continue
-            if tok[0] == "ident" and tok[1].lower() in ("const", "use", "case"):
+            if tok[0] == "var" or tok[0] == "ident" and tok[1].lower() in (
+                    "const", "use", "case"):
+                # a property, constant, trait use or enum case ends at ';' or
+                # with a {...} block: property hooks or trait adaptations
                 while not self.at_op(";") and self.peek()[0] != "eof":
                     if self.at_op("{"):
-                        self._skip_balanced_braces()
+                        self._skip_balanced("{")
                         break
-                    self.next()
-                if self.at_op(";"):
-                    self.next()
-                continue
-            if tok[0] == "var":
-                while not self.at_op(";") and self.peek()[0] != "eof":
                     self.next()
                 if self.at_op(";"):
                     self.next()
@@ -711,35 +687,30 @@ class _Parser:
         node = self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
         return node
 
-    def _skip_balanced_parens(self) -> int:
-        self.expect_op("(")
-        depth = 1
-        while depth:
-            tok = self.next()
-            if tok[0] == "eof":
-                raise ParseError("unbalanced parentheses", self.last_line)
-            if tok[0] == "op":
-                if tok[1] == "(":
-                    depth += 1
-                elif tok[1] == ")":
-                    depth -= 1
-        return tok[3]
+    def _skip_balanced(self, opener: str) -> int:
+        """Skip past the next '(' or '{' and its match; return the match's end line.
 
-    def _skip_balanced_braces(self) -> int:
-        while not self.at_op("{"):
-            if self.peek()[0] == "eof":
-                raise ParseError("expected '{'", self.last_line)
+        '(' must be the next token; tokens before a '{' are skipped too.
+        """
+        if opener == "(":
+            self.expect_op("(")
+        else:
+            while not self.at_op("{"):
+                if self.peek()[0] == "eof":
+                    raise ParseError("expected '{'", self.last_line)
+                self.next()
             self.next()
-        self.next()
+        closer = ")" if opener == "(" else "}"
         depth = 1
         while depth:
             tok = self.next()
             if tok[0] == "eof":
-                raise ParseError("unbalanced braces", self.last_line)
+                raise ParseError("unbalanced parentheses" if opener == "("
+                                 else "unbalanced braces", self.last_line)
             if tok[0] == "op":
-                if tok[1] == "{":
+                if tok[1] == opener:
                     depth += 1
-                elif tok[1] == "}":
+                elif tok[1] == closer:
                     depth -= 1
         return tok[3]
 
@@ -870,12 +841,7 @@ class _Parser:
                 else:
                     arg = self.parse_expr()
                     if self.at_op("=>"):  # array(...) literals share this path
-                        self.next()
-                        val = self.parse_expr()
-                        pair = self.b.add(astree.other("kv"), [arg, val],
-                                          line_start=self.b._nodes[arg].line_start)
-                        self.b.span_from_children(pair)
-                        arg = pair
+                        arg = self._kv(arg)
                 args.append(arg)
                 if self.at_op(","):
                     self.next()
@@ -908,9 +874,9 @@ class _Parser:
             if word in ("true", "false", "null"):
                 return self.b.add(astree.LITERAL, value=word, line_start=t[2])
             if word == "function":
-                return self._parse_closure(t)
+                return self._parse_function(t, "closure")
             if word == "fn":
-                self._skip_balanced_parens()
+                self._skip_balanced("(")
                 self.expect_op("=>")
                 body = self.parse_expr()
                 node = self.b.add(astree.other("closure"), [body], line_start=t[2])
@@ -947,21 +913,6 @@ class _Parser:
             self.pos += 2
         return self.b.add(astree.NAME, symbol=symbol, line_start=t[2])
 
-    def _parse_closure(self, t: Token) -> int:
-        self._skip_balanced_parens()
-        if self.at_kw("use"):
-            self.next()
-            self._skip_balanced_parens()
-        while not self.at_op("{") and self.peek()[0] != "eof":
-            self.next()
-        open_tok = self.expect_op("{")
-        stmts = self.parse_statements_until(("}",))
-        close = self.expect_op("}")
-        body = self.b.add(astree.STMT_LIST, stmts,
-                          line_start=open_tok[2], line_end=close[3])
-        return self.b.add(astree.other("closure"), [body],
-                          line_start=t[2], line_end=close[3])
-
     def _parse_array_literal(self) -> int:
         open_tok = self.expect_op("[")
         items: list[int] = []
@@ -970,12 +921,7 @@ class _Parser:
                 raise ParseError("unterminated array literal", open_tok[2])
             item = self.parse_expr()
             if self.at_op("=>"):
-                self.next()
-                val = self.parse_expr()
-                pair = self.b.add(astree.other("kv"), [item, val],
-                                  line_start=self.b._nodes[item].line_start)
-                self.b.span_from_children(pair)
-                item = pair
+                item = self._kv(item)
             items.append(item)
             if self.at_op(","):
                 self.next()
@@ -983,6 +929,15 @@ class _Parser:
         node = self.b.add(astree.other("array"), items,
                           line_start=open_tok[2], line_end=close[3])
         return node
+
+    def _kv(self, key: int) -> int:
+        """The pair key => value, with '=>' the next token.  Callers parse
+        the key themselves, so an item without '=>' costs no frame here."""
+        self.next()
+        pair = self.b.add(astree.other("kv"), [key, self.parse_expr()],
+                          line_start=self.b._nodes[key].line_start)
+        self.b.span_from_children(pair)
+        return pair
 
 
 # ---------------------------------------------------------------------------

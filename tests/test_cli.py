@@ -90,6 +90,17 @@ def test_derive_errors_exit_nonzero(tmp_path, capsys):
     assert "no statement" in err
 
 
+def test_inverted_lines_is_an_error_not_a_traceback(tmp_path, capsys):
+    seed = str(FIXTURES / "tutorial_books.php")
+    (tmp_path / "corpus").mkdir()
+    for argv in (["derive", seed, "--lines", "6:4"],
+                 ["pipeline", seed, str(tmp_path / "corpus"), "--lines", "6:4",
+                  "--out", str(tmp_path / "out")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: --lines 6:4: START must not exceed END\n"
+
+
 def test_scan_without_matches_exits_zero(tmp_path, capsys):
     tmpl = tmp_path / "t.tmpl.jsonl"
     assert run(capsys, "derive", str(FIXTURES / "tutorial_books.php"),

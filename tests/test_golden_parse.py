@@ -248,6 +248,29 @@ def test_nested_parentheses_parse(depth):
     assert [unit.nodes[c].kind for c in assign.children] == [astree.VAR, astree.VAR]
 
 
+# Each block construct nested to about 85% of the depth at which it ran into
+# the default recursion limit, measured outside pytest, before statement
+# dispatch, blocks and functions had one rule each: bare block 493, if 197,
+# while with ':' 246, named function 246, closure 123, array literal 197,
+# else-if chain 985 (parentheses: the test above).  These depths parse both
+# before and after; one more frame per nesting level makes one of them fail.
+@pytest.mark.parametrize("head, opener, inner, closer, tail, depth, levels", [
+    ("", "{", "$y = 1;", "}", "", 419, 1),
+    ("", "if ($a) {", "$y = 1;", "}", "", 167, 2),
+    ("", "while ($a):", "$y = 1;", "endwhile;", "", 209, 2),
+    ("", "function f() {", "$y = 1;", "}", "", 209, 2),
+    ("", "$f = function () {", "$y = 1;", "};", "", 104, 3),
+    ("$x = ", "[", "1", "]", ";", 167, 1),
+    ("if ($a) {}", " else if ($a) {}", "", "", "", 837, 2),
+], ids=["block", "if", "while-colon", "function", "closure", "array", "else-if"])
+def test_nested_blocks_parse(head, opener, inner, closer, tail, depth, levels):
+    unit = parse_source("<?php " + head + opener * depth + inner + closer * depth + tail)
+    # each nesting step adds `levels` tree levels (If > StmtList, Assign >
+    # closure > StmtList, ...); the innermost statement's operands sit two
+    # levels below the last step
+    assert unit.anchor_index().max_depth == levels * depth + 2
+
+
 @pytest.mark.parametrize("depth", [1, 180])
 def test_nested_concatenations_parse(depth):
     unit = parse_source("<?php $x = " + "$a . (" * depth + "$y" + ")" * depth + ";")

@@ -341,3 +341,32 @@ $a = 1;
     body = unit.children_of(method)[0]
     assert body.kind == astree.STMT_LIST
     assert unit.nodes[body.children[0]].kind == astree.ECHO
+
+
+def test_property_hooks_do_not_end_the_class_body():
+    unit = parse_source("""<?php
+class User {
+    public string $name { get => $this->n; set { $this->n = $value; } }
+}
+$x = $_GET['a']; mysql_query($x);
+""")
+    root = unit.nodes[unit.root]
+    assert [(n.kind, n.line_start, n.line_end) for n in unit.children_of(root)] \
+        == [("Other:class", 2, 4), (astree.ASSIGN, 5, 5), (astree.CALL, 5, 5)]
+    # both statements are scan positions of the top-level StmtList
+    index = unit.anchor_index()
+    assert [index.by_kind[k] for k in (astree.ASSIGN, astree.CALL)] \
+        == [[(unit.root, 0, 1, 3)], [(unit.root, 0, 2, 3)]]
+
+
+@pytest.mark.parametrize("closure", [
+    "function ($row) use ($total)",
+    "function &($row) use (&$total): array",   # returns by reference
+])
+def test_closure_body_is_a_statement_list(closure):
+    unit = parse_source("<?php $cb = %s { return $row + $total; };" % closure)
+    node = kinds_path(unit, 0, 1)
+    assert node.kind == "Other:closure"
+    body = unit.children_of(node)[0]
+    assert body.kind == astree.STMT_LIST
+    assert [n.kind for n in unit.children_of(body)] == [astree.RETURN]
