@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .template import (ApiSymbol, SeedOrigin, Template, VarWildcard,
                        query_id_of)
@@ -30,8 +32,7 @@ NEXT = "next"          # advance to the next consecutive statement
 NAVIGATION = (DESCEND, ASCEND, NEXT)
 
 
-@dataclass(frozen=True)
-class MatcherStep:
+class MatcherStep(NamedTuple):
     op: str
     node_id: int                    # template node this step came from
     kind: str | None = None
@@ -57,12 +58,6 @@ class MatcherProgram:
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_matchers": {}}
-
-    def step_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.op] = out.get(s.op, 0) + 1
-        return out
 
     @cached_property
     def preserved_symbols(self) -> frozenset:
@@ -93,28 +88,37 @@ def compile_template(t: Template) -> MatcherProgram:
     occurrence of each variable class binds and later ones compare."""
     steps: list[MatcherStep] = []
     bound: set[int] = set()
-
-    def emit(node_id: int) -> None:
-        n = t.nodes[node_id]
-        steps.append(MatcherStep(KIND, node_id, kind=n.kind, arity=len(n.children)))
-        role = n.leaf_role
-        if isinstance(role, ApiSymbol):
-            steps.append(MatcherStep(SYMBOL, node_id, name=role.name))
-        elif isinstance(role, VarWildcard):
-            if role.class_id in bound:
-                steps.append(MatcherStep(CHECK, node_id, class_id=role.class_id))
-            else:
-                bound.add(role.class_id)
-                steps.append(MatcherStep(BIND, node_id, class_id=role.class_id))
-        for i, c in enumerate(n.children):
-            steps.append(MatcherStep(DESCEND, c, child_index=i))
-            emit(c)
-            steps.append(MatcherStep(ASCEND, node_id))
-
+    nodes = t.nodes
     for i, root in enumerate(t.statements):
         if i:
             steps.append(MatcherStep(NEXT, root))
-        emit(root)
+        # node ids still to emit, between the DESCEND and ASCEND steps
+        # that lead into and out of them
+        stack: list = [root]
+        while stack:
+            item = stack.pop()
+            if type(item) is MatcherStep:
+                steps.append(item)
+                continue
+            n = nodes[item]
+            children = n.children
+            steps.append(MatcherStep(KIND, item, n.kind, len(children)))
+            role = n.leaf_role
+            if type(role) is ApiSymbol:
+                steps.append(MatcherStep(SYMBOL, item, None, None, role.name))
+            elif type(role) is VarWildcard:
+                cls = role.class_id
+                if cls in bound:
+                    steps.append(MatcherStep(CHECK, item, None, None, None, cls))
+                else:
+                    bound.add(cls)
+                    steps.append(MatcherStep(BIND, item, None, None, None, cls))
+            if children:
+                ascend = MatcherStep(ASCEND, item)
+                for k in range(len(children) - 1, -1, -1):
+                    c = children[k]
+                    stack += (ascend, c,
+                              MatcherStep(DESCEND, c, None, None, None, None, k))
 
     return MatcherProgram(steps=tuple(steps),
                           statement_count=len(t.statements),
@@ -320,27 +324,53 @@ def build_matcher(p: MatcherProgram, exact_arity: bool = False,
 # ---------------------------------------------------------------------------
 
 def serialize_program(p: MatcherProgram) -> str:
+    """The program as prog-v1 text: json.dumps(doc, sort_keys=True, indent=1)
+    plus a line break, doc holding the header fields, the origin and one
+    record per step with op, node and each of the step's other fields that
+    is not None.  Given an indent, json encodes in pure Python, so the fixed
+    layout is written here, around values that _json encodes."""
     steps = []
-    for s in p.steps:
-        rec: dict = {"op": s.op, "node": s.node_id}
-        for key, val in (("kind", s.kind), ("arity", s.arity), ("name", s.name),
-                         ("class", s.class_id), ("child", s.child_index)):
-            if val is not None:
-                rec[key] = val
-        steps.append(rec)
-    doc = {
-        "format": FORMAT,
-        "query_id": p.query_id,
-        "statement_count": p.statement_count,
-        "var_class_count": p.var_class_count,
-        "template_depth": p.template_depth,
-        "symbol_policy": p.symbol_policy,
-        "origin": None if p.origin is None else {
-            "path": p.origin.path,
-            "lines": [p.origin.line_start, p.origin.line_end]},
-        "steps": steps,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    for op, node_id, kind, arity, name, class_id, child_index in p.steps:
+        rec = "  {\n"
+        if arity is not None:
+            rec += '   "arity": %s,\n' % _json(arity, 3)
+        if child_index is not None:
+            rec += '   "child": %s,\n' % _json(child_index, 3)
+        if class_id is not None:
+            rec += '   "class": %s,\n' % _json(class_id, 3)
+        if kind is not None:
+            rec += '   "kind": %s,\n' % _json(kind, 3)
+        if name is not None:
+            rec += '   "name": %s,\n' % _json(name, 3)
+        steps.append(rec + '   "node": %s,\n   "op": %s\n  }'
+                     % (_json(node_id, 3), _json(op, 3)))
+    o = p.origin
+    origin = "null" if o is None else (
+        '{\n  "lines": [\n   %s,\n   %s\n  ],\n  "path": %s\n }'
+        % (_json(o.line_start, 3), _json(o.line_end, 3), _json(o.path, 2)))
+    return ('{\n "format": %s,\n "origin": %s,\n "query_id": %s,\n'
+            ' "statement_count": %s,\n "steps": %s,\n "symbol_policy": %s,\n'
+            ' "template_depth": %s,\n "var_class_count": %s\n}\n'
+            % (_json(FORMAT, 1), origin, _json(p.query_id, 1),
+               _json(p.statement_count, 1),
+               "[\n%s\n ]" % ",\n".join(steps) if steps else "[]",
+               _json(p.symbol_policy, 1), _json(p.template_depth, 1),
+               _json(p.var_class_count, 1)))
+
+
+def _json(value, level: int) -> str:
+    """value as json.dumps(..., sort_keys=True, indent=1) writes it nested
+    `level` deep.  Strings, ints and None are encoded as json encodes them;
+    any other value by json itself, its line breaks indented to the level
+    (no string json writes holds a raw line break)."""
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
 
 
 def deserialize_program(text: str) -> MatcherProgram:
@@ -358,10 +388,9 @@ def deserialize_program(text: str) -> MatcherProgram:
     for i, rec in enumerate(raw_steps):
         if not isinstance(rec, dict) or "op" not in rec or "node" not in rec:
             raise ProgramFormatError("malformed step %d" % i)
-        steps.append(MatcherStep(op=rec["op"], node_id=rec["node"],
-                                 kind=rec.get("kind"), arity=rec.get("arity"),
-                                 name=rec.get("name"), class_id=rec.get("class"),
-                                 child_index=rec.get("child")))
+        steps.append(MatcherStep(rec["op"], rec["node"], rec.get("kind"),
+                                 rec.get("arity"), rec.get("name"), rec.get("class"),
+                                 rec.get("child")))
     header = {"statement_count": 1, "var_class_count": 0, "template_depth": 0}
     for key in header:
         header[key] = doc.get(key, header[key])

@@ -368,7 +368,10 @@ class _Parser:
         return out
 
     def _recover_statement(self) -> int | None:
-        """Swallow a malformed statement: skip to ';' at bracket depth 0."""
+        """Swallow a malformed statement: skip to ';' at bracket depth 0.
+
+        A closing bracket at depth 0 ends the statement before it, or, when
+        the statement starts with one, is the whole statement."""
         t0 = self.peek()
         depth = 0
         last = t0
@@ -385,7 +388,8 @@ class _Parser:
                 elif t[1] in ")]}":
                     if depth == 0:
                         if not progressed:
-                            raise ParseError("unexpected %r" % t[1], t[2])
+                            last = self.next()
+                            progressed = True
                         break
                     depth -= 1
                 elif t[1] == ";" and depth == 0:
@@ -456,7 +460,7 @@ class _Parser:
             self.expect_op("(")
             cond = self.parse_expr()
             self.expect_op(")")
-            end_line = self._skip_balanced("{")
+            end_line = self._skip_alt_switch() if self.at_op(":") else self._skip_balanced("{")
             return self.b.add(astree.other("switch"), [cond], line_start=t[2], line_end=end_line)
         if kw == "do":
             body, _ = self._parse_block(None)
@@ -713,6 +717,29 @@ class _Parser:
                 elif tok[1] == closer:
                     depth -= 1
         return tok[3]
+
+    def _skip_alt_switch(self) -> int:
+        """Skip the ':' that opens an alternative-syntax switch body, the body
+        and its matching 'endswitch' with its ';'; return the end line.  A
+        nested switch counts only in the ':' form, a ':' after its ')'."""
+        open_tok = self.next()
+        depth = 1
+        while True:
+            prev, tok = self.toks[self.pos - 1], self.next()
+            if tok[0] == "eof":
+                raise ParseError("unterminated 'endswitch' block", open_tok[2])
+            if tok[0] != "ident" or prev[0] == "op" and prev[1] in ("->", "::"):
+                continue
+            word = tok[1].lower()
+            if word == "switch" and self.at_op("("):
+                self._skip_balanced("(")
+                if self.at_op(":"):
+                    self.next()
+                    depth += 1
+            elif word == "endswitch":
+                depth -= 1
+                if not depth:
+                    return self.next()[3] if self.at_op(";") else tok[3]
 
     # -- expressions -------------------------------------------------------
     def parse_expr(self, min_prec: int = _WORD_PREC) -> int:

@@ -135,14 +135,16 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
     if symbol_policy not in SYMBOL_POLICIES:
         raise ValueError("symbol_policy must be one of %s" % (SYMBOL_POLICIES,))
 
-    nodes: dict[int, TemplateNode] = {}
+    # A walk with an explicit stack, so that a tree of any depth derives.  Ids
+    # and classes are given in pre-order; each node's children list is
+    # filled in as its children are reached.
+    records: list[tuple[str, LeafRole | None, list[int]]] = []
     classes: dict[str, int] = {}
-    counter = 0
-
-    def copy(src: AstNode) -> int:
-        nonlocal counter
-        node_id = counter
-        counter += 1
+    statement_ids: list[int] = []
+    stack = [(stmt, statement_ids) for stmt in reversed(statements)]
+    while stack:
+        src, siblings = stack.pop()
+        siblings.append(len(records))
         role: LeafRole | None = None
         if src.kind == astree.VAR:
             role = VarWildcard(classes.setdefault(src.symbol, len(classes)))
@@ -150,12 +152,12 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
             role = LiteralWildcard()
         elif src.kind == astree.NAME:
             role = ApiSymbol(src.symbol) if symbol_policy == "preserve" else CallWildcard()
-        children = tuple([copy(c) for c in unit.children_of(src)])
-        nodes[node_id] = TemplateNode(id=node_id, kind=src.kind,
-                                      children=children, leaf_role=role)
-        return node_id
-
-    roots = tuple(copy(stmt) for stmt in statements)
+        children: list[int] = []
+        records.append((src.kind, role, children))
+        stack += [(c, children) for c in reversed(unit.children_of(src))]
+    nodes = {i: TemplateNode(id=i, kind=kind, children=tuple(children), leaf_role=role)
+             for i, (kind, role, children) in enumerate(records)}
+    roots = tuple(statement_ids)
     origin = SeedOrigin(path=unit.path,
                         line_start=min(s.line_start for s in statements),
                         line_end=max(s.line_end for s in statements))

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 
 from analogue import astree
 from analogue.astree import slice_statements
 from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT,
-                               SYMBOL, compile_template, deserialize_program,
+                               SYMBOL, MatcherProgram, MatcherStep,
+                               compile_template, deserialize_program,
                                export_traversal_script, serialize_program,
                                validate_program)
 from analogue.corpusgen import random_snippet, render_file, render_snippet
 from analogue.engine import scan_unit
 from analogue.php_parser import parse_source
-from analogue.template import (ApiSymbol, VarWildcard, derive_template,
-                               query_id_of)
+from analogue.template import (ApiSymbol, SeedOrigin, VarWildcard,
+                               derive_template, query_id_of)
 
 
 def compile_from(text: str, lines=None, **kw):
@@ -76,16 +79,16 @@ def test_step_counts_match_independent_walk():
 
         for r in t.statements:
             walk(r)
-        counts = p.step_counts()
+        counts = Counter(s.op for s in p.steps)
         # filter/bind/check/next steps follow the template feature counts;
         # explicit navigation adds one descend+ascend pair per non-root node
         assert len(semantic_ops(p)) == nodes + name_leaves + var_leaves + \
             (len(t.statements) - 1)
         assert counts[KIND] == nodes
-        assert counts.get(SYMBOL, 0) == name_leaves
-        assert counts.get(BIND, 0) + counts.get(CHECK, 0) == var_leaves
-        assert counts.get(NEXT, 0) == len(t.statements) - 1
-        assert counts.get(DESCEND, 0) == counts.get(ASCEND, 0) == \
+        assert counts[SYMBOL] == name_leaves
+        assert counts[BIND] + counts[CHECK] == var_leaves
+        assert counts[NEXT] == len(t.statements) - 1
+        assert counts[DESCEND] == counts[ASCEND] == \
             nodes - len(t.statements)
         validate_program(p)
 
@@ -167,3 +170,110 @@ def test_program_serialization_roundtrip():
         _, _, p = compile_from(render_file(render_snippet(random_snippet(rng))))
         again = deserialize_program(serialize_program(p))
         assert again == p
+
+
+
+def test_a_chain_deeper_than_the_recursion_limit_derives_and_matches_itself_once():
+    # one statement whose left-associative "." chain nests 1,500 deep
+    text = "<?php\n$q = " + " . ".join("$a%d" % (i % 7) for i in range(1500)) + ";\n"
+    unit, t, p = compile_from(text)
+    assert t.template_depth == 1500
+    validate_program(p)
+    matches, _ = scan_unit(p, unit)
+    assert [(m.stmt_list_id, m.start_index, m.line_start) for m in matches] == \
+        [(unit.root, 0, 2)]
+
+# Strings json escapes: non-ASCII (BMP, astral and a lone surrogate), quotes,
+# backslashes and control characters.
+ODD = ["", "plain", "é", " ", "☃", "\U0001F600", "\ud800", '"', "'", "\\",
+       '\\"', "\x00", "\x1f", "\t\n\r", "\x7f", "\b\f", "</script>"]
+
+
+def reference_text(p: MatcherProgram) -> str:
+    """prog-v1 as json.dumps writes it: what serialize_program must equal."""
+    steps = []
+    for s in p.steps:
+        rec: dict = {"op": s.op, "node": s.node_id}
+        for key, val in (("kind", s.kind), ("arity", s.arity), ("name", s.name),
+                         ("class", s.class_id), ("child", s.child_index)):
+            if val is not None:
+                rec[key] = val
+        steps.append(rec)
+    doc = {
+        "format": "prog-v1",
+        "query_id": p.query_id,
+        "statement_count": p.statement_count,
+        "var_class_count": p.var_class_count,
+        "template_depth": p.template_depth,
+        "symbol_policy": p.symbol_policy,
+        "origin": None if p.origin is None else {
+            "path": p.origin.path,
+            "lines": [p.origin.line_start, p.origin.line_end]},
+        "steps": steps,
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def random_program(rng: random.Random) -> MatcherProgram:
+    """A valid program of up to three statements (none: empty steps) with
+    odd strings in every kind, name, id, policy and path."""
+    def odd() -> str:
+        return rng.choice(ODD) + rng.choice(ODD)
+
+    steps: list[MatcherStep] = []
+    bound: list[int] = []
+
+    def node(node_id: int, depth: int) -> None:
+        steps.append(MatcherStep(KIND, node_id, odd(), rng.choice((None, 0, 3))))
+        r = rng.random()
+        if r < 0.3:
+            steps.append(MatcherStep(SYMBOL, node_id, name=odd()))
+        elif r < 0.6 and bound and rng.random() < 0.5:
+            steps.append(MatcherStep(CHECK, node_id, class_id=rng.choice(bound)))
+        elif r < 0.6:
+            bound.append(rng.randrange(10 ** rng.randrange(1, 20)))
+            steps.append(MatcherStep(BIND, node_id, class_id=bound[-1]))
+        for i in range(rng.randrange(3) if depth < 3 else 0):
+            steps.append(MatcherStep(DESCEND, node_id + 1, child_index=i))
+            node(node_id + 1, depth + 1)
+            steps.append(MatcherStep(ASCEND, node_id))
+
+    statements = rng.randrange(4)
+    for i in range(statements):
+        if i:
+            steps.append(MatcherStep(NEXT, i))
+        node(rng.randrange(-5, 100), 0)
+    origin = None if rng.random() < 0.3 else \
+        SeedOrigin(odd(), rng.randrange(10 ** 6), rng.randrange(10 ** 6))
+    return MatcherProgram(steps=tuple(steps), statement_count=max(statements, 1),
+                          var_class_count=len(bound), template_depth=rng.randrange(5),
+                          query_id=odd(), symbol_policy=odd(), origin=origin)
+
+
+def test_writer_equals_json_dumps():
+    rng = random.Random(67)
+    programs = [random_program(rng) for _ in range(300)]
+    programs += [compile_from(render_file(render_snippet(random_snippet(rng))))[2]
+                 for _ in range(20)]
+    assert any(not p.steps for p in programs) and any(p.origin is None for p in programs)
+    for p in programs:
+        validate_program(p)
+        text = serialize_program(p)
+        assert text == reference_text(p)
+        assert deserialize_program(text) == p
+
+
+def test_writer_equals_json_dumps_on_values_nothing_validates():
+    """validate_program leaves node ids, the origin and the fields an op does
+    not use unchecked, so a loaded program may hold any JSON value there."""
+    values = [True, False, 1.5, -0.0, 1e300, 10 ** 30, -3, [], {}, [1, "é", None],
+              {"z": [2, {"b": [], "a": "\\"}], "a": 1}, "\n"]
+    for v in values:
+        steps = (MatcherStep(KIND, v, "K", None, v, v, v),
+                 MatcherStep(DESCEND, v, v, v, v, v, 0),
+                 MatcherStep(ASCEND, v, v, v, v, v, v))
+        p = MatcherProgram(steps=steps, statement_count=1, var_class_count=0,
+                           template_depth=1, query_id="q",
+                           origin=SeedOrigin(v, v, [v]))
+        validate_program(p)
+        assert serialize_program(p) == reference_text(p)

@@ -7,6 +7,10 @@ token, node, line span or error message shows up here.  The expression-soup
 digest was recorded with the chain of one function per precedence level that
 the precedence-climbing parse_expr replaced.  The edge-cases-crlf digest was
 re-recorded when `?>` began to swallow a following \r\n, not only a \n.
+The malformed and expression-soup digests were re-recorded when a `)`, `]`
+or `}` that starts a statement became an opaque statement: the 28 inputs
+whose outcome changed (`<?php } $a = 1;` and 27 soup files) all raised
+"unexpected ')'", "']'" or "'}'" before and parse now.
 """
 from __future__ import annotations
 
@@ -218,9 +222,9 @@ GOLDEN = {
     "edge-cases-crlf":
         "a5fdcb3358896272dfa39776216a7ad8ac5e7174a25a91babe56d9621f723e3c",
     "malformed":
-        "fbeeeed362717e0a7386b0af2f9405e486e33995b282dae3660c2b45db49e20f",
+        "d98c919fe03100b0f7313452a61bab408ca7464a5b428eb58624383d5808b731",
     "expression-soup":
-        "a6e28c942e86ee07dc267f2d74a5b5ca424b1191ad2a4168e004c0a98d7d6155",
+        "efc84767744009e1c02fe27a0d211a7e6e0bdd45e5181c02e6f3bd3860f66ea7",
 }
 
 

@@ -34,12 +34,12 @@ def variants(p: MatcherProgram, rng: random.Random) -> list[MatcherProgram]:
     checks = [i for i, s in enumerate(steps) if s.op == CHECK]
     if checks:
         i = rng.choice(checks)
-        rebind = steps[:i] + [dataclasses.replace(steps[i], op=BIND)] + steps[i + 1:]
+        rebind = steps[:i] + [steps[i]._replace(op=BIND)] + steps[i + 1:]
         out.append(dataclasses.replace(p, steps=tuple(rebind)))
     binds = [i for i, s in enumerate(steps) if s.op == BIND]
     if binds:
         i = rng.choice(binds)
-        fresh = steps[:i] + [dataclasses.replace(steps[i], class_id=99)] + steps[i + 1:]
+        fresh = steps[:i] + [steps[i]._replace(class_id=99)] + steps[i + 1:]
         out.append(dataclasses.replace(p, steps=tuple(fresh)))
     return out
 

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from genutil import php_text
 from analogue import astree
 from analogue.astree import TreeBuilder, validate_unit
+from analogue.compiler import compile_template
 from analogue.corpusgen import filler_file, plant_file, random_snippet
+from analogue.engine import scan_unit
 from analogue.php_parser import LexError, ParseError, parse_source, tokenize
+from analogue.template import derive_template
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -203,6 +206,43 @@ def test_malformed_statement_becomes_opaque_node():
     unit = parse_source("<?php $a = 1 + ; echo 2;")
     kinds = [unit.nodes[c].kind for c in unit.nodes[unit.root].children]
     assert kinds == ["Other:opaque", astree.ECHO]
+
+
+def top_level(unit):
+    return [(n.kind, n.line_start, n.line_end) for n in unit.children_of(unit.nodes[unit.root])]
+
+
+def test_stray_closer_at_statement_start_is_an_opaque_statement():
+    unit = parse_source("<?php\n$a = 1;\n@unknown_stmt ) ;\n$x = $_GET['a'];\n"
+                        "mysql_query($x);\n", path="stray.php")
+    assert top_level(unit) == [(astree.ASSIGN, 2, 2), ("Other:opaque", 3, 3),
+                               ("Other:opaque", 3, 3), (astree.ASSIGN, 4, 4),
+                               (astree.CALL, 5, 5)]
+    seed = parse_source("<?php\n$x = $_GET['a'];\nmysql_query($x);\n")
+    p = compile_template(derive_template(seed, seed.children_of(seed.nodes[seed.root])))
+    matches, _ = scan_unit(p, unit)
+    assert [(m.line_start, m.line_end) for m in matches] == [(4, 5)]
+    for closer in ")]}":
+        assert top_level(parse_source("<?php %s $b = 2;" % closer)) == \
+            [("Other:opaque", 1, 1), (astree.ASSIGN, 1, 1)]
+    with pytest.raises(ParseError):  # an unclosed block still fails the file
+        parse_source("<?php\nif ($x) {\n  echo 'open';\n")
+
+
+def test_alternative_switch_ends_at_its_own_endswitch():
+    unit = parse_source("<?php\nswitch ($a):\ncase 1: echo 1; break;\nendswitch;\n"
+                        "$x = $_GET['a'];\nif ($b) { mysql_query($x); }\n")
+    assert top_level(unit) == [("Other:switch", 2, 4), (astree.ASSIGN, 5, 5),
+                               (astree.IF, 6, 6)]
+    # a nested ':' switch needs its own endswitch; a braced one and a method
+    # named switch do not
+    unit = parse_source("<?php\nswitch ($a):\ncase 1:\n  switch ($b): default: endswitch;\n"
+                        "  switch ($c) { default: break; }\n  $d ? $o->switch($e) : 0;\n"
+                        "endswitch\n?>\n<?php $x = 1;\n")
+    assert top_level(unit) == [("Other:switch", 2, 7), (astree.ASSIGN, 9, 9)]
+    # without the outer endswitch, the switch is a malformed statement
+    unit = parse_source("<?php\nswitch ($a):\ncase 1: switch ($b):\nendswitch;\n")
+    assert top_level(unit) == [("Other:opaque", 2, 4)]
 
 
 def test_html_outside_php_becomes_statements():
