@@ -99,9 +99,12 @@ class SourceUnit:
     path: str
     root: int
     nodes: dict[int, AstNode]
-    node_count: int = 0
     _index: AnchorIndex | None = field(default=None, init=False, repr=False,
                                        compare=False)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
 
     def node(self, node_id: int) -> AstNode:
         return self.nodes[node_id]
@@ -218,8 +221,6 @@ def validate_unit(unit: SourceUnit) -> None:
     if len(seen) != len(nodes):
         stray = [node_id for node_id in nodes if node_id not in seen]
         raise InvariantError("unreachable nodes: %s" % stray[:5], stray[0])
-    if unit.node_count != len(seen):
-        raise InvariantError("node_count %d != reachable %d" % (unit.node_count, len(seen)))
 
 
 def structurally_equal(a: SourceUnit, b: SourceUnit, include_lines: bool = True) -> bool:
@@ -282,8 +283,7 @@ class TreeBuilder:
         n.line_start, n.line_end = lo, hi
 
     def finish(self, path: str, root: int) -> SourceUnit:
-        return SourceUnit(path=path, root=root, nodes=self._nodes,
-                          node_count=len(self._nodes))
+        return SourceUnit(path=path, root=root, nodes=self._nodes)
 
 
 def statement_parent_index(unit: SourceUnit) -> dict[int, tuple[int, int]]:

@@ -45,6 +45,19 @@ def _parse_php(path: str) -> tuple[SourceUnit, str]:
     return parse_file(data, path)
 
 
+def _read_records(path: str, types: dict[str, type | tuple]) -> list[dict]:
+    """report.parse_record of each non-blank line of path; a line it
+    rejects is a CliError naming the file and the line."""
+    records = []
+    for n, ln in enumerate(_read(path).splitlines(), 1):
+        if ln.strip():
+            try:
+                records.append(report_mod.parse_record(ln, types))
+            except ValueError as e:
+                raise CliError("%s line %d: %s" % (path, n, e))
+    return records
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out and out != "-":
         Path(out).write_text(text, encoding="utf-8")
@@ -221,17 +234,16 @@ def cmd_report(args) -> int:
                if p.origin is not None}
     bucket_for = None
     if args.repos:
-        repo_records = [json.loads(ln) for ln in _read(args.repos).splitlines()
-                        if ln.strip()]
-        bucket_for = report_mod.bucket_resolver(repo_records)
+        bucket_for = report_mod.bucket_resolver(
+            _read_records(args.repos, {"bucket": str, "full_name": str}))
     rows = report_mod.rows_from_records(records, origins, bucket_for)
     if args.format == "text":
         text = report_mod.render_text(rows)
     else:
         text = report_mod.render_summary(rows)
         if args.stats:
-            stats = [json.loads(ln) for ln in _read(args.stats).splitlines()
-                     if ln.strip()]
+            stats = _read_records(args.stats, {"query": str, "wall_time_s": (int, float),
+                                               "node_comparisons": int})
             queries = {s["query"] for s in stats if "query" in s}
             text += "%d queries, %.2fs scan time, %d node comparisons\n" % (
                 len(queries), sum(s.get("wall_time_s", 0.0) for s in stats),

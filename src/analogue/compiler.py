@@ -15,8 +15,8 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .template import (ApiSymbol, SeedOrigin, Template, VarWildcard,
-                       query_id_of)
+from .template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin, Template,
+                       VarWildcard, origin_from_json, query_id_of)
 
 FORMAT = "prog-v1"
 
@@ -45,19 +45,38 @@ class MatcherStep(NamedTuple):
 @dataclass(frozen=True)
 class MatcherProgram:
     steps: tuple[MatcherStep, ...]
-    statement_count: int
-    var_class_count: int
-    template_depth: int
     query_id: str
     symbol_policy: str = "preserve"
     origin: SeedOrigin | None = None
-    # Generated matchers by (exact_arity, injective_bindings), built on first
-    # use in each process and never pickled.
+    # Generated matchers by exact_arity, built on first use in each process
+    # and never pickled.
     _matchers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_matchers": {}}
+
+    @cached_property
+    def statement_count(self) -> int:
+        """The statements a match spans: one more than the NEXT steps."""
+        return 1 + sum(1 for s in self.steps if s.op == NEXT)
+
+    @cached_property
+    def var_class_count(self) -> int:
+        """The distinct classes the BIND steps bind."""
+        return len({s.class_id for s in self.steps if s.op == BIND})
+
+    @cached_property
+    def template_depth(self) -> int:
+        """The deepest DESCEND nesting, each statement root at depth 0."""
+        depth = deepest = 0
+        for s in self.steps:
+            if s.op == DESCEND:
+                depth += 1
+                deepest = max(deepest, depth)
+            elif s.op == ASCEND:
+                depth -= 1
+        return deepest
 
     @cached_property
     def preserved_symbols(self) -> frozenset:
@@ -69,12 +88,12 @@ class MatcherProgram:
         """Node comparisons of an attempt that matches: every step but navigation."""
         return sum(1 for s in self.steps if s.op not in NAVIGATION)
 
-    def matcher(self, exact_arity: bool = False, injective_bindings: bool = False):
-        """The generated matcher for these options (see build_matcher), cached."""
-        key = (bool(exact_arity), bool(injective_bindings))
+    def matcher(self, exact_arity: bool = False):
+        """The generated matcher for this option (see build_matcher), cached."""
+        key = bool(exact_arity)
         fn = self._matchers.get(key)
         if fn is None:
-            fn = self._matchers[key] = build_matcher(self, *key)
+            fn = self._matchers[key] = build_matcher(self, key)
         return fn
 
 
@@ -120,63 +139,77 @@ def compile_template(t: Template) -> MatcherProgram:
                     stack += (ascend, c,
                               MatcherStep(DESCEND, c, None, None, None, None, k))
 
-    return MatcherProgram(steps=tuple(steps),
-                          statement_count=len(t.statements),
-                          var_class_count=t.var_class_count,
-                          template_depth=t.template_depth,
-                          query_id=query_id_of(t),
+    return MatcherProgram(steps=tuple(steps), query_id=query_id_of(t),
                           symbol_policy=t.symbol_policy,
                           origin=t.seed_origin)
 
 
 def validate_program(p: MatcherProgram) -> None:
-    """Check the invariants the generated matcher relies on.
+    """Check every field of the program, as the generated matcher and the
+    prog-v1 writer rely on them.
 
-    Every op is known and carries a value of its type: a str kind, an int
-    arity >= 0 or none, a str name, an int class id and an int child index
-    >= 0.  Navigation is balanced per statement, a class binds before it is
-    checked, and statement_count matches the statement boundaries.  Raises
-    ProgramFormatError naming the first offending step.
+    Every op is known, its node id is an int, and it holds a value of its
+    type in each field it reads and None in every other: a KIND step reads
+    a str kind and an int arity >= 0 or none, a SYMBOL step a str name, a
+    BIND or CHECK step an int class id, a DESCEND step an int child index
+    >= 0, and ASCEND and NEXT steps nothing.  Navigation is balanced per
+    statement, and a class binds before it is checked.  The query id is a
+    str, the symbol policy one of SYMBOL_POLICIES, and the origin None or a
+    SeedOrigin.  Raises ProgramFormatError naming the first offending step
+    or field.
     """
     depth = 0
     bound: set[int] = set()
-    for i, s in enumerate(p.steps):
-        op = s.op
+    for i, (op, node_id, kind, arity, name, class_id, child) in enumerate(p.steps):
         if op == KIND:
-            if type(s.kind) is not str:
+            if type(kind) is not str:
                 raise ProgramFormatError("step %d: kind must be a string" % i)
-            if s.arity is not None and not _is_index(s.arity):
+            if arity is not None and not _is_index(arity):
                 raise ProgramFormatError("step %d: arity must be an int >= 0" % i)
+            unused = name, class_id, child
         elif op == SYMBOL:
-            if type(s.name) is not str:
+            if type(name) is not str:
                 raise ProgramFormatError("step %d: name must be a string" % i)
+            unused = kind, arity, class_id, child
         elif op in (BIND, CHECK):
-            if type(s.class_id) is not int:
+            if type(class_id) is not int:
                 raise ProgramFormatError("step %d: class must be an int" % i)
             if op == BIND:
-                bound.add(s.class_id)
-            elif s.class_id not in bound:
+                bound.add(class_id)
+            elif class_id not in bound:
                 raise ProgramFormatError("step %d: check before bind for class %d"
-                                         % (i, s.class_id))
+                                         % (i, class_id))
+            unused = kind, arity, name, child
         elif op == DESCEND:
-            if not _is_index(s.child_index):
+            if not _is_index(child):
                 raise ProgramFormatError("step %d: child must be an int >= 0" % i)
             depth += 1
+            unused = kind, arity, name, class_id
         elif op == ASCEND:
             depth -= 1
             if depth < 0:
                 raise ProgramFormatError("step %d: ascend below statement root" % i)
+            unused = kind, arity, name, class_id, child
         elif op == NEXT:
             if depth != 0:
                 raise ProgramFormatError("step %d: statement boundary inside a subtree"
                                          % i)
+            unused = kind, arity, name, class_id, child
         else:
             raise ProgramFormatError("step %d: unknown op %r" % (i, op))
+        if type(node_id) is not int:
+            raise ProgramFormatError("step %d: node must be an int" % i)
+        if unused.count(None) != len(unused):
+            raise ProgramFormatError("step %d: a %s step carries a field it does not read"
+                                     % (i, op))
     if depth != 0:
         raise ProgramFormatError("unbalanced navigation at end of program")
-    next_count = sum(1 for s in p.steps if s.op == NEXT)
-    if next_count + 1 != p.statement_count:
-        raise ProgramFormatError("statement_count does not match boundaries")
+    if type(p.query_id) is not str:
+        raise ProgramFormatError("query_id must be a string")
+    if p.symbol_policy not in SYMBOL_POLICIES:
+        raise ProgramFormatError("symbol_policy must be one of %s" % (SYMBOL_POLICIES,))
+    if p.origin is not None and type(p.origin) is not SeedOrigin:
+        raise ProgramFormatError("origin must be a SeedOrigin")
 
 
 def _is_index(value) -> bool:
@@ -211,8 +244,7 @@ def export_traversal_script(p: MatcherProgram) -> str:
 # Generated matchers
 # ---------------------------------------------------------------------------
 
-def matcher_source(p: MatcherProgram, exact_arity: bool = False,
-                   injective_bindings: bool = False) -> tuple[str, tuple]:
+def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, tuple]:
     """The Python source of the program's matcher, and the constants it takes.
 
     The source defines make(c0, c1, ...), which returns
@@ -284,15 +316,10 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False,
             elif op == SYMBOL:
                 fail_if("%s.symbol != %s" % (node, const(s.name)))
             elif op == BIND:
-                value = "%s.symbol or ''" % node
-                if injective_bindings and var_of:
-                    code.append("s = " + value)
-                    fail_if(" or ".join("s == v%d" % j for j in var_of.values()))
-                    value = "s"
                 if s.class_id not in var_of:
                     var_of[s.class_id] = len(var_keys)
                     var_keys.append(const(s.class_id))
-                code.append("v%d = %s" % (var_of[s.class_id], value))
+                code.append("v%d = %s.symbol or ''" % (var_of[s.class_id], node))
             elif op == CHECK:
                 if s.class_id in var_of:
                     fail_if("v%d != (%s.symbol or '')" % (var_of[s.class_id], node))
@@ -306,14 +333,13 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False,
     return source, tuple(consts)
 
 
-def build_matcher(p: MatcherProgram, exact_arity: bool = False,
-                  injective_bindings: bool = False):
+def build_matcher(p: MatcherProgram, exact_arity: bool = False):
     """The program's matcher (see matcher_source) as a Python function.
 
     Its code sees no builtins but len.  MatcherProgram.matcher builds each
     variant once per process and caches it.
     """
-    source, consts = matcher_source(p, exact_arity, injective_bindings)
+    source, consts = matcher_source(p, exact_arity)
     namespace: dict = {"__builtins__": {}, "len": len}
     exec(compile(source, "<prog-v1 matcher>", "exec"), namespace)
     return namespace["make"](*consts)
@@ -324,57 +350,53 @@ def build_matcher(p: MatcherProgram, exact_arity: bool = False,
 # ---------------------------------------------------------------------------
 
 def serialize_program(p: MatcherProgram) -> str:
-    """The program as prog-v1 text: json.dumps(doc, sort_keys=True, indent=1)
-    plus a line break, doc holding the header fields, the origin and one
-    record per step with op, node and each of the step's other fields that
-    is not None.  Given an indent, json encodes in pure Python, so the fixed
-    layout is written here, around values that _json encodes."""
+    """The program, one that validate_program accepts, as prog-v1 text:
+    json.dumps(doc, sort_keys=True, indent=1) plus a line break, doc holding
+    the header fields (the counts derived from the steps), the origin and
+    one record per step with op, node and each of the step's other fields
+    that is not None.  Given an indent, json encodes in pure Python, so the
+    fixed layout is written here, around values that _json encodes."""
     steps = []
     for op, node_id, kind, arity, name, class_id, child_index in p.steps:
         rec = "  {\n"
         if arity is not None:
-            rec += '   "arity": %s,\n' % _json(arity, 3)
+            rec += '   "arity": %s,\n' % _json(arity)
         if child_index is not None:
-            rec += '   "child": %s,\n' % _json(child_index, 3)
+            rec += '   "child": %s,\n' % _json(child_index)
         if class_id is not None:
-            rec += '   "class": %s,\n' % _json(class_id, 3)
+            rec += '   "class": %s,\n' % _json(class_id)
         if kind is not None:
-            rec += '   "kind": %s,\n' % _json(kind, 3)
+            rec += '   "kind": %s,\n' % _json(kind)
         if name is not None:
-            rec += '   "name": %s,\n' % _json(name, 3)
+            rec += '   "name": %s,\n' % _json(name)
         steps.append(rec + '   "node": %s,\n   "op": %s\n  }'
-                     % (_json(node_id, 3), _json(op, 3)))
+                     % (_json(node_id), _json(op)))
     o = p.origin
     origin = "null" if o is None else (
         '{\n  "lines": [\n   %s,\n   %s\n  ],\n  "path": %s\n }'
-        % (_json(o.line_start, 3), _json(o.line_end, 3), _json(o.path, 2)))
+        % (_json(o.line_start), _json(o.line_end), _json(o.path)))
     return ('{\n "format": %s,\n "origin": %s,\n "query_id": %s,\n'
             ' "statement_count": %s,\n "steps": %s,\n "symbol_policy": %s,\n'
             ' "template_depth": %s,\n "var_class_count": %s\n}\n'
-            % (_json(FORMAT, 1), origin, _json(p.query_id, 1),
-               _json(p.statement_count, 1),
+            % (_json(FORMAT), origin, _json(p.query_id),
+               _json(p.statement_count),
                "[\n%s\n ]" % ",\n".join(steps) if steps else "[]",
-               _json(p.symbol_policy, 1), _json(p.template_depth, 1),
-               _json(p.var_class_count, 1)))
+               _json(p.symbol_policy), _json(p.template_depth),
+               _json(p.var_class_count)))
 
 
-def _json(value, level: int) -> str:
-    """value as json.dumps(..., sort_keys=True, indent=1) writes it nested
-    `level` deep.  Strings, ints and None are encoded as json encodes them;
-    any other value by json itself, its line breaks indented to the level
-    (no string json writes holds a raw line break)."""
-    t = type(value)
-    if t is str:
+def _json(value: str | int | None) -> str:
+    """value as json encodes it."""
+    if type(value) is str:
         return encode_basestring_ascii(value)
-    if t is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
+    return "null" if value is None else int.__repr__(value)
 
 
 def deserialize_program(text: str) -> MatcherProgram:
-    """Read a prog-v1 document; any defect raises ProgramFormatError."""
+    """Read a prog-v1 document; any defect raises ProgramFormatError.
+
+    The program is checked by validate_program, and each header count the
+    document holds must equal the one its steps imply."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -391,23 +413,16 @@ def deserialize_program(text: str) -> MatcherProgram:
         steps.append(MatcherStep(rec["op"], rec["node"], rec.get("kind"),
                                  rec.get("arity"), rec.get("name"), rec.get("class"),
                                  rec.get("child")))
-    header = {"statement_count": 1, "var_class_count": 0, "template_depth": 0}
-    for key in header:
-        header[key] = doc.get(key, header[key])
-        if not _is_index(header[key]):
-            raise ProgramFormatError("%s must be an int >= 0" % key)
-    query_id = doc.get("query_id", "")
-    symbol_policy = doc.get("symbol_policy", "preserve")
-    if type(query_id) is not str or type(symbol_policy) is not str:
-        raise ProgramFormatError("query_id and symbol_policy must be strings")
-    origin = None
-    o = doc.get("origin")
-    if o is not None:
-        if not isinstance(o, dict) or not isinstance(o.get("lines"), list) \
-                or len(o["lines"]) != 2:
-            raise ProgramFormatError("malformed origin")
-        origin = SeedOrigin(o.get("path", "?"), o["lines"][0], o["lines"][1])
-    p = MatcherProgram(steps=tuple(steps), query_id=query_id,
-                       symbol_policy=symbol_policy, origin=origin, **header)
+    try:
+        origin = origin_from_json(doc.get("origin"))
+    except ValueError as e:
+        raise ProgramFormatError(str(e)) from None
+    p = MatcherProgram(steps=tuple(steps), query_id=doc.get("query_id", ""),
+                       symbol_policy=doc.get("symbol_policy", "preserve"),
+                       origin=origin)
     validate_program(p)
+    for key in ("statement_count", "var_class_count", "template_depth"):
+        if key in doc and (type(doc[key]) is not int or doc[key] != getattr(p, key)):
+            raise ProgramFormatError("%s is %s, but the steps imply %d"
+                                     % (key, json.dumps(doc[key]), getattr(p, key)))
     return p

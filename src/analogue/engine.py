@@ -26,7 +26,6 @@ from .compiler import MatcherProgram
 class ScanOptions:
     depth_pruning: bool = True
     exact_arity: bool = False
-    injective_bindings: bool = False
 
 
 @dataclass
@@ -53,10 +52,6 @@ class Match:
     line_start: int
     line_end: int
     excerpt: str = ""
-
-    @property
-    def anchor(self) -> tuple[int, int]:
-        return (self.stmt_list_id, self.start_index)
 
     def key(self) -> tuple:
         """Identity for differential comparison (excerpt excluded)."""
@@ -90,8 +85,7 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
         raise ValueError("anchor %d is not a StmtList" % stmt_list_id)
     if start_index < 0 or start_index + p.statement_count > len(sl.children):
         return None
-    found = p.matcher(opts.exact_arity, opts.injective_bindings)(
-        unit.nodes, sl.children, start_index)
+    found = p.matcher(opts.exact_arity)(unit.nodes, sl.children, start_index)
     failed = type(found) is int
     if counter is not None:
         counter.node_comparisons += found if failed else p.comparison_steps
@@ -114,7 +108,7 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
         anchors = index.by_kind.get(p.steps[0].kind, ())
     else:
         anchors = index.anchors
-    match = p.matcher(opts.exact_arity, opts.injective_bindings)
+    match = p.matcher(opts.exact_arity)
     nodes = unit.nodes
     pruning = opts.depth_pruning
     depth_limit = index.max_depth - p.template_depth + 1

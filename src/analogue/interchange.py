@@ -103,7 +103,7 @@ def import_ast(stream: str | Iterable[str]) -> SourceUnit:
 
     if root not in nodes:
         raise InterchangeError("root %d not among node records" % root, hdr_idx)
-    unit = SourceUnit(path=path, root=root, nodes=nodes, node_count=len(nodes))
+    unit = SourceUnit(path=path, root=root, nodes=nodes)
     try:
         validate_unit(unit)
     except InvariantError as e:

@@ -13,8 +13,7 @@ from .template import (ApiSymbol, Template, VarWildcard, query_id_of)
 
 
 def _subtree_matches(t: Template, tmpl_id: int, unit: SourceUnit, node: AstNode,
-                     bindings: dict[int, str], exact_arity: bool,
-                     injective: bool) -> bool:
+                     bindings: dict[int, str], exact_arity: bool) -> bool:
     tn = t.nodes[tmpl_id]
     if node.kind != tn.kind:
         return False
@@ -28,8 +27,6 @@ def _subtree_matches(t: Template, tmpl_id: int, unit: SourceUnit, node: AstNode,
             if bindings[role.class_id] != name:
                 return False
         else:
-            if injective and name in bindings.values():
-                return False
             bindings[role.class_id] = name
     # LiteralWildcard / CallWildcard constrain only the kind.
     if exact_arity:
@@ -38,15 +35,13 @@ def _subtree_matches(t: Template, tmpl_id: int, unit: SourceUnit, node: AstNode,
     elif len(node.children) < len(tn.children):
         return False
     for tc, uc in zip(tn.children, node.children):
-        if not _subtree_matches(t, tc, unit, unit.nodes[uc], bindings,
-                                exact_arity, injective):
+        if not _subtree_matches(t, tc, unit, unit.nodes[uc], bindings, exact_arity):
             return False
     return True
 
 
 def brute_force_scan(t: Template, unit: SourceUnit,
-                     exact_arity: bool = False,
-                     injective: bool = False) -> list[Match]:
+                     exact_arity: bool = False) -> list[Match]:
     """All matches of the template in the unit, in document order."""
     query_id = query_id_of(t)
     span = len(t.statements)
@@ -61,7 +56,7 @@ def brute_force_scan(t: Template, unit: SourceUnit,
                 for offset, tmpl_root in enumerate(t.statements):
                     target = unit.nodes[stmts[start + offset]]
                     if not _subtree_matches(t, tmpl_root, unit, target,
-                                            bindings, exact_arity, injective):
+                                            bindings, exact_arity):
                         ok = False
                         break
                 if ok:

@@ -10,6 +10,10 @@ from .spider import NOT_POPULAR, POPULAR, VERY_POPULAR
 
 log = logging.getLogger(__name__)
 
+# The match record fields a report reads, and their types.
+MATCH_FIELDS = {"file": str, "lines": list, "query": str, "excerpt": str,
+                "bindings": dict}
+
 BUCKET_LABELS = {
     NOT_POPULAR: "Not popular",
     POPULAR: "Popular",
@@ -38,14 +42,32 @@ def load_match_records(text: str) -> tuple[list[dict], int]:
         if not ln.strip():
             continue
         try:
-            rec = json.loads(ln)
-            if not isinstance(rec, dict) or "file" not in rec or "lines" not in rec:
+            rec = parse_record(ln, MATCH_FIELDS)
+            lines = rec.get("lines")
+            if "file" not in rec or lines is None:
                 raise ValueError("missing file/lines")
+            if len(lines) != 2 or not all(type(n) is int for n in lines):
+                raise ValueError("lines must be two ints")
+            if not all(k.isdecimal() and type(v) is str
+                       for k, v in rec.get("bindings", {}).items()):
+                raise ValueError("bindings must map class numbers to names")
             records.append(rec)
         except ValueError as e:
             skipped += 1
             log.warning("skipping malformed match record %d: %s", i, e)
     return records, skipped
+
+
+def parse_record(line: str, types: dict[str, type | tuple]) -> dict:
+    """The JSON object on the line; ValueError unless it is one whose
+    value under each key of `types` it holds has that type."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    for key, typ in types.items():
+        if key in rec and not isinstance(rec[key], typ):
+            raise ValueError("%r has the wrong type" % key)
+    return rec
 
 
 def bucket_resolver(repo_records: list[dict]):
@@ -76,16 +98,16 @@ def rows_from_records(records: list[dict], origins: dict[str, str] | None = None
                       bucket_for=None) -> list[ReportRow]:
     rows = []
     for rec in records:
-        lines = rec.get("lines", [0, 0])
+        lines = rec["lines"]
         query = rec.get("query", "")
         rows.append(ReportRow(
             query_id=query,
-            file=rec.get("file", ""),
+            file=rec["file"],
             line_start=lines[0], line_end=lines[1],
             bindings=rec.get("bindings", {}),
             excerpt=rec.get("excerpt", ""),
             origin=(origins or {}).get(query),
-            bucket=bucket_for(rec.get("file", "")) if bucket_for else None))
+            bucket=bucket_for(rec["file"]) if bucket_for else None))
     rows.sort(key=lambda r: (r.file, r.line_start, r.query_id))
     return rows
 

@@ -73,9 +73,26 @@ class TemplateNode:
 
 @dataclass(frozen=True)
 class SeedOrigin:
+    """Where a seed came from: a str path and int first and last lines."""
     path: str
     line_start: int
     line_end: int
+
+    def __post_init__(self) -> None:
+        if type(self.path) is not str or type(self.line_start) is not int \
+                or type(self.line_end) is not int:
+            raise ValueError("malformed origin: needs a string path and two int lines")
+
+
+def origin_from_json(obj) -> SeedOrigin | None:
+    """The origin record of a tmpl-v1 or prog-v1 header, null or
+    {"path": str, "lines": [int, int]}; ValueError for any other value."""
+    if obj is None:
+        return None
+    lines = obj.get("lines") if isinstance(obj, dict) else None
+    if not isinstance(lines, list) or len(lines) != 2:
+        raise ValueError("malformed origin: needs a string path and two int lines")
+    return SeedOrigin(obj.get("path"), *lines)
 
 
 @dataclass
@@ -87,9 +104,6 @@ class Template:
     seed_origin: SeedOrigin | None = None
     template_depth: int = 0
 
-    def node(self, node_id: int) -> TemplateNode:
-        return self.nodes[node_id]
-
     def iter_preorder(self, root: int | None = None) -> Iterator[TemplateNode]:
         roots = [root] if root is not None else list(self.statements)
         for r in roots:
@@ -98,11 +112,6 @@ class Template:
                 n = self.nodes[stack.pop()]
                 yield n
                 stack.extend(reversed(n.children))
-
-    @property
-    def var_class_count(self) -> int:
-        return len({n.leaf_role.class_id for n in self.iter_preorder()
-                    if isinstance(n.leaf_role, VarWildcard)})
 
     @property
     def dataflow_edges(self) -> frozenset[tuple[int, int]]:
@@ -207,10 +216,12 @@ class TemplateStats:
 
 def template_stats(t: Template) -> TemplateStats:
     node_count = var_w = lit_w = api = call_w = 0
+    classes = set()
     for n in t.iter_preorder():
         node_count += 1
         if isinstance(n.leaf_role, VarWildcard):
             var_w += 1
+            classes.add(n.leaf_role.class_id)
         elif isinstance(n.leaf_role, LiteralWildcard):
             lit_w += 1
         elif isinstance(n.leaf_role, ApiSymbol):
@@ -220,7 +231,7 @@ def template_stats(t: Template) -> TemplateStats:
     return TemplateStats(node_count=node_count, statement_count=len(t.statements),
                          var_wildcards=var_w, literal_wildcards=lit_w,
                          api_symbols=api, call_wildcards=call_w,
-                         var_class_count=t.var_class_count,
+                         var_class_count=len(classes),
                          edge_count=len(t.dataflow_edges), depth=t.template_depth)
 
 
@@ -303,13 +314,10 @@ def deserialize_template(text: str) -> Template:
     if not isinstance(roots, list) or not roots or \
             not all(isinstance(r, int) for r in roots):
         raise TemplateFormatError("header needs non-empty integer 'roots'", 0)
-    origin = None
-    o = header.get("origin")
-    if o is not None:
-        if not isinstance(o, dict) or not isinstance(o.get("path"), str) \
-                or not isinstance(o.get("lines"), list) or len(o["lines"]) != 2:
-            raise TemplateFormatError("malformed origin", 0)
-        origin = SeedOrigin(o["path"], o["lines"][0], o["lines"][1])
+    try:
+        origin = origin_from_json(header.get("origin"))
+    except ValueError as e:
+        raise TemplateFormatError(str(e), 0) from None
 
     nodes: dict[int, TemplateNode] = {}
     edges: frozenset[tuple[int, int]] | None = None

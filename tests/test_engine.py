@@ -127,11 +127,9 @@ def test_imported_opaque_kinds_compare_by_tag():
     assert len(same) == 1 and other == []
 
 
-def test_two_classes_may_share_a_name_unless_injective():
+def test_two_classes_may_share_a_name():
     _, _, p = make_program("<?php sink($a, $b);")
-    target = "<?php sink($same, $same);"
-    assert len(scan_text(p, target)) == 1
-    assert scan_text(p, target, injective_bindings=True) == []
+    assert len(scan_text(p, "<?php sink($same, $same);")) == 1
 
 
 def test_overlapping_matches_all_reported():

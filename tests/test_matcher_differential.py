@@ -8,6 +8,7 @@ combination of ScanOptions, and add the same number of node comparisons.
 from __future__ import annotations
 
 import dataclasses
+import json
 import pickle
 import random
 
@@ -15,10 +16,11 @@ import pytest
 
 from analogue.astree import STMT_LIST, SourceUnit, TreeBuilder
 from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT, SYMBOL,
-                               MatcherProgram, MatcherStep, deserialize_program,
-                               matcher_source, serialize_program)
+                               MatcherProgram, MatcherStep, ProgramFormatError,
+                               deserialize_program, matcher_source,
+                               serialize_program)
 from analogue.corpusgen import random_snippet
-from analogue.engine import ComparisonCounter, match_at, scan_unit
+from analogue.engine import ComparisonCounter, ScanOptions, match_at, scan_unit
 
 import reference_matcher
 from test_scan_index import OPTION_GRID, planted_unit, program_for
@@ -50,7 +52,7 @@ def shrunk(unit, rng: random.Random):
     nodes = {i: dataclasses.replace(n, children=n.children[:-1]
                                     if n.children and rng.random() < 0.3 else n.children)
              for i, n in unit.nodes.items()}
-    return SourceUnit(unit.path, unit.root, nodes, len(nodes))
+    return SourceUnit(unit.path, unit.root, nodes)
 
 
 def anchors(unit):
@@ -62,7 +64,7 @@ def anchors(unit):
 def test_match_at_equals_the_step_interpreter_everywhere():
     rng = random.Random(97)
     attempts = matched = 0
-    for _ in range(32):
+    for _ in range(64):
         seed = random_snippet(rng)
         units = [planted_unit(seed, rng), planted_unit(random_snippet(rng), rng)]
         units.append(shrunk(units[0], rng))
@@ -112,6 +114,35 @@ def test_scan_unit_counts_what_the_interpreter_counts():
                     assert (got, counter) == (want, want_c)
 
 
+def test_every_program_that_loads_scans_alike_with_and_without_depth_pruning():
+    """Depth pruning skips statement lists by the program's template_depth.
+    A prog-v1 file may state it, but loads only where it equals the depth
+    the steps imply, so no file that loads makes the pruned scan drop a
+    match."""
+    rng = random.Random(103)
+    loaded = matched = 0
+    for _ in range(12):
+        seed = random_snippet(rng)
+        units = [planted_unit(seed, rng), planted_unit(random_snippet(rng), rng)]
+        for policy in ("preserve", "wildcard"):
+            for p in variants(program_for(seed, policy), rng):
+                doc = json.loads(serialize_program(p))
+                for depth in range(8):
+                    doc["template_depth"] = depth
+                    try:
+                        q = deserialize_program(json.dumps(doc))
+                    except ProgramFormatError:
+                        continue
+                    loaded += 1
+                    for unit in units:
+                        for exact in (False, True):
+                            pruned, _ = scan_unit(q, unit, ScanOptions(True, exact))
+                            unpruned, _ = scan_unit(q, unit, ScanOptions(False, exact))
+                            assert pruned == unpruned
+                            matched += len(pruned)
+    assert loaded > 12 * 2 and matched > 50
+
+
 def test_unknown_op_is_counted_and_otherwise_ignored():
     seed = random_snippet(random.Random(5))
     p = program_for(seed, "preserve")
@@ -143,8 +174,7 @@ def hostile_program(kind: str, name: str) -> MatcherProgram:
              MatcherStep(KIND, 3, kind=kind, arity=0),
              MatcherStep(BIND, 3, class_id=0),
              MatcherStep(ASCEND, 2))
-    p = MatcherProgram(steps=steps, statement_count=2, var_class_count=1,
-                       template_depth=2, query_id="hostile")
+    p = MatcherProgram(steps=steps, query_id="hostile")
     return deserialize_program(serialize_program(p))
 
 
@@ -166,12 +196,11 @@ def test_hostile_strings_match_exactly_and_never_reach_the_source(kind):
         plain = hostile_program("Plain", "Plain" if name == kind else "Other")
         unit = hostile_unit(kind, name, near=kind + name + "x")
         for exact in (False, True):
-            for injective in (False, True):
-                source, consts = matcher_source(p, exact, injective)
-                assert source == matcher_source(plain, exact, injective)[0]
-                assert "import" not in source
-                assert kind in consts and name in consts
-                assert len({(type(c), c) for c in consts}) == len(consts)
+            source, consts = matcher_source(p, exact)
+            assert source == matcher_source(plain, exact)[0]
+            assert "import" not in source
+            assert kind in consts and name in consts
+            assert len({(type(c), c) for c in consts}) == len(consts)
         for opts in OPTION_GRID:
             got, _ = scan_unit(p, unit, opts)
             assert [m.start_index for m in got] == [0, 6]
@@ -180,8 +209,8 @@ def test_hostile_strings_match_exactly_and_never_reach_the_source(kind):
 
 def test_matchers_are_cached_per_variant_and_not_pickled():
     p = program_for(random_snippet(random.Random(3)), "preserve")
-    assert p.matcher() is p.matcher(False, False)
-    assert p.matcher(True, False) is not p.matcher()
+    assert p.matcher() is p.matcher(False)
+    assert p.matcher(True) is not p.matcher()
     assert len(p._matchers) == 2
     again = pickle.loads(pickle.dumps(p))
     assert again == p and again._matchers == {} and len(p._matchers) == 2

@@ -114,13 +114,64 @@ def test_unbalanced_navigation_is_a_format_error():
 @pytest.mark.parametrize("key,value", [("template_depth", "3"),
                                        ("statement_count", -1),
                                        ("query_id", 5),
+                                       ("symbol_policy", "keep"),
                                        ("origin", {"path": "x.php"}),
+                                       ("origin", {"lines": [1, 2]}),
+                                       ("origin", {"path": [1], "lines": [1, 2]}),
+                                       ("origin", {"path": "x.php", "lines": [1.5, 2]}),
                                        ("origin", "x.php:1-2")])
 def test_malformed_header_is_a_format_error(key, value):
     doc = program_doc()
     doc[key] = value
     with pytest.raises(ProgramFormatError):
         load(doc)
+
+
+@pytest.mark.parametrize("key", ["statement_count", "var_class_count", "template_depth"])
+def test_a_header_count_the_steps_do_not_imply_is_rejected(key):
+    doc = program_doc()
+    assert doc[key] == getattr(load(doc), key)
+    for wrong in (doc[key] + 1, doc[key] - 1, 50, True, float(doc[key])):
+        doc[key] = wrong
+        with pytest.raises(ProgramFormatError, match="^%s is " % key):
+            load(doc)
+    del doc[key]
+    assert load(doc) == load(program_doc())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["steps"][0].update(node=[1]),
+    lambda doc: doc["steps"][0].update({"class": 0}),
+    lambda doc: first_step(doc, DESCEND).update(kind="Var"),
+    lambda doc: first_step(doc, ASCEND).update(child=0),
+    lambda doc: first_step(doc, SYMBOL).update({"class": "x"}),
+])
+def test_a_node_that_is_not_an_int_or_a_field_the_op_does_not_read_is_rejected(edit):
+    doc = program_doc()
+    edit(doc)
+    with pytest.raises(ProgramFormatError,
+                       match=r"^step \d+: (node must be an int|"
+                             r"a \w+ step carries a field it does not read)$"):
+        load(doc)
+
+
+def test_a_template_depth_too_deep_for_the_steps_is_reported_by_scan(tmp_path, capsys,
+                                                                      fixtures_dir):
+    """Pruned by a depth the steps do not imply, the scan would drop the
+    seed's own match; the file does not load instead."""
+    seed = str(fixtures_dir / "tutorial_books.php")
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert main(["derive", seed, "--lines", "5:6", "-o", str(tmpl)]) == 0
+    assert main(["compile", str(tmpl), "--out-dir", str(tmp_path)]) == 0
+    prog = next(tmp_path.glob("*.prog.json"))
+    doc = json.loads(prog.read_text())
+    doc["template_depth"] = 50
+    prog.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["scan", str(prog), seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is neither a program (template_depth is 50, "
+                          "but the steps imply 4)" % prog)
 
 
 def test_scan_reports_a_bad_program_with_its_reason(tmp_path, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from analogue.report import (bucket_resolver, load_match_records,
                              render_summary, render_text, rows_from_records)
 
@@ -19,6 +21,18 @@ def test_load_skips_malformed_records():
     records, skipped = load_match_records(text)
     assert len(records) == 2
     assert skipped == 2
+
+
+@pytest.mark.parametrize("bad", [
+    dict(lines=[1]), dict(lines=[1, "2"]), dict(lines="12"), dict(lines=[1.0, 2]),
+    dict(file=None), dict(bindings=["$a"]), dict(bindings={"x": "$a"}),
+    dict(bindings={"0": 1}), dict(query=["q"]), dict(excerpt=None),
+])
+def test_load_skips_a_record_the_report_cannot_render(bad, caplog):
+    text = "\n".join([json.dumps(rec()), json.dumps({**rec(), **bad})])
+    records, skipped = load_match_records(text)
+    assert (records, skipped) == ([rec()], 1)
+    assert "skipping malformed match record 1" in caplog.text
 
 
 def test_row_count_equals_record_count_and_sorted():

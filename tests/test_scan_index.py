@@ -57,8 +57,8 @@ def planted_unit(seed, rng):
     return parse_source(render_file(body))
 
 
-OPTION_GRID = [ScanOptions(depth_pruning=d, exact_arity=e, injective_bindings=i)
-               for d, e, i in itertools.product((True, False), repeat=3)]
+OPTION_GRID = [ScanOptions(depth_pruning=d, exact_arity=e)
+               for d, e in itertools.product((True, False), repeat=2)]
 
 
 def test_indexed_scan_equals_exhaustive_loop():

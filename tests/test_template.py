@@ -284,3 +284,20 @@ def test_deserialize_rejects_an_unreachable_record():
     stray = json.dumps({"id": 99, "kind": "Var", "leaf_role": {"role": "var", "class": 0}})
     with pytest.raises(TemplateFormatError, match=r"unreachable node records: \[99\]"):
         deserialize_template("\n".join(lines[:-1] + [stray, lines[-1]]))
+
+
+@pytest.mark.parametrize("origin", [{"path": "s.php", "lines": [1.5, [2]]},
+                                    {"path": "s.php", "lines": [1, "2"]},
+                                    {"path": "s.php", "lines": [True, 2]},
+                                    {"path": ["s.php"], "lines": [1, 2]},
+                                    {"lines": [1, 2]},
+                                    {"path": "s.php", "lines": [1, 2, 3]}])
+def test_deserialize_rejects_an_origin_without_a_str_path_and_two_int_lines(origin):
+    lines = serialize_template(derive_from("<?php $a = $b;")).splitlines()
+    header = json.loads(lines[0])
+    header["origin"] = origin
+    with pytest.raises(TemplateFormatError, match="^record 0: malformed origin"):
+        deserialize_template("\n".join([json.dumps(header)] + lines[1:]))
+    header["origin"] = None
+    again = deserialize_template("\n".join([json.dumps(header)] + lines[1:]))
+    assert again.seed_origin is None
