@@ -167,46 +167,65 @@ class SourceUnit:
         return self._index
 
 
-def validate_unit(unit: SourceUnit) -> None:
-    """Check tree shape, line spans and symbol/value placement.
-
-    The tree shape: the root is a StmtList, every child reference names a
-    node, no node is reached twice (no shared child, no cycle), and every
-    node is reachable from the root.  A node's line span is not inverted and
-    lies within its parent's.  Var and Name nodes carry a symbol, Literal
-    nodes a value, and no other canonical kind (BinOp included) carries
-    either; tagged kinds from external frontends may carry either field and
-    keep it verbatim.
-
-    Raises InvariantError naming the offending node: the parent of a
-    dangling reference, the child whose span escapes, and, of the
-    unreachable nodes, the first in the order of unit.nodes.
+def check_forest(nodes: dict, roots) -> int:
+    """The one tree-shape rule, for units and templates: every root and
+    child id in `nodes` (id -> node with a tuple of children) has a node, no
+    node is reached twice (no shared child, no cycle), and every node is
+    reachable from a root.  Returns the depth of the deepest node, the roots
+    at depth 0.  Raises InvariantError naming the missing root, the parent
+    of a dangling id, the node reached twice, or the first unreachable node
+    in the order of `nodes`.
     """
-    nodes = unit.nodes
-    if unit.root not in nodes:
-        raise InvariantError("root id %d not present" % unit.root)
-    if nodes[unit.root].kind != STMT_LIST:
-        raise InvariantError("root must be a StmtList", unit.root)
+    for r in roots:
+        if r not in nodes:
+            raise InvariantError("root id %d not present" % r, r)
+    deepest = 0
     seen: set[int] = set()
-    stack = [unit.root]
+    stack = [(r, 0) for r in roots]
     while stack:
-        node_id = stack.pop()
+        node_id, depth = stack.pop()
         if node_id in seen:
             raise InvariantError("node %d has multiple parents or a cycle"
                                  % node_id, node_id)
         seen.add(node_id)
-        n = nodes[node_id]
+        children = nodes[node_id].children
+        if children:
+            depth += 1
+            deepest = max(deepest, depth)
+            for c in children:
+                if c not in nodes:
+                    raise InvariantError("dangling child reference %d in node %d"
+                                         % (c, node_id), node_id)
+                stack.append((c, depth))
+    if len(seen) != len(nodes):
+        stray = [node_id for node_id in nodes if node_id not in seen]
+        raise InvariantError("unreachable nodes: %s" % stray[:5], stray[0])
+    return deepest
+
+
+def validate_unit(unit: SourceUnit) -> None:
+    """Check tree shape, line spans and symbol/value placement.
+
+    The tree is a forest under the root (check_forest), and the root is a
+    StmtList.  A node's line span is not inverted and lies within its
+    parent's.  Var and Name nodes carry a symbol, Literal nodes a value, and
+    no other canonical kind (BinOp included) carries either; tagged kinds
+    from external frontends may carry either field and keep it verbatim.
+    Raises InvariantError naming the offending node; for a span that
+    escapes, the child.
+    """
+    nodes = unit.nodes
+    check_forest(nodes, (unit.root,))
+    if nodes[unit.root].kind != STMT_LIST:
+        raise InvariantError("root must be a StmtList", unit.root)
+    for node_id, n in nodes.items():
         if n.line_start > n.line_end:
             raise InvariantError("node %d has inverted line span" % node_id, node_id)
         for c in n.children:
-            child = nodes.get(c)
-            if child is None:
-                raise InvariantError("dangling child reference %d in node %d"
-                                     % (c, node_id), node_id)
+            child = nodes[c]
             if child.line_start < n.line_start or child.line_end > n.line_end:
                 raise InvariantError(
                     "child %d span escapes parent %d span" % (c, node_id), c)
-            stack.append(c)
         if n.kind in (VAR, NAME):
             if n.symbol is None:
                 raise InvariantError("node %d (%s) lacks a symbol"
@@ -218,9 +237,6 @@ def validate_unit(unit: SourceUnit) -> None:
             if n.symbol is not None or n.value is not None:
                 raise InvariantError("node %d (%s) carries symbol/value"
                                      % (node_id, n.kind), node_id)
-    if len(seen) != len(nodes):
-        stray = [node_id for node_id in nodes if node_id not in seen]
-        raise InvariantError("unreachable nodes: %s" % stray[:5], stray[0])
 
 
 def structurally_equal(a: SourceUnit, b: SourceUnit, include_lines: bool = True) -> bool:

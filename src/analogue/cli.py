@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import astree, interchange, report as report_mod, spider as spider_mod
+from . import astree, interchange, jsonl, report as report_mod, spider as spider_mod
 from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
@@ -46,16 +46,13 @@ def _parse_php(path: str) -> tuple[SourceUnit, str]:
 
 
 def _read_records(path: str, types: dict[str, type | tuple]) -> list[dict]:
-    """report.parse_record of each non-blank line of path; a line it
-    rejects is a CliError naming the file and the line."""
-    records = []
-    for n, ln in enumerate(_read(path).splitlines(), 1):
-        if ln.strip():
-            try:
-                records.append(report_mod.parse_record(ln, types))
-            except ValueError as e:
-                raise CliError("%s line %d: %s" % (path, n, e))
-    return records
+    """The records of path, each a JSON object whose fields have `types`
+    (jsonl.read and jsonl.fields); a record they reject is a CliError
+    naming the file and the line."""
+    try:
+        return [jsonl.fields(rec, types, i) for i, rec in jsonl.read(_read(path))]
+    except jsonl.RecordError as e:
+        raise CliError("%s line %d: %s" % (path, e.record + 1, e.args[0]))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -417,8 +414,8 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (CliError, OSError, LexError, ParseError, EmptySlice, AmbiguousSlice,
-            EmptyInput, TemplateFormatError, ProgramFormatError,
-            interchange.InterchangeError, spider_mod.AuthError) as e:
+            EmptyInput, jsonl.RecordError, ProgramFormatError,
+            spider_mod.AuthError, spider_mod.SpiderError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except RecursionError:

@@ -4,30 +4,27 @@ Lets external full-language frontends feed the pipeline: one JSON record per
 node after a header record.  Unknown kind strings are kept verbatim and act
 as opaque tags during matching.
 
-import_ast checks each record on its own: valid JSON, fields of the right
-types, no duplicate id, and a root id that has a record.  Everything that
-concerns the tree as a whole (shape, reachability, line spans, symbol and
-value placement) is astree.validate_unit's, and its verdict is reported as
-an InterchangeError on the record of the node it blames.
+import_ast reads the records with jsonl, the reader of every JSON-lines
+format, and checks each on its own: valid JSON, the node-record core it
+shares with tmpl-v1 (an int id that does not repeat, a str kind, a list of
+int children), a non-empty kind, two int lines and str symbol and value.
+An int field never takes a bool.  Everything that concerns the tree as a
+whole (shape, reachability, line spans, symbol and value placement) is
+astree.validate_unit's, and its verdict is reported as an InterchangeError
+on the record of the node it blames, or on the header for a missing root.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
+from . import jsonl
 from .astree import AstNode, InvariantError, SourceUnit, validate_unit
 
 FORMAT = "ast-v1"
 
 
-class InterchangeError(Exception):
+class InterchangeError(jsonl.RecordError):
     """Schema violation; carries the offending record index (0-based)."""
-
-    def __init__(self, message: str, record: int | None = None):
-        self.record = record
-        if record is not None:
-            message = "record %d: %s" % (record, message)
-        super().__init__(message)
 
 
 def export_ast(unit: SourceUnit) -> str:
@@ -46,66 +43,33 @@ def export_ast(unit: SourceUnit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_ast(stream: str | Iterable[str]) -> SourceUnit:
-    """Parse ast-v1 text (or an iterable of lines) into a validated SourceUnit."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
-    records = []
-    for i, ln in enumerate(lines):
-        if not ln.strip():
-            continue
-        try:
-            records.append((i, json.loads(ln)))
-        except json.JSONDecodeError as e:
-            raise InterchangeError("not valid JSON: %s" % e, i) from None
-    if not records:
-        raise InterchangeError("empty stream")
-    hdr_idx, header = records[0]
-    if not isinstance(header, dict) or header.get("format") != FORMAT:
-        raise InterchangeError("missing %r header" % FORMAT, hdr_idx)
+def import_ast(text: str) -> SourceUnit:
+    """Parse ast-v1 text into a validated SourceUnit."""
+    records = jsonl.read(text, InterchangeError)
+    hdr, header = next(records, (None, None))
+    if type(header) is not dict or header.get("format") != FORMAT:
+        raise InterchangeError("missing %r header" % FORMAT, hdr)
     root = header.get("root")
-    if not isinstance(root, int):
-        raise InterchangeError("header lacks integer 'root'", hdr_idx)
-    path = header.get("path", "<imported>")
+    if type(root) is not int:
+        raise InterchangeError("header lacks integer 'root'", hdr)
 
     nodes: dict[int, AstNode] = {}
     rec_index: dict[int, int] = {}
-    for i, rec in records[1:]:
-        if not isinstance(rec, dict):
-            raise InterchangeError("node record must be an object", i)
-        node_id = rec.get("id")
-        kind = rec.get("kind")
-        if not isinstance(node_id, int):
-            raise InterchangeError("missing integer 'id'", i)
-        if not isinstance(kind, str) or not kind:
-            raise InterchangeError("missing 'kind'", i)
-        if node_id in nodes:
-            raise InterchangeError("duplicate id %d" % node_id, i)
-        children = rec.get("children", [])
-        if not isinstance(children, list) or not all(isinstance(c, int) for c in children):
-            raise InterchangeError("'children' must be a list of ints", i)
+    for i, rec in records:
+        node_id, kind, children = jsonl.node(rec, i, rec_index, InterchangeError)
+        if not kind:
+            raise InterchangeError("empty 'kind'", i)
         line = rec.get("line", [1, 1])
-        if (not isinstance(line, list) or len(line) != 2
-                or not all(isinstance(x, int) for x in line)):
+        if not jsonl.ints(line, 2):
             raise InterchangeError("'line' must be [start, end]", i)
-        symbol = rec.get("symbol")
-        value = rec.get("value")
-        if symbol is not None and not isinstance(symbol, str):
-            raise InterchangeError("'symbol' must be a string", i)
-        if value is not None and not isinstance(value, str):
-            raise InterchangeError("'value' must be a string", i)
-        nodes[node_id] = AstNode(id=node_id, kind=kind, children=tuple(children),
-                                 symbol=symbol, value=value,
-                                 line_start=line[0], line_end=line[1])
-        rec_index[node_id] = i
+        jsonl.fields(rec, dict.fromkeys(("symbol", "value"), (str, type(None))), i,
+                     InterchangeError)
+        nodes[node_id] = AstNode(node_id, kind, children, rec.get("symbol"),
+                                 rec.get("value"), *line)
 
-    if root not in nodes:
-        raise InterchangeError("root %d not among node records" % root, hdr_idx)
-    unit = SourceUnit(path=path, root=root, nodes=nodes)
+    unit = SourceUnit(path=header.get("path", "<imported>"), root=root, nodes=nodes)
     try:
         validate_unit(unit)
     except InvariantError as e:
-        raise InterchangeError(str(e), rec_index.get(e.node)) from None
+        raise InterchangeError(str(e), rec_index.get(e.node, hdr)) from None
     return unit

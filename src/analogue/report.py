@@ -1,18 +1,22 @@
-"""Render match records as human-readable triage reports."""
+"""Render match records as human-readable triage reports.
+
+Match records are read with jsonl, the reader of every JSON-lines format,
+and checked as strictly: a record the report cannot render is skipped with a
+warning and counted.
+"""
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import jsonl
 from .spider import NOT_POPULAR, POPULAR, VERY_POPULAR
 
 log = logging.getLogger(__name__)
 
-# The match record fields a report reads, and their types.
-MATCH_FIELDS = {"file": str, "lines": list, "query": str, "excerpt": str,
-                "bindings": dict}
+# The types of the match record fields a report reads, but lines (two ints).
+MATCH_FIELDS = {"file": str, "query": str, "excerpt": str, "bindings": dict}
 
 BUCKET_LABELS = {
     NOT_POPULAR: "Not popular",
@@ -34,40 +38,27 @@ class ReportRow:
 
 
 def load_match_records(text: str) -> tuple[list[dict], int]:
-    """Parse newline-delimited match records; malformed lines are skipped
-    with a warning.  Returns (records, skipped_count)."""
+    """Parse newline-delimited match records; a record that is not a JSON
+    object with a str file, two int lines, bindings of class numbers to str
+    names and the MATCH_FIELDS types is skipped with a warning.  Returns
+    (records, skipped_count)."""
     records: list[dict] = []
-    skipped = 0
-    for i, ln in enumerate(text.splitlines()):
-        if not ln.strip():
-            continue
+    skipped: list[jsonl.RecordError] = []
+    for i, rec in jsonl.read(text, skip=skipped.append):
         try:
-            rec = parse_record(ln, MATCH_FIELDS)
-            lines = rec.get("lines")
-            if "file" not in rec or lines is None:
-                raise ValueError("missing file/lines")
-            if len(lines) != 2 or not all(type(n) is int for n in lines):
-                raise ValueError("lines must be two ints")
+            jsonl.fields(rec, MATCH_FIELDS, i)
+            if "file" not in rec or not jsonl.ints(rec.get("lines"), 2):
+                raise jsonl.RecordError("needs a file and two int lines", i)
             if not all(k.isdecimal() and type(v) is str
                        for k, v in rec.get("bindings", {}).items()):
-                raise ValueError("bindings must map class numbers to names")
+                raise jsonl.RecordError("bindings must map class numbers to names", i)
+        except jsonl.RecordError as e:
+            skipped.append(e)
+        else:
             records.append(rec)
-        except ValueError as e:
-            skipped += 1
-            log.warning("skipping malformed match record %d: %s", i, e)
-    return records, skipped
-
-
-def parse_record(line: str, types: dict[str, type | tuple]) -> dict:
-    """The JSON object on the line; ValueError unless it is one whose
-    value under each key of `types` it holds has that type."""
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError("not a JSON object")
-    for key, typ in types.items():
-        if key in rec and not isinstance(rec[key], typ):
-            raise ValueError("%r has the wrong type" % key)
-    return rec
+    for e in skipped:   # in stream order, as read appends lazily
+        log.warning("skipping malformed match %s", e)
+    return records, len(skipped)
 
 
 def bucket_resolver(repo_records: list[dict]):

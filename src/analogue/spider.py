@@ -3,6 +3,8 @@
 All waiting goes through an injectable clock so the rate budget can be tested
 on simulated time.  A single authenticated identity is assumed throughout:
 one token, one request stream, one shared budget for listing and downloads.
+Listing pages and archives are fetched through one request helper (_get),
+so both follow one retry rule.
 """
 from __future__ import annotations
 
@@ -156,6 +158,48 @@ def _meta_from_record(rec: dict, fetched_at: float) -> RepoMeta:
         fetched_at=fetched_at)
 
 
+def _get(url: str, budget: RateBudget | None, clock, session: requests.Session,
+         token: str | None, max_attempts: int, error: type[Exception],
+         **request) -> requests.Response:
+    """GET url under the budget, with the token and the API's Accept header,
+    retrying what may pass.
+
+    A 403 or 429 that carries X-RateLimit-Reset sleeps until that time; any
+    other 403 or 429, a 5xx or a network error sleeps a backoff of 1, 2, 4,
+    ... seconds, capped at 60.  A 401 raises AuthError, and when max_attempts
+    requests have all been retried, `error` is raised.  Any other response
+    is returned.
+    """
+    headers = {"Accept": "application/vnd.github+json"}
+    if token:
+        headers["Authorization"] = "token " + token
+    backoff, failure = 1.0, "no attempt made"
+    for _attempt in range(max_attempts):
+        if budget is not None:
+            budget.acquire(clock)
+        reset = None
+        try:
+            resp = session.get(url, headers=headers, **request)
+        except requests.RequestException as e:
+            failure = str(e)
+        else:
+            if resp.status_code == 401:
+                raise AuthError("API rejected credentials (401)")
+            if resp.status_code in (403, 429):
+                reset = resp.headers.get("X-RateLimit-Reset")
+            elif resp.status_code < 500:
+                return resp
+            failure = "status %d" % resp.status_code
+        if reset is not None:
+            wait = max(0.0, float(reset) - clock.now())
+        else:
+            wait = min(backoff, 60.0)
+            backoff *= 2
+        log.warning("GET %s: %s; retrying in %.1fs", url, failure, wait)
+        clock.sleep(wait)
+    raise error("GET %s failed after %d attempts: %s" % (url, max_attempts, failure))
+
+
 def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
                     token: str | None = None,
                     session: requests.Session | None = None,
@@ -165,62 +209,31 @@ def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
 
     Returns (metas, next_cursor); next_cursor is None once the listing is
     exhausted, and unchanged (never None) when a malformed page was skipped.
-    Transient failures are retried with capped exponential backoff; a 403
-    rate-limit response sleeps until the advertised reset.
+    Failures are retried by _get's rule, and running out of attempts raises
+    SpiderError.
     """
     clock = clock or SystemClock()
-    sess = session or requests.Session()
-    headers = {"Accept": "application/vnd.github+json"}
-    if token:
-        headers["Authorization"] = "token " + token
-    url = api_base.rstrip("/") + "/repositories"
     cursor = int(cursor or 0)
     params: dict = {"per_page": per_page}
     if cursor:
         params["since"] = cursor
-    backoff = 1.0
-    for _attempt in range(max_attempts):
-        budget.acquire(clock)
-        try:
-            resp = sess.get(url, params=params, headers=headers, timeout=30)
-        except requests.RequestException as e:
-            log.warning("listing request failed (%s), backing off", e)
-            clock.sleep(min(backoff, 60.0))
-            backoff *= 2
-            continue
-        if resp.status_code == 401:
-            raise AuthError("API rejected credentials (401)")
-        if resp.status_code in (403, 429):
-            reset = resp.headers.get("X-RateLimit-Reset")
-            now = clock.now()
-            if reset is not None:
-                wait = max(0.0, float(reset) - now)
-            else:
-                wait = min(backoff, 60.0)
-                backoff *= 2
-            log.info("rate limited; sleeping %.1fs until reset", wait)
-            clock.sleep(wait)
-            continue
-        if resp.status_code >= 500:
-            log.warning("server error %d, backing off", resp.status_code)
-            clock.sleep(min(backoff, 60.0))
-            backoff *= 2
-            continue
-        try:
-            if resp.status_code != 200:
-                raise MalformedResponse("unexpected status %d" % resp.status_code)
-            payload = resp.json()
-            if not isinstance(payload, list):
-                raise MalformedResponse("listing body is not a list")
-            fetched = clock.now()
-            metas = [_meta_from_record(rec, fetched) for rec in payload]
-        except (ValueError, MalformedResponse) as e:
-            log.warning("skipping malformed listing page: %s", e)
-            return [], cursor
-        if not metas:
-            return [], None
-        return metas, max(m.repo_id for m in metas)
-    raise SpiderError("listing failed after %d attempts" % max_attempts)
+    resp = _get(api_base.rstrip("/") + "/repositories", budget, clock,
+                session or requests.Session(), token, max_attempts, SpiderError,
+                params=params, timeout=30)
+    try:
+        if resp.status_code != 200:
+            raise MalformedResponse("unexpected status %d" % resp.status_code)
+        payload = resp.json()
+        if not isinstance(payload, list):
+            raise MalformedResponse("listing body is not a list")
+        fetched = clock.now()
+        metas = [_meta_from_record(rec, fetched) for rec in payload]
+    except (ValueError, MalformedResponse) as e:
+        log.warning("skipping malformed listing page: %s", e)
+        return [], cursor
+    if not metas:
+        return [], None
+    return metas, max(m.repo_id for m in metas)
 
 
 def crawl(api_base: str, budget: RateBudget, *, token: str | None = None,
@@ -293,7 +306,9 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
                   max_attempts: int = 4) -> Path:
     """Fetch one repository working tree; idempotent if already present.
 
-    archive: fetch and unpack the source tarball (counts against the budget).
+    archive: fetch and unpack the source tarball (counts against the budget;
+             failures are retried by _get's rule, and a response other
+             than 200 or running out of attempts raises DownloadError).
     clone:   git clone including revision history.
     """
     clock = clock or SystemClock()
@@ -314,33 +329,16 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
         raise ValueError("strategy must be 'archive' or 'clone'")
     if not meta.archive_url:
         raise DownloadError("no archive_url for %s" % meta.full_name)
-    sess = session or requests.Session()
-    headers = {}
-    if token:
-        headers["Authorization"] = "token " + token
-    backoff = 1.0
-    last_error = "unknown"
-    for _attempt in range(max_attempts):
-        if budget is not None:
-            budget.acquire(clock)
-        try:
-            resp = sess.get(meta.archive_url, headers=headers, timeout=60)
-        except requests.RequestException as e:
-            last_error = str(e)
-            clock.sleep(min(backoff, 60.0))
-            backoff *= 2
-            continue
-        if resp.status_code != 200:
-            last_error = "status %d" % resp.status_code
-            clock.sleep(min(backoff, 60.0))
-            backoff *= 2
-            continue
-        try:
-            _extract_tarball(resp.content, target)
-        except (tarfile.TarError, OSError, ValueError) as e:
-            raise DownloadError("corrupt archive for %s: %s" % (meta.full_name, e))
-        return target
-    raise DownloadError("downloading %s failed: %s" % (meta.full_name, last_error))
+    resp = _get(meta.archive_url, budget, clock, session or requests.Session(),
+                token, max_attempts, DownloadError, timeout=60)
+    if resp.status_code != 200:
+        raise DownloadError("downloading %s failed: status %d"
+                            % (meta.full_name, resp.status_code))
+    try:
+        _extract_tarball(resp.content, target)
+    except (tarfile.TarError, OSError, ValueError) as e:
+        raise DownloadError("corrupt archive for %s: %s" % (meta.full_name, e))
+    return target
 
 
 def _extract_tarball(data: bytes, target: Path) -> None:

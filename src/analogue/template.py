@@ -7,20 +7,27 @@ names are either preserved (``symbol_policy="preserve"``) or erased too
 same concrete name in any match; those constraints are the data-flow edges.
 
 The classes carry the data flow in full, so a template stores no edges:
-``Template.dataflow_edges`` derives them from the tree.  The ``tmpl-v1``
-edges record and the query id still list them, and a ``tmpl-v1`` file whose
-edges record differs from the pairs its classes imply does not load.
+``Template.dataflow_edges`` derives them from the tree, as
+``Template.template_depth`` derives the depth.  The ``tmpl-v1`` edges record,
+header depth and query id still state them, and a ``tmpl-v1`` file whose
+edges record or header ``template_depth`` differs from what its tree implies
+does not load.  ``tmpl-v1`` records are read with jsonl, the reader of every
+JSON-lines format: node records through the core they share with
+``ast-v1``, and the tree through ``astree.check_forest``.  An int field
+never takes a bool.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from . import astree
-from .astree import AstNode, SourceUnit
+from . import astree, jsonl
+from .astree import AstNode, InvariantError, SourceUnit
 
 FORMAT = "tmpl-v1"
 
@@ -32,12 +39,8 @@ class EmptyInput(Exception):
     """derive_template was given no statements."""
 
 
-class TemplateFormatError(Exception):
-    def __init__(self, message: str, record: int | None = None):
-        self.record = record
-        if record is not None:
-            message = "record %d: %s" % (record, message)
-        super().__init__(message)
+class TemplateFormatError(jsonl.RecordError):
+    """A tmpl-v1 defect; carries the offending record index (0-based)."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ class Template:
     mode: str = "normal"
     symbol_policy: str = "preserve"
     seed_origin: SeedOrigin | None = None
-    template_depth: int = 0
 
     def iter_preorder(self, root: int | None = None) -> Iterator[TemplateNode]:
         roots = [root] if root is not None else list(self.statements)
@@ -112,6 +114,12 @@ class Template:
                 n = self.nodes[stack.pop()]
                 yield n
                 stack.extend(reversed(n.children))
+
+    @cached_property
+    def template_depth(self) -> int:
+        """Depth of the deepest node, each statement root at depth 0.  Also
+        checks that the nodes are a forest under the statements."""
+        return astree.check_forest(self.nodes, self.statements)
 
     @property
     def dataflow_edges(self) -> frozenset[tuple[int, int]]:
@@ -166,39 +174,11 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
         stack += [(c, children) for c in reversed(unit.children_of(src))]
     nodes = {i: TemplateNode(id=i, kind=kind, children=tuple(children), leaf_role=role)
              for i, (kind, role, children) in enumerate(records)}
-    roots = tuple(statement_ids)
     origin = SeedOrigin(path=unit.path,
                         line_start=min(s.line_start for s in statements),
                         line_end=max(s.line_end for s in statements))
-    return Template(statements=roots, nodes=nodes, mode=mode,
-                    symbol_policy=symbol_policy, seed_origin=origin,
-                    template_depth=_depth(nodes, roots))
-
-
-def _depth(nodes: dict[int, TemplateNode], roots: Iterable[int]) -> int:
-    """Depth of the deepest node under the roots, each root at depth 0.
-
-    A node reached twice, through a cycle or a shared child, or a node that
-    no root reaches is a format error: the tree of a template is a forest of
-    exactly its nodes.
-    """
-    deepest = 0
-    seen: set[int] = set()
-    stack = [(r, 0) for r in roots]
-    while stack:
-        node_id, depth = stack.pop()
-        if node_id in seen:
-            raise TemplateFormatError("node %d is reached twice" % node_id)
-        seen.add(node_id)
-        children = nodes[node_id].children
-        if children:
-            depth += 1
-            deepest = max(deepest, depth)
-            stack += [(c, depth) for c in children]
-    if len(seen) != len(nodes):
-        raise TemplateFormatError("unreachable node records: %s"
-                                  % [n for n in nodes if n not in seen][:5])
-    return deepest
+    return Template(statements=tuple(statement_ids), nodes=nodes, mode=mode,
+                    symbol_policy=symbol_policy, seed_origin=origin)
 
 
 @dataclass(frozen=True)
@@ -215,23 +195,14 @@ class TemplateStats:
 
 
 def template_stats(t: Template) -> TemplateStats:
-    node_count = var_w = lit_w = api = call_w = 0
-    classes = set()
-    for n in t.iter_preorder():
-        node_count += 1
-        if isinstance(n.leaf_role, VarWildcard):
-            var_w += 1
-            classes.add(n.leaf_role.class_id)
-        elif isinstance(n.leaf_role, LiteralWildcard):
-            lit_w += 1
-        elif isinstance(n.leaf_role, ApiSymbol):
-            api += 1
-        elif isinstance(n.leaf_role, CallWildcard):
-            call_w += 1
-    return TemplateStats(node_count=node_count, statement_count=len(t.statements),
-                         var_wildcards=var_w, literal_wildcards=lit_w,
-                         api_symbols=api, call_wildcards=call_w,
-                         var_class_count=len(classes),
+    nodes = list(t.iter_preorder())
+    roles = Counter(type(n.leaf_role) for n in nodes)
+    return TemplateStats(node_count=len(nodes), statement_count=len(t.statements),
+                         var_wildcards=roles[VarWildcard],
+                         literal_wildcards=roles[LiteralWildcard],
+                         api_symbols=roles[ApiSymbol], call_wildcards=roles[CallWildcard],
+                         var_class_count=len({n.leaf_role.class_id for n in nodes
+                                              if type(n.leaf_role) is VarWildcard}),
                          edge_count=len(t.dataflow_edges), depth=t.template_depth)
 
 
@@ -257,12 +228,12 @@ def _role_from_json(obj, record: int) -> LeafRole | None:
     kind = obj.get("role") if isinstance(obj, dict) else None
     if kind == "api":
         name = obj.get("name")
-        if not isinstance(name, str):
+        if type(name) is not str:
             raise TemplateFormatError("api role needs a 'name'", record)
         return ApiSymbol(name)
     if kind == "var":
         cls = obj.get("class")
-        if not isinstance(cls, int) or cls < 0:
+        if type(cls) is not int or cls < 0:
             raise TemplateFormatError("var role needs a non-negative 'class'", record)
         return VarWildcard(cls)
     if kind == "lit":
@@ -295,72 +266,53 @@ def serialize_template(t: Template) -> str:
 
 
 def deserialize_template(text: str) -> Template:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TemplateFormatError("empty template stream")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise TemplateFormatError("header is not valid JSON: %s" % e, 0) from None
-    if not isinstance(header, dict) or header.get("format") != FORMAT:
-        raise TemplateFormatError("missing %r header" % FORMAT, 0)
-    mode = header.get("mode")
-    policy = header.get("symbol_policy")
-    if mode not in MODES:
-        raise TemplateFormatError("bad mode %r" % mode, 0)
-    if policy not in SYMBOL_POLICIES:
-        raise TemplateFormatError("bad symbol_policy %r" % policy, 0)
+    """Read tmpl-v1 text; any defect raises TemplateFormatError naming the
+    record.  The tree must be a forest under the header's roots, and the
+    header's template_depth, when present, and the edges record must equal
+    what the tree implies."""
+    records = jsonl.read(text, TemplateFormatError)
+    hdr, header = next(records, (None, None))
+    if type(header) is not dict or header.get("format") != FORMAT:
+        raise TemplateFormatError("missing %r header" % FORMAT, hdr)
+    mode, policy = header.get("mode"), header.get("symbol_policy")
     roots = header.get("roots")
-    if not isinstance(roots, list) or not roots or \
-            not all(isinstance(r, int) for r in roots):
-        raise TemplateFormatError("header needs non-empty integer 'roots'", 0)
+    if mode not in MODES:
+        raise TemplateFormatError("bad mode %r" % mode, hdr)
+    if policy not in SYMBOL_POLICIES:
+        raise TemplateFormatError("bad symbol_policy %r" % policy, hdr)
+    if not roots or not jsonl.ints(roots):
+        raise TemplateFormatError("header needs non-empty integer 'roots'", hdr)
     try:
         origin = origin_from_json(header.get("origin"))
     except ValueError as e:
-        raise TemplateFormatError(str(e), 0) from None
+        raise TemplateFormatError(str(e), hdr) from None
 
     nodes: dict[int, TemplateNode] = {}
+    rec_index: dict[int, int] = {}
     edges: frozenset[tuple[int, int]] | None = None
-    for i, ln in enumerate(lines[1:], start=1):
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise TemplateFormatError("not valid JSON: %s" % e, i) from None
-        if not isinstance(rec, dict):
-            raise TemplateFormatError("record must be an object", i)
-        if "edges" in rec:
+    for i, rec in records:
+        if type(rec) is dict and "edges" in rec:
             raw = rec["edges"]
-            if not isinstance(raw, list) or not all(
-                    isinstance(e, list) and len(e) == 2
-                    and all(isinstance(end, int) for end in e) for e in raw):
+            if type(raw) is not list or not all(jsonl.ints(e, 2) for e in raw):
                 raise TemplateFormatError("malformed edges record", i)
             edges = frozenset(tuple(sorted(e)) for e in raw)
             continue
-        node_id = rec.get("id")
-        kind = rec.get("kind")
-        if not isinstance(node_id, int) or not isinstance(kind, str):
-            raise TemplateFormatError("node record needs 'id' and 'kind'", i)
-        if node_id in nodes:
-            raise TemplateFormatError("duplicate id %d" % node_id, i)
-        children = rec.get("children", [])
-        if not isinstance(children, list) or not all(isinstance(c, int) for c in children):
-            raise TemplateFormatError("'children' must be a list of ints", i)
-        role = _role_from_json(rec.get("leaf_role"), i)
-        nodes[node_id] = TemplateNode(id=node_id, kind=kind,
-                                      children=tuple(children), leaf_role=role)
+        node_id, kind, children = jsonl.node(rec, i, rec_index, TemplateFormatError)
+        nodes[node_id] = TemplateNode(node_id, kind, children,
+                                      _role_from_json(rec.get("leaf_role"), i))
     if edges is None:
         raise TemplateFormatError("missing edges record")
-    for r in roots:
-        if r not in nodes:
-            raise TemplateFormatError("root %d has no node record" % r)
-    for n in nodes.values():
-        for c in n.children:
-            if c not in nodes:
-                raise TemplateFormatError("dangling child reference %d" % c)
 
     t = Template(statements=tuple(roots), nodes=nodes, mode=mode,
-                 symbol_policy=policy, seed_origin=origin,
-                 template_depth=_depth(nodes, roots))
+                 symbol_policy=policy, seed_origin=origin)
+    try:
+        depth = t.template_depth
+    except InvariantError as e:
+        raise TemplateFormatError(str(e), rec_index.get(e.node, hdr)) from None
+    stated = header.get("template_depth", depth)
+    if type(stated) is not int or stated != depth:
+        raise TemplateFormatError("template_depth is %s, but the tree implies %d"
+                                  % (json.dumps(stated), depth), hdr)
     derived = t.dataflow_edges
     if edges != derived:
         raise TemplateFormatError(

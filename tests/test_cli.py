@@ -13,6 +13,7 @@ import pytest
 from analogue import cli
 from analogue.cli import build_parser, main
 from analogue.mock_api import MockHub
+from analogue.spider import SystemClock
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -178,10 +179,13 @@ MATCH = {"query": "q", "file": "a.php", "lines": [1, 2], "bindings": {"0": "$a"}
 
 
 @pytest.mark.parametrize("option,line,reason", [
-    ("--stats", "{oops", "Expecting property name"),
+    ("--stats", "{oops", "not valid JSON: Expecting property name"),
     ("--stats", "[1]", "not a JSON object"),
     ("--stats", '{"query": "q", "wall_time_s": "1s"}', "'wall_time_s' has the wrong type"),
-    ("--repos", "{oops", "Expecting property name"),
+    ("--stats", '{"query": "q", "wall_time_s": true}', "'wall_time_s' has the wrong type"),
+    ("--stats", '{"query": "q", "node_comparisons": true}',
+     "'node_comparisons' has the wrong type"),
+    ("--repos", "{oops", "not valid JSON: Expecting property name"),
     ("--repos", '"owner/name"', "not a JSON object"),
     ("--repos", '{"full_name": 7, "bucket": "popular"}', "'full_name' has the wrong type"),
 ])
@@ -274,6 +278,18 @@ def test_spider_cli_against_mock(tmp_path, capsys, monkeypatch):
                            "o/starred-php": "very-popular"}
         assert (tmp_path / "dl" / "o__small-php").is_dir()
         assert (tmp_path / "dl" / "o__starred-php").is_dir()
+
+
+def test_spider_whose_listing_retries_run_out_is_an_error(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(SystemClock, "sleep", lambda self, seconds: None)
+    with MockHub() as hub:
+        hub.fail_queue = [503] * 5
+        code, out, err = run(capsys, "spider", "--api-base", hub.base_url,
+                             "--out", str(tmp_path / "repos.jsonl"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: GET %s/repositories failed after 5 attempts: "
+                          "status 503" % hub.base_url)
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

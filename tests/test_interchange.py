@@ -134,6 +134,12 @@ def test_unknown_kinds_survive_roundtrip_verbatim():
       rec(2, "Name", symbol="f")], 2),
     # unreachable records out of id order: the first in the stream is blamed
     ([header(0), rec(0, "StmtList", []), rec(9, "Echo", []), rec(4, "Echo", [])], 2),
+    # a bool where an int belongs, though True == 1
+    ([header(True), rec(1, "StmtList", [])], 0),
+    ([header(1), '{"id": true, "kind": "StmtList", "children": []}'], 1),
+    ([header(0), rec(0, "StmtList", [], line=(True, True))], 1),
+    # a root without a record is blamed on the header
+    ([header(3), rec(0, "StmtList", [])], 0),
 ])
 def test_schema_violations_rejected(lines, expect_record):
     with pytest.raises(InterchangeError) as exc:

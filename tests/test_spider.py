@@ -263,6 +263,47 @@ def test_corrupt_archive_raises(tmp_path):
             download_repo(metas[0], tmp_path, clock=FakeClock())
 
 
+def test_rate_limited_download_waits_for_the_advertised_reset(tmp_path):
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        clock = FakeClock(current=1000.0)
+        hub.rate_limited_times = 1
+        hub.rate_limit_reset = 1100.0
+        local = download_repo(metas[0], tmp_path, budget=RateBudget(), clock=clock)
+        assert clock.sleeps == [100.0]
+        assert len(list(local.rglob("*.php"))) == len(FILES)
+
+
+def test_rate_limit_that_outlasts_the_attempts_ends_in_download_error(tmp_path):
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        clock = FakeClock(current=1000.0)
+        hub.rate_limited_times = 5
+        hub.rate_limit_reset = 1100.0
+        with pytest.raises(DownloadError, match="status 403"):
+            download_repo(metas[0], tmp_path, clock=clock)
+        assert clock.sleeps == [100.0, 0.0, 0.0, 0.0]
+
+
+def test_auth_failure_on_download_is_fatal(tmp_path):
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        hub.fail_queue = [401]
+        served_before = len(hub.requests_seen)
+        with pytest.raises(AuthError):
+            download_repo(metas[0], tmp_path, clock=FakeClock())
+        assert len(hub.requests_seen) == served_before + 1
+
+
 def test_unreachable_archive_fails_after_retries(tmp_path):
     meta = _meta(archive_url="http://127.0.0.1:1/never.tar.gz")
     clock = FakeClock()

@@ -274,7 +274,8 @@ def test_deserialize_rejects_a_node_reached_twice():
         if rec["kind"] == "Var":
             rec["children"] = [lines[0]["roots"][0]]
             break
-    with pytest.raises(TemplateFormatError, match="reached twice"):
+    with pytest.raises(TemplateFormatError,
+                       match=r"^record 1: node 0 has multiple parents or a cycle$"):
         deserialize_template("\n".join(json.dumps(rec) for rec in lines))
 
 
@@ -282,7 +283,7 @@ def test_deserialize_rejects_an_unreachable_record():
     good = serialize_template(derive_from("<?php $a = $b;"))
     lines = good.splitlines()
     stray = json.dumps({"id": 99, "kind": "Var", "leaf_role": {"role": "var", "class": 0}})
-    with pytest.raises(TemplateFormatError, match=r"unreachable node records: \[99\]"):
+    with pytest.raises(TemplateFormatError, match=r"^record 4: unreachable nodes: \[99\]$"):
         deserialize_template("\n".join(lines[:-1] + [stray, lines[-1]]))
 
 
@@ -301,3 +302,37 @@ def test_deserialize_rejects_an_origin_without_a_str_path_and_two_int_lines(orig
     header["origin"] = None
     again = deserialize_template("\n".join([json.dumps(header)] + lines[1:]))
     assert again.seed_origin is None
+
+
+def _records_with_ids_from_one(text: str) -> list[dict]:
+    """The records of a tmpl-v1 text with every node id one higher, so that
+    the first root is 1, the id a bool would pass for."""
+    recs = [json.loads(ln) for ln in text.splitlines()]
+    recs[0]["roots"] = [r + 1 for r in recs[0]["roots"]]
+    for rec in recs[1:-1]:
+        rec["id"] += 1
+        rec["children"] = [c + 1 for c in rec["children"]]
+    recs[-1]["edges"] = [[a + 1, b + 1] for a, b in recs[-1]["edges"]]
+    return recs
+
+
+@pytest.mark.parametrize("where,good,bad,error", [
+    ((2, "leaf_role", "class"), 0, False, "record 2: var role needs a non-negative 'class'"),
+    ((1, "id"), 1, True, "record 1: a node record needs an int 'id' and a str 'kind'"),
+    ((0, "roots"), [1], [True], "record 0: header needs non-empty integer 'roots'"),
+    ((0, "template_depth"), 1, 99, "record 0: template_depth is 99, but the tree implies 1"),
+], ids=["class", "id", "roots", "template_depth"])
+def test_deserialize_rejects_a_bool_in_an_int_field_and_a_wrong_header_depth(
+        where, good, bad, error):
+    recs = _records_with_ids_from_one(serialize_template(derive_from("<?php $a = $b;")))
+    *path, key = where
+    target = recs
+    for step in path:
+        target = target[step]
+    assert target[key] == good
+    again = deserialize_template("\n".join(json.dumps(rec) for rec in recs))
+    assert again.template_depth == 1
+    target[key] = bad
+    with pytest.raises(TemplateFormatError) as exc:
+        deserialize_template("\n".join(json.dumps(rec) for rec in recs))
+    assert str(exc.value) == error
