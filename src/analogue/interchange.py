@@ -8,6 +8,7 @@ import_ast reads the records with jsonl, the reader of every JSON-lines
 format, and checks each on its own: valid JSON, the node-record core it
 shares with tmpl-v1 (an int id that does not repeat, a str kind, a list of
 int children), a non-empty kind, two int lines and str symbol and value.
+The header needs an int root, and its path, if present, must be a str.
 An int field never takes a bool.  Everything that concerns the tree as a
 whole (shape, reachability, line spans, symbol and value placement) is
 astree.validate_unit's, and its verdict is reported as an InterchangeError
@@ -52,6 +53,7 @@ def import_ast(text: str) -> SourceUnit:
     root = header.get("root")
     if type(root) is not int:
         raise InterchangeError("header lacks integer 'root'", hdr)
+    jsonl.fields(header, {"path": str}, hdr, InterchangeError)
 
     nodes: dict[int, AstNode] = {}
     rec_index: dict[int, int] = {}

@@ -25,16 +25,25 @@ class RecordError(Exception):
         return "record %d: %s" % (self.record, self.args[0])
 
 
+def _no_constant(name: str):
+    raise ValueError("%s is not a JSON number" % name)
+
+
+# Python's json module takes NaN, Infinity and -Infinity, which JSON does
+# not have; this decoder refuses them like any other text that is not JSON.
+_decode = json.JSONDecoder(parse_constant=_no_constant).decode
+
+
 def read(text: str, error: type[RecordError] = RecordError,
          skip: Callable[[RecordError], Any] | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (index, value) for each non-blank line of text.  A line that is
-    not JSON raises `error` naming it, or, with `skip` given, is passed to
-    skip as that error and left out."""
+    not JSON (NaN, Infinity and -Infinity included) raises `error` naming it,
+    or, with `skip` given, is passed to skip as that error and left out."""
     for i, line in enumerate(text.splitlines()):
         if line.strip():
             try:
-                yield i, json.loads(line)
-            except json.JSONDecodeError as e:
+                yield i, _decode(line)
+            except ValueError as e:
                 bad = error("not valid JSON: %s" % e, i)
                 if skip is None:
                     raise bad from None

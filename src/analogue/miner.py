@@ -5,6 +5,11 @@ run every query program over every parsed unit that holds all of the
 program's preserved symbols, and aggregate matches plus per-query
 statistics.
 
+Files are handled one at a time: each is read, parsed and scanned by every
+program, and its tree is freed before the next file is read.  So a scan
+holds at most one parsed file, and its memory is bounded by the largest
+file plus the matches found, however many files the repository has.
+
 Discovery walks the repository with os.scandir.  A file is a candidate when
 its extension, lowercased, is one of MinerOptions.extensions; every symbolic
 link, to a file or to a directory, is skipped, and the relative paths come
@@ -74,6 +79,7 @@ class SkippedFile:
 class ScanStats:
     """One query over one repository.
 
+    wall_time_s is the query's scan time summed over the repository's files.
     nodes_scanned is the node count of all parsed units.  candidates_tried
     sums the anchors the program was tried at after the kind index, depth
     pruning and the arity window; units_skipped counts the units never scanned
@@ -147,47 +153,42 @@ def parse_file(data: bytes, path: str) -> tuple[SourceUnit, str]:
     return parse_source(text, path=path), text.removeprefix("\ufeff")
 
 
-def _load_units(repo_path: Path, repo_id: str, rel_files: list[str],
-                opts: MinerOptions) -> tuple[list[tuple[SourceUnit, str]], list[SkippedFile]]:
-    units: list[tuple[SourceUnit, str]] = []
-    skipped: list[SkippedFile] = []
-    root = os.fspath(repo_path)
-    limit = opts.max_file_bytes
-    for rel in rel_files:
-        label = "%s/%s" % (repo_id, rel)
-        try:
-            with open(os.path.join(root, rel), "rb") as fh:
-                size = os.fstat(fh.fileno()).st_size
-                data = fh.read() if size <= limit else None
-        except OSError as e:
-            skipped.append(SkippedFile(label, SKIP_UNREADABLE, str(e)))
-            continue
-        if data is None:
-            skipped.append(SkippedFile(label, SKIP_TOO_LARGE, "%d bytes" % size))
-            continue
-        if b"\x00" in data[:8192]:
-            skipped.append(SkippedFile(label, SKIP_BINARY))
-            continue
-        try:
-            unit, text = parse_file(data, label)
-        except (LexError, ParseError) as e:
-            skipped.append(SkippedFile(label, SKIP_PARSE_ERROR, str(e)))
-            continue
-        except RecursionError:
-            skipped.append(SkippedFile(label, SKIP_TOO_DEEP,
-                                       "nesting exceeds the parser's recursion limit"))
-            continue
-        except Exception as e:
-            skipped.append(SkippedFile(label, SKIP_ERROR, _describe(e)))
-            continue
-        units.append((unit, text))
-    return units, skipped
+def _load_unit(path: str, label: str,
+               limit: int) -> tuple[SourceUnit, str] | SkippedFile:
+    """One candidate file as parse_file's (unit, text), or the SkippedFile
+    that says why it cannot be scanned."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = fh.read() if size <= limit else None
+    except OSError as e:
+        return SkippedFile(label, SKIP_UNREADABLE, str(e))
+    if data is None:
+        return SkippedFile(label, SKIP_TOO_LARGE, "%d bytes" % size)
+    if b"\x00" in data[:8192]:
+        return SkippedFile(label, SKIP_BINARY)
+    try:
+        return parse_file(data, label)
+    except (LexError, ParseError) as e:
+        return SkippedFile(label, SKIP_PARSE_ERROR, str(e))
+    except RecursionError:
+        return SkippedFile(label, SKIP_TOO_DEEP,
+                           "nesting exceeds the parser's recursion limit")
+    except Exception as e:
+        return SkippedFile(label, SKIP_ERROR, _describe(e))
 
 
 def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
                     opts: MinerOptions | None = None,
                     repo_id: str | None = None) -> RepoScanResult:
-    """Parse one repository and run every program over it."""
+    """Parse one repository and run every program over it, one file at a time.
+
+    Each file is read, parsed and scanned by every program before the next
+    file is read, so at most one parsed file is alive at once.  Each
+    program's matches are kept apart and joined in program order at the
+    end, so the matches come out program by program, as if each program had
+    scanned the whole repository in turn.
+    """
     opts = opts or MinerOptions()
     repo_path = Path(repo_path)
     repo_id = repo_id or repo_path.name
@@ -195,35 +196,48 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     if not repo_path.is_dir():
         result.error = "missing repository path"
         return result
-    rel_files = discover_files(repo_path, opts)
-    units, result.files_skipped = _load_units(repo_path, repo_id, rel_files, opts)
-    result.files_scanned = len(units)
-    nodes_total = sum(u.node_count for u, _ in units)
-    lines_of: dict[str, list[str]] = {}  # unit path -> source_lines, split at its first match
-    for program in programs:
+    root = os.fspath(repo_path)
+    limit = opts.max_file_bytes
+    n = len(programs)
+    wall = [0.0] * n
+    comparisons, candidates, units_skipped = [0] * n, [0] * n, [0] * n
+    found: list[list[Match]] = [[] for _ in programs]
+    nodes_total = 0
+    for rel in discover_files(repo_path, opts):
+        loaded = _load_unit(os.path.join(root, rel), "%s/%s" % (repo_id, rel), limit)
+        if type(loaded) is SkippedFile:
+            result.files_skipped.append(loaded)
+            continue
+        unit, text = loaded
+        result.files_scanned += 1
+        nodes_total += unit.node_count
+        lines = None  # the file's source_lines, split at its first match
         t0 = time.perf_counter()
-        comparisons = candidates = found = units_skipped = 0
-        for unit, text in units:
+        for i, program in enumerate(programs):
             if not program.preserved_symbols <= unit.anchor_index().symbols:
-                units_skipped += 1
-                continue
-            matches, counter = scan_unit(program, unit, opts.scan)
-            comparisons += counter.node_comparisons
-            candidates += counter.candidates_tried
-            if matches:
-                lines = lines_of.get(unit.path)
-                if lines is None:
-                    lines = lines_of[unit.path] = source_lines(text)
-                for m in matches:
-                    attach_excerpt(m, lines)
-            result.matches.extend(matches)
-            found += len(matches)
+                units_skipped[i] += 1
+            else:
+                matches, counter = scan_unit(program, unit, opts.scan)
+                comparisons[i] += counter.node_comparisons
+                candidates[i] += counter.candidates_tried
+                if matches:
+                    if lines is None:
+                        lines = source_lines(text)
+                    for m in matches:
+                        attach_excerpt(m, lines)
+                    found[i] += matches
+            t1 = time.perf_counter()
+            wall[i] += t1 - t0
+            t0 = t1
+        # Free this file's tree and text before the next file is parsed.
+        del loaded, unit, text, lines
+    for i, program in enumerate(programs):
+        result.matches += found[i]
         result.stats.append(ScanStats(
-            query_id=program.query_id, repo=repo_id,
-            wall_time_s=time.perf_counter() - t0,
-            nodes_scanned=nodes_total, node_comparisons=comparisons,
-            candidates_tried=candidates, match_count=found,
-            units_skipped=units_skipped))
+            query_id=program.query_id, repo=repo_id, wall_time_s=wall[i],
+            nodes_scanned=nodes_total, node_comparisons=comparisons[i],
+            candidates_tried=candidates[i], match_count=len(found[i]),
+            units_skipped=units_skipped[i]))
     return result
 
 

@@ -4,7 +4,9 @@ All waiting goes through an injectable clock so the rate budget can be tested
 on simulated time.  A single authenticated identity is assumed throughout:
 one token, one request stream, one shared budget for listing and downloads.
 Listing pages and archives are fetched through one request helper (_get),
-so both follow one retry rule.
+so both follow one retry rule.  _get is also the one place that imports
+requests, so the HTTP client is loaded only once a request is sent and
+`import analogue` does not pay for it.
 """
 from __future__ import annotations
 
@@ -16,8 +18,10 @@ import time as _time
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -158,9 +162,9 @@ def _meta_from_record(rec: dict, fetched_at: float) -> RepoMeta:
         fetched_at=fetched_at)
 
 
-def _get(url: str, budget: RateBudget | None, clock, session: requests.Session,
-         token: str | None, max_attempts: int, error: type[Exception],
-         **request) -> requests.Response:
+def _get(url: str, budget: RateBudget | None, clock,
+         session: requests.Session | None, token: str | None, max_attempts: int,
+         error: type[Exception], **request) -> requests.Response:
     """GET url under the budget, with the token and the API's Accept header,
     retrying what may pass.
 
@@ -168,8 +172,11 @@ def _get(url: str, budget: RateBudget | None, clock, session: requests.Session,
     other 403 or 429, a 5xx or a network error sleeps a backoff of 1, 2, 4,
     ... seconds, capped at 60.  A 401 raises AuthError, and when max_attempts
     requests have all been retried, `error` is raised.  Any other response
-    is returned.
+    is returned.  Without a session, a new requests.Session sends them.
     """
+    import requests
+
+    session = session or requests.Session()
     headers = {"Accept": "application/vnd.github+json"}
     if token:
         headers["Authorization"] = "token " + token
@@ -218,7 +225,7 @@ def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
     if cursor:
         params["since"] = cursor
     resp = _get(api_base.rstrip("/") + "/repositories", budget, clock,
-                session or requests.Session(), token, max_attempts, SpiderError,
+                session, token, max_attempts, SpiderError,
                 params=params, timeout=30)
     try:
         if resp.status_code != 200:
@@ -329,8 +336,8 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
         raise ValueError("strategy must be 'archive' or 'clone'")
     if not meta.archive_url:
         raise DownloadError("no archive_url for %s" % meta.full_name)
-    resp = _get(meta.archive_url, budget, clock, session or requests.Session(),
-                token, max_attempts, DownloadError, timeout=60)
+    resp = _get(meta.archive_url, budget, clock, session, token, max_attempts,
+                DownloadError, timeout=60)
     if resp.status_code != 200:
         raise DownloadError("downloading %s failed: status %d"
                             % (meta.full_name, resp.status_code))

@@ -185,6 +185,14 @@ MATCH = {"query": "q", "file": "a.php", "lines": [1, 2], "bindings": {"0": "$a"}
     ("--stats", '{"query": "q", "wall_time_s": true}', "'wall_time_s' has the wrong type"),
     ("--stats", '{"query": "q", "node_comparisons": true}',
      "'node_comparisons' has the wrong type"),
+    ("--stats", '{"query": "q", "wall_time_s": NaN, "node_comparisons": 3}',
+     "not valid JSON: NaN is not a JSON number"),
+    ("--stats", '{"query": "q", "wall_time_s": Infinity}',
+     "not valid JSON: Infinity is not a JSON number"),
+    ("--stats", '{"query": "q", "wall_time_s": [-Infinity]}',
+     "not valid JSON: -Infinity is not a JSON number"),
+    pytest.param("--stats", '{"query": "q", "node_comparisons": 1%s}' % ("0" * 5000),
+                 "not valid JSON: Exceeds the limit", id="int-of-5001-digits"),
     ("--repos", "{oops", "not valid JSON: Expecting property name"),
     ("--repos", '"owner/name"', "not a JSON object"),
     ("--repos", '{"full_name": 7, "bucket": "popular"}', "'full_name' has the wrong type"),

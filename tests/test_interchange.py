@@ -140,6 +140,9 @@ def test_unknown_kinds_survive_roundtrip_verbatim():
     ([header(0), rec(0, "StmtList", [], line=(True, True))], 1),
     # a root without a record is blamed on the header
     ([header(3), rec(0, "StmtList", [])], 0),
+    # a header path that is present must be a str
+    ([header(0, path=5), rec(0, "StmtList", [])], 0),
+    ([header(0, path=None), rec(0, "StmtList", [])], 0),
 ])
 def test_schema_violations_rejected(lines, expect_record):
     with pytest.raises(InterchangeError) as exc:

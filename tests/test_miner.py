@@ -9,6 +9,7 @@ import os
 import random
 import shutil
 import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from analogue.astree import slice_statements
 from analogue import miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
-                                random_snippet, render_file, render_snippet)
+                                random_snippet, render_file, render_snippet,
+                                scaled_file)
 from analogue.miner import (MinerOptions, RepoScanResult, ScanStats,
                             SKIP_BINARY, SKIP_ERROR, SKIP_PARSE_ERROR,
                             SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
@@ -151,6 +153,75 @@ def test_front_end_is_called_through_the_module_globals(tmp_path, monkeypatch):
     assert tokenized == [text for _, text in parsed]
     assert result.files_scanned == 2
     assert len(result.files_skipped) == 4
+
+
+def test_each_file_is_scanned_by_every_program_before_the_next_is_parsed(
+        tmp_path, monkeypatch):
+    """perfbench times scanning by wrapping miner.scan_unit: it must be
+    called once per program and unit that holds the program's preserved
+    symbols, with the unit miner.parse_source returned, before the next file
+    is parsed."""
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    shutil.copy(FIXTURES / "tutorial_books.php", repo / "a.php")
+    (repo / "b.php").write_text("<?php echo 1;\n")
+    (repo / "c.php").write_text("<?php $row = 1; echo 'x' . $row['title'] . 'y';\n")
+    (repo / "d.php").write_text("<?php { $a = 1;\n")
+    shutil.copy(FIXTURES / "tutorial_books.php", repo / "sub" / "e.php")
+    programs = strict_programs()
+    events = []
+
+    def parse_source(text, path="<memory>"):
+        unit = real_parse(text, path)
+        events.append(("parse", unit))
+        return unit
+
+    def scan_unit(program, unit, opts=None):
+        events.append(("scan", program, unit))
+        return real_scan(program, unit, opts)
+
+    real_parse, real_scan = miner.parse_source, miner.scan_unit
+    monkeypatch.setattr(miner, "parse_source", parse_source)
+    monkeypatch.setattr(miner, "scan_unit", scan_unit)
+    result = scan_repository(repo, programs)
+    units = [e[1] for e in events if e[0] == "parse"]
+    assert [u.path for u in units] == ["repo/a.php", "repo/b.php", "repo/c.php",
+                                       "repo/sub/e.php"]
+    expected, latest = [], None
+    for e in events:
+        if e[0] == "parse":
+            latest = e[1]
+            expected += [("scan", p, latest) for p in programs
+                         if p.preserved_symbols <= latest.anchor_index().symbols]
+        else:
+            assert e[2] is latest
+    assert [e for e in events if e[0] == "scan"] == expected
+    assert 0 < len(expected) < len(programs) * len(units)
+    assert sum(s.units_skipped for s in result.stats) == (
+        len(programs) * len(units) - len(expected))
+
+
+def test_a_repository_scan_holds_one_parsed_file_at_a_time(tmp_path):
+    """The traced peak of a scan grows with the largest file, not with the
+    number of files."""
+    def traced_peak(n_files):
+        repo = tmp_path / ("repo%d" % n_files)
+        repo.mkdir()
+        for i in range(n_files):
+            (repo / ("f%d.php" % i)).write_text(text)
+        tracemalloc.start()
+        try:
+            result = scan_repository(repo, programs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.files_scanned == n_files
+        return peak
+
+    text = scaled_file(random.Random(1), 400, nest_every=4)
+    programs = strict_programs()
+    one, twelve = traced_peak(1), traced_peak(12)
+    assert twelve < 2 * one
 
 
 def test_parse_failure_does_not_suppress_other_files(tmp_path):
