@@ -87,11 +87,18 @@ class AnchorIndex:
     in document order (StmtLists in pre-order, starts ascending).  `symbols`
     holds every node's symbol, None included.  `max_depth` is the depth of
     the deepest node, the root being at depth 0.
+
+    The engine fills the last two as its scans go, and every program shares
+    them: `shapes` maps each statement scanned to its shape id
+    (engine.shape_id), and `tries` maps a program's first kind, depth limit
+    and statement count to the anchors such a program is tried at.
     """
     anchors: list[Anchor]
     by_kind: dict[str, list[Anchor]]
     symbols: frozenset
     max_depth: int
+    shapes: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    tries: dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass

@@ -4,8 +4,10 @@ A program is a flat sequence of filter/bind/check steps plus explicit tree
 navigation, emitted in pre-order per statement: the in-process equivalent of
 a generated graph traversal.  Programs are immutable and safe to share across
 scan workers.  Each process turns a program into a straight-line Python
-function on first use (build_matcher); that function is the only code that
-runs a program.
+function on first use (MatcherProgram.compiled); that function is the only
+code that runs a program.  From the same walk of the steps come the
+program's shape tests (ShapeTest), which the engine decides once per
+statement shape.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin, Template,
                        VarWildcard, origin_from_json, query_id_of)
@@ -42,14 +44,41 @@ class MatcherStep(NamedTuple):
     child_index: int | None = None
 
 
+class ShapeTest(NamedTuple):
+    """One test of a statement's shape: its kind and its children's kinds.
+
+    child -1 tests the statement itself: its kind must be `kind` and, when
+    arity is not None, it must have that many children.  child i >= 0 needs
+    a child i and, when kind is not None, that child's kind must be `kind`.
+    An attempt that fails the test has run `fails_at` comparisons.
+    """
+    child: int
+    kind: str | None
+    arity: int | None
+    fails_at: int
+
+
+# A shape verdict that no shape test decides: the generated matcher must run.
+UNDECIDED = -1
+
+
+class Compiled(NamedTuple):
+    """A program's generated matcher for one exact_arity value, with the
+    shape tests from the same step walk and the verdicts worked out so far
+    (shape id -> shape_verdict)."""
+    match: Callable
+    shape_tests: tuple[ShapeTest, ...]
+    verdicts: dict[int, int]
+
+
 @dataclass(frozen=True)
 class MatcherProgram:
     steps: tuple[MatcherStep, ...]
     query_id: str
     symbol_policy: str = "preserve"
     origin: SeedOrigin | None = None
-    # Generated matchers by exact_arity, built on first use in each process
-    # and never pickled.
+    # Compiled per exact_arity, built on first use in each process and never
+    # pickled: the verdicts are keyed by shape ids, which are per process.
     _matchers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -88,13 +117,19 @@ class MatcherProgram:
         """Node comparisons of an attempt that matches: every step but navigation."""
         return sum(1 for s in self.steps if s.op not in NAVIGATION)
 
-    def matcher(self, exact_arity: bool = False):
-        """The generated matcher for this option (see build_matcher), cached."""
+    def compiled(self, exact_arity: bool = False) -> Compiled:
+        """The generated matcher for this option, its shape tests and its
+        verdict table, built on first use and cached."""
         key = bool(exact_arity)
-        fn = self._matchers.get(key)
-        if fn is None:
-            fn = self._matchers[key] = build_matcher(self, key)
-        return fn
+        c = self._matchers.get(key)
+        if c is None:
+            source, consts, tests = _generate(self, key)
+            c = self._matchers[key] = Compiled(_build(source, consts), tests, {})
+        return c
+
+    def matcher(self, exact_arity: bool = False):
+        """The generated matcher for this option (see matcher_source), cached."""
+        return self.compiled(exact_arity).match
 
 
 class ProgramFormatError(Exception):
@@ -262,6 +297,35 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     each distinct value once; the text holds only fixed fragments, numbered
     locals and comparison counts.
     """
+    return _generate(p, exact_arity)[:2]
+
+
+def shape_verdict(tests: tuple[ShapeTest, ...], kind: str,
+                  child_kinds: tuple[str, ...]) -> int:
+    """What the shape tests decide about any statement of this shape: the
+    matcher's return value when one of them fails, else UNDECIDED."""
+    for child, want, arity, fails_at in tests:
+        if child < 0:
+            if kind != want or (arity is not None and len(child_kinds) != arity):
+                return fails_at
+        elif child >= len(child_kinds) or (want is not None
+                                           and child_kinds[child] != want):
+            return fails_at
+    return UNDECIDED
+
+
+def _generate(p: MatcherProgram, exact_arity: bool) -> tuple[str, tuple, tuple]:
+    """matcher_source's source and constants, and the program's shape tests,
+    from one walk of the steps.
+
+    The shape tests are the leading tests of the first statement that read
+    only its shape, each with the count the matcher returns when it fails.
+    The run takes KIND steps on the statement, DESCEND steps to its children
+    and, without exact_arity, KIND steps on those children; a BIND step
+    counts one comparison and never fails.  It ends at the first CHECK,
+    SYMBOL or NEXT step, DESCEND below a child, exact-arity KIND on a child
+    or unknown op.
+    """
     consts: list = []
     const_names: dict = {}
 
@@ -279,6 +343,9 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     var_of: dict = {}               # class id -> j of its v<j>
     var_keys: list[str] = []        # the constant naming each v<j>'s class
     done = 0                        # comparisons run by the steps so far
+    tests: list[ShapeTest] = []     # the shape tests found so far
+    shaping = True                  # whether the run of shape tests goes on
+    child = -1                      # cur's child index under n0, -1 at n0
 
     def children(i: int) -> str:
         if i not in with_children:
@@ -293,6 +360,11 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     for s in p.steps:
         op = s.op
         if op == DESCEND:
+            if shaping:
+                shaping = not stack
+                if shaping:
+                    child = s.child_index
+                    tests.append(ShapeTest(child, None, None, done))
             h, c = children(cur), const(s.child_index)
             fail_if("len(%s) <= %s" % (h, c))
             code.append("n%d = nodes[%s[%s]]" % (positions, h, c))
@@ -300,7 +372,9 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
             cur, positions = positions, positions + 1
         elif op == ASCEND:
             cur = stack.pop()
+            child = -1
         elif op == NEXT:
+            shaping = False
             statement += 1
             code.append("n%d = nodes[stmts[start + %d]]" % (positions, statement))
             stack.clear()
@@ -313,6 +387,11 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
                 if exact_arity:
                     test += " or len(%s.children) != %s" % (node, const(s.arity))
                 fail_if(test)
+                if shaping:
+                    shaping = child < 0 or not exact_arity
+                    if shaping:
+                        tests.append(ShapeTest(child, s.kind,
+                                               s.arity if exact_arity else None, done))
             elif op == SYMBOL:
                 fail_if("%s.symbol != %s" % (node, const(s.name)))
             elif op == BIND:
@@ -325,21 +404,18 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
                     fail_if("v%d != (%s.symbol or '')" % (var_of[s.class_id], node))
                 else:
                     code.append("return %d" % done)
+            shaping = shaping and op in (KIND, BIND)
     code.append("return {%s}" % ", ".join("%s: v%d" % (k, j)
                                            for j, k in enumerate(var_keys)))
     source = ("def make(%s):\n    def match(nodes, stmts, start):\n%s\n"
               "    return match\n" % (", ".join("c%d" % k for k in range(len(consts))),
                                        "\n".join("        " + ln for ln in code)))
-    return source, tuple(consts)
+    return source, tuple(consts), tuple(tests)
 
 
-def build_matcher(p: MatcherProgram, exact_arity: bool = False):
-    """The program's matcher (see matcher_source) as a Python function.
-
-    Its code sees no builtins but len.  MatcherProgram.matcher builds each
-    variant once per process and caches it.
-    """
-    source, consts = matcher_source(p, exact_arity)
+def _build(source: str, consts: tuple):
+    """The matcher that matcher_source's source and constants define, as a
+    Python function whose code sees no builtins but len."""
     namespace: dict = {"__builtins__": {}, "len": len}
     exec(compile(source, "<prog-v1 matcher>", "exec"), namespace)
     return namespace["make"](*consts)

@@ -9,17 +9,40 @@ for the template and starts with fewer than k statements left.  The runs it
 skips would fail on the first step, so the matches, and their document
 order, are those of an exhaustive scan.  Target nodes may have extra
 trailing children beyond what the program specifies (a call with more
-arguments still matches) unless exact_arity is requested.  Each attempt runs
+arguments still matches) unless exact_arity is requested.  An attempt runs
 the straight-line Python function generated from the program for the scan's
-options (MatcherProgram.matcher).
+options (MatcherProgram.matcher), unless its shape decides it (below).
+
+Most attempts fail inside the first statement, on a test that reads only the
+statement's shape: its kind and its children's kinds, in order.  Shapes are
+interned process-wide as small ints.  Each unit's AnchorIndex memoises the
+shape id of every statement scanned, and the anchors left after the kind
+index, depth pruning and the arity window, for each first kind, depth limit
+and statement count; every program shares both.  Each program keeps the
+verdict of its shape tests per shape id (compiler.Compiled).  So an attempt
+that a shape test decides costs one lookup, and the shape is tested once
+per program, not once per statement.  The table holds at most MAX_SHAPES
+shapes of at most MAX_SHAPE_CHILDREN children each; any other statement gets
+NO_SHAPE, and its attempts run the matcher.  Matches and comparison counts
+are those of running the matcher at every anchor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import compiler
-from .astree import SourceUnit, STMT_LIST
-from .compiler import MatcherProgram
+from .astree import AstNode, SourceUnit, STMT_LIST
+from .compiler import UNDECIDED, MatcherProgram, shape_verdict
+
+# Bounds of the process-wide shape table: the shapes it holds, and the
+# children of each.
+MAX_SHAPES = 4096
+MAX_SHAPE_CHILDREN = 16
+# The shape id of a statement the table cannot hold.
+NO_SHAPE = -1
+
+_shape_ids: dict[tuple[str, tuple[str, ...]], int] = {}
+_shapes: list[tuple[str, tuple[str, ...]]] = []    # by shape id
 
 
 @dataclass
@@ -92,6 +115,46 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
     return None if failed else _new_match(p, unit, stmt_list_id, start_index, found)
 
 
+def shape_id(n: AstNode, nodes: dict[int, AstNode]) -> int:
+    """The id of statement n's shape (its kind and its children's kinds),
+    interned on first sight; NO_SHAPE once the table is full, and for a
+    statement of more than MAX_SHAPE_CHILDREN children."""
+    children = n.children
+    if len(children) > MAX_SHAPE_CHILDREN:
+        return NO_SHAPE
+    shape = (n.kind, tuple([nodes[c].kind for c in children]))
+    sid = _shape_ids.get(shape)
+    if sid is None:
+        if len(_shapes) >= MAX_SHAPES:
+            return NO_SHAPE
+        sid = _shape_ids[shape] = len(_shapes)
+        _shapes.append(shape)
+    return sid
+
+
+def _tries(unit: SourceUnit, first: str | None, depth_limit: int | None,
+           k: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The anchors a program of k statements is tried at: those whose
+    statement has kind `first` (any kind when None), in a StmtList shallower
+    than depth_limit (any depth when None), with k statements left.  Each is
+    (StmtList id, its children, start, shape id of the statement at start),
+    in document order."""
+    index = unit.anchor_index()
+    nodes, shapes = unit.nodes, index.shapes
+    out = []
+    for sl_id, sl_depth, start, siblings in (
+            index.anchors if first is None else index.by_kind.get(first, ())):
+        if (depth_limit is not None and sl_depth >= depth_limit) or start + k > siblings:
+            continue
+        stmts = nodes[sl_id].children
+        stmt = stmts[start]
+        sid = shapes.get(stmt)
+        if sid is None:
+            sid = shapes[stmt] = shape_id(nodes[stmt], nodes)
+        out.append((sl_id, stmts, start, sid))
+    return out
+
+
 def scan_unit(p: MatcherProgram, unit: SourceUnit,
               opts: ScanOptions | None = None) -> tuple[list[Match], ComparisonCounter]:
     """Collect every match of the program in the unit, in document order.
@@ -100,32 +163,44 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     KIND step are tried.  With depth pruning on, statement lists too deep to
     contain the template (depth > index.max_depth - template_depth) are
     skipped; the pruned and unpruned scans return identical match sets.
+    The anchors left are listed once per unit for each first kind, depth
+    limit and statement count (AnchorIndex.tries), with the shape id of
+    each one's first statement.  At each, the program's verdict for that
+    shape is looked up, and worked out on first sight.  A shape test that
+    fails decides the attempt and adds the comparisons the matcher would
+    have counted; otherwise, and for a statement with NO_SHAPE, the matcher
+    runs.
     """
     opts = opts or ScanOptions()
-    matches: list[Match] = []
     index = unit.anchor_index()
-    if p.steps and p.steps[0].op == compiler.KIND:
-        anchors = index.by_kind.get(p.steps[0].kind, ())
-    else:
-        anchors = index.anchors
-    match = p.matcher(opts.exact_arity)
+    first = p.steps[0].kind if p.steps and p.steps[0].op == compiler.KIND else None
+    depth_limit = (index.max_depth - p.template_depth + 1 if opts.depth_pruning
+                   else None)
+    key = (first, depth_limit, p.statement_count)
+    tries = index.tries.get(key)
+    if tries is None:
+        tries = index.tries[key] = _tries(unit, *key)
+    match, tests, verdicts = p.compiled(opts.exact_arity)
     nodes = unit.nodes
-    pruning = opts.depth_pruning
-    depth_limit = index.max_depth - p.template_depth + 1
-    k = p.statement_count
-    comparisons = tried = 0
-    for sl_id, sl_depth, start, siblings in anchors:
-        if (pruning and sl_depth >= depth_limit) or start + k > siblings:
-            continue
-        tried += 1
-        found = match(nodes, nodes[sl_id].children, start)
+    matches: list[Match] = []
+    comparisons = 0
+    for sl_id, stmts, start, sid in tries:
+        if tests:
+            verdict = verdicts.get(sid)
+            if verdict is None:
+                verdict = verdicts[sid] = (UNDECIDED if sid == NO_SHAPE else
+                                           shape_verdict(tests, *_shapes[sid]))
+            if verdict != UNDECIDED:
+                comparisons += verdict
+                continue
+        found = match(nodes, stmts, start)
         if type(found) is int:
             comparisons += found
             continue
         comparisons += p.comparison_steps
         matches.append(_new_match(p, unit, sl_id, start, found))
     return matches, ComparisonCounter(node_comparisons=comparisons,
-                                      candidates_tried=tried)
+                                      candidates_tried=len(tries))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ holds at most one parsed file, and its memory is bounded by the largest
 file plus the matches found, however many files the repository has.
 
 Discovery walks the repository with os.scandir.  A file is a candidate when
-its extension, lowercased, is one of MinerOptions.extensions; every symbolic
-link, to a file or to a directory, is skipped, and the relative paths come
-back sorted.  Each candidate is opened once: its size is read from the open
+its extension, lowercased, is one of MinerOptions.extensions and it is a
+regular file; every symbolic link, to a file or to a directory, is skipped,
+as is every FIFO, socket and device node, and the relative paths come back
+sorted.  Each candidate is opened once: its size is read from the open
 handle, and its bytes only when it is within max_file_bytes.  A file that
 cannot be opened or read, is too large, looks binary, fails to parse, nests
 too deep for the parser, or makes the parser raise anything else becomes a
@@ -107,7 +108,9 @@ class RepoScanResult:
 
 
 def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
-    """Relative paths of candidate source files, sorted; symlinks ignored.
+    """Relative paths of candidate source files, sorted.  Only regular files
+    and directories count: symlinks, FIFOs, sockets and device nodes are
+    ignored, since opening a FIFO would block.
 
     A directory that cannot be listed, in full, is passed over.
     """
@@ -121,12 +124,11 @@ def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
         try:
             with os.scandir(path) as entries:
                 for entry in entries:
-                    if entry.is_symlink():
-                        continue
                     name = entry.name
                     if entry.is_dir(follow_symlinks=False):
                         stack.append((prefix + name + "/", entry.path))
-                    elif splitext(name)[1].lower() in extensions:
+                    elif (entry.is_file(follow_symlinks=False)
+                          and splitext(name)[1].lower() in extensions):
                         found.append(prefix + name)
         except OSError:
             # Drop what a listing that failed part-way found.
@@ -202,6 +204,7 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     wall = [0.0] * n
     comparisons, candidates, units_skipped = [0] * n, [0] * n, [0] * n
     found: list[list[Match]] = [[] for _ in programs]
+    needs = [(program, program.preserved_symbols) for program in programs]
     nodes_total = 0
     for rel in discover_files(repo_path, opts):
         loaded = _load_unit(os.path.join(root, rel), "%s/%s" % (repo_id, rel), limit)
@@ -213,8 +216,9 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
         nodes_total += unit.node_count
         lines = None  # the file's source_lines, split at its first match
         t0 = time.perf_counter()
-        for i, program in enumerate(programs):
-            if not program.preserved_symbols <= unit.anchor_index().symbols:
+        symbols = unit.anchor_index().symbols
+        for i, (program, preserved) in enumerate(needs):
+            if not preserved <= symbols:
                 units_skipped[i] += 1
             else:
                 matches, counter = scan_unit(program, unit, opts.scan)
@@ -230,7 +234,7 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
             wall[i] += t1 - t0
             t0 = t1
         # Free this file's tree and text before the next file is parsed.
-        del loaded, unit, text, lines
+        del loaded, unit, text, lines, symbols
     for i, program in enumerate(programs):
         result.matches += found[i]
         result.stats.append(ScanStats(

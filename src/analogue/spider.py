@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import shutil
 import subprocess
 import tarfile
 import time as _time
@@ -289,13 +291,27 @@ def save_cursor(path: str | Path, cursor: int | None) -> None:
 
 
 def load_cursor(path: str | Path) -> int | None:
+    """The cursor save_cursor wrote to path; None when there is no file.
+
+    The file must hold a JSON object whose "cursor" is an int or null.
+    Anything else, or a file that cannot be read, raises SpiderError naming
+    the file, so that a damaged state never restarts or derails a crawl.
+    """
     p = Path(path)
-    if not p.exists():
-        return None
     try:
-        return json.loads(p.read_text(encoding="utf-8")).get("cursor")
-    except (ValueError, OSError):
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
         return None
+    except (OSError, ValueError) as e:
+        raise SpiderError("cannot read state file %s: %s" % (p, e)) from None
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise SpiderError("state file %s is not valid JSON: %s" % (p, e)) from None
+    if type(doc) is not dict or "cursor" not in doc or not (
+            doc["cursor"] is None or type(doc["cursor"]) is int):
+        raise SpiderError('state file %s must hold {"cursor": <int or null>}' % p)
+    return doc["cursor"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +333,48 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
              failures are retried by _get's rule, and a response other
              than 200 or running out of attempts raises DownloadError).
     clone:   git clone including revision history.
+
+    The tree is fetched into a temporary sibling directory, named with a
+    leading dot, and renamed into place once it is complete, so a download
+    that stops part-way never leaves a target that looks done.  The
+    temporary directory is removed on failure, and one left by a run that
+    was killed is removed before the next attempt.
     """
+    if strategy not in ("archive", "clone"):
+        raise ValueError("strategy must be 'archive' or 'clone'")
     clock = clock or SystemClock()
     dest = Path(dest)
     target = _local_dir(meta, dest)
     if target.is_dir() and any(target.iterdir()):
         return target
-    target.mkdir(parents=True, exist_ok=True)
-    if strategy == "clone":
-        if not meta.clone_url:
-            raise DownloadError("no clone_url for %s" % meta.full_name)
-        proc = subprocess.run(["git", "clone", "--quiet", meta.clone_url,
-                               str(target)], capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise DownloadError("git clone failed: %s" % proc.stderr.strip())
-        return target
-    if strategy != "archive":
-        raise ValueError("strategy must be 'archive' or 'clone'")
+    part = dest / (".partial-" + target.name)
+    shutil.rmtree(part, ignore_errors=True)
+    dest.mkdir(parents=True, exist_ok=True)
+    try:
+        if strategy == "clone":
+            _clone(meta, part)
+        else:
+            _fetch_archive(meta, part, budget, clock, session, token, max_attempts)
+        if target.is_dir():
+            target.rmdir()      # empty, as checked above
+        os.replace(part, target)
+    finally:
+        shutil.rmtree(part, ignore_errors=True)
+    return target
+
+
+def _clone(meta: RepoMeta, into: Path) -> None:
+    if not meta.clone_url:
+        raise DownloadError("no clone_url for %s" % meta.full_name)
+    proc = subprocess.run(["git", "clone", "--quiet", meta.clone_url, str(into)],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise DownloadError("git clone failed: %s" % proc.stderr.strip())
+
+
+def _fetch_archive(meta: RepoMeta, into: Path, budget: RateBudget | None, clock,
+                   session: requests.Session | None, token: str | None,
+                   max_attempts: int) -> None:
     if not meta.archive_url:
         raise DownloadError("no archive_url for %s" % meta.full_name)
     resp = _get(meta.archive_url, budget, clock, session, token, max_attempts,
@@ -341,11 +382,11 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
     if resp.status_code != 200:
         raise DownloadError("downloading %s failed: status %d"
                             % (meta.full_name, resp.status_code))
+    into.mkdir()
     try:
-        _extract_tarball(resp.content, target)
+        _extract_tarball(resp.content, into)
     except (tarfile.TarError, OSError, ValueError) as e:
         raise DownloadError("corrupt archive for %s: %s" % (meta.full_name, e))
-    return target
 
 
 def _extract_tarball(data: bytes, target: Path) -> None:

@@ -300,6 +300,21 @@ def test_spider_whose_listing_retries_run_out_is_an_error(tmp_path, capsys,
                           "status 503" % hub.base_url)
 
 
+@pytest.mark.parametrize("text", ["[1]", '{"cursor": "abc"}', '{"cursor": true}',
+                                  '{"cursor": '],
+                         ids=["list", "string-cursor", "bool-cursor", "invalid-json"])
+def test_spider_with_a_malformed_state_file_is_an_error(tmp_path, capsys, text):
+    state = tmp_path / "st.json"
+    state.write_text(text)
+    with MockHub() as hub:
+        code, out, err = run(capsys, "spider", "--api-base", hub.base_url,
+                             "--state", str(state), "--out", str(tmp_path / "r.jsonl"))
+        assert hub.requests_seen == []
+    assert (code, out) == (1, "")
+    assert err.startswith("error: state file %s " % state)
+    assert state.read_text() == text
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"symbols": "wildcard"}))

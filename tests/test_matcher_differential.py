@@ -15,12 +15,14 @@ import random
 import pytest
 
 from analogue.astree import STMT_LIST, SourceUnit, TreeBuilder
+from analogue import engine
 from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT, SYMBOL,
-                               MatcherProgram, MatcherStep, ProgramFormatError,
-                               deserialize_program, matcher_source,
-                               serialize_program)
+                               UNDECIDED, MatcherProgram, MatcherStep,
+                               ProgramFormatError, ShapeTest, deserialize_program,
+                               matcher_source, serialize_program, shape_verdict)
 from analogue.corpusgen import random_snippet
-from analogue.engine import ComparisonCounter, ScanOptions, match_at, scan_unit
+from analogue.engine import (MAX_SHAPE_CHILDREN, NO_SHAPE, ComparisonCounter,
+                             ScanOptions, match_at, scan_unit)
 
 import reference_matcher
 from test_scan_index import OPTION_GRID, planted_unit, program_for
@@ -87,31 +89,200 @@ def test_match_at_equals_the_step_interpreter_everywhere():
     assert matched > 1000 and attempts > 100_000
 
 
-def test_scan_unit_counts_what_the_interpreter_counts():
-    """scan_unit adds up the comparison counts in its own loop, not through
-    match_at: its totals must equal the interpreter's over the same anchors."""
+def interpreted_scan(p: MatcherProgram, unit, opts: ScanOptions):
+    """scan_unit's result, from the step interpreter at the same anchors."""
+    index = unit.anchor_index()
+    tried = (index.by_kind.get(p.steps[0].kind, ())
+             if p.steps and p.steps[0].op == KIND else index.anchors)
+    depth_limit = index.max_depth - p.template_depth + 1
+    want, want_c = [], ComparisonCounter()
+    for sl_id, depth, start, siblings in tried:
+        if ((opts.depth_pruning and depth >= depth_limit)
+                or start + p.statement_count > siblings):
+            continue
+        want_c.candidates_tried += 1
+        m = reference_matcher.match_at(p, unit, sl_id, start, opts, want_c)
+        if m is not None:
+            want.append(m)
+    return want, want_c
+
+
+def random_inputs():
+    """Random seeds' programs and their variants, over a planted unit."""
     rng = random.Random(101)
     for _ in range(8):
         seed = random_snippet(rng)
         unit = shrunk(planted_unit(seed, rng), rng)
         for policy in ("preserve", "wildcard"):
             for p in variants(program_for(seed, policy), rng):
-                for opts in OPTION_GRID:
-                    got, counter = scan_unit(p, unit, opts)
-                    index = unit.anchor_index()
-                    tried = (index.by_kind.get(p.steps[0].kind, ())
-                             if p.steps[0].op == KIND else index.anchors)
-                    depth_limit = index.max_depth - p.template_depth + 1
-                    want, want_c = [], ComparisonCounter()
-                    for sl_id, depth, start, siblings in tried:
-                        if ((opts.depth_pruning and depth >= depth_limit)
-                                or start + p.statement_count > siblings):
-                            continue
-                        want_c.candidates_tried += 1
-                        m = reference_matcher.match_at(p, unit, sl_id, start, opts, want_c)
-                        if m is not None:
-                            want.append(m)
-                    assert (got, counter) == (want, want_c)
+                yield p, unit
+
+
+def shape_unit(kind: str = "Assign"):
+    """Statements of kind `kind` (and a few others) whose shapes differ in
+    arity, in their children's kinds, and below their children, at two
+    depths."""
+    b = TreeBuilder()
+
+    def var(name):
+        return b.add("Var", symbol=name)
+
+    def call(*args):
+        return b.add("Call", [b.add("Name", symbol="f"), *args])
+
+    def stmts():
+        return [b.add(kind, [var("$a"), var("$a")]),
+                b.add(kind, [var("$a"), var("$b")]),
+                b.add(kind, [var("$b"), call(b.add("ArgList", [var("$a")]))]),
+                b.add(kind, [var("$a"), call()]),
+                b.add(kind, [var("$a")]),
+                b.add(kind),
+                b.add(kind, [var("$a"), var("$a"), b.add("Literal", value="1")]),
+                b.add("Echo", [var("$a")]),
+                b.add(kind, [b.add("ArrayDim", [var("$a"), var("$k")]), var("$a")]),
+                b.add(kind, [var("$v%d" % i) for i in range(MAX_SHAPE_CHILDREN + 1)])]
+
+    inner = b.add(STMT_LIST, stmts())
+    outer = stmts() + [b.add("If", [var("$c"), inner])] + stmts()
+    return b.finish("shapes.php", b.add(STMT_LIST, outer))
+
+
+def steps(*spec) -> tuple[MatcherStep, ...]:
+    """Steps from (op, field) pairs: a KIND step takes (kind, arity)."""
+    out = []
+    for i, (op, *value) in enumerate(spec):
+        if op == KIND:
+            out.append(MatcherStep(KIND, i, kind=value[0], arity=value[1]))
+        elif op == SYMBOL:
+            out.append(MatcherStep(SYMBOL, i, name=value[0]))
+        elif op in (BIND, CHECK):
+            out.append(MatcherStep(op, i, class_id=value[0]))
+        elif op == DESCEND:
+            out.append(MatcherStep(DESCEND, i, child_index=value[0]))
+        else:
+            out.append(MatcherStep(op, i))
+    return tuple(out)
+
+
+def shape_programs(kind: str = "Assign") -> dict[str, MatcherProgram]:
+    """Programs whose first statement mixes shape tests with tests that
+    read more than the shape."""
+    head = [(KIND, kind, 2), (DESCEND, 0), (KIND, "Var", 0), (BIND, 0), (ASCEND,)]
+    cases = {
+        "check-before-child-kind":
+            head + [(DESCEND, 1), (CHECK, 0), (KIND, "Var", 0), (ASCEND,)],
+        "symbol-before-child-kind":
+            [(KIND, kind, 2), (DESCEND, 0), (KIND, "Var", 0), (SYMBOL, "$a"),
+             (ASCEND,), (DESCEND, 1), (KIND, "Call", 2), (ASCEND,)],
+        "exact-arity-on-a-child":
+            head + [(DESCEND, 1), (KIND, "Call", 2), (DESCEND, 0),
+                    (KIND, "Name", 0), (ASCEND,), (ASCEND,)],
+        "descend-to-a-missing-child":
+            [(KIND, kind, 3), (DESCEND, 2), (KIND, "Literal", 0), (ASCEND,)],
+        "descend-below-a-child":
+            [(KIND, kind, 2), (DESCEND, 1), (DESCEND, 0), (KIND, "Name", 0),
+             (ASCEND,), (ASCEND,)],
+        "two-statements":
+            head + [(NEXT,), (KIND, "Echo", 1), (DESCEND, 0), (KIND, "Var", 0),
+                    (CHECK, 0), (ASCEND,)],
+        "unknown-op": [(KIND, kind, 2), ("kindd",), (DESCEND, 1), (KIND, "Call", 2),
+                       (ASCEND,)],
+        "no-shape-tests": [(SYMBOL, "$a")],
+        "bind-only": [(BIND, 0)],
+    }
+    return {name: MatcherProgram(steps=steps(*spec), query_id=name)
+            for name, spec in cases.items()}
+
+
+def shape_inputs():
+    """Each shape program over one shared unit, then over a fresh unit."""
+    unit = shape_unit()
+    for p in shape_programs().values():
+        yield p, unit
+        yield p, shape_unit()
+
+
+def test_scan_unit_counts_what_the_interpreter_counts():
+    """scan_unit adds up the comparison counts in its own loop, not through
+    match_at, and decides most attempts on the first statement's shape: its
+    matches and totals must equal the interpreter's over the same anchors."""
+    for inputs in (random_inputs(), shape_inputs()):
+        for p, unit in inputs:
+            for opts in OPTION_GRID:
+                assert scan_unit(p, unit, opts) == interpreted_scan(p, unit, opts)
+
+
+def test_shape_tests_end_where_a_test_reads_more_than_the_shape():
+    ps = shape_programs()
+    tests = {name: (p.compiled(False).shape_tests, p.compiled(True).shape_tests)
+             for name, p in ps.items()}
+    stmt = ShapeTest(-1, "Assign", None, 1), ShapeTest(-1, "Assign", 2, 1)
+    var0 = ShapeTest(0, None, None, 1), ShapeTest(0, "Var", None, 2)
+    # with exact arity, the run ends at the KIND step on child 0
+    assert tests["check-before-child-kind"] == (
+        (stmt[0], *var0, ShapeTest(1, None, None, 3)), (stmt[1], var0[0]))
+    assert tests["symbol-before-child-kind"] == ((stmt[0], *var0), (stmt[1], var0[0]))
+    assert tests["exact-arity-on-a-child"] == (
+        (stmt[0], *var0, ShapeTest(1, None, None, 3), ShapeTest(1, "Call", None, 4)),
+        (stmt[1], var0[0]))
+    assert tests["descend-to-a-missing-child"] == (
+        (stmt[0], ShapeTest(2, None, None, 1), ShapeTest(2, "Literal", None, 2)),
+        (ShapeTest(-1, "Assign", 3, 1), ShapeTest(2, None, None, 1)))
+    assert tests["descend-below-a-child"] == ((stmt[0], ShapeTest(1, None, None, 1)),
+                                              (stmt[1], ShapeTest(1, None, None, 1)))
+    assert tests["unknown-op"] == ((stmt[0],), (stmt[1],))
+    assert tests["two-statements"] == ((stmt[0], *var0), (stmt[1], var0[0]))
+    assert tests["no-shape-tests"] == tests["bind-only"] == ((), ())
+    loose, exact = tests["check-before-child-kind"]
+    verdicts = {("Var", "Var", "Literal"): (UNDECIDED, 1),
+                ("Var", "Var"): (UNDECIDED, UNDECIDED),
+                ("Var",): (3, 1),
+                ("Call", "Var"): (2, UNDECIDED),
+                (): (1, 1)}
+    for child_kinds, want in verdicts.items():
+        assert (shape_verdict(loose, "Assign", child_kinds),
+                shape_verdict(exact, "Assign", child_kinds)) == want
+
+
+def test_programs_sharing_a_unit_keep_their_own_verdicts():
+    """One unit's shape ids serve every program, in either order, while each
+    program decides the same shape for itself."""
+    ps = shape_programs()
+    decided, undecided = ps["descend-to-a-missing-child"], ps["check-before-child-kind"]
+    for order in ((decided, undecided), (undecided, decided)):
+        unit = shape_unit()
+        for p in order:
+            for opts in OPTION_GRID:
+                assert scan_unit(p, unit, opts) == interpreted_scan(p, unit, opts)
+        var_var = unit.nodes[unit.root].children[0]     # Assign($a, $a)
+        sid = unit.anchor_index().shapes[var_var]
+        assert sid != NO_SHAPE
+        for exact in (False, True):
+            assert decided.compiled(exact).verdicts[sid] == 1
+            assert undecided.compiled(exact).verdicts[sid] == UNDECIDED
+
+
+def test_a_full_shape_table_leaves_new_shapes_to_the_matcher(monkeypatch):
+    """Once the table holds MAX_SHAPES shapes, a statement of a new shape
+    gets NO_SHAPE and every attempt at it runs the matcher; scans still
+    equal the interpreter's, and the table does not grow."""
+    before = len(engine._shapes)
+    monkeypatch.setattr(engine, "MAX_SHAPES", before)
+    for p in shape_programs("Assign:full").values():
+        unit = shape_unit("Assign:full")
+        for opts in OPTION_GRID:
+            assert scan_unit(p, unit, opts) == interpreted_scan(p, unit, opts)
+        shapes = unit.anchor_index().shapes
+        assert all(shapes[stmt] == NO_SHAPE for stmt in shapes
+                   if unit.nodes[stmt].kind == "Assign:full")
+    assert len(engine._shapes) == before
+    monkeypatch.undo()
+    unit = shape_unit("Assign:full")
+    wide = unit.nodes[unit.root].children[9]
+    assert len(unit.nodes[wide].children) > MAX_SHAPE_CHILDREN
+    assert engine.shape_id(unit.nodes[wide], unit.nodes) == NO_SHAPE
+    assert engine.shape_id(unit.nodes[unit.nodes[unit.root].children[0]],
+                           unit.nodes) == len(engine._shapes) - 1
 
 
 def test_every_program_that_loads_scans_alike_with_and_without_depth_pruning():

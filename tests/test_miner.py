@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -268,7 +270,7 @@ def walk_discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
             if os.path.splitext(fn)[1].lower() not in opts.extensions:
                 continue
             full = Path(dirpath) / fn
-            if full.is_symlink():
+            if full.is_symlink() or not full.is_file():
                 continue
             found.append(str(full.relative_to(repo_path)).replace(os.sep, "/"))
     return sorted(found)
@@ -356,6 +358,36 @@ def test_symlinks_are_ignored(tmp_path):
     (repo / "link.php").symlink_to(repo / "real.php")
     files = discover_files(repo, MinerOptions())
     assert files == ["real.php"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_is_not_a_candidate_and_mining_completes(tmp_path):
+    """Opening a FIFO blocks until a writer comes, so it must never be read.
+    Mining runs in a child process, so that a regression fails on the
+    timeout instead of hanging the suite."""
+    fixture = Path(__file__).parent / "fixtures" / "tutorial_books.php"
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.php").write_bytes(fixture.read_bytes())
+    os.mkfifo(repo / "b.php")
+    (repo / "c.php").write_text("<?php echo 1;\n")
+    assert discover_files(repo, MinerOptions()) == ["a.php", "c.php"]
+    (tmp_path / "queries").mkdir()
+    (tmp_path / "repos.txt").write_text(str(repo) + "\n")
+    code = ("import sys\nfrom analogue import cli\n"
+            "q, repos, out = sys.argv[1:]\n"
+            "assert cli.main(['derive', %r, '--lines', '5:6',"
+            " '-o', q + '/sqli.tmpl.jsonl']) == 0\n"
+            "sys.exit(cli.main(['mine', '--repos', repos, '--queries', q,"
+            " '--out', out]))\n" % str(fixture))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "queries"),
+                           str(tmp_path / "repos.txt"), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    matches = (tmp_path / "out" / "matches.jsonl").read_text().splitlines()
+    assert [json.loads(m)["file"] for m in matches] == ["repo/a.php"]
+    assert (tmp_path / "out" / "skipped.jsonl").read_text() == ""
 
 
 def test_stats_are_consistent(tmp_path):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import io
 import subprocess
+import tarfile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from analogue import spider
 from analogue.mock_api import FakeClock, MockHub
 from analogue.spider import (NOT_POPULAR, POPULAR, VERY_POPULAR, AuthError,
                              DownloadError, RateBudget, RepoMeta, SpiderError,
@@ -216,6 +219,31 @@ def test_cursor_state_roundtrip(tmp_path):
     assert load_cursor(p) is None
     save_cursor(p, 12345)
     assert load_cursor(p) == 12345
+    save_cursor(p, None)
+    assert load_cursor(p) is None
+
+
+# state file text -> what it breaks: a cursor must be an int or null
+BAD_STATES = {
+    "list": "[1]",
+    "string-cursor": '{"cursor": "abc"}',
+    "bool-cursor": '{"cursor": true}',
+    "float-cursor": '{"cursor": 1.5}',
+    "no-cursor": "{}",
+    "invalid-json": '{"cursor": ',
+    "not-utf-8": b'{"cursor": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_STATES.values(), ids=BAD_STATES)
+def test_malformed_state_file_is_an_error_naming_it(tmp_path, text):
+    p = tmp_path / "s.json"
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
+    with pytest.raises(SpiderError, match="state file %s" % p):
+        load_cursor(p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +265,37 @@ def test_archive_download_unpacks_expected_tree(tmp_path):
         found = {str(p.relative_to(local)).split("/", 1)[1]: p.read_text()
                  for p in local.rglob("*.php")}
         assert found == FILES
+
+
+def test_interrupted_extraction_leaves_no_target_and_a_retry_completes(
+        tmp_path, monkeypatch):
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    real_extract = spider._extract_tarball
+
+    def one_member_then_disk_full(data, target):
+        with tarfile.open(fileobj=io.BytesIO(data), mode="r:*") as tar:
+            first = next(m for m in tar.getmembers() if m.isfile())
+            tar.extract(first, target)
+        raise OSError("No space left on device")
+
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        monkeypatch.setattr(spider, "_extract_tarball", one_member_then_disk_full)
+        with pytest.raises(DownloadError, match="No space left"):
+            download_repo(metas[0], tmp_path, clock=FakeClock())
+        assert list(tmp_path.iterdir()) == []
+        # a temporary directory left by a download that was killed
+        stale = tmp_path / ".partial-owner__proj"
+        stale.mkdir()
+        (stale / "half.php").write_text("<?php $x")
+        monkeypatch.setattr(spider, "_extract_tarball", real_extract)
+        local = download_repo(metas[0], tmp_path, clock=FakeClock())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["owner__proj"]
+    found = {str(p.relative_to(local)).split("/", 1)[1]: p.read_text()
+             for p in local.rglob("*") if p.is_file()}
+    assert found == FILES
 
 
 def test_archive_download_is_idempotent(tmp_path):
@@ -310,6 +369,13 @@ def test_unreachable_archive_fails_after_retries(tmp_path):
     with pytest.raises(DownloadError):
         download_repo(meta, tmp_path, clock=clock, max_attempts=2)
     assert len(clock.sleeps) == 2
+
+
+def test_failed_clone_leaves_nothing(tmp_path):
+    meta = _meta(full_name="local/missing", clone_url=str(tmp_path / "nowhere"))
+    with pytest.raises(DownloadError, match="git clone failed"):
+        download_repo(meta, tmp_path / "dl", strategy="clone")
+    assert list((tmp_path / "dl").iterdir()) == []
 
 
 def test_clone_strategy_preserves_history(tmp_path):
