@@ -81,6 +81,9 @@ class ScanStats:
     """One query over one repository.
 
     wall_time_s is the query's scan time summed over the repository's files.
+    It leaves out building each file's anchor index, but the first query
+    that asks for a key of the index's shared per-key anchor lists still
+    pays for building that list.
     nodes_scanned is the node count of all parsed units.  candidates_tried
     sums the anchors the program was tried at after the kind index, depth
     pruning and the arity window; units_skipped counts the units never scanned
@@ -215,8 +218,8 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
         result.files_scanned += 1
         nodes_total += unit.node_count
         lines = None  # the file's source_lines, split at its first match
-        t0 = time.perf_counter()
         symbols = unit.anchor_index().symbols
+        t0 = time.perf_counter()  # after the index, which every query shares
         for i, (program, preserved) in enumerate(needs):
             if not preserved <= symbols:
                 units_skipped[i] += 1

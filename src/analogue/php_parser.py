@@ -12,6 +12,15 @@ the first and last line of its text; heredoc is True only for the sq/dq
 token of a heredoc or nowdoc body, whose text starts on the line after
 ``line``.
 
+The lexer is one ``findall`` pass of one regex, ``_TOKEN``, over the file.
+The regex holds the whole lexical grammar, HTML mode and heredoc bodies
+included, and yields each token's text with the whitespace and comments
+before it.  A number's digits are those of ``str.isdigit``: ``\\d``
+(``str.isdecimal``) and the table ``_NONDECIMAL_DIGITS``.  The loop in
+``_lex`` only builds the token tuples: it takes the type from the token's
+first character through ``_FIRST``, counts line breaks only where the text
+holds any, and raises ``LexError`` where the regex found no token.
+
 Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
 statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
@@ -40,6 +49,7 @@ following assignment, as in ``$a ? $b : ($c = 1)``.
 from __future__ import annotations
 
 import re
+import string
 
 from . import astree
 from .astree import TreeBuilder, SourceUnit
@@ -82,172 +92,165 @@ def _is_ident_char(ch: str) -> bool:
 def tokenize(text: str) -> list[Token]:
     """Split a whole file into tokens; content outside <?php ... ?> becomes html tokens."""
     toks: list[Token] = []
-    i, line, n = 0, 1, len(text)
-    while i < n:
-        m = text.find("<?", i)
-        if m == -1:
-            m = n
-        if m > i:
-            seg = text[i:m]
-            toks.append(("html", seg, line, line + seg.count("\n"), False))
-            line += seg.count("\n")
-            i = m
-        if i >= n:
-            break
-        if text.startswith("<?php", i):
-            i += 5
-        elif text.startswith("<?=", i):
-            toks.append(("ident", "echo", line, line, False))
-            i += 3
-        else:
-            i += 2
-        i, line = _lex_php(text, i, line, toks)
+    end = _OPEN.match(text).end()
+    _lex(text, end, _html(text, 0, end, 1, toks), toks, False)
     return toks
 
 
 def lex_fragment(fragment: str, start_line: int) -> list[Token]:
-    """Tokenize an expression fragment (already inside PHP mode)."""
+    """Tokenize an expression fragment (already inside PHP mode) up to a closing tag."""
     toks: list[Token] = []
-    _lex_php(fragment, 0, start_line, toks)
+    _lex(fragment, 0, start_line, toks, True)
     return toks
 
 
-_LEX_ERRORS = {
-    "comment": "unterminated block comment",
-    "sq_open": "unterminated single-quoted string",
-    "dq_open": "unterminated double-quoted string",
-}
+# The characters other than decimal digits for which str.isdigit is true
+# (superscript, subscript, circled and other compatibility digits) in the
+# Unicode 14 database of Python 3.11.  re's \d is str.isdecimal, so \d with
+# these is str.isdigit; tests/test_lexer_differential.py checks that over
+# every code point of the running interpreter.
+_NONDECIMAL_DIGITS = (
+    r"\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
+_DIGIT = r"\d" + _NONDECIMAL_DIGITS
+# _is_ident_char and _is_ident_start: all but the ASCII characters that are
+# not letters, digits (to start a name, not digits either) or "_".  Spelled
+# as \x80-\U0010ffff instead, each such class took 4 ms to compile.
+_IDENT_CHAR = r"[^\x00-/:-@\[-^`{-\x7f]"
+_IDENT = r"[^\x00-@\[-^`{-\x7f]%s*+" % _IDENT_CHAR
 
-# One token and the whitespace and comments before it.  Alternatives are
-# tried in order: "var" comes before the "$" operator, "close" before "?",
-# "heredoc" before "<<", "comment" (an unterminated one) before "/", and
-# "number" before ".".  "bad" takes any other character and "end" the end of
-# the text, so once the greedy prefix stops the match cannot fail and never
-# backtracks into it.  "number" marks only the first character, because
-# str.isdigit accepts digits such as "²" that no regex class matches; a "."
-# before a non-ASCII character that is not a digit is the "." operator.
+# HTML up to the next open tag, then the tag: <?php, <?= or <?.  At the end
+# of the text there is no tag.
+_HTML = r"[^<]*+(?:<(?!\?)[^<]*+)*+(?:<\?(?:php|=)?)?"
+# A heredoc's start up to its label, the label being the one group.  A
+# quoted label needs its closing quote.
+_HEREDOC_HEAD = r"<<<[ \t]*+(?:'(?=%(c)s+')|\"(?=%(c)s+\")|)(%(c)s++)" % {"c": _IDENT_CHAR}
+
+# One match per token: (prefix, token, label, error).  The prefix is the
+# whitespace and comments before the token, and the token one of these,
+# tried in this order:
+# - a single-character operator that starts no longer one;
+# - a variable, then a name;
+# - a complete '...' or "..." string;
+# - a number: 0x and hex digits, or digits and underscores with at most one
+#   "." and then at most one exponent ("e" before a digit or a sign, and the
+#   sign), where a digit is any character for which str.isdigit is true;
+# - ?> with the one \r\n, \n or \r that PHP swallows after it, the HTML
+#   after that and the next open tag;
+# - a heredoc or nowdoc up to its terminator: a line that starts, after
+#   spaces and tabs, with the label and no identifier character after it;
+#   the label is the third group;
+# - any other operator, longest first.  "/*" is no operator, nor is "<<<".
+# Numbers come before ".", ?> before "?" and heredocs before "<<".  Where no
+# token fits, or at the end of the text, the token is "" and the error group
+# takes the rest of the text: "" at the end, and else the unterminated
+# comment, string or heredoc or the unexpected character it starts with.  So
+# a match never fails, and no match reads text another one has read.  The
+# possessive quantifiers (*+) never give back what they took.
 _TOKEN = re.compile(
-    r"(?:[ \t\n\r\v\f]+|(?://|\#)[^\n?]*(?:\?(?!>)[^\n?]*)*|/\*.*?\*/)*"
-    r"(?:(?P<var>\$%(ident)s)|(?P<ident>%(ident)s)"
-    r"|(?P<close>\?>(?:\r\n|\n|\r)?)|(?P<heredoc><<<)|(?P<comment>/\*)"
-    r"|(?P<number>[0-9]|\.(?=[0-9\x80-\U0010ffff]))"
-    r"|(?P<op>%(ops)s|[%(ops1)s])"
-    r"|(?P<sq>'[^'\\]*(?:\\.[^'\\]*)*')|(?P<dq>\"[^\"\\]*(?:\\.[^\"\\]*)*\")"
-    r"|(?P<sq_open>')|(?P<dq_open>\")|(?P<bad>.)|(?P<end>\Z))"
-    % {"ident": r"[A-Za-z_\x80-\U0010ffff][0-9A-Za-z_\x80-\U0010ffff]*",
-       "ops": "|".join(map(re.escape, _OPS3 + _OPS2)),
+    r"([ \t\n\r\v\f]*+(?:(?://|\#)[^\n?]*+(?:\?(?!>)[^\n?]*+)*+[ \t\n\r\v\f]*+"
+    r"|/\*.*?\*/[ \t\n\r\v\f]*+)*+)"
+    r"(?:([()\[\]{};,]|\$%(ident)s|%(ident)s"
+    r"|'[^'\\]*+(?:\\.[^'\\]*+)*+'|\"[^\"\\]*+(?:\\.[^\"\\]*+)*+\""
+    r"|0[xX][a-fA-F_%(d)s]*+"
+    r"|(?:[0-9][_%(d)s]*+(?:\.[_%(d)s]*+)?|\.[%(d)s][_%(d)s]*+)"
+    r"(?:[eE](?:[+-]|(?=[%(d)s]))[_%(d)s]*+)?"
+    r"|\?>(?:\r\n|\n|\r)?%(html)s"
+    r"|%(heredoc)s[^\n]*+\n(?:[^\n]*+\n)*?[ \t]*+\3(?!%(c)s)"
+    r"|(?!/\*|<<<)(?:%(ops)s|[%(ops1)s]))|(.*))"
+    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT, "html": _HTML,
+       "heredoc": _HEREDOC_HEAD, "ops": "|".join(map(re.escape, _OPS3 + _OPS2)),
        "ops1": re.escape(_OPS1)},
     re.DOTALL)
+_OPEN = re.compile(_HTML)
+_HEREDOC_START = re.compile(_HEREDOC_HEAD)
+
+# Token type by the token's first character; a character missing here
+# starts a name.  None marks the characters after which the type depends on
+# more of the token.
+_FIRST: dict[str, str | None] = dict.fromkeys(_OPS1, "op")
+_FIRST.update(dict.fromkeys(string.ascii_letters + "_", "ident"))
+_FIRST.update(dict.fromkeys(string.digits, "number"))
+_FIRST.update(dict.fromkeys("$.?<'\"", None))
+_DOT_OPS = frozenset({".", "...", ".="})
+
+_LEX_ERRORS = {
+    "/": "unterminated block comment",
+    "'": "unterminated single-quoted string",
+    '"': "unterminated double-quoted string",
+}
 
 
-def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
-    """Lex PHP code from text[i] up to a closing tag (consumed) or the end."""
-    match, count, append = _TOKEN.match, text.count, toks.append
-    while True:
-        m = match(text, i)
-        kind = m.lastgroup
-        s, e = m.span(kind)
-        if s != i:
-            line += count("\n", i, s)
-        i = e
-        if kind == "op" or kind == "ident" or kind == "var":
-            append((kind, text[s:i], line, line, False))
-        elif kind == "sq" or kind == "dq":
-            value = text[s + 1:i - 1]
-            end = line + value.count("\n")
-            append((kind, value, line, end, False))
+def _lex(text: str, pos: int, line: int, toks: list[Token], fragment: bool) -> None:
+    """Append the tokens of the PHP code at text[pos:]; a fragment ends at ?>."""
+    append, first = toks.append, _FIRST
+    for pre, tok, label, err in _TOKEN.findall(text, pos):
+        if "\n" in pre:
+            line += pre.count("\n")
+        try:
+            kind = first[tok[0]]
+        except KeyError:
+            kind = "ident"
+        except IndexError:  # no token: the end of the text, or an error
+            if err:
+                raise _lex_error(err, line) from None
+            return
+        if kind:
+            append((kind, tok, line, line, False))
+            continue
+        c = tok[0]
+        if c == "$":
+            append(("var" if len(tok) > 1 else "op", tok, line, line, False))
+        elif c == "'" or c == '"':
+            end = line + tok.count("\n")
+            append(("sq" if c == "'" else "dq", tok[1:-1], line, end, False))
             line = end
-        elif kind == "number":
-            if text[s] == "." and not text[i].isdigit():
-                append(("op", ".", line, line, False))
-            else:
-                i = _number_end(text, s)
-                append(("number", text[s:i], line, line, False))
-        elif kind == "close":  # PHP swallows one \r\n, \n or \r after ?>
+        elif c == ".":
+            append(("op" if tok in _DOT_OPS else "number", tok, line, line, False))
+        elif label:
+            nl, last = tok.find("\n"), tok.rfind("\n")
+            nowdoc = tok[3:nl].lstrip(" \t").startswith("'")
+            end = line + tok.count("\n")  # the terminator's line
+            append(("sq" if nowdoc else "dq", tok[nl + 1:last] if last > nl else "",
+                    line, end - 1, True))
+            line = end
+        elif c == "?" and tok[1:2] == ">":
             append(("op", "?>", line, line, False))
-            return i, line + (text[i - 1] == "\n")
-        elif kind == "heredoc":
-            i, line = _lex_heredoc(text, s, line, toks)
-        elif kind == "end":
-            return i, line
+            if fragment:
+                return
+            i = 3 if tok[2:3] == "\r" else 2
+            if tok[i:i + 1] == "\n":
+                i += 1
+                line += 1
+            line = _html(tok, i, len(tok), line, toks)
         else:
-            raise LexError(_LEX_ERRORS.get(kind) or "unexpected character %r" % text[s],
-                           line)
+            append(("op", tok, line, line, False))
 
 
-def _number_end(text: str, i: int) -> int:
-    """End of the number literal starting at text[i]."""
-    n = len(text)
-    if text.startswith(("0x", "0X"), i):
-        k = i + 2
-        while k < n and (text[k] in "abcdefABCDEF_" or text[k].isdigit()):
-            k += 1
-        return k
-    k = i
-    seen_dot = seen_exp = False
-    while k < n:
-        c = text[k]
-        if c.isdigit() or c == "_":
-            k += 1
-        elif c == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            k += 1
-        elif c in "eE" and not seen_exp and k + 1 < n and (
-                text[k + 1].isdigit() or text[k + 1] in "+-"):
-            seen_exp = True
-            k += 2 if text[k + 1] in "+-" else 1
-        else:
-            break
-    return k
+def _html(s: str, i: int, end: int, line: int, toks: list[Token]) -> int:
+    """Append the tokens of s[i:end], HTML and then an optional open tag, and
+    return the line they end on."""
+    tag = s.rfind("<?", i, end)
+    if tag == -1:
+        tag = end
+    if tag > i:
+        seg = s[i:tag]
+        line_end = line + seg.count("\n")
+        toks.append(("html", seg, line, line_end, False))
+        line = line_end
+    if s.startswith("<?=", tag):
+        toks.append(("ident", "echo", line, line, False))
+    return line
 
 
-def _lex_heredoc(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
-    n = len(text)
-    j = i + 3
-    while j < n and text[j] in " \t":
-        j += 1
-    nowdoc = False
-    quote = ""
-    if j < n and text[j] in "'\"":
-        nowdoc = text[j] == "'"
-        quote = text[j]
-        j += 1
-    k = j
-    while k < n and _is_ident_char(text[k]):
-        k += 1
-    label = text[j:k]
-    if not label:
-        raise LexError("malformed heredoc start", line)
-    if quote:
-        if k >= n or text[k] != quote:
-            raise LexError("malformed heredoc start", line)
-        k += 1
-    nl = text.find("\n", k)
-    if nl == -1:
-        raise LexError("unterminated heredoc", line)
-    body_start = nl + 1
-    pos = body_start
-    ln = line + 1
-    while pos <= n:
-        eol = text.find("\n", pos)
-        if eol == -1:
-            eol = n
-        raw_line = text[pos:eol]
-        stripped = raw_line.lstrip(" \t")
-        after = stripped[len(label):]
-        if stripped.startswith(label) and (not after or not _is_ident_char(after[0])):
-            body = text[body_start:pos]
-            if body.endswith("\n"):
-                body = body[:-1]
-            toks.append(("sq" if nowdoc else "dq", body, line, max(line, ln - 1), True))
-            indent = len(raw_line) - len(stripped)
-            # resume lexing right after the terminator label
-            return pos + indent + len(label), ln
-        if eol == n:
-            break
-        pos = eol + 1
-        ln += 1
-    raise LexError("unterminated heredoc", line)
+def _lex_error(err: str, line: int) -> LexError:
+    """The error for the rest of the text, err, where no token fits."""
+    if err[0] == "<":  # only <<< gets here
+        return LexError("unterminated heredoc" if _HEREDOC_START.match(err)
+                        else "malformed heredoc start", line)
+    return LexError(_LEX_ERRORS.get(err[0]) or "unexpected character %r" % err[0], line)
 
 
 # ---------------------------------------------------------------------------

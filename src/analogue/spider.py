@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import tarfile
 import time as _time
+import zlib
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
@@ -385,18 +386,21 @@ def _fetch_archive(meta: RepoMeta, into: Path, budget: RateBudget | None, clock,
     into.mkdir()
     try:
         _extract_tarball(resp.content, into)
-    except (tarfile.TarError, OSError, ValueError) as e:
-        raise DownloadError("corrupt archive for %s: %s" % (meta.full_name, e))
+    except (tarfile.TarError, EOFError, zlib.error, ValueError, OSError) as e:
+        # An OSError with an errno, such as a full disk, is a local fault;
+        # the others (gzip.BadGzipFile is an OSError without one, and a
+        # truncated gzip stream raises EOFError) are a bad archive.
+        if isinstance(e, OSError) and e.errno is not None:
+            raise DownloadError("extracting %s failed: %s" % (meta.full_name, e)) from e
+        raise DownloadError("corrupt archive for %s: %s" % (meta.full_name, e)) from e
 
 
 def _extract_tarball(data: bytes, target: Path) -> None:
+    """Unpack a tarball into target through tarfile's "data" filter (PEP 706).
+
+    The filter strips a leading "/" from member names, and raises
+    tarfile.FilterError at the first member that would land or link outside
+    target or that is a device file or FIFO.
+    """
     with tarfile.open(fileobj=BytesIO(data), mode="r:*") as tar:
-        safe = []
-        for member in tar.getmembers():
-            parts = Path(member.name).parts
-            if member.name.startswith("/") or ".." in parts:
-                raise ValueError("unsafe path %r in archive" % member.name)
-            if member.issym() or member.islnk():
-                continue
-            safe.append(member)
-        tar.extractall(target, members=safe)
+        tar.extractall(target, filter="data")

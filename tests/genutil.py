@@ -20,7 +20,7 @@ PHP_PIECES = [
     "<?php ", "<?=", "<?", "?>", "?>\n", "<<<EOT\n", "<<<'EOT'\n", "<<<\"EOT\"\n",
     "EOT", "EOT;\n", "  EOT\n", "/*", "*/", "//", "#", "'", '"', "\\", "\\'",
     '\\"', "$", "$a", "${", "{$", "->", "::", "=>", "===", "!==", "<=>", "**=",
-    "<<=", "??=", "...", "<<", "<", "?", ".", "..", ".=", "0x", "0X1F", "1e",
+    "<<=", "??=", "...", "<<", "<>", "<", "?", ".", "..", ".=", "0x", "0X1F", "1e",
     "1e+5", "1E-", "1.5", "1_0", "0", "9", "e", "E", "x", "_", "abc", "echo",
     " ", "\t", "\n", "\r", "\r\n", "\f", "\v", "²", "①", "é", " ",
     "\x85", "`", "\x00", "(", ")", "[", "]", "{", "}", ";", ",", "=", "+",

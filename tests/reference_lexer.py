@@ -1,13 +1,14 @@
 """The character-by-character PHP lexer that php_parser's master regex replaced.
 
-Kept as a test oracle, unchanged but for building php_parser's token tuples:
-tests/test_lexer_differential.py checks that php_parser.tokenize yields the
-same tokens, or the same LexError, as `tokenize` here.  Heredocs go through php_parser's own _lex_heredoc in both.
+Kept as a test oracle, unchanged but for building php_parser's token tuples,
+with the line-by-line heredoc lexer php_parser had before its regex read
+heredocs: tests/test_lexer_differential.py checks that php_parser.tokenize
+yields the same tokens, or the same LexError, as `tokenize` here.
 """
 from __future__ import annotations
 
 from analogue.php_parser import (_OPS1, _OPS2, _OPS3, LexError, Token,
-                                 _is_ident_char, _is_ident_start, _lex_heredoc)
+                                 _is_ident_char, _is_ident_start)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -173,6 +174,55 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             continue
         raise LexError("unexpected character %r" % ch, line)
     return i, line
+
+
+def _lex_heredoc(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
+    n = len(text)
+    j = i + 3
+    while j < n and text[j] in " \t":
+        j += 1
+    nowdoc = False
+    quote = ""
+    if j < n and text[j] in "'\"":
+        nowdoc = text[j] == "'"
+        quote = text[j]
+        j += 1
+    k = j
+    while k < n and _is_ident_char(text[k]):
+        k += 1
+    label = text[j:k]
+    if not label:
+        raise LexError("malformed heredoc start", line)
+    if quote:
+        if k >= n or text[k] != quote:
+            raise LexError("malformed heredoc start", line)
+        k += 1
+    nl = text.find("\n", k)
+    if nl == -1:
+        raise LexError("unterminated heredoc", line)
+    body_start = nl + 1
+    pos = body_start
+    ln = line + 1
+    while pos <= n:
+        eol = text.find("\n", pos)
+        if eol == -1:
+            eol = n
+        raw_line = text[pos:eol]
+        stripped = raw_line.lstrip(" \t")
+        after = stripped[len(label):]
+        if stripped.startswith(label) and (not after or not _is_ident_char(after[0])):
+            body = text[body_start:pos]
+            if body.endswith("\n"):
+                body = body[:-1]
+            toks.append(("sq" if nowdoc else "dq", body, line, max(line, ln - 1), True))
+            indent = len(raw_line) - len(stripped)
+            # resume lexing right after the terminator label
+            return pos + indent + len(label), ln
+        if eol == n:
+            break
+        pos = eol + 1
+        ln += 1
+    raise LexError("unterminated heredoc", line)
 
 
 def lex_fragment(fragment: str, start_line: int) -> list[Token]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analogue.astree import slice_statements
+from analogue.astree import SourceUnit, slice_statements
 from analogue import miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
@@ -401,6 +401,35 @@ def test_stats_are_consistent(tmp_path):
         assert sum(s.match_count for s in r.stats) == len(r.matches)
         assert all(s.wall_time_s >= 0 for s in r.stats)
         assert all(s.nodes_scanned > 0 for s in r.stats)
+
+
+def test_wall_time_leaves_out_the_shared_anchor_index(tmp_path, monkeypatch):
+    """Building a file's anchor index is charged to no query: on a clock that
+    the index advances by 100 s and each scan by 1 s, every query reads 1 s."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", repo / "index.php")
+    clock = [0.0]
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return clock[0]
+
+    def anchor_index(unit, real=SourceUnit.anchor_index):
+        if unit._index is None:  # built on first use, then cached
+            clock[0] += 100.0
+        return real(unit)
+
+    def scan_unit(*args, real=miner.scan_unit):
+        clock[0] += 1.0
+        return real(*args)
+
+    monkeypatch.setattr(miner, "time", FakeTime)
+    monkeypatch.setattr(SourceUnit, "anchor_index", anchor_index)
+    monkeypatch.setattr(miner, "scan_unit", scan_unit)
+    r = miner.scan_repository(repo, strict_programs())
+    assert [s.wall_time_s for s in r.stats] == [1.0, 1.0]
 
 
 def test_corpus_ledger_reconciliation(tmp_path):

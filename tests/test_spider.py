@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import errno
+import gzip
 import io
+import re
 import subprocess
 import tarfile
 
@@ -277,13 +280,14 @@ def test_interrupted_extraction_leaves_no_target_and_a_retry_completes(
         with tarfile.open(fileobj=io.BytesIO(data), mode="r:*") as tar:
             first = next(m for m in tar.getmembers() if m.isfile())
             tar.extract(first, target)
-        raise OSError("No space left on device")
+        raise OSError(errno.ENOSPC, "No space left on device")
 
     with hub:
         metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
                                    clock=FakeClock())
         monkeypatch.setattr(spider, "_extract_tarball", one_member_then_disk_full)
-        with pytest.raises(DownloadError, match="No space left"):
+        with pytest.raises(DownloadError, match=r"^extracting owner/proj failed: "
+                                                r"\[Errno 28\] No space left"):
             download_repo(metas[0], tmp_path, clock=FakeClock())
         assert list(tmp_path.iterdir()) == []
         # a temporary directory left by a download that was killed
@@ -320,6 +324,99 @@ def test_corrupt_archive_raises(tmp_path):
                                    clock=FakeClock())
         with pytest.raises(DownloadError):
             download_repo(metas[0], tmp_path, clock=FakeClock())
+
+
+def test_truncated_archive_is_a_corrupt_download(tmp_path, monkeypatch):
+    """A .tar.gz cut short makes gzip raise EOFError, not a TarError."""
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files={"big.php": "<?php\n" + "$a = 1;\n" * 20000})
+    real_tarball = hub._tarball
+    monkeypatch.setattr(hub, "_tarball", lambda repo_id: real_tarball(repo_id)[:200])
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        with pytest.raises(DownloadError, match="^corrupt archive for owner/proj: "):
+            download_repo(metas[0], tmp_path, clock=FakeClock())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error,message", [
+    (gzip.BadGzipFile("Not a gzipped file"), "corrupt archive for owner/proj: "),
+    (EOFError("Compressed file ended"), "corrupt archive for owner/proj: "),
+    (OSError(errno.ENOSPC, "No space left on device"), "extracting owner/proj failed: "),
+    (PermissionError(errno.EACCES, "Permission denied"), "extracting owner/proj failed: "),
+])
+def test_extraction_failures_say_whether_the_archive_or_the_disk_failed(
+        tmp_path, monkeypatch, error, message):
+    def fail(data, target):
+        raise error
+
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    monkeypatch.setattr(spider, "_extract_tarball", fail)
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        with pytest.raises(DownloadError, match="^" + re.escape(message)):
+            download_repo(metas[0], tmp_path, clock=FakeClock())
+
+
+def _tarball_with(member: tarfile.TarInfo) -> bytes:
+    """A tarball holding one ordinary file and then member."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+        ok = tarfile.TarInfo("proj/ok.php")
+        ok.size = 5
+        tar.addfile(ok, io.BytesIO(b"<?php"))
+        if member.isreg():
+            member.size = 5
+            tar.addfile(member, io.BytesIO(b"<?php"))
+        else:
+            tar.addfile(member)
+    return buf.getvalue()
+
+
+def _member(name: str, kind: bytes = tarfile.REGTYPE, link: str = "") -> tarfile.TarInfo:
+    info = tarfile.TarInfo(name)
+    info.type, info.linkname = kind, link
+    return info
+
+
+@pytest.mark.parametrize("member", [
+    _member("proj/../../escaped.php"),
+    _member("proj/pipe", tarfile.FIFOTYPE),
+    _member("proj/link", tarfile.SYMTYPE, "../../escaped.php"),
+    _member("proj/hard", tarfile.LNKTYPE, "../escaped.php"),
+], ids=["dotdot", "fifo", "outward-symlink", "outward-hardlink"])
+def test_extraction_refuses_members_that_escape_or_are_special(tmp_path, member):
+    target = tmp_path / "a" / "b"
+    target.mkdir(parents=True)
+    with pytest.raises(tarfile.FilterError):
+        spider._extract_tarball(_tarball_with(member), target)
+    assert (sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+            == ["a", "a/b", "a/b/proj", "a/b/proj/ok.php"])
+
+
+def test_extraction_puts_an_absolute_member_under_the_target(tmp_path):
+    target = tmp_path / "t"
+    target.mkdir()
+    spider._extract_tarball(_tarball_with(_member(str(tmp_path / "abs.php"))), target)
+    assert not (tmp_path / "abs.php").exists()
+    assert (target / str(tmp_path / "abs.php").lstrip("/")).read_text() == "<?php"
+
+
+def test_an_unsafe_archive_is_a_failed_download(tmp_path, monkeypatch):
+    hub = MockHub()
+    hub.add_repo(1, "owner/proj", files=FILES)
+    monkeypatch.setattr(hub, "_tarball",
+                        lambda repo_id: _tarball_with(_member("proj/../../x.php")))
+    with hub:
+        metas, _ = enumerate_repos(hub.base_url, None, RateBudget(),
+                                   clock=FakeClock())
+        with pytest.raises(DownloadError, match="outside the destination"):
+            download_repo(metas[0], tmp_path / "dl", clock=FakeClock())
+    assert not (tmp_path / "x.php").exists()
+    assert list((tmp_path / "dl").iterdir()) == []
 
 
 def test_rate_limited_download_waits_for_the_advertised_reset(tmp_path):
