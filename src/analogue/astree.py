@@ -88,6 +88,13 @@ class AnchorIndex:
     holds every node's symbol, None included.  `max_depth` is the depth of
     the deepest node, the root being at depth 0.
 
+    SourceUnit.anchor_index builds it from the root, not in id order, so an
+    imported unit whose ids are not in pre-order gets the same index.  Its
+    pre-order walk pushes only the nodes that have children; a leaf child is
+    never visited, and only raises `max_depth` to its depth.  `symbols`
+    comes from one pass over the node table, which holds every node of a
+    valid unit.
+
     The engine fills the last two as its scans go, and every program shares
     them: `shapes` maps each statement scanned to its shape id
     (engine.shape_id), and `tries` maps a program's first kind, depth limit
@@ -146,31 +153,32 @@ class SourceUnit:
             nodes = self.nodes
             anchors: list[Anchor] = []
             by_kind: dict[str, list[Anchor]] = {}
-            symbols = set()
             max_depth = 0
             # Pre-order with an explicit stack of (node id, depth) pairs:
-            # children are pushed in reverse so they pop left to right.
+            # children are pushed in reverse so they pop left to right.  Only
+            # the root and nodes with children are pushed; a leaf child can
+            # only be the deepest node so far.
             stack = [(self.root, 0)]
             pop, push = stack.pop, stack.append
             while stack:
                 node_id, depth = pop()
                 n = nodes[node_id]
-                symbols.add(n.symbol)
                 children = n.children
-                if children:
-                    if n.kind == STMT_LIST:
-                        count = len(children)
-                        for start, c in enumerate(children):
-                            a = (node_id, depth, start, count)
-                            anchors.append(a)
-                            by_kind.setdefault(nodes[c].kind, []).append(a)
-                    depth += 1
-                    for c in reversed(children):
+                if n.kind == STMT_LIST:
+                    count = len(children)
+                    for start, c in enumerate(children):
+                        a = (node_id, depth, start, count)
+                        anchors.append(a)
+                        by_kind.setdefault(nodes[c].kind, []).append(a)
+                depth += 1
+                for c in reversed(children):
+                    if nodes[c].children:
                         push((c, depth))
-                elif depth > max_depth:
-                    max_depth = depth
-            self._index = AnchorIndex(anchors, by_kind, frozenset(symbols),
-                                      max_depth)
+                    elif depth > max_depth:
+                        max_depth = depth
+            self._index = AnchorIndex(
+                anchors, by_kind, frozenset([n.symbol for n in nodes.values()]),
+                max_depth)
         return self._index
 
 
@@ -284,11 +292,9 @@ class TreeBuilder:
             line_start if line_end is None else line_end)
         return node_id
 
-    def mark(self) -> int:
-        return self._next
-
     def rollback(self, mark: int) -> None:
-        """Discard nodes created since mark (parse error recovery)."""
+        """Discard the nodes created since _next was mark (parse error
+        recovery)."""
         for node_id in range(mark, self._next):
             self._nodes.pop(node_id, None)
         self._next = mark

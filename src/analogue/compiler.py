@@ -7,7 +7,9 @@ scan workers.  Each process turns a program into a straight-line Python
 function on first use (MatcherProgram.compiled); that function is the only
 code that runs a program.  From the same walk of the steps come the
 program's shape tests (ShapeTest), which the engine decides once per
-statement shape.
+statement shape.  The function, the shape tests and the header values the
+engine reads on every scan make up the program's scan plan (Compiled), one
+tuple per exact_arity value.
 """
 from __future__ import annotations
 
@@ -63,12 +65,21 @@ UNDECIDED = -1
 
 
 class Compiled(NamedTuple):
-    """A program's generated matcher for one exact_arity value, with the
-    shape tests from the same step walk and the verdicts worked out so far
-    (shape id -> shape_verdict)."""
+    """A program's scan plan for one exact_arity value: what engine.scan_unit
+    reads of the program on every call, in one tuple.
+
+    first is the kind of the program's first KIND step (None when it does
+    not open with one); template_depth, statement_count and comparison_steps
+    are the program's.  match is the generated matcher, shape_tests come
+    from the same step walk, and verdicts holds the verdicts worked out so
+    far (shape id -> shape_verdict)."""
+    first: str | None
+    template_depth: int
+    statement_count: int
     match: Callable
     shape_tests: tuple[ShapeTest, ...]
     verdicts: dict[int, int]
+    comparison_steps: int
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,9 @@ class MatcherProgram:
     query_id: str
     symbol_policy: str = "preserve"
     origin: SeedOrigin | None = None
-    # Compiled per exact_arity, built on first use in each process and never
-    # pickled: the verdicts are keyed by shape ids, which are per process.
+    # The scan plan (Compiled) per exact_arity, built on first use in each
+    # process and never pickled: the verdicts are keyed by shape ids, which
+    # are per process.
     _matchers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -118,13 +130,17 @@ class MatcherProgram:
         return sum(1 for s in self.steps if s.op not in NAVIGATION)
 
     def compiled(self, exact_arity: bool = False) -> Compiled:
-        """The generated matcher for this option, its shape tests and its
-        verdict table, built on first use and cached."""
+        """The scan plan for this option, built on first use and cached in
+        _matchers under bool(exact_arity)."""
         key = bool(exact_arity)
         c = self._matchers.get(key)
         if c is None:
             source, consts, tests = _generate(self, key)
-            c = self._matchers[key] = Compiled(_build(source, consts), tests, {})
+            steps = self.steps
+            first = steps[0].kind if steps and steps[0].op == KIND else None
+            c = self._matchers[key] = Compiled(
+                first, self.template_depth, self.statement_count,
+                _build(source, consts), tests, {}, self.comparison_steps)
         return c
 
     def matcher(self, exact_arity: bool = False):

@@ -25,12 +25,18 @@ per program, not once per statement.  The table holds at most MAX_SHAPES
 shapes of at most MAX_SHAPE_CHILDREN children each; any other statement gets
 NO_SHAPE, and its attempts run the matcher.  Matches and comparison counts
 are those of running the matcher at every anchor.
+
+The fixed cost of one scan_unit call, made once per program and unit, is
+two cached lookups: the program's scan plan for the option's exact_arity
+(compiler.Compiled: first kind, template depth, statement count, matcher,
+shape tests, verdict table and comparison steps, in one tuple), and the
+unit's anchors for the plan's key.  A unit with no such anchor returns at
+once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import compiler
 from .astree import AstNode, SourceUnit, STMT_LIST
 from .compiler import UNDECIDED, MatcherProgram, shape_verdict
 
@@ -165,22 +171,28 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     skipped; the pruned and unpruned scans return identical match sets.
     The anchors left are listed once per unit for each first kind, depth
     limit and statement count (AnchorIndex.tries), with the shape id of
-    each one's first statement.  At each, the program's verdict for that
+    each one's first statement; when there are none, the scan returns no
+    matches and a zero counter.  At each, the program's verdict for that
     shape is looked up, and worked out on first sight.  A shape test that
     fails decides the attempt and adds the comparisons the matcher would
     have counted; otherwise, and for a statement with NO_SHAPE, the matcher
     runs.
     """
     opts = opts or ScanOptions()
+    exact = opts.exact_arity
+    # The plan cache is read here without a call, as this runs once per
+    # program and unit; compiled() builds a missing plan.
+    first, template_depth, k, match, tests, verdicts, steps = (
+        p._matchers.get(exact) or p.compiled(exact))
     index = unit.anchor_index()
-    first = p.steps[0].kind if p.steps and p.steps[0].op == compiler.KIND else None
-    depth_limit = (index.max_depth - p.template_depth + 1 if opts.depth_pruning
+    depth_limit = (index.max_depth - template_depth + 1 if opts.depth_pruning
                    else None)
-    key = (first, depth_limit, p.statement_count)
+    key = (first, depth_limit, k)
     tries = index.tries.get(key)
     if tries is None:
         tries = index.tries[key] = _tries(unit, *key)
-    match, tests, verdicts = p.compiled(opts.exact_arity)
+    if not tries:
+        return [], ComparisonCounter(0, 0)
     nodes = unit.nodes
     matches: list[Match] = []
     comparisons = 0
@@ -197,10 +209,9 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
         if type(found) is int:
             comparisons += found
             continue
-        comparisons += p.comparison_steps
+        comparisons += steps
         matches.append(_new_match(p, unit, sl_id, start, found))
-    return matches, ComparisonCounter(node_comparisons=comparisons,
-                                      candidates_tried=len(tries))
+    return matches, ComparisonCounter(comparisons, len(tries))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
 statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
 statement position too), an alternative ``: ... endwhile;`` block or a
 single statement.  ``_parse_function`` reads functions, methods and
-closures.  Every call on these paths costs one stack frame per nesting
-level, and the recursion limit turns frames into the deepest nesting a file
-may have.  A closure is already five frames below its statement (an
-assignment's two ``parse_expr`` calls, unary, postfix, primary), so
-``_parse_function`` builds its body inline instead of through
-``_parse_block``, which would cost one more frame per nested closure.
+closures, ``static`` ones included.  PHP puts the ``{`` of a ``switch``,
+``try``, ``catch (...)`` or ``finally`` body right after its head, and a
+class header or a function's return type ends at ``{``, ``;`` or ``}``; so no
+statement searches past itself for a ``{``, and a malformed one fails where
+it stands, which keeps recovery linear in the file.
 
 ``parse_expr`` climbs these precedence levels, loosest first:
 
@@ -45,6 +44,33 @@ assignment's two ``parse_expr`` calls, unary, postfix, primary), so
 The left operand of an assignment is whatever binds tighter, so
 ``$a + $b = 1`` is ``Assign(BinOp, 1)``, and a ternary's else branch takes a
 following assignment, as in ``$a ? $b : ($c = 1)``.
+
+Most operands are leaves: a var, number or sq token.  ``parse_expr`` builds
+a leaf itself, where it reads its left operand, and calls ``_parse_unary``
+(prefix operators and casts) only for any other token, which falls through
+to ``_parse_primary`` (the primaries that are not leaves).  The postfix loop,
+``_parse_postfix``, runs only when a postfix operator follows the operand,
+and extends the node already built.  A prefix operator reads its operand as
+``parse_expr(_PREFIX_PREC)``, a binding power above every binary operator:
+one operand and its postfix operators.  ``$`` reads its operand as
+``parse_expr(_PRIMARY_PREC)``, a primary without postfix operators, so
+``$$a[0]`` is ``ArrayDim(Other:varvar, 0)``.  So each leaf rule is written
+once.  The hot loops (argument lists, array literals, statement lists and
+an expression statement's ``;``) test token fields in place; the other
+paths use the ``at_op``/``expect_op`` helpers.
+
+Every call on these paths costs one stack frame per nesting level, and the
+recursion limit (1,000 by default) turns frames into the deepest nesting a
+file may have.  A parenthesis costs three frames (``parse_expr``,
+``_parse_unary``, ``_parse_primary``), a ``$a . (`` group four (the binary
+operator's right operand is one more ``parse_expr``), an array literal four
+and a prefix operator two.  Outside pytest that allows 330 parentheses, 247
+``$a . (`` groups, 247 nested array literals and 990 prefix operators in a
+row.  A closure is four frames below its statement (an assignment's two
+``parse_expr`` calls, unary, primary), so ``_parse_function`` builds its
+body inline instead of through ``_parse_block``, which would cost one more
+frame per nested closure; 141 closures nest.  A nested block costs what its
+statement rule costs: 247 ``if`` blocks or 495 bare blocks nest.
 """
 from __future__ import annotations
 
@@ -279,6 +305,9 @@ _BIN_PREC = {
 }
 
 _WORD_PREC, _ASSIGN_PREC, _TERNARY_PREC = -2, -1, 0
+# Above every binary operator: parse_expr at _PREFIX_PREC reads one operand
+# with its postfix operators, and at _PRIMARY_PREC one primary alone.
+_PREFIX_PREC, _PRIMARY_PREC = 13, 14
 
 # operator -> (precedence, precedence of its right operand, node kind).
 # Binary operators are left-associative, assignments right-associative, and
@@ -356,7 +385,7 @@ class _Parser:
             elif kw_closers and t[0] == "ident" and t[1].lower() in kw_closers:
                 break
             start_pos = self.pos
-            node_mark = self.b.mark()
+            node_mark = self.b._next
             try:
                 if t[0] == "op" and t[1] == "{":
                     sid = self._parse_block(None)[0]
@@ -413,7 +442,11 @@ class _Parser:
         kw = t[1].lower() if t[0] == "ident" else ""
         if kw not in _KEYWORDS:
             expr = self.parse_expr()
-            self._finish_simple_statement(expr)
+            t = self.toks[self.pos]
+            if t[0] == "op" and t[1] == ";" and t[3] <= self.b._nodes[expr].line_end:
+                self.pos += 1  # a ';' that leaves the statement's span as it is
+            else:
+                self._finish_simple_statement(expr)
             return expr
         self.pos += 1
         if kw == "echo":
@@ -636,7 +669,9 @@ class _Parser:
         if self.peek()[0] == "ident":
             self.next()  # function name, not preserved
         self._skip_balanced("(")
-        while not self.at_op("{") and self.peek()[0] != "eof":
+        # the use list and return type end at '{'; a '}' there ends the
+        # statement as a malformed one
+        while not (self.at_op("{") or self.at_op("}")) and self.peek()[0] != "eof":
             if self.at_op(";"):  # abstract/interface signature
                 semi = self.next()
                 return self.b.add(astree.other(tag), line_start=t[2], line_end=semi[3])
@@ -655,10 +690,12 @@ class _Parser:
             self.next()
         if self.peek()[0] == "ident":
             self.next()  # class name
-        while not self.at_op("{") and self.peek()[0] != "eof":
-            self.next()  # extends/implements clause
-        if self.peek()[0] == "eof":
-            raise ParseError("unterminated class declaration", t[2])
+        # the extends/implements clause ends at '{'; a ';' or '}' there, or
+        # the end of the file, ends the statement as a malformed one
+        while not (self.at_op("{") or self.at_op(";") or self.at_op("}")):
+            if self.peek()[0] == "eof":
+                raise ParseError("unterminated class declaration", t[2])
+            self.next()
         self.expect_op("{")
         members: list[int] = []
         end_line = t[2]
@@ -695,18 +732,11 @@ class _Parser:
         return node
 
     def _skip_balanced(self, opener: str) -> int:
-        """Skip past the next '(' or '{' and its match; return the match's end line.
-
-        '(' must be the next token; tokens before a '{' are skipped too.
-        """
-        if opener == "(":
-            self.expect_op("(")
-        else:
-            while not self.at_op("{"):
-                if self.peek()[0] == "eof":
-                    raise ParseError("expected '{'", self.last_line)
-                self.next()
-            self.next()
+        """Skip the '(' or '{' that must be the next token, and its match;
+        return the match's end line.  PHP puts the '{' of a switch, try,
+        catch or finally body right after its head, so no caller searches
+        for one."""
+        self.expect_op(opener)
         closer = ")" if opener == "(" else "}"
         depth = 1
         while depth:
@@ -747,11 +777,31 @@ class _Parser:
     # -- expressions -------------------------------------------------------
     def parse_expr(self, min_prec: int = _WORD_PREC) -> int:
         """An expression whose operators all bind at min_prec or tighter,
-        by precedence climbing over _OPERATORS."""
-        left = self._parse_unary()
+        by precedence climbing over _OPERATORS.
+
+        The left operand is read here when it is a leaf (a var, number or sq
+        token), and by _parse_unary otherwise; the postfix loop runs only
+        when a postfix operator follows it.  At _PREFIX_PREC this reads one
+        operand with its postfix operators, and at _PRIMARY_PREC one primary
+        alone (see the module docstring)."""
         toks, b = self.toks, self.b
-        while True:
+        t = toks[self.pos]
+        tt = t[0]
+        if tt == "var":
+            self.pos += 1
+            left = b.add(astree.VAR, symbol=t[1], line_start=t[2])
+        elif tt == "number" or tt == "sq":
+            self.pos += 1
+            left = b.add(astree.LITERAL, value=t[1], line_start=t[2], line_end=t[3])
+        elif min_prec < _PRIMARY_PREC:
+            left = self._parse_unary(t)
+        else:
+            return self._parse_primary(t)
+        t = toks[self.pos]
+        if t[0] == "op" and t[1] in _POSTFIX and min_prec < _PRIMARY_PREC:
+            left = self._parse_postfix(left)
             t = toks[self.pos]
+        while True:
             if t[0] == "op":
                 entry = _OPERATORS.get(t[1])
             elif t[0] == "ident":
@@ -774,25 +824,27 @@ class _Parser:
                 children = (left, self.parse_expr(rhs_prec))
             left = b.add(kind, children, line_start=b._nodes[left].line_start)
             b.span_from_children(left)
+            t = toks[self.pos]
 
-    def _parse_unary(self) -> int:
-        t = self.toks[self.pos]
+    def _parse_unary(self, t: Token) -> int:
+        """The operand that starts at token t, not a leaf: a prefix operator
+        or cast with its operand, or else a primary."""
         if t[0] == "op":
             if t[1] in _UNARY:
                 self.pos += 1
-                operand = self._parse_unary()
+                operand = self.parse_expr(_PREFIX_PREC)
                 node = self.b.add("UnaryOp:" + t[1], (operand,), line_start=t[2])
                 self.b.span_from_children(node)
                 return node
             if t[1] == "@" or t[1] == "&":
                 self.pos += 1  # error-suppression and references are transparent
-                return self._parse_unary()
+                return self.parse_expr(_PREFIX_PREC)
             if t[1] == "(":
                 nxt, after = self.toks[self.pos + 1], self.toks[self.pos + 2]
                 if (nxt[0] == "ident" and nxt[1].lower() in _CASTS
                         and after[0] == "op" and after[1] == ")"):
                     self.pos += 3
-                    operand = self._parse_unary()
+                    operand = self.parse_expr(_PREFIX_PREC)
                     node = self.b.add("Cast:" + nxt[1].lower(), (operand,),
                                       line_start=t[2])
                     self.b.span_from_children(node)
@@ -801,14 +853,15 @@ class _Parser:
             word = t[1].lower()
             if word == "new" or word == "clone" or word == "print":
                 self.pos += 1
-                operand = self.parse_expr() if word == "print" else self._parse_unary()
+                operand = self.parse_expr(_WORD_PREC if word == "print" else _PREFIX_PREC)
                 node = self.b.add(astree.other(word), (operand,), line_start=t[2])
                 self.b.span_from_children(node)
                 return node
-        return self._parse_postfix()
+        return self._parse_primary(t)
 
-    def _parse_postfix(self) -> int:
-        node = self._parse_primary()
+    def _parse_postfix(self, node: int) -> int:
+        """node with the postfix operators that follow it: calls, indexes,
+        member accesses and postfix ++ and --."""
         toks, nodes = self.toks, self.b._nodes
         while True:
             t = toks[self.pos]
@@ -858,24 +911,30 @@ class _Parser:
             self.b.span_from_children(node)
 
     def _parse_arglist(self) -> int:
-        open_tok = self.expect_op("(")
+        """The argument list whose '(' is the next token."""
+        toks = self.toks
+        open_tok = toks[self.pos]
+        self.pos += 1
         args: list[int] = []
-        if not self.at_op(")"):
+        t = toks[self.pos]
+        if not (t[0] == "op" and t[1] == ")"):
             while True:
-                if self.at_op("..."):
-                    spread_tok = self.next()
+                if t[0] == "op" and t[1] == "...":
+                    self.pos += 1
                     inner = self.parse_expr()
-                    arg = self.b.add(astree.other("spread"), [inner],
-                                     line_start=spread_tok[2])
+                    arg = self.b.add(astree.other("spread"), [inner], line_start=t[2])
                     self.b.span_from_children(arg)
                 else:
                     arg = self.parse_expr()
-                    if self.at_op("=>"):  # array(...) literals share this path
+                    t = toks[self.pos]
+                    if t[0] == "op" and t[1] == "=>":  # array(...) literals share this path
                         arg = self._kv(arg)
                 args.append(arg)
-                if self.at_op(","):
-                    self.next()
-                    if self.at_op(")"):
+                t = toks[self.pos]
+                if t[0] == "op" and t[1] == ",":
+                    self.pos += 1
+                    t = toks[self.pos]
+                    if t[0] == "op" and t[1] == ")":
                         break
                     continue
                 break
@@ -884,16 +943,11 @@ class _Parser:
                           line_start=open_tok[2], line_end=close[3])
         return node
 
-    def _parse_primary(self) -> int:
-        t = self.toks[self.pos]
+    def _parse_primary(self, t: Token) -> int:
+        """The primary that starts at token t, not a leaf: a string with
+        holes, a name, constant or closure, a parenthesized expression, an
+        array literal or a variable variable."""
         tt = t[0]
-        if tt == "var":
-            self.pos += 1
-            return self.b.add(astree.VAR, symbol=t[1], line_start=t[2])
-        if tt == "number" or tt == "sq":
-            self.pos += 1
-            return self.b.add(astree.LITERAL, value=t[1],
-                              line_start=t[2], line_end=t[3])
         if tt == "dq":
             self.pos += 1
             return _build_interpolated(self.b, t)
@@ -903,6 +957,11 @@ class _Parser:
             self.pos += 1
             if word in ("true", "false", "null"):
                 return self.b.add(astree.LITERAL, value=word, line_start=t[2])
+            if word == "static":  # a static closure is a closure
+                nxt = self.toks[self.pos]
+                if nxt[0] == "ident" and nxt[1].lower() in ("function", "fn"):
+                    word = nxt[1].lower()
+                    self.pos += 1
             if word == "function":
                 return self._parse_function(t, "closure")
             if word == "fn":
@@ -929,7 +988,7 @@ class _Parser:
                     close = self.expect_op("}")
                     return self.b.add(astree.other("varvar"), [inner],
                                       line_start=t[2], line_end=close[3])
-                inner = self._parse_primary()
+                inner = self.parse_expr(_PRIMARY_PREC)
                 node = self.b.add(astree.other("varvar"), [inner], line_start=t[2])
                 self.b.span_from_children(node)
                 return node
@@ -944,20 +1003,28 @@ class _Parser:
         return self.b.add(astree.NAME, symbol=symbol, line_start=t[2])
 
     def _parse_array_literal(self) -> int:
-        open_tok = self.expect_op("[")
+        """The array literal whose '[' is the next token."""
+        toks = self.toks
+        open_tok = toks[self.pos]
+        self.pos += 1
         items: list[int] = []
-        while not self.at_op("]"):
-            if self.peek()[0] == "eof":
+        while True:
+            t = toks[self.pos]
+            if t[0] == "op" and t[1] == "]":
+                break
+            if t[0] == "eof":
                 raise ParseError("unterminated array literal", open_tok[2])
             item = self.parse_expr()
-            if self.at_op("=>"):
+            t = toks[self.pos]
+            if t[0] == "op" and t[1] == "=>":
                 item = self._kv(item)
+                t = toks[self.pos]
             items.append(item)
-            if self.at_op(","):
-                self.next()
-        close = self.expect_op("]")
+            if t[0] == "op" and t[1] == ",":
+                self.pos += 1
+        self.pos += 1
         node = self.b.add(astree.other("array"), items,
-                          line_start=open_tok[2], line_end=close[3])
+                          line_start=open_tok[2], line_end=t[3])
         return node
 
     def _kv(self, key: int) -> int:

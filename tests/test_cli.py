@@ -359,6 +359,31 @@ def test_scan_reads_files_as_mine_does(tmp_path, capsys, monkeypatch):
     assert all(not json.loads(r)["excerpt"].startswith("\ufeff") for r in mined)
 
 
+def test_mine_finds_a_plant_inside_a_static_closure(tmp_path, capsys, monkeypatch):
+    """A static closure's body is a statement list like any closure's, so a
+    $_GET -> mysql_query plant in it is found."""
+    seed = tmp_path / "seed.php"
+    seed.write_text("<?php\n$id = $_GET['id'];\nmysql_query(\"SELECT '$id'\");\n")
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    assert run(capsys, "derive", str(seed), "--full", "--symbols", "wildcard",
+               "-o", str(queries / "q.tmpl.jsonl"))[0] == 0
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "routes.php").write_text(
+        "<?php\n$app->get('/u', static function ($req) use ($db) {\n"
+        "    $uid = $_GET['uid'];\n    mysql_query(\"SELECT * FROM u WHERE id = '$uid'\");\n"
+        "});\n$f = static fn ($x) => $x;\n")
+    (tmp_path / "repos.txt").write_text("repo\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+               "--out", "out")[0] == 0
+    mined = [json.loads(r) for r in
+             (tmp_path / "out" / "matches.jsonl").read_text().splitlines()]
+    assert [(r["file"], r["lines"]) for r in mined] == [("repo/routes.php", [3, 4])]
+    assert (tmp_path / "out" / "skipped.jsonl").read_text() == ""
+
+
 def test_derive_ast_and_pipeline_read_files_as_mine_does(tmp_path, capsys,
                                                         monkeypatch):
     """derive, ast export and pipeline number lines as scan and mine do: a

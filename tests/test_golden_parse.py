@@ -242,10 +242,12 @@ def test_every_case_has_a_recorded_digest(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
 
-# Three frames fewer per operand: at the default recursion limit, the parser
-# with one function per precedence level stopped at 140 parentheses and 123
-# concatenation groups; these depths were `too-deep` there.
-@pytest.mark.parametrize("depth", [1, 200])
+# Three frames per parenthesis (parse_expr, _parse_unary, _parse_primary):
+# at the default recursion limit, the parser with one function per
+# precedence level stopped at 140 parentheses and 123 concatenation groups,
+# and the one with a fourth frame per operand (_parse_postfix) at 247 and
+# 197 outside pytest; these depths were `too-deep` there.
+@pytest.mark.parametrize("depth", [1, 280])
 def test_nested_parentheses_parse(depth):
     unit = parse_source("<?php $x = " + "(" * depth + "$y" + ")" * depth + ";")
     assign = unit.nodes[unit.nodes[unit.root].children[0]]
@@ -256,15 +258,18 @@ def test_nested_parentheses_parse(depth):
 # the default recursion limit, measured outside pytest, before statement
 # dispatch, blocks and functions had one rule each: bare block 493, if 197,
 # while with ':' 246, named function 246, closure 123, array literal 197,
-# else-if chain 985 (parentheses: the test above).  These depths parse both
-# before and after; one more frame per nesting level makes one of them fail.
+# else-if chain 985 (parentheses: the test above).  The closure and array
+# depths are past where one more frame per expression operand stopped them
+# (123 and 197); under pytest they now stop at 136 and 238.  These depths
+# parse both before and after; one more frame per nesting level makes one of
+# them fail.
 @pytest.mark.parametrize("head, opener, inner, closer, tail, depth, levels", [
     ("", "{", "$y = 1;", "}", "", 419, 1),
     ("", "if ($a) {", "$y = 1;", "}", "", 167, 2),
     ("", "while ($a):", "$y = 1;", "endwhile;", "", 209, 2),
     ("", "function f() {", "$y = 1;", "}", "", 209, 2),
-    ("", "$f = function () {", "$y = 1;", "};", "", 104, 3),
-    ("$x = ", "[", "1", "]", ";", 167, 1),
+    ("", "$f = function () {", "$y = 1;", "};", "", 128, 3),
+    ("$x = ", "[", "1", "]", ";", 215, 1),
     ("if ($a) {}", " else if ($a) {}", "", "", "", 837, 2),
 ], ids=["block", "if", "while-colon", "function", "closure", "array", "else-if"])
 def test_nested_blocks_parse(head, opener, inner, closer, tail, depth, levels):
@@ -275,7 +280,7 @@ def test_nested_blocks_parse(head, opener, inner, closer, tail, depth, levels):
     assert unit.anchor_index().max_depth == levels * depth + 2
 
 
-@pytest.mark.parametrize("depth", [1, 180])
+@pytest.mark.parametrize("depth", [1, 215])
 def test_nested_concatenations_parse(depth):
     unit = parse_source("<?php $x = " + "$a . (" * depth + "$y" + ")" * depth + ";")
     # StmtList > Assign > depth concatenations > the innermost Var

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,49 @@ def test_stray_closer_at_statement_start_is_an_opaque_statement():
         parse_source("<?php\nif ($x) {\n  echo 'open';\n")
 
 
+def test_block_heads_that_lack_their_brace_are_malformed_statements():
+    """PHP puts '{' right after try, catch (...) and finally, and a class
+    header ends at '{': the statement fails there, not at a later '{'."""
+    unit = parse_source("<?php\ntry $a = 1;\n$b = 2;\ntry {} catch (E $e) $x = 1;\n"
+                        "try {} finally $y = 1;\nclass A extends B;\n"
+                        "class C extends D }\nswitch ($a) $z = 1;\nfunction f() }\n"
+                        "try { $c = 3; } catch (E $e) {} finally {}\n")
+    assert top_level(unit) == [
+        ("Other:opaque", 2, 2), (astree.ASSIGN, 3, 3), ("Other:opaque", 4, 4),
+        ("Other:opaque", 5, 5), ("Other:opaque", 6, 6), ("Other:opaque", 7, 7),
+        ("Other:opaque", 7, 7), ("Other:opaque", 8, 8), ("Other:opaque", 9, 9),
+        ("Other:opaque", 9, 9), ("Other:try", 10, 10)]
+
+
+# Each of these, repeated to 16,000 lines, parses in time linear in its
+# length.  A scan that searched past its statement for a '{' re-read the rest
+# of the file at each repeat: 2,000 lines of each took 2 to 7 s that way.
+@pytest.mark.parametrize("line", [
+    "try $a = 1;\n", "try {} catch (E $e) $x = 1;\n", "try {} finally $x = 1;\n",
+    "class A extends B;\n", "class A extends B }\n", "switch ($a) $b = 1;\n",
+    "function f() }\n",
+])
+def test_malformed_block_heads_parse_in_linear_time(line):
+    t0 = time.perf_counter()
+    unit = parse_source("<?php\n" + line * 16000)
+    assert time.perf_counter() - t0 < 2.0
+    assert {n.kind for n in unit.children_of(unit.nodes[unit.root])} == {"Other:opaque"}
+
+
+def test_static_closures_are_closures_and_static_names_are_not():
+    unit = parse_source("<?php $f = static fn ($x) => $x + $y; static::make($a);"
+                        " static $n = 0; $g = static  FUNCTION () {};")
+    closure = kinds_path(unit, 0, 1)
+    assert closure.kind == "Other:closure"
+    assert [n.kind for n in unit.children_of(closure)] == [astree.binop("+")]
+    call = kinds_path(unit, 1)
+    assert call.kind == "Other:call"
+    assert [(n.kind, n.symbol) for n in unit.children_of(kinds_path(unit, 1, 0))] \
+        == [(astree.NAME, "static"), (astree.NAME, "make")]
+    assert kinds_path(unit, 2).kind == "Other:opaque"
+    assert kinds_path(unit, 3, 1).kind == "Other:closure"
+
+
 def test_alternative_switch_ends_at_its_own_endswitch():
     unit = parse_source("<?php\nswitch ($a):\ncase 1: echo 1; break;\nendswitch;\n"
                         "$x = $_GET['a'];\nif ($b) { mysql_query($x); }\n")
@@ -402,6 +446,7 @@ $x = $_GET['a']; mysql_query($x);
 @pytest.mark.parametrize("closure", [
     "function ($row) use ($total)",
     "function &($row) use (&$total): array",   # returns by reference
+    "static function ($row) use ($total): int",
 ])
 def test_closure_body_is_a_statement_list(closure):
     unit = parse_source("<?php $cb = %s { return $row + $total; };" % closure)

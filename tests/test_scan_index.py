@@ -2,7 +2,8 @@
 
 scan_unit tries only the anchors listed under the kind of the program's first
 KIND step; the miner skips units that lack one of a program's preserved
-symbols.  Both must leave the matches, and their order, unchanged.
+symbols.  Both must leave the matches, and their order, unchanged.  The anchor
+index itself is checked against a walk that visits every node.
 """
 from __future__ import annotations
 
@@ -11,16 +12,24 @@ import itertools
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genutil import php_text
+
+from analogue import miner
+from analogue.astree import STMT_LIST, AstNode, SourceUnit
 from analogue.compiler import (KIND, compile_template, deserialize_program,
                                serialize_program)
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 plant_file, random_filler, random_snippet,
                                 render_file, render_snippet, render_stmt)
-from analogue.engine import (ScanOptions, attach_excerpt, match_at,
-                             match_to_record, scan_unit)
+from analogue.engine import (ComparisonCounter, ScanOptions, attach_excerpt,
+                             match_at, match_to_record, scan_unit)
+from analogue.interchange import import_ast
 from analogue.miner import (MinerOptions, discover_files, scan_repository,
                             write_mining_outputs)
-from analogue.php_parser import parse_source
+from analogue.php_parser import LexError, ParseError, parse_source
 from analogue.template import derive_template
 
 
@@ -140,3 +149,128 @@ def test_absent_callee_skips_every_unit(tmp_path):
     records = [json.loads(line) for line in paths["stats"].read_text().splitlines()]
     assert [(rec["units_skipped"], rec["candidates_tried"]) for rec in records] \
         == [(3, 0), (3, 0)]
+
+
+def full_walk_index(unit):
+    """What anchor_index() must hold, from a pre-order walk that visits every
+    node: (anchors, by_kind items in order, symbols, max_depth)."""
+    anchors, by_kind, symbols, max_depth = [], {}, set(), 0
+    stack = [(unit.root, 0)]
+    while stack:
+        node_id, depth = stack.pop()
+        n = unit.nodes[node_id]
+        symbols.add(n.symbol)
+        max_depth = max(max_depth, depth)
+        if n.kind == STMT_LIST:
+            for start, c in enumerate(n.children):
+                a = (node_id, depth, start, len(n.children))
+                anchors.append(a)
+                by_kind.setdefault(unit.nodes[c].kind, []).append(a)
+        stack.extend((c, depth + 1) for c in reversed(n.children))
+    return anchors, list(by_kind.items()), frozenset(symbols), max_depth
+
+
+def assert_index_is_full_walk(unit):
+    index = unit.anchor_index()
+    assert (index.anchors, list(index.by_kind.items()), index.symbols,
+            index.max_depth) == full_walk_index(unit)
+
+
+def shuffled_import(unit, rng):
+    """unit through ast-v1 with its ids permuted and its records shuffled, so
+    that the ids are in no particular order."""
+    ids = list(unit.nodes)
+    new_id = dict(zip(ids, rng.sample(ids, len(ids))))
+    records = []
+    for n in unit.nodes.values():
+        rec = {"id": new_id[n.id], "kind": n.kind,
+               "children": [new_id[c] for c in n.children],
+               "line": [n.line_start, n.line_end]}
+        if n.symbol is not None:
+            rec["symbol"] = n.symbol
+        if n.value is not None:
+            rec["value"] = n.value
+        records.append(json.dumps(rec))
+    rng.shuffle(records)
+    header = json.dumps({"format": "ast-v1", "root": new_id[unit.root]})
+    return import_ast("\n".join([header] + records) + "\n")
+
+
+# Statements with empty StmtLists, closures inside expressions, inline HTML
+# and leaves of every kind; bodies nest them in blocks, functions and closures.
+STATEMENTS = [
+    "$a = 1;", "echo $b, 'x', \"y$c\";", ";", "{}", "if ($a) {}", "while ($a);",
+    "if ($a) { $b = f($c); } elseif ($d) {} else {}",
+    "foreach ($xs as $k => $v) { $y[] = $v; }", "function h() {}",
+    "$f = function ($x) use ($y) { return $x . $y; };",
+    "g(fn ($x) => $x + 1, static function () {}, function () { $z = 2; });",
+    "$q = [function () { $a = 1; }, 'k' => [1, [2]], fn () => [3]];",
+    "class C { public function m() { $this->a = 1; } }",
+    "?>\n<p>x</p><?php", "mysql_query(\"SELECT {$_GET['id']}\");",
+    "try { $a = 1; } catch (E $e) {} finally { $b = 2; }", "$$a[0] = -$b ** 2;",
+]
+BLOCKS = ["if ($c) { %s }", "while ($c): %s endwhile;", "{ %s }",
+          "$f = function () { %s };", "h(function () { %s }, 1);",
+          "function k() { %s }", "$a = [fn () => function () { %s }];"]
+php_body = st.recursive(
+    st.lists(st.sampled_from(STATEMENTS), max_size=4).map(" ".join),
+    lambda inner: st.tuples(st.sampled_from(BLOCKS), st.lists(inner, max_size=3))
+    .map(lambda b: b[0] % " ".join(b[1])),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(php_body, st.randoms(use_true_random=False))
+def test_anchor_index_equals_a_full_walk(body, rng):
+    unit = parse_source("<?php " + body)
+    assert_index_is_full_walk(unit)
+    again = shuffled_import(unit, rng)
+    assert_index_is_full_walk(again)
+    assert again.anchor_index().max_depth == unit.anchor_index().max_depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(php_text, st.randoms(use_true_random=False))
+def test_anchor_index_equals_a_full_walk_on_odd_text(text, rng):
+    try:
+        unit = parse_source("<?php " + text)
+    except (LexError, ParseError):
+        return
+    assert_index_is_full_walk(unit)
+    assert_index_is_full_walk(shuffled_import(unit, rng))
+
+
+def test_anchor_index_of_leaf_roots():
+    empty = parse_source("<?php ")
+    assert not empty.nodes[empty.root].children
+    assert_index_is_full_walk(empty)
+    assert empty.anchor_index().anchors == [] and empty.anchor_index().max_depth == 0
+    leaf = SourceUnit(path="leaf", root=7, nodes={7: AstNode(7, "Var", symbol="$a")})
+    assert_index_is_full_walk(leaf)
+    assert leaf.anchor_index().symbols == {"$a"}
+
+
+def test_unit_without_an_anchor_for_the_first_kind_returns_zero_counts(tmp_path,
+                                                                        monkeypatch):
+    """Every (program, unit) pair still goes through miner.scan_unit, whose
+    early return gives the counts of trying no anchor at all."""
+    seed = parse_source("<?php\n$a = $_GET['x'];\nmysql_query(\"SELECT '$a'\");\n")
+    programs = [compile_template(derive_template(
+        seed, seed.children_of(seed.nodes[seed.root]), symbol_policy=policy))
+        for policy in ("preserve", "wildcard")]
+    assert {p.compiled().first for p in programs} == {"Assign"}
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.php").write_text("<?php\necho mysql_query('q');\nif ($b) { f($b); }\n")
+    calls = []
+
+    def scan_unit_spy(p, unit, opts=None, real=miner.scan_unit):
+        out = real(p, unit, opts)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(miner, "scan_unit", scan_unit_spy)
+    result = scan_repository(repo, programs)
+    assert calls == [([], ComparisonCounter(0, 0))] * 2
+    assert [(s.units_skipped, s.candidates_tried, s.node_comparisons, s.match_count)
+            for s in result.stats] == [(0, 0, 0, 0)] * 2
