@@ -12,7 +12,7 @@ mysql_query("DELETE FROM t WHERE id = '$a'");
 """
 
 unit = parse_source(SEED, path="seed.php")
-t = derive_template(unit, slice_statements(unit, 2, 3), mode="strict")
+t = derive_template(unit, slice_statements(unit, 2, 3))
 p = compile_template(t)
 
 print("query id:", p.query_id)

@@ -40,8 +40,7 @@ seed_unit = parse_source(SEED, path="seed.php")
 stmts = slice_statements(seed_unit, 2, 3)
 
 for policy in ("preserve", "wildcard"):
-    program = compile_template(derive_template(seed_unit, stmts, mode="strict",
-                                               symbol_policy=policy))
+    program = compile_template(derive_template(seed_unit, stmts, symbol_policy=policy))
     print("symbol policy = %s" % policy)
     for label, text in TARGETS.items():
         unit = parse_source(text, path=label)
@@ -51,7 +50,7 @@ for policy in ("preserve", "wildcard"):
         print("  %-32s %-16s (%d comparisons)"
               % (label, verdict, counter.node_comparisons))
         # the independent brute-force matcher must agree
-        t = derive_template(seed_unit, stmts, mode="strict", symbol_policy=policy)
+        t = derive_template(seed_unit, stmts, symbol_policy=policy)
         assert [m.key() for m in brute_force_scan(t, unit)] == \
             [m.key() for m in matches]
     print()

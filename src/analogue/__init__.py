@@ -1,9 +1,10 @@
 """analogue: find structural re-occurrences of code snippets in PHP corpora.
 
 Pipeline: parse (or import) source into normalized ASTs, derive a wildcard
-template with data-flow edges from a seed snippet, compile it into a matcher
-program, and scan units or whole repositories for anchored matches.  A
-repository spider assembles corpora from a GitHub-compatible REST API.
+template, whose variable classes carry the data flow, from a seed snippet,
+compile it into a matcher program, and scan units or whole repositories for
+anchored matches.  A repository spider assembles corpora from a
+GitHub-compatible REST API.
 """
 from .astree import (AmbiguousSlice, AstNode, EmptySlice, InvariantError,
                      SourceUnit, slice_statements,

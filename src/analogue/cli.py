@@ -89,11 +89,21 @@ def load_query(path: Path) -> MatcherProgram:
 
 
 def load_query_dir(path: Path) -> list[MatcherProgram]:
+    """The queries of a directory, one per file; two files that hold one
+    query id are an error, since each match would be reported twice."""
     files = sorted(p for p in path.iterdir()
                    if p.suffix in (".json", ".jsonl", ".tmpl", ".prog"))
     if not files:
         raise CliError("no query files under %s" % path)
-    return [load_query(p) for p in files]
+    programs, file_of = [], {}
+    for f in files:
+        p = load_query(f)
+        if p.query_id in file_of:
+            raise CliError("%s and %s hold the same query %s"
+                           % (file_of[p.query_id], f, p.query_id))
+        file_of[p.query_id] = f
+        programs.append(p)
+    return programs
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +117,9 @@ def cmd_ast(args) -> int:
     return 0
 
 
-def _derive_seed(path: str, lines: str | None, symbols: str,
-                 mode: str | None = None) -> Template:
-    """The template of a seed file: the `lines` slice, strict unless `mode`
-    says otherwise, or every top-level statement but inline HTML, normal
-    unless `mode` says otherwise."""
+def _derive_seed(path: str, lines: str | None, symbols: str) -> Template:
+    """The template of a seed file: the `lines` slice, or every top-level
+    statement but inline HTML."""
     unit, _ = _parse_php(path)
     if lines:
         first, last = _parse_lines(lines)
@@ -119,8 +127,7 @@ def _derive_seed(path: str, lines: str | None, symbols: str,
     else:
         stmts = [s for s in unit.children_of(unit.nodes[unit.root])
                  if s.kind != astree.HTML]
-    return derive_template(unit, stmts, mode=mode or ("strict" if lines else "normal"),
-                           symbol_policy=symbols)
+    return derive_template(unit, stmts, symbol_policy=symbols)
 
 
 def _origin_label(origin: SeedOrigin) -> str:
@@ -128,7 +135,7 @@ def _origin_label(origin: SeedOrigin) -> str:
 
 
 def cmd_derive(args) -> int:
-    t = _derive_seed(args.snippet, args.lines, args.symbols, args.mode)
+    t = _derive_seed(args.snippet, args.lines, args.symbols)
     _write_out(serialize_template(t), args.out)
     return 0
 
@@ -281,10 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     # those commands as parents: seed selection, scan options and --jobs.
     seed = argparse.ArgumentParser(add_help=False)
     g = seed.add_mutually_exclusive_group()
-    g.add_argument("--lines", help="START:END slice of the seed (strict by default)")
+    g.add_argument("--lines", help="START:END slice of the seed")
     g.add_argument("--full", dest="lines", action="store_const", const=None,
-                   help="the whole seed (normal by default); overrides a "
-                        "\"lines\" key in --config")
+                   help="the whole seed; overrides a \"lines\" key in --config")
     seed.add_argument("--symbols", choices=["preserve", "wildcard"],
                       default="preserve")
     scan = argparse.ArgumentParser(add_help=False)
@@ -310,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", parents=[seed],
                        help="derive a wildcard template from a snippet")
     p.add_argument("snippet")
-    p.add_argument("--mode", choices=["normal", "strict"])
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_derive)
 

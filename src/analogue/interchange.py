@@ -6,7 +6,7 @@ as opaque tags during matching.
 
 import_ast reads the records with jsonl, the reader of every JSON-lines
 format, and checks each on its own: valid JSON, the node-record core it
-shares with tmpl-v1 (an int id that does not repeat, a str kind, a list of
+shares with tmpl-v2 (an int id that does not repeat, a str kind, a list of
 int children), a non-empty kind, two int lines and str symbol and value.
 The header needs an int root, and its path, if present, must be a str.
 An int field never takes a bool.  Everything that concerns the tree as a

@@ -1,4 +1,4 @@
-"""The one reader of the JSON-lines formats: ast-v1 and tmpl-v1 files, and
+"""The one reader of the JSON-lines formats: ast-v1 and tmpl-v2 files, and
 the match, stats and repos records that `report` reads.
 
 Field checks are strict, as compiler.validate_program's are: a field takes
@@ -71,7 +71,7 @@ def ints(value, n: int | None = None) -> bool:
 def node(rec, index: int, seen: dict[int, int],
          error: type[RecordError] = RecordError) -> tuple[int, str, tuple[int, ...]]:
     """The id, kind and children of a node record, the core that ast-v1 and
-    tmpl-v1 share: a JSON object with an int id that `seen` does not hold, a
+    tmpl-v2 share: a JSON object with an int id that `seen` does not hold, a
     str kind and a list of int children (none when the key is absent).
     `seen` maps the id of each node read so far to its record index; this
     one is added."""

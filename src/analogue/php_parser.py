@@ -338,6 +338,7 @@ class _Parser:
         self.pos = 0
         self.b = builder
         self.last_line = toks[-1][3] if toks else 1
+        self.switch_fails: set[int] = set()   # ':' positions _skip_alt_switch fails from
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -754,25 +755,37 @@ class _Parser:
     def _skip_alt_switch(self) -> int:
         """Skip the ':' that opens an alternative-syntax switch body, the body
         and its matching 'endswitch' with its ';'; return the end line.  A
-        nested switch counts only in the ':' form, a ':' after its ')'."""
+        nested switch counts only in the ':' form, a ':' after its ')'.
+
+        A scan from a ':' reads the same tokens whatever statement it opens,
+        so when a scan fails, the scan from each nested ':' still open fails
+        too.  Those positions are kept, and a scan from one of them fails at
+        once (packrat parsing memoises failures the same way); otherwise each
+        unterminated switch would rescan the rest of the file."""
+        opens = [self.pos]      # the ':' of each switch not yet ended
         open_tok = self.next()
-        depth = 1
-        while True:
-            prev, tok = self.toks[self.pos - 1], self.next()
-            if tok[0] == "eof":
-                raise ParseError("unterminated 'endswitch' block", open_tok[2])
-            if tok[0] != "ident" or prev[0] == "op" and prev[1] in ("->", "::"):
-                continue
-            word = tok[1].lower()
-            if word == "switch" and self.at_op("("):
-                self._skip_balanced("(")
-                if self.at_op(":"):
-                    self.next()
-                    depth += 1
-            elif word == "endswitch":
-                depth -= 1
-                if not depth:
-                    return self.next()[3] if self.at_op(";") else tok[3]
+        if opens[0] in self.switch_fails:
+            raise ParseError("unterminated 'endswitch' block", open_tok[2])
+        try:
+            while True:
+                prev, tok = self.toks[self.pos - 1], self.next()
+                if tok[0] == "eof":
+                    raise ParseError("unterminated 'endswitch' block", open_tok[2])
+                if tok[0] != "ident" or prev[0] == "op" and prev[1] in ("->", "::"):
+                    continue
+                word = tok[1].lower()
+                if word == "switch" and self.at_op("("):
+                    self._skip_balanced("(")
+                    if self.at_op(":"):
+                        opens.append(self.pos)
+                        self.next()
+                elif word == "endswitch":
+                    opens.pop()
+                    if not opens:
+                        return self.next()[3] if self.at_op(";") else tok[3]
+        except ParseError:
+            self.switch_fails.update(opens)
+            raise
 
     # -- expressions -------------------------------------------------------
     def parse_expr(self, min_prec: int = _WORD_PREC) -> int:

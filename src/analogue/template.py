@@ -1,17 +1,17 @@
-"""Wildcard templates with data-flow edges, derived from seed statements.
+"""Wildcard templates derived from seed statements.
 
 A template is a structural copy of the seed statement trees in which variable
 names become numbered wildcard classes, literal values are erased, and callee
 names are either preserved (``symbol_policy="preserve"``) or erased too
 (``"wildcard"``).  Two variable positions with the same class id must bind the
-same concrete name in any match; those constraints are the data-flow edges.
+same concrete name in any match: the classes are the template's only record
+of data flow.
 
-The classes carry the data flow in full, so a template stores no edges:
-``Template.dataflow_edges`` derives them from the tree, as
-``Template.template_depth`` derives the depth.  The ``tmpl-v1`` edges record,
-header depth and query id still state them, and a ``tmpl-v1`` file whose
-edges record or header ``template_depth`` differs from what its tree implies
-does not load.  ``tmpl-v1`` records are read with jsonl, the reader of every
+A template is its tree.  ``Template.template_depth`` is derived from it, and
+the query id hashes the symbol policy, the statements and the nodes with
+their class ids, nothing else.  A ``tmpl-v2`` file is a header and one record
+per node; its header ``template_depth``, when present, must equal what the
+tree implies.  ``tmpl-v2`` records are read with jsonl, the reader of every
 JSON-lines format: node records through the core they share with
 ``ast-v1``, and the tree through ``astree.check_forest``.  An int field
 never takes a bool.
@@ -19,19 +19,17 @@ never takes a bool.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import astree, jsonl
 from .astree import AstNode, InvariantError, SourceUnit
 
-FORMAT = "tmpl-v1"
+FORMAT = "tmpl-v2"
 
-MODES = ("normal", "strict")
 SYMBOL_POLICIES = ("preserve", "wildcard")
 
 
@@ -40,7 +38,7 @@ class EmptyInput(Exception):
 
 
 class TemplateFormatError(jsonl.RecordError):
-    """A tmpl-v1 defect; carries the offending record index (0-based)."""
+    """A tmpl-v2 defect; carries the offending record index (0-based)."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class SeedOrigin:
 
 
 def origin_from_json(obj) -> SeedOrigin | None:
-    """The origin record of a tmpl-v1 or prog-v1 header, null or
+    """The origin record of a tmpl-v2 or prog-v1 header, null or
     {"path": str, "lines": [int, int]}; ValueError for any other value."""
     if obj is None:
         return None
@@ -102,7 +100,6 @@ def origin_from_json(obj) -> SeedOrigin | None:
 class Template:
     statements: tuple[int, ...]              # root node id per seed statement
     nodes: dict[int, TemplateNode]
-    mode: str = "normal"
     symbol_policy: str = "preserve"
     seed_origin: SeedOrigin | None = None
 
@@ -121,23 +118,8 @@ class Template:
         checks that the nodes are a forest under the statements."""
         return astree.check_forest(self.nodes, self.statements)
 
-    @property
-    def dataflow_edges(self) -> frozenset[tuple[int, int]]:
-        """Every pair (a, b), a < b, of variable wildcards of one class."""
-        return _same_class_pairs(self.iter_preorder())
-
-
-def _same_class_pairs(nodes: Iterable[TemplateNode]) -> frozenset[tuple[int, int]]:
-    classes: dict[int, list[int]] = {}
-    for n in nodes:
-        if type(n.leaf_role) is VarWildcard:
-            classes.setdefault(n.leaf_role.class_id, []).append(n.id)
-    return frozenset(itertools.chain.from_iterable(
-        itertools.combinations(sorted(ids), 2) for ids in classes.values()))
-
 
 def derive_template(unit: SourceUnit, statements: list[AstNode],
-                    mode: str = "normal",
                     symbol_policy: str = "preserve") -> Template:
     """Abstract sibling statements from one SourceUnit into a Template.
 
@@ -147,8 +129,6 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
     """
     if not statements:
         raise EmptyInput("cannot derive a template from zero statements")
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
     if symbol_policy not in SYMBOL_POLICIES:
         raise ValueError("symbol_policy must be one of %s" % (SYMBOL_POLICIES,))
 
@@ -177,7 +157,7 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
     origin = SeedOrigin(path=unit.path,
                         line_start=min(s.line_start for s in statements),
                         line_end=max(s.line_end for s in statements))
-    return Template(statements=tuple(statement_ids), nodes=nodes, mode=mode,
+    return Template(statements=tuple(statement_ids), nodes=nodes,
                     symbol_policy=symbol_policy, seed_origin=origin)
 
 
@@ -190,7 +170,6 @@ class TemplateStats:
     api_symbols: int
     call_wildcards: int
     var_class_count: int
-    edge_count: int
     depth: int
 
 
@@ -203,11 +182,11 @@ def template_stats(t: Template) -> TemplateStats:
                          api_symbols=roles[ApiSymbol], call_wildcards=roles[CallWildcard],
                          var_class_count=len({n.leaf_role.class_id for n in nodes
                                               if type(n.leaf_role) is VarWildcard}),
-                         edge_count=len(t.dataflow_edges), depth=t.template_depth)
+                         depth=t.template_depth)
 
 
 # ---------------------------------------------------------------------------
-# Interchange ("tmpl-v1") and content identity
+# Interchange ("tmpl-v2") and content identity
 # ---------------------------------------------------------------------------
 
 def _role_to_json(role: LeafRole | None):
@@ -246,7 +225,6 @@ def _role_from_json(obj, record: int) -> LeafRole | None:
 def serialize_template(t: Template) -> str:
     header = {
         "format": FORMAT,
-        "mode": t.mode,
         "symbol_policy": t.symbol_policy,
         "origin": None if t.seed_origin is None else {
             "path": t.seed_origin.path,
@@ -261,23 +239,22 @@ def serialize_template(t: Template) -> str:
         if role is not None:
             rec["leaf_role"] = role
         lines.append(json.dumps(rec, sort_keys=True))
-    lines.append(json.dumps({"edges": sorted(sorted(e) for e in t.dataflow_edges)}))
     return "\n".join(lines) + "\n"
 
 
 def deserialize_template(text: str) -> Template:
-    """Read tmpl-v1 text; any defect raises TemplateFormatError naming the
+    """Read tmpl-v2 text; any defect raises TemplateFormatError naming the
     record.  The tree must be a forest under the header's roots, and the
-    header's template_depth, when present, and the edges record must equal
-    what the tree implies."""
+    header's template_depth, when present, must equal what the tree
+    implies."""
     records = jsonl.read(text, TemplateFormatError)
     hdr, header = next(records, (None, None))
-    if type(header) is not dict or header.get("format") != FORMAT:
-        raise TemplateFormatError("missing %r header" % FORMAT, hdr)
-    mode, policy = header.get("mode"), header.get("symbol_policy")
-    roots = header.get("roots")
-    if mode not in MODES:
-        raise TemplateFormatError("bad mode %r" % mode, hdr)
+    fmt = header.get("format") if type(header) is dict else None
+    if fmt != FORMAT:
+        raise TemplateFormatError(
+            "missing %r header" % FORMAT if type(fmt) is not str else
+            "format %r is not read; derive the template again as %r" % (fmt, FORMAT), hdr)
+    policy, roots = header.get("symbol_policy"), header.get("roots")
     if policy not in SYMBOL_POLICIES:
         raise TemplateFormatError("bad symbol_policy %r" % policy, hdr)
     if not roots or not jsonl.ints(roots):
@@ -289,22 +266,12 @@ def deserialize_template(text: str) -> Template:
 
     nodes: dict[int, TemplateNode] = {}
     rec_index: dict[int, int] = {}
-    edges: frozenset[tuple[int, int]] | None = None
     for i, rec in records:
-        if type(rec) is dict and "edges" in rec:
-            raw = rec["edges"]
-            if type(raw) is not list or not all(jsonl.ints(e, 2) for e in raw):
-                raise TemplateFormatError("malformed edges record", i)
-            edges = frozenset(tuple(sorted(e)) for e in raw)
-            continue
         node_id, kind, children = jsonl.node(rec, i, rec_index, TemplateFormatError)
         nodes[node_id] = TemplateNode(node_id, kind, children,
                                       _role_from_json(rec.get("leaf_role"), i))
-    if edges is None:
-        raise TemplateFormatError("missing edges record")
 
-    t = Template(statements=tuple(roots), nodes=nodes, mode=mode,
-                 symbol_policy=policy, seed_origin=origin)
+    t = Template(statements=tuple(roots), nodes=nodes, symbol_policy=policy, seed_origin=origin)
     try:
         depth = t.template_depth
     except InvariantError as e:
@@ -313,17 +280,14 @@ def deserialize_template(text: str) -> Template:
     if type(stated) is not int or stated != depth:
         raise TemplateFormatError("template_depth is %s, but the tree implies %d"
                                   % (json.dumps(stated), depth), hdr)
-    derived = t.dataflow_edges
-    if edges != derived:
-        raise TemplateFormatError(
-            "edges record is not the set of same-class variable pairs "
-            "(missing %s, extra %s)" % (sorted(derived - edges), sorted(edges - derived)))
     return t
 
 
 def canonical_form(t: Template, include_origin: bool = False) -> str:
     """Deterministic serialization with walk-order ids; the query-id input.
 
+    It holds the symbol policy, the statements and the nodes, each variable
+    with its class id, so templates that fix the same data flow hash alike.
     Origin is excluded by default so identical seeds from different files
     hash alike.
     """
@@ -333,12 +297,10 @@ def canonical_form(t: Template, include_origin: bool = False) -> str:
         remap[n.id] = len(remap)
         order.append(n)
     payload = {
-        "mode": t.mode,
         "symbol_policy": t.symbol_policy,
         "statements": [remap[r] for r in t.statements],
         "nodes": [[remap[n.id], n.kind, [remap[c] for c in n.children],
                    _role_to_json(n.leaf_role)] for n in order],
-        "edges": sorted(sorted((remap[a], remap[b])) for a, b in _same_class_pairs(order)),
     }
     if include_origin and t.seed_origin is not None:
         payload["origin"] = [t.seed_origin.path, t.seed_origin.line_start,

@@ -55,7 +55,7 @@ def load(name: str):
 
 def strict_query(unit, first, last, policy="preserve"):
     t = derive_template(unit, slice_statements(unit, first, last),
-                        mode="strict", symbol_policy=policy)
+                        symbol_policy=policy)
     return t, compile_template(t)
 
 

@@ -30,7 +30,7 @@ def test_derive_compile_scan_roundtrip(tmp_path, capsys):
     code, _, _ = run(capsys, "derive", seed, "--lines", "5:6", "-o", str(tmpl))
     assert code == 0
     header = json.loads(tmpl.read_text().splitlines()[0])
-    assert header["mode"] == "strict"
+    assert (header["format"], header["origin"]["lines"]) == ("tmpl-v2", [5, 6])
 
     code, out, _ = run(capsys, "compile", str(tmpl), "--out-dir", str(tmp_path),
                        "--emit-script", str(tmp_path / "traversal.txt"))
@@ -59,11 +59,12 @@ def test_scan_accepts_template_files_directly(tmp_path, capsys):
     assert json.loads(out.splitlines()[0])["lines"] == [11, 12]
 
 
-def test_derive_full_mode(tmp_path, capsys):
+def test_derive_full_takes_every_statement(tmp_path, capsys):
     seed = str(FIXTURES / "clone_users.php")
     code, out, _ = run(capsys, "derive", seed, "--full")
     assert code == 0
-    assert json.loads(out.splitlines()[0])["mode"] == "normal"
+    header = json.loads(out.splitlines()[0])
+    assert (len(header["roots"]), header["origin"]["lines"]) == (3, [3, 7])
 
 
 def test_derive_full_on_one_line_file(tmp_path, capsys):
@@ -72,7 +73,6 @@ def test_derive_full_on_one_line_file(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", str(one), "--full")
     assert code == 0
     header = json.loads(out.splitlines()[0])
-    assert header["mode"] == "normal"
     assert len(header["roots"]) == 1
 
 
@@ -359,6 +359,38 @@ def test_scan_reads_files_as_mine_does(tmp_path, capsys, monkeypatch):
     assert all(not json.loads(r)["excerpt"].startswith("\ufeff") for r in mined)
 
 
+def test_two_query_files_that_hold_one_query_are_an_error(tmp_path, capsys, monkeypatch):
+    """One query in two files would report each match and each stats record
+    twice, whether the files are two copies of a template or a template and
+    the program compiled from it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "repo").mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / "repo" / "index.php")
+    (tmp_path / "repos.txt").write_text("repo\n")
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    assert run(capsys, "derive", str(FIXTURES / "tutorial_books.php"), "--lines", "5:6",
+               "-o", str(queries / "a.tmpl.jsonl"))[0] == 0
+    assert run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+               "--out", "out")[0] == 0
+    assert len((tmp_path / "out" / "matches.jsonl").read_text().splitlines()) == 1
+    shutil.copy(queries / "a.tmpl.jsonl", queries / "b.tmpl.jsonl")
+    code, out, err = run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+                         "--out", "out2")
+    qid = cli.load_query(queries / "a.tmpl.jsonl").query_id
+    assert (code, out) == (1, "")
+    assert err == "error: %s and %s hold the same query %s\n" % (
+        Path("queries", "a.tmpl.jsonl"), Path("queries", "b.tmpl.jsonl"), qid)
+    assert not (tmp_path / "out2").exists()
+    (queries / "b.tmpl.jsonl").unlink()
+    assert run(capsys, "compile", str(queries / "a.tmpl.jsonl"),
+               "--out-dir", str(queries))[0] == 0
+    code, _, err = run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+                       "--out", "out2")
+    assert code == 1 and err == "error: %s and %s hold the same query %s\n" % (
+        Path("queries", qid + ".prog.json"), Path("queries", "a.tmpl.jsonl"), qid)
+
+
 def test_mine_finds_a_plant_inside_a_static_closure(tmp_path, capsys, monkeypatch):
     """A static closure's body is a statement list like any closure's, so a
     $_GET -> mysql_query plant in it is found."""
@@ -469,8 +501,9 @@ def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
 
 # Each command's options as `analogue` declared them before they were shared
 # between commands: "/"-joined option strings (or a positional's dest) ->
-# [dest, default, sorted choices, required].  The one change since is that
-# --full stores None into `lines` rather than True into `full`.
+# [dest, default, sorted choices, required].  The changes since are that
+# --full stores None into `lines` rather than True into `full`, and that
+# derive has no --mode, since templates have no mode.
 PARSER_SPEC = {
     "ast": {"action": ["action", None, ["export", "import"], True],
             "file": ["file", None, None, True],
@@ -478,7 +511,6 @@ PARSER_SPEC = {
     "derive": {"snippet": ["snippet", None, None, True],
                "--lines": ["lines", None, None, False],
                "--full": ["lines", None, None, False],
-               "--mode": ["mode", None, ["normal", "strict"], False],
                "--symbols": ["symbols", "preserve", ["preserve", "wildcard"], False],
                "-o/--out": ["out", None, None, False]},
     "compile": {"template": ["template", None, None, True],
@@ -587,7 +619,7 @@ def test_config_sets_every_optional_option_and_the_command_line_wins(tmp_path):
                                       *MINIMAL_ARGV[name])
             assert getattr(args, action.dest) == parsed, (name, action.dest)
             cases += 1
-    assert cases == 37
+    assert cases == 36
     cfg = {"symbols": "wildcard", "jobs": 3, "lines": "5:6", "out": "cfg-out",
            "verbose": True}
     args = _parse_with_config(cfg, tmp_path, "pipeline", "s.php", "corpus")
@@ -608,9 +640,9 @@ def test_full_overrides_a_configured_slice(tmp_path, capsys):
     cfg.write_text(json.dumps({"lines": "5:6"}))
     seed = str(FIXTURES / "tutorial_books.php")
     code, out, _ = run(capsys, "--config", str(cfg), "derive", seed)
-    assert code == 0 and json.loads(out.splitlines()[0])["mode"] == "strict"
+    assert code == 0 and json.loads(out.splitlines()[0])["origin"]["lines"] == [5, 6]
     code, out, _ = run(capsys, "--config", str(cfg), "derive", seed, "--full")
-    assert code == 0 and json.loads(out.splitlines()[0])["mode"] == "normal"
+    assert code == 0 and json.loads(out.splitlines()[0])["origin"]["lines"] != [5, 6]
 
 
 @pytest.mark.parametrize("cfg, named", [
@@ -618,6 +650,7 @@ def test_full_overrides_a_configured_slice(tmp_path, capsys):
     ({"full": True}, "full"),
     ({"config": "other.json"}, "config"),
     ({"help": True}, "help"),
+    ({"mode": "strict"}, "mode"),
 ])
 def test_an_unknown_config_key_is_an_error(tmp_path, capsys, cfg, named):
     path = tmp_path / "cfg.json"
@@ -629,7 +662,7 @@ def test_an_unknown_config_key_is_an_error(tmp_path, capsys, cfg, named):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"symbols": "bogus"}, {"format": "html"}, {"mode": None},
+    {"symbols": "bogus"}, {"format": "html"},
     {"exact_arity": "yes"}, {"verbose": 1}, {"lines": True}, {"out": ["a"]},
 ])
 def test_a_bad_config_value_is_an_error_not_a_traceback(tmp_path, capsys, cfg):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,8 +19,10 @@ from analogue.corpusgen import random_snippet, render_file, render_snippet
 from analogue.engine import scan_unit
 from analogue.php_parser import parse_source
 from analogue.template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin,
-                               VarWildcard, derive_template, query_id_of,
-                               template_stats)
+                               VarWildcard, derive_template,
+                               deserialize_template, query_id_of,
+                               serialize_template, template_stats,
+                               templates_equal)
 
 
 def compile_from(text: str, lines=None, **kw):
@@ -37,7 +40,7 @@ def semantic_ops(p):
 def test_query_template_program_binds_once_checks_once(tutorial_books):
     unit, _ = tutorial_books
     stmts = slice_statements(unit, 5, 6)
-    t = derive_template(unit, stmts, mode="strict")
+    t = derive_template(unit, stmts)
     p = compile_template(t)
     validate_program(p)
     symbols = [s.name for s in p.steps if s.op == SYMBOL]
@@ -109,14 +112,14 @@ def test_wildcard_policy_emits_no_symbol_steps():
 def test_compile_is_deterministic_and_content_addressed(tutorial_books, tmp_path):
     unit, text = tutorial_books
     stmts = slice_statements(unit, 5, 6)
-    t1 = derive_template(unit, stmts, mode="strict")
-    t2 = derive_template(unit, stmts, mode="strict")
+    t1 = derive_template(unit, stmts)
+    t2 = derive_template(unit, stmts)
     p1, p2 = compile_template(t1), compile_template(t2)
     assert p1 == p2
     assert p1.query_id == query_id_of(t1)
     # the same seed text parsed from another path compiles to the same id
     unit_b = parse_source(text, path="copied/elsewhere.php")
-    t3 = derive_template(unit_b, slice_statements(unit_b, 5, 6), mode="strict")
+    t3 = derive_template(unit_b, slice_statements(unit_b, 5, 6))
     assert compile_template(t3).query_id == p1.query_id
 
 
@@ -124,7 +127,7 @@ def test_self_match(tutorial_books):
     rng = random.Random(7)
     unit, _ = tutorial_books
     stmts = slice_statements(unit, 5, 6)
-    t = derive_template(unit, stmts, mode="strict")
+    t = derive_template(unit, stmts)
     p = compile_template(t)
     matches, _ = scan_unit(p, unit)
     assert any(m.line_start == 5 and m.line_end == 6 for m in matches)
@@ -149,7 +152,7 @@ def test_self_match_bindings_are_identity(tutorial_books):
 
 def test_traversal_script_shape(tutorial_books):
     unit, _ = tutorial_books
-    t = derive_template(unit, slice_statements(unit, 5, 6), mode="strict")
+    t = derive_template(unit, slice_statements(unit, 5, 6))
     p = compile_template(t)
     script = export_traversal_script(p)
     lines = script.strip().splitlines()
@@ -189,6 +192,25 @@ def test_a_chain_deeper_than_the_recursion_limit_derives_and_matches_itself_once
     matches, _ = scan_unit(p, unit)
     assert [(m.stmt_list_id, m.start_index, m.line_start) for m in matches] == \
         [(unit.root, 0, 2)]
+
+
+def test_a_20000_term_chain_round_trips_compiles_and_matches_itself_once():
+    # Seven names over 20,000 positions: the same-class pairs of positions
+    # number about 28 million, so nothing on this path may list them.
+    t0 = time.perf_counter()
+    text = "<?php\n$q = " + " . ".join("$a%d" % (i % 7) for i in range(20000)) + ";\n"
+    unit = parse_source(text)
+    t = derive_template(unit, unit.children_of(unit.nodes[unit.root]))
+    again = deserialize_template(serialize_template(t))
+    assert templates_equal(again, t)
+    p = compile_template(again)
+    assert deserialize_program(serialize_program(p)) == p
+    assert (p.var_class_count, p.template_depth) == (8, 20000)
+    matches, _ = scan_unit(p, unit)
+    assert [(m.stmt_list_id, m.start_index, m.line_start) for m in matches] == \
+        [(unit.root, 0, 2)]
+    assert time.perf_counter() - t0 < 30.0
+
 
 # Strings json escapes: non-ASCII (BMP, astral and a lone surrogate), quotes,
 # backslashes and control characters.

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from genutil import random_pair
 
@@ -10,6 +11,7 @@ from analogue.astree import TreeBuilder, slice_statements
 from analogue.compiler import compile_template
 from analogue.engine import ScanOptions, scan_unit
 from analogue.oracle import brute_force_scan
+from analogue.php_parser import parse_source
 from analogue.template import derive_template
 
 
@@ -23,13 +25,33 @@ def agree(t, unit, **opt_kw) -> bool:
 def test_oracle_agrees_on_tutorial_scans(tutorial_books, tutorial_search, clone_units):
     unit, _ = tutorial_books
     for lines in [(5, 6), (11, 12)]:
-        t = derive_template(unit, slice_statements(unit, *lines), mode="strict")
+        t = derive_template(unit, slice_statements(unit, *lines))
         assert agree(t, unit)
     search, _ = tutorial_search
-    t = derive_template(search, slice_statements(search, 4, 6), mode="strict",
-                        symbol_policy="wildcard")
+    t = derive_template(search, slice_statements(search, 4, 6), symbol_policy="wildcard")
     for target, _ in [tutorial_books, tutorial_search, *clone_units.values()]:
         assert agree(t, target)
+
+
+def test_oracle_agrees_on_a_2000_term_chain():
+    def chain(names):
+        return "$q = " + " . ".join("$%s%d" % (names[i], i % 7) for i in range(2000)) + ";"
+
+    seed = parse_source("<?php\n" + chain("a" * 2000) + "\n")
+    t = derive_template(seed, seed.children_of(seed.nodes[seed.root]))
+    # the seed, a consistent renaming of it, and a copy whose last term
+    # breaks the data flow
+    target = parse_source("<?php\n%s\n%s\n%s\n" % (
+        chain("a" * 2000), chain("b" * 2000), chain("a" * 1999 + "c")))
+    # brute_force_scan recurses once per template level, so at the default
+    # limit of 1,000 frames it raises RecursionError on this 2,000-deep chain
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert agree(t, target)
+        assert [m.line_start for m in brute_force_scan(t, target)] == [2, 3]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_oracle_agrees_on_random_pairs():

@@ -160,7 +160,7 @@ def test_matches_come_in_document_order():
 def test_match_fields_and_record_shape(tutorial_books):
     unit, text = tutorial_books
     stmts = slice_statements(unit, 5, 6)
-    t = derive_template(unit, stmts, mode="strict")
+    t = derive_template(unit, stmts)
     p = compile_template(t)
     ms, _ = scan_unit(p, unit)
     m = ms[0]

@@ -42,7 +42,7 @@ def strict_programs():
                         path="tutorial_books.php")
     out = []
     for lines in [(5, 6), (11, 12)]:
-        t = derive_template(unit, slice_statements(unit, *lines), mode="strict")
+        t = derive_template(unit, slice_statements(unit, *lines))
         out.append(compile_template(t))
     return out
 

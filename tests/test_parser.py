@@ -14,7 +14,8 @@ from analogue.astree import TreeBuilder, validate_unit
 from analogue.compiler import compile_template
 from analogue.corpusgen import filler_file, plant_file, random_snippet
 from analogue.engine import scan_unit
-from analogue.php_parser import LexError, ParseError, parse_source, tokenize
+from analogue.interchange import export_ast
+from analogue.php_parser import LexError, ParseError, _Parser, parse_source, tokenize
 from analogue.template import derive_template
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -245,12 +246,13 @@ def test_block_heads_that_lack_their_brace_are_malformed_statements():
 
 
 # Each of these, repeated to 16,000 lines, parses in time linear in its
-# length.  A scan that searched past its statement for a '{' re-read the rest
-# of the file at each repeat: 2,000 lines of each took 2 to 7 s that way.
+# length.  A scan that searched past its statement for a '{' or an
+# 'endswitch' re-read the rest of the file at each repeat: 2,000 lines of
+# each took 2 to 7 s that way.
 @pytest.mark.parametrize("line", [
     "try $a = 1;\n", "try {} catch (E $e) $x = 1;\n", "try {} finally $x = 1;\n",
     "class A extends B;\n", "class A extends B }\n", "switch ($a) $b = 1;\n",
-    "function f() }\n",
+    "function f() }\n", "switch ($a): $b = 1;\n",
 ])
 def test_malformed_block_heads_parse_in_linear_time(line):
     t0 = time.perf_counter()
@@ -287,6 +289,38 @@ def test_alternative_switch_ends_at_its_own_endswitch():
     # without the outer endswitch, the switch is a malformed statement
     unit = parse_source("<?php\nswitch ($a):\ncase 1: switch ($b):\nendswitch;\n")
     assert top_level(unit) == [("Other:opaque", 2, 4)]
+
+
+def _tree_or_error(text: str) -> str:
+    try:
+        return export_ast(parse_source(text))
+    except ParseError as e:
+        return "ParseError at line %d" % e.line
+
+
+_SWITCH_PIECES = ["switch ($a):", "switch ($a) {", "}", "switch (", ")", "endswitch;",
+                  "endswitch", ";", "$b = 1;", "case 1:", "$o->endswitch;", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SWITCH_PIECES), max_size=30))
+def test_endswitch_failure_memo_does_not_change_the_tree(pieces):
+    """A ':' switch whose scan for 'endswitch' failed once fails at once
+    from then on; the tree must equal the one parsed with that memo emptied
+    before each scan."""
+    text = "<?php\n" + " ".join(pieces)
+    memoised = _tree_or_error(text)
+    skip = _Parser._skip_alt_switch
+
+    def unmemoised(self):
+        self.switch_fails.clear()
+        return skip(self)
+
+    _Parser._skip_alt_switch = unmemoised
+    try:
+        assert _tree_or_error(text) == memoised
+    finally:
+        _Parser._skip_alt_switch = skip
 
 
 def test_html_outside_php_becomes_statements():

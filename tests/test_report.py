@@ -130,8 +130,7 @@ def test_three_analogue_scan_renders_three_rows():
     fixtures = Path(__file__).parent / "fixtures"
     seed = parse_source((fixtures / "tutorial_search.php").read_text(),
                         path="tutorial_search.php")
-    t = derive_template(seed, slice_statements(seed, 4, 6), mode="strict",
-                        symbol_policy="wildcard")
+    t = derive_template(seed, slice_statements(seed, 4, 6), symbol_policy="wildcard")
     program = compile_template(t)
     records = []
     for name in ("clone_users.php", "clone_products.php", "clone_flights.php"):

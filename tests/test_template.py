@@ -30,10 +30,10 @@ def var_leaves(t: Template):
     return [n for n in t.iter_preorder() if isinstance(n.leaf_role, VarWildcard)]
 
 
-def test_assignment_then_query_share_a_class_and_edge(tutorial_books):
+def test_assignment_then_query_share_a_class(tutorial_books):
     unit, _ = tutorial_books
     stmts = slice_statements(unit, 5, 6)
-    t = derive_template(unit, stmts, mode="strict")
+    t = derive_template(unit, stmts)
     assert len(t.statements) == 2
     lhs_root = t.nodes[t.statements[0]]
     lhs_var = t.nodes[lhs_root.children[0]]
@@ -43,17 +43,15 @@ def test_assignment_then_query_share_a_class_and_edge(tutorial_books):
                  if isinstance(n.leaf_role, VarWildcard)
                  and n.leaf_role.class_id == lhs_var.leaf_role.class_id]
     assert in_string, "data flow between the two statements was lost"
-    assert any(tuple(sorted((lhs_var.id, n.id))) in
-               {tuple(sorted(e)) for e in t.dataflow_edges} for n in in_string)
     # callee name preserved under the default policy
     apis = [n.leaf_role.name for n in t.iter_preorder()
             if isinstance(n.leaf_role, ApiSymbol)]
     assert "mysql_query" in apis
 
 
-def test_single_statement_without_variables_has_no_edges():
+def test_single_statement_without_variables_has_no_classes():
     t = derive_from("<?php foo();")
-    assert t.dataflow_edges == frozenset()
+    assert template_stats(t).var_class_count == 0
     assert var_leaves(t) == []
 
 
@@ -79,7 +77,7 @@ def test_each_variable_used_twice_yields_one_class_per_variable():
     assert len(twice) == v
     assert len([n for n in leaves
                 if per_class[n.leaf_role.class_id] == 2]) == 2 * v
-    assert len(t.dataflow_edges) == v
+    assert template_stats(t).var_class_count == len(per_class) == 2 * v
 
 
 def test_class_ids_dense_in_first_occurrence_order():
@@ -127,7 +125,7 @@ def test_rename_independence():
         assert query_id_of(t1) == query_id_of(t2)
 
 
-def test_edge_soundness_and_completeness():
+def test_classes_are_equal_exactly_where_names_are():
     rng = random.Random(8)
     for _ in range(30):
         s = random_snippet(rng)
@@ -143,12 +141,6 @@ def test_edge_soundness_and_completeness():
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 assert (names[i] == names[j]) == (classes[i] == classes[j])
-        # edges are exactly the same-class pairs
-        expected_edges = {tuple(sorted((var_leaves(t)[i].id, var_leaves(t)[j].id)))
-                          for i in range(len(classes))
-                          for j in range(i + 1, len(classes))
-                          if classes[i] == classes[j]}
-        assert {tuple(sorted(e)) for e in t.dataflow_edges} == expected_edges
 
 
 def test_literal_values_are_erased():
@@ -207,11 +199,10 @@ def test_template_depth_of_query_statement(tutorial_books):
 
 def test_serialization_roundtrip(tutorial_books):
     unit, _ = tutorial_books
-    t = derive_template(unit, slice_statements(unit, 5, 6), mode="strict")
+    t = derive_template(unit, slice_statements(unit, 5, 6))
     again = deserialize_template(serialize_template(t))
     assert templates_equal(t, again)
     assert query_id_of(t) == query_id_of(again)
-    assert again.mode == "strict"
     assert again.seed_origin == t.seed_origin
     assert again.template_depth == t.template_depth
 
@@ -227,13 +218,23 @@ def test_serialization_roundtrip_random():
 def test_deserialize_rejects_garbage():
     with pytest.raises(TemplateFormatError):
         deserialize_template("")
-    with pytest.raises(TemplateFormatError):
-        deserialize_template('{"format": "tmpl-v1"}')
+    with pytest.raises(TemplateFormatError, match="^record 0: missing 'tmpl-v2' header$"):
+        deserialize_template('{"roots": [0]}')
     good = serialize_template(derive_from("<?php $a = $b;"))
-    # drop the edges record
-    broken = "\n".join(ln for ln in good.splitlines() if "edges" not in ln)
-    with pytest.raises(TemplateFormatError):
-        deserialize_template(broken)
+    # a record that is not a node
+    with pytest.raises(TemplateFormatError, match="^record 4: a node record needs"):
+        deserialize_template(good + '{"edges": [[1, 2]]}\n')
+
+
+def test_deserialize_refuses_a_tmpl_v1_file_at_its_header():
+    lines = serialize_template(derive_from("<?php $a = $b;")).splitlines()
+    header = json.loads(lines[0])
+    header.update(format="tmpl-v1", mode="normal")
+    with pytest.raises(TemplateFormatError) as exc:
+        deserialize_template("\n".join([json.dumps(header)] + lines[1:]
+                                       + ['{"edges": [[1, 2]]}']))
+    assert str(exc.value) == ("record 0: format 'tmpl-v1' is not read; "
+                              "derive the template again as 'tmpl-v2'")
 
 
 def test_query_id_ignores_seed_origin(tmp_path):
@@ -245,32 +246,10 @@ def test_query_id_ignores_seed_origin(tmp_path):
     assert query_id_of(t1) == query_id_of(t2)
 
 
-def _with_edges(text: str, edges) -> str:
-    lines = text.splitlines()
-    assert '"edges"' in lines[-1]
-    return "\n".join(lines[:-1] + [json.dumps({"edges": edges})]) + "\n"
-
-
-def test_deserialize_rejects_edges_that_differ_from_the_classes(tutorial_books):
-    unit, _ = tutorial_books
-    t = derive_template(unit, slice_statements(unit, 5, 6))
-    text = serialize_template(t)
-    edges = sorted(sorted(e) for e in t.dataflow_edges)
-    assert edges
-    assert templates_equal(deserialize_template(_with_edges(text, edges)), t)
-    # a same-class pair left out
-    with pytest.raises(TemplateFormatError, match="missing"):
-        deserialize_template(_with_edges(text, edges[1:]))
-    # a pair that joins a variable to a node of another role
-    lit = next(n.id for n in t.iter_preorder() if isinstance(n.leaf_role, LiteralWildcard))
-    with pytest.raises(TemplateFormatError, match="extra"):
-        deserialize_template(_with_edges(text, edges + [sorted((edges[0][0], lit))]))
-
-
 def test_deserialize_rejects_a_node_reached_twice():
     good = serialize_template(derive_from("<?php $a = $b;"))
     lines = [json.loads(ln) for ln in good.splitlines()]
-    for rec in lines[1:-1]:
+    for rec in lines[1:]:
         if rec["kind"] == "Var":
             rec["children"] = [lines[0]["roots"][0]]
             break
@@ -284,7 +263,7 @@ def test_deserialize_rejects_an_unreachable_record():
     lines = good.splitlines()
     stray = json.dumps({"id": 99, "kind": "Var", "leaf_role": {"role": "var", "class": 0}})
     with pytest.raises(TemplateFormatError, match=r"^record 4: unreachable nodes: \[99\]$"):
-        deserialize_template("\n".join(lines[:-1] + [stray, lines[-1]]))
+        deserialize_template("\n".join(lines + [stray]))
 
 
 @pytest.mark.parametrize("origin", [{"path": "s.php", "lines": [1.5, [2]]},
@@ -305,14 +284,13 @@ def test_deserialize_rejects_an_origin_without_a_str_path_and_two_int_lines(orig
 
 
 def _records_with_ids_from_one(text: str) -> list[dict]:
-    """The records of a tmpl-v1 text with every node id one higher, so that
+    """The records of a tmpl-v2 text with every node id one higher, so that
     the first root is 1, the id a bool would pass for."""
     recs = [json.loads(ln) for ln in text.splitlines()]
     recs[0]["roots"] = [r + 1 for r in recs[0]["roots"]]
-    for rec in recs[1:-1]:
+    for rec in recs[1:]:
         rec["id"] += 1
         rec["children"] = [c + 1 for c in rec["children"]]
-    recs[-1]["edges"] = [[a + 1, b + 1] for a, b in recs[-1]["edges"]]
     return recs
 
 
