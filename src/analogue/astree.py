@@ -315,50 +315,34 @@ class TreeBuilder:
         return SourceUnit(path=path, root=root, nodes=self._nodes)
 
 
-def statement_parent_index(unit: SourceUnit) -> dict[int, tuple[int, int]]:
-    """Map statement node id -> (owning StmtList id, index among siblings)."""
-    out: dict[int, tuple[int, int]] = {}
-    for sl in unit.stmt_lists():
-        for i, c in enumerate(sl.children):
-            out[c] = (sl.id, i)
-    return out
-
-
 def slice_statements(unit: SourceUnit, first_line: int, last_line: int) -> list[AstNode]:
     """Select the run of sibling statements lying entirely in [first_line, last_line].
 
     Only outermost contained statements count: a control structure whose whole
-    span fits is one statement, its body is not considered separately.
+    span fits is one statement, its body is not considered separately.  One
+    pre-order walk collects them, in document order, and does not descend
+    into a statement it collects.
     """
     if first_line > last_line:
         raise ValueError("first_line must not exceed last_line")
-    stmt_index = statement_parent_index(unit)
-    contained = [unit.nodes[sid] for sid in stmt_index
-                 if unit.nodes[sid].line_start >= first_line
-                 and unit.nodes[sid].line_end <= last_line]
-    if not contained:
+    nodes = unit.nodes
+    outer: list[tuple[int, int, AstNode]] = []  # (StmtList id, index in it, statement)
+    stack: list[tuple[int, int | None, int]] = [(unit.root, None, 0)]
+    while stack:
+        node_id, owner, index = stack.pop()
+        n = nodes[node_id]
+        if owner is not None and n.line_start >= first_line and n.line_end <= last_line:
+            outer.append((owner, index, n))
+            continue
+        ch, own = n.children, node_id if n.kind == STMT_LIST else None
+        stack.extend((ch[i], own, i) for i in range(len(ch) - 1, -1, -1))
+    if not outer:
         raise EmptySlice("no statement fully inside lines %d..%d" % (first_line, last_line))
-    # Drop statements nested inside another contained statement.
-    contained_ids = {n.id for n in contained}
-
-    def has_contained_ancestor(node_id: int) -> bool:
-        parents = parent_cache
-        cur = parents.get(node_id)
-        while cur is not None:
-            if cur in contained_ids:
-                return True
-            cur = parents.get(cur)
-        return False
-
-    parent_cache = unit.parent_map()
-    outer = [n for n in contained if not has_contained_ancestor(n.id)]
-    parents = {stmt_index[n.id][0] for n in outer}
-    if len(parents) > 1:
+    blocks = {owner for owner, _, _ in outer}
+    if len(blocks) > 1:
         raise AmbiguousSlice(
             "lines %d..%d select statements from %d distinct blocks"
-            % (first_line, last_line, len(parents)))
-    outer.sort(key=lambda n: stmt_index[n.id][1])
-    indices = [stmt_index[n.id][1] for n in outer]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
+            % (first_line, last_line, len(blocks)))
+    if outer[-1][1] - outer[0][1] != len(outer) - 1:  # indices rise in document order
         raise AmbiguousSlice("selected statements are not consecutive siblings")
-    return outer
+    return [n for _, _, n in outer]

@@ -38,8 +38,11 @@ def read(text: str, error: type[RecordError] = RecordError,
          skip: Callable[[RecordError], Any] | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (index, value) for each non-blank line of text.  A line that is
     not JSON (NaN, Infinity and -Infinity included) raises `error` naming it,
-    or, with `skip` given, is passed to skip as that error and left out."""
-    for i, line in enumerate(text.splitlines()):
+    or, with `skip` given, is passed to skip as that error and left out.
+    A line ends at "\n" only: a JSON string may hold U+2028, U+2029 and U+0085
+    unescaped, where str.splitlines would break it, and a "\r" before the
+    "\n" is JSON whitespace."""
+    for i, line in enumerate(text.split("\n")):
         if line.strip():
             try:
                 yield i, _decode(line)

@@ -21,6 +21,18 @@ before it.  A number's digits are those of ``str.isdigit``: ``\\d``
 first character through ``_FIRST``, counts line breaks only where the text
 holds any, and raises ``LexError`` where the regex found no token.
 
+A dq token, a double-quoted string or a heredoc body, becomes one
+``Literal`` if it has no holes and else an ``Encapsed`` node of its parts.
+``_build_interpolated`` finds the holes with one regex, ``_HOLE``, built
+from the lexer's own name and digit classes.  These holes become nodes:
+``$name``; ``$name[key]``, where the key up to the first ``]`` is ``$...``, a
+digit or ``-`` and any text, a name, or a quoted text; ``$name->prop``;
+``${text}``, a Var named ``$text``; and ``{$...}``, lexed and parsed as an
+expression.  An escape pair, and a ``${`` or ``{$`` without its ``}``, stay
+text; the text between holes becomes ``Literal`` parts.  Each part's line is
+the token's first line (for a heredoc, the line after its head) plus the
+line breaks before the part in the token's text.
+
 Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
 statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
@@ -107,14 +119,6 @@ _CASTS = frozenset({"int", "integer", "bool", "boolean", "float", "double",
                     "real", "string", "array", "object", "unset", "binary"})
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ord(ch) > 0x7f
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ord(ch) > 0x7f
-
-
 def tokenize(text: str) -> list[Token]:
     """Split a whole file into tokens; content outside <?php ... ?> becomes html tokens."""
     toks: list[Token] = []
@@ -141,8 +145,8 @@ _NONDECIMAL_DIGITS = (
     r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
     r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
 _DIGIT = r"\d" + _NONDECIMAL_DIGITS
-# _is_ident_char and _is_ident_start: all but the ASCII characters that are
-# not letters, digits (to start a name, not digits either) or "_".  Spelled
+# A name's characters: all but the ASCII characters that are not letters,
+# digits (to start a name, not digits either) or "_".  Spelled
 # as \x80-\U0010ffff instead, each such class took 4 ms to compile.
 _IDENT_CHAR = r"[^\x00-/:-@\[-^`{-\x7f]"
 _IDENT = r"[^\x00-@\[-^`{-\x7f]%s*+" % _IDENT_CHAR
@@ -1054,112 +1058,73 @@ class _Parser:
 # Double-quoted string interpolation
 # ---------------------------------------------------------------------------
 
+# One match per escape pair or hole start in a double-quoted string, tried
+# in this order:
+# - an escape pair, which stays in the literal text;
+# - "{$", the start of an expression hole up to its matching "}";
+# - "${", the start of a ${name} hole up to its matching "}";
+# - a simple hole: $name, the name the first group, then either a [key] or
+#   ->prop, the prop the fourth group.  A key is $... (second group), or a
+#   digit or "-" and any text, identifier characters, or a quoted text (third
+#   group); a key ends at the first "]".
+# The names are _IDENT, so the possessive quantifiers keep a name whole when
+# no [key] or ->prop follows it.
+_HOLE = re.compile(
+    r"\\.|\{\$|\$(?:\{|(%(ident)s)(?:\[(?:(\$[^\]]*+)"
+    r"|([-%(d)s][^\]]*+|%(c)s++|'[^\]]*'|\"[^\]]*\"))\]|->(%(ident)s))?)"
+    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT},
+    re.DOTALL)
+
+
 def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
-    """Turn a double-quoted token into Encapsed(Literal/Var/... parts) or a plain Literal."""
+    """Turn a double-quoted token into Encapsed(Literal/Var/... parts) or a
+    plain Literal (see the module docstring).  Each Literal part is added
+    before the hole that ends it, so node ids follow the text."""
     raw = tok[1]
     parts: list[int] = []
-    buf: list[str] = []
-    i, n = 0, len(raw)
-    line = tok[2] + 1 if tok[4] else tok[2]  # heredoc bodies start on the next line
-    seg_line = line
-
-    def flush(end_line: int) -> None:
-        nonlocal buf, seg_line
-        if buf:
-            parts.append(b.add(astree.LITERAL, value="".join(buf),
-                               line_start=seg_line, line_end=end_line))
-            buf = []
-        seg_line = end_line
-
-    while i < n:
-        ch = raw[i]
-        if ch == "\\" and i + 1 < n:
-            buf.append(raw[i:i + 2])
-            if raw[i + 1] == "\n":
-                line += 1
-            i += 2
+    lit = pos = 0  # the pending literal text starts at lit
+    lit_line = tok[2] + 1 if tok[4] else tok[2]
+    add = b.add
+    while m := _HOLE.search(raw, pos):
+        start, pos = m.span()
+        c = raw[start]
+        if c == "\\":
             continue
-        if ch == "\n":
-            buf.append(ch)
-            line += 1
-            i += 1
-            continue
-        if ch == "$" and i + 1 < n and _is_ident_start(raw[i + 1]):
-            flush(line)
-            i, line = _simple_hole(b, raw, i, line, parts)
-            seg_line = line
-            continue
-        if ch == "$" and i + 1 < n and raw[i + 1] == "{":
-            end = _find_closing_brace(raw, i + 1)
-            if end == -1:
-                buf.append(ch)
-                i += 1
+        if m.lastindex is None:  # "{$" or "${": the hole ends at the matching "}"
+            end = _find_closing_brace(raw, start if c == "{" else start + 1)
+            if end == -1:  # an unclosed brace is text
+                pos = start + 1
                 continue
-            flush(line)
-            inner = raw[i + 2:end]
-            parts.append(b.add(astree.VAR, symbol="$" + inner,
-                               line_start=line, line_end=line + inner.count("\n")))
-            line += inner.count("\n")
-            i = end + 1
-            seg_line = line
-            continue
-        if ch == "{" and i + 1 < n and raw[i + 1] == "$":
-            end = _find_closing_brace(raw, i)
-            if end == -1:
-                buf.append(ch)
-                i += 1
-                continue
-            flush(line)
-            fragment = raw[i + 1:end]
-            toks = lex_fragment(fragment, line)
-            sub = _Parser(toks, b)
-            parts.append(sub.parse_expr())
-            line += fragment.count("\n")
-            i = end + 1
-            seg_line = line
-            continue
-        buf.append(ch)
-        i += 1
+            pos = end + 1
+        line = lit_line + raw.count("\n", lit, start)
+        if lit < start:
+            parts.append(add(astree.LITERAL, value=raw[lit:start],
+                             line_start=lit_line, line_end=line))
+        if c == "{":
+            parts.append(_Parser(lex_fragment(raw[start + 1:end], line), b).parse_expr())
+        elif m.lastindex is None:
+            inner = raw[start + 2:end]
+            parts.append(add(astree.VAR, symbol="$" + inner, line_start=line,
+                             line_end=line + inner.count("\n")))
+        else:
+            name, var_key, key, prop = m.groups()
+            node = add(astree.VAR, symbol="$" + name, line_start=line)
+            if prop is not None:
+                node = add(astree.other("prop"), [node, add(astree.NAME, symbol=prop,
+                                                            line_start=line)], line_start=line)
+            elif var_key is not None or key is not None:
+                idx = (add(astree.VAR, symbol=var_key, line_start=line) if key is None else
+                       add(astree.LITERAL, value=key[1:-1] if key[0] in "'\"" else key,
+                           line_start=line))
+                node = add(astree.ARRAY_DIM, [node, idx], line_start=line)
+            parts.append(node)
+        lit, lit_line = pos, line + raw.count("\n", start, pos)
     if not parts:
-        return b.add(astree.LITERAL, value=raw, line_start=tok[2], line_end=tok[3])
-    flush(line)
-    node = b.add(astree.ENCAPSED, parts, line_start=tok[2], line_end=tok[3])
-    return node
-
-
-def _simple_hole(b: TreeBuilder, raw: str, i: int, line: int,
-                 parts: list[int]) -> tuple[int, int]:
-    """Parse $name, $name[idx] or $name->prop starting at raw[i] == '$'."""
-    j = i + 1
-    while j < len(raw) and _is_ident_char(raw[j]):
-        j += 1
-    var_id = b.add(astree.VAR, symbol=raw[i:j], line_start=line)
-    node = var_id
-    if j < len(raw) and raw[j] == "[":
-        close = raw.find("]", j)
-        if close != -1:
-            key = raw[j + 1:close]
-            idx = None
-            if key.startswith("$"):
-                idx = b.add(astree.VAR, symbol=key, line_start=line)
-            elif key and (key[0].isdigit() or key[0] == "-"):
-                idx = b.add(astree.LITERAL, value=key, line_start=line)
-            elif key and all(_is_ident_char(c) for c in key):
-                idx = b.add(astree.LITERAL, value=key, line_start=line)
-            elif key and key[0] in "'\"" and key[-1] == key[0] and len(key) >= 2:
-                idx = b.add(astree.LITERAL, value=key[1:-1], line_start=line)
-            if idx is not None:
-                node = b.add(astree.ARRAY_DIM, [var_id, idx], line_start=line)
-                j = close + 1
-    elif raw.startswith("->", j) and j + 2 < len(raw) and _is_ident_start(raw[j + 2]):
-        k = j + 2
-        while k < len(raw) and _is_ident_char(raw[k]):
-            k += 1
-        prop = b.add(astree.NAME, symbol=raw[j + 2:k], line_start=line)
-        node = b.add(astree.other("prop"), [var_id, prop], line_start=line)
-        j = k
-    parts.append(node)
-    return j, line
+        return add(astree.LITERAL, value=raw, line_start=tok[2], line_end=tok[3])
+    if lit < len(raw):
+        parts.append(add(astree.LITERAL, value=raw[lit:], line_start=lit_line,
+                         line_end=lit_line + raw.count("\n", lit)))
+    return add(astree.ENCAPSED, parts, line_start=tok[2], line_end=tok[3])
 
 
 def _find_closing_brace(raw: str, start: int) -> int:

@@ -7,8 +7,15 @@ yields the same tokens, or the same LexError, as `tokenize` here.
 """
 from __future__ import annotations
 
-from analogue.php_parser import (_OPS1, _OPS2, _OPS3, LexError, Token,
-                                 _is_ident_char, _is_ident_start)
+from analogue.php_parser import _OPS1, _OPS2, _OPS3, LexError, Token
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_" or ord(ch) > 0x7f
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_" or ord(ch) > 0x7f
 
 
 def tokenize(text: str) -> list[Token]:

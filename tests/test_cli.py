@@ -124,6 +124,20 @@ def test_ast_export_import_roundtrip(tmp_path, capsys):
     assert reimported == exported
 
 
+def test_ast_import_reads_a_literal_holding_a_line_separator(tmp_path, capsys):
+    seed = tmp_path / "seed.php"
+    seed.write_text("<?php\n$a = 'x\u2028y';\n", encoding="utf-8")
+    code, exported, _ = run(capsys, "ast", "export", str(seed))
+    assert code == 0
+    stream = tmp_path / "ast.jsonl"
+    stream.write_text("".join(json.dumps(json.loads(ln), ensure_ascii=False) + "\n"
+                              for ln in exported.splitlines()), encoding="utf-8")
+    assert "x\u2028y" in stream.read_text(encoding="utf-8")
+    code, reimported, err = run(capsys, "ast", "import", str(stream))
+    assert (code, err) == (0, "")
+    assert reimported == exported
+
+
 def test_ast_import_rejects_bad_stream(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"format": "ast-v1", "path": "x", "root": 0}\n'

@@ -1,8 +1,9 @@
-"""scan_unit (compiled programs) vs brute_force_scan (recursive reference)."""
+"""scan_unit (compiled programs) vs brute_force_scan (brute-force reference)."""
 from __future__ import annotations
 
 import random
-import sys
+
+import pytest
 
 from genutil import random_pair
 
@@ -43,15 +44,41 @@ def test_oracle_agrees_on_a_2000_term_chain():
     # breaks the data flow
     target = parse_source("<?php\n%s\n%s\n%s\n" % (
         chain("a" * 2000), chain("b" * 2000), chain("a" * 1999 + "c")))
-    # brute_force_scan recurses once per template level, so at the default
-    # limit of 1,000 frames it raises RecursionError on this 2,000-deep chain
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)
-    try:
-        assert agree(t, target)
-        assert [m.line_start for m in brute_force_scan(t, target)] == [2, 3]
-    finally:
-        sys.setrecursionlimit(limit)
+    assert agree(t, target)
+    assert [m.line_start for m in brute_force_scan(t, target)] == [2, 3]
+
+
+def _deepest(nested) -> int:
+    """The largest depth d for which parse_source(nested(d)) returns, where
+    nested(d + 1) raises RecursionError, found by bisection in this process."""
+    lo, hi = 1, 4000  # 4,000 levels take more than the default 1,000 frames
+    parse_source(nested(lo))
+    with pytest.raises(RecursionError):
+        parse_source(nested(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_source(nested(mid))
+        except RecursionError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("nested", [
+    lambda d: "<?php\n$x = " + "(" * d + "$y" + ")" * d + ";\n",
+    lambda d: "<?php\n$x = " + "$a . (" * d + "$y" + ")" * d + ";\n",
+    lambda d: "<?php\n" + "if ($a) {" * d + "$y = $a;" + "}" * d + "\n",
+], ids=["parentheses", "concat-groups", "if-blocks"])
+def test_a_seed_at_the_parsers_nesting_limit_matches_itself_once(nested):
+    depth = _deepest(nested)
+    unit = parse_source(nested(depth))
+    t = derive_template(unit, unit.children_of(unit.nodes[unit.root]))
+    matches, _ = scan_unit(compile_template(t), unit)
+    assert [(m.stmt_list_id, m.start_index, m.line_start) for m in matches] == \
+        [(unit.root, 0, 2)]
+    assert agree(t, unit)
 
 
 def test_oracle_agrees_on_random_pairs():

@@ -23,6 +23,17 @@ def test_load_skips_malformed_records():
     assert skipped == 2
 
 
+def test_load_reads_a_record_holding_unicode_line_breaks():
+    # json.dumps(..., ensure_ascii=False) leaves U+2028, U+2029 and U+0085
+    # unescaped inside a string; each record still ends at "\n" only
+    text = "\r\n".join(json.dumps(rec(excerpt="a\u2028b\u2029c\x85d", file=f),
+                                  ensure_ascii=False) for f in ("a/x.php", "b/y.php"))
+    records, skipped = load_match_records(text)
+    assert skipped == 0
+    assert [(r["file"], r["excerpt"]) for r in records] == [
+        ("a/x.php", "a\u2028b\u2029c\x85d"), ("b/y.php", "a\u2028b\u2029c\x85d")]
+
+
 @pytest.mark.parametrize("bad", [
     dict(lines=[1]), dict(lines=[1, "2"]), dict(lines="12"), dict(lines=[1.0, 2]),
     dict(file=None), dict(bindings=["$a"]), dict(bindings={"x": "$a"}),

@@ -215,6 +215,23 @@ def test_serialization_roundtrip_random():
         assert templates_equal(t, deserialize_template(serialize_template(t)))
 
 
+def _raw_json_lines(text: str) -> str:
+    """text with each record written as json.dumps(..., ensure_ascii=False)
+    writes it: characters outside ASCII unescaped."""
+    return "".join(json.dumps(json.loads(ln), ensure_ascii=False) + "\n"
+                   for ln in text.splitlines())
+
+
+def test_deserialize_reads_an_api_name_holding_a_line_separator():
+    # a name may hold any character outside ASCII, U+2028 too
+    t = derive_from("<?php\n$r = f\u2028g($_GET['x']);\n")
+    raw = _raw_json_lines(serialize_template(t))
+    assert "f\u2028g" in raw
+    again = deserialize_template(raw)
+    assert templates_equal(t, again)
+    assert query_id_of(again) == query_id_of(t)
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(TemplateFormatError):
         deserialize_template("")
