@@ -28,10 +28,13 @@ from the lexer's own name and digit classes.  These holes become nodes:
 ``$name``; ``$name[key]``, where the key up to the first ``]`` is ``$...``, a
 digit or ``-`` and any text, a name, or a quoted text; ``$name->prop``;
 ``${text}``, a Var named ``$text``; and ``{$...}``, lexed and parsed as an
-expression.  An escape pair, and a ``${`` or ``{$`` without its ``}``, stay
-text; the text between holes becomes ``Literal`` parts.  Each part's line is
-the token's first line (for a heredoc, the line after its head) plus the
-line breaks before the part in the token's text.
+expression.  A ``{$`` or ``${`` hole ends at the ``}`` that closes its
+``_GROUP``, the one pattern that also keeps the lexer from ending a string
+at a quote inside a ``{$`` hole.  An escape pair, and a ``${`` or ``{$`` that no
+group closes, stay text; the text between holes becomes ``Literal`` parts.
+Each part's line is the token's first line (for a heredoc, the line after
+its head) plus the line breaks before the part in the token's text.
+Backtick strings are not read: a backtick is a ``LexError``.
 
 Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
@@ -158,12 +161,26 @@ _HTML = r"[^<]*+(?:<(?!\?)[^<]*+)*+(?:<\?(?:php|=)?)?"
 # quoted label needs its closing quote.
 _HEREDOC_HEAD = r"<<<[ \t]*+(?:'(?=%(c)s+')|\"(?=%(c)s+\")|)(%(c)s++)" % {"c": _IDENT_CHAR}
 
+# A {...} group of PHP code, the code of a string hole: PHP's scanner reads
+# code from "{$" or "${" up to the "}" that closes it.  The group holds
+# other text, '...' and "..." strings that end on their own line, and groups
+# nested two deep; a "..." string in it holds the {$ holes of a group one
+# level less deep, and any other "{" there is text.  A "{" the group cannot
+# close is no group: the possessive quantifiers give nothing back, and the
+# depth and the line bound what a failed try reads, so a string of unclosed
+# holes is read in time linear in its length.
+_GROUP = "(?!)"  # matches nothing: the innermost group holds no group
+for _ in range(3):
+    _GROUP = (r"\{(?:[^{}'\"]++|'[^'\\\n]*+(?:\\[^\n][^'\\\n]*+)*+'"
+              r"|\"(?:[^\"\\\n{]++|\\[^\n]|(?=\{\$)%(g)s|\{)*+\"|%(g)s)*+\}" % {"g": _GROUP})
+
 # One match per token: (prefix, token, label, error).  The prefix is the
 # whitespace and comments before the token, and the token one of these,
 # tried in this order:
 # - a single-character operator that starts no longer one;
 # - a variable, then a name;
-# - a complete '...' or "..." string;
+# - a complete '...' or "..." string, where a "{$" that starts a _GROUP
+#   reads to the group's end;
 # - a number: 0x and hex digits, or digits and underscores with at most one
 #   "." and then at most one exponent ("e" before a digit or a sign, and the
 #   sign), where a digit is any character for which str.isdigit is true;
@@ -183,14 +200,14 @@ _TOKEN = re.compile(
     r"([ \t\n\r\v\f]*+(?:(?://|\#)[^\n?]*+(?:\?(?!>)[^\n?]*+)*+[ \t\n\r\v\f]*+"
     r"|/\*.*?\*/[ \t\n\r\v\f]*+)*+)"
     r"(?:([()\[\]{};,]|\$%(ident)s|%(ident)s"
-    r"|'[^'\\]*+(?:\\.[^'\\]*+)*+'|\"[^\"\\]*+(?:\\.[^\"\\]*+)*+\""
+    r"|'[^'\\]*+(?:\\.[^'\\]*+)*+'|\"(?:[^\"\\{]++|\\.|(?=\{\$)%(group)s|\{)*+\""
     r"|0[xX][a-fA-F_%(d)s]*+"
     r"|(?:[0-9][_%(d)s]*+(?:\.[_%(d)s]*+)?|\.[%(d)s][_%(d)s]*+)"
     r"(?:[eE](?:[+-]|(?=[%(d)s]))[_%(d)s]*+)?"
     r"|\?>(?:\r\n|\n|\r)?%(html)s"
     r"|%(heredoc)s[^\n]*+\n(?:[^\n]*+\n)*?[ \t]*+\3(?!%(c)s)"
     r"|(?!/\*|<<<)(?:%(ops)s|[%(ops1)s]))|(.*))"
-    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT, "html": _HTML,
+    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT, "group": _GROUP, "html": _HTML,
        "heredoc": _HEREDOC_HEAD, "ops": "|".join(map(re.escape, _OPS3 + _OPS2)),
        "ops1": re.escape(_OPS1)},
     re.DOTALL)
@@ -1061,8 +1078,8 @@ class _Parser:
 # One match per escape pair or hole start in a double-quoted string, tried
 # in this order:
 # - an escape pair, which stays in the literal text;
-# - "{$", the start of an expression hole up to its matching "}";
-# - "${", the start of a ${name} hole up to its matching "}";
+# - "{" and a _GROUP that starts with "$", an expression hole;
+# - "$" and a _GROUP, a ${name} hole;
 # - a simple hole: $name, the name the first group, then either a [key] or
 #   ->prop, the prop the fourth group.  A key is $... (second group), or a
 #   digit or "-" and any text, identifier characters, or a quoted text (third
@@ -1070,9 +1087,9 @@ class _Parser:
 # The names are _IDENT, so the possessive quantifiers keep a name whole when
 # no [key] or ->prop follows it.
 _HOLE = re.compile(
-    r"\\.|\{\$|\$(?:\{|(%(ident)s)(?:\[(?:(\$[^\]]*+)"
+    r"\\.|(?=\{\$)%(group)s|\$(?:%(group)s|(%(ident)s)(?:\[(?:(\$[^\]]*+)"
     r"|([-%(d)s][^\]]*+|%(c)s++|'[^\]]*'|\"[^\]]*\"))\]|->(%(ident)s))?)"
-    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT},
+    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT, "group": _GROUP},
     re.DOTALL)
 
 
@@ -1090,20 +1107,14 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
         c = raw[start]
         if c == "\\":
             continue
-        if m.lastindex is None:  # "{$" or "${": the hole ends at the matching "}"
-            end = _find_closing_brace(raw, start if c == "{" else start + 1)
-            if end == -1:  # an unclosed brace is text
-                pos = start + 1
-                continue
-            pos = end + 1
         line = lit_line + raw.count("\n", lit, start)
         if lit < start:
             parts.append(add(astree.LITERAL, value=raw[lit:start],
                              line_start=lit_line, line_end=line))
         if c == "{":
-            parts.append(_Parser(lex_fragment(raw[start + 1:end], line), b).parse_expr())
-        elif m.lastindex is None:
-            inner = raw[start + 2:end]
+            parts.append(_Parser(lex_fragment(raw[start + 1:pos - 1], line), b).parse_expr())
+        elif m.lastindex is None:  # ${name}
+            inner = raw[start + 2:pos - 1]
             parts.append(add(astree.VAR, symbol="$" + inner, line_start=line,
                              line_end=line + inner.count("\n")))
         else:
@@ -1125,31 +1136,6 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
         parts.append(add(astree.LITERAL, value=raw[lit:], line_start=lit_line,
                          line_end=lit_line + raw.count("\n", lit)))
     return add(astree.ENCAPSED, parts, line_start=tok[2], line_end=tok[3])
-
-
-def _find_closing_brace(raw: str, start: int) -> int:
-    """Index of the '}' matching raw[start] == '{' (quote-aware), or -1."""
-    depth = 0
-    i = start
-    quote = None
-    while i < len(raw):
-        ch = raw[i]
-        if quote:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return -1
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ from analogue.corpusgen import MUTATIONS, plant_file, random_snippet, render_fil
 from analogue.php_parser import parse_source
 from analogue.template import Template, derive_template
 
+# Holes that hold quotes, closed and not: a quote inside a "{$...}" hole does
+# not end the string around it.
+QUOTED_HOLES = ['{$a["k"]}', "{$a['k']}", '{$a["{$b}"]}', "{$o->{'p'}}", '{$a["']
+
 # Text for the lexer and parser properties: pieces of PHP syntax, the
 # characters that end or open tokens, and the characters where str.isdigit,
 # str.isalpha and the regex classes disagree.
-PHP_PIECES = [
+PHP_PIECES = QUOTED_HOLES + [
     "<?php ", "<?=", "<?", "?>", "?>\n", "<<<EOT\n", "<<<'EOT'\n", "<<<\"EOT\"\n",
     "EOT", "EOT;\n", "  EOT\n", "/*", "*/", "//", "#", "'", '"', "\\", "\\'",
     '\\"', "$", "$a", "${", "{$", "->", "::", "=>", "===", "!==", "<=>", "**=",

@@ -1,9 +1,11 @@
 """The character-by-character reader of double-quoted strings that
 php_parser's _HOLE regex replaced.
 
-Kept as a test oracle, unchanged but for one line mend: a simple hole whose
+Kept as a test oracle, unchanged but for two mends.  A simple hole whose
 [key] spans a line break now moves the line count past it, so the rest of
-the string is numbered from the line the hole ends on.
+the string is numbered from the line the hole ends on.  And a "${" or "{$"
+hole ends where reference_lexer.hole_end says, the rule php_parser's
+_GROUP regex follows.
 tests/test_interpolation_differential.py checks that php_parser builds the
 same nodes, with the same ids and line spans, or raises the same error, as
 `build_interpolated` here.
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 from analogue import astree
 from analogue.astree import TreeBuilder
-from analogue.php_parser import Token, _find_closing_brace, _Parser, lex_fragment
-from reference_lexer import _is_ident_char, _is_ident_start
+from analogue.php_parser import Token, _Parser, lex_fragment
+from reference_lexer import _is_ident_char, _is_ident_start, hole_end
 
 
 def build_interpolated(b: TreeBuilder, tok: Token) -> int:
@@ -52,7 +54,7 @@ def build_interpolated(b: TreeBuilder, tok: Token) -> int:
             seg_line = line
             continue
         if ch == "$" and i + 1 < n and raw[i + 1] == "{":
-            end = _find_closing_brace(raw, i + 1)
+            end = hole_end(raw, i + 1)
             if end == -1:
                 buf.append(ch)
                 i += 1
@@ -66,7 +68,7 @@ def build_interpolated(b: TreeBuilder, tok: Token) -> int:
             seg_line = line
             continue
         if ch == "{" and i + 1 < n and raw[i + 1] == "$":
-            end = _find_closing_brace(raw, i)
+            end = hole_end(raw, i)
             if end == -1:
                 buf.append(ch)
                 i += 1

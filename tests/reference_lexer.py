@@ -2,8 +2,10 @@
 
 Kept as a test oracle, unchanged but for building php_parser's token tuples,
 with the line-by-line heredoc lexer php_parser had before its regex read
-heredocs: tests/test_lexer_differential.py checks that php_parser.tokenize
-yields the same tokens, or the same LexError, as `tokenize` here.
+heredocs, and with a "..." string that reads a "{$" hole to its end
+(`hole_end`), where php_parser's regex reads its _GROUP:
+tests/test_lexer_differential.py checks that php_parser.tokenize yields the
+same tokens, or the same LexError, as `tokenize` here.
 """
 from __future__ import annotations
 
@@ -16,6 +18,49 @@ def _is_ident_start(ch: str) -> bool:
 
 def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_" or ord(ch) > 0x7f
+
+
+def hole_end(text: str, start: int, depth: int = 2) -> int:
+    """Index of the "}" that closes the group of PHP code opening at
+    text[start] == "{", or -1.  The group holds other text, quoted strings
+    that end on their own line and groups nested `depth` deep; a "..."
+    string in it holds the "{$" holes of a group one level less deep."""
+    i, n = start + 1, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "}":
+            return i
+        if ch == "{":
+            if depth == 0:
+                return -1
+            i = hole_end(text, i, depth - 1)
+        elif ch == "'" or ch == '"':
+            i = _line_string_end(text, i, depth - 1 if ch == '"' else -1)
+        if i == -1:
+            return -1
+        i += 1
+    return -1
+
+
+def _line_string_end(text: str, start: int, depth: int) -> int:
+    """Index of the quote that closes the string opening at text[start] on
+    the same line, or -1; "{$" holes `depth` deep inside it are read whole,
+    and any other "{" is text."""
+    quote, i, n = text[start], start + 1, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == quote:
+            return i
+        if ch == "\n" or (ch == "\\" and text[i + 1:i + 2] in ("", "\n")):
+            return -1
+        if ch == "\\":
+            i += 1
+        elif ch == "{" and depth >= 0 and text[i + 1:i + 2] == "$":
+            end = hole_end(text, i, depth)
+            if end != -1:
+                i = end
+        i += 1
+    return -1
 
 
 def tokenize(text: str) -> list[Token]:
@@ -156,6 +201,11 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                     break
                 if c == "\n":
                     ln += 1
+                if c == "{" and text.startswith("$", j + 1):
+                    end = hole_end(text, j)
+                    if end != -1:
+                        ln += text.count("\n", j, end)
+                        j = end
                 j += 1
             if j >= n:
                 raise LexError("unterminated double-quoted string", line)

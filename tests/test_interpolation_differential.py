@@ -3,22 +3,23 @@ character-by-character oracle in reference_interpolation.py."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_interpolation
+from genutil import QUOTED_HOLES
 from analogue.astree import TreeBuilder
 from analogue.php_parser import LexError, ParseError, _build_interpolated, parse_source
 
 # Pieces of string bodies: holes and their parts, keys of every form and the
 # texts that are no key, escapes, braces, quotes and line breaks, and
 # characters that are names or digits only outside ASCII.
-STRING_PIECES = [
+STRING_PIECES = QUOTED_HOLES + [
     "$a", "$b", "$_x", "$é", "$1", "$", "[", "]", "[$b]", "[$]", "[0]", "[-1]",
     "[k]", "[k k]", "['k']", '["k"]', "[']", "[²]", "[]", "->", "->p", "->1",
     "{", "}", "{$", "${", "\\", "\\$", "\\{", "\\\\", "\\\n", "'", '"', "\n",
     "x", " ", "²", "é", "1", "-", "(", ")", "?>", "${a}", "{$a[1]}", "{$a->b}",
-    "{$a['k']}", "{$a(}", "{$a ?>}", "$a[$b\n]", "$a->",
+    "{$a(}", "{$a ?>}", "$a[$b\n]", "$a->",
 ]
 
 string_bodies = st.lists(st.sampled_from(STRING_PIECES), max_size=16).map("".join)
@@ -39,6 +40,11 @@ def _outcome(build, raw: str, line: int, heredoc: bool):
 
 @settings(max_examples=2000, deadline=None)
 @given(string_bodies, st.integers(min_value=1, max_value=20), st.booleans())
+@example('x {$a["k"]} y', 1, False)
+@example("{$a['k']}\n$b", 2, True)
+@example('{$a["{$b}"]}', 1, False)
+@example("{$o->{'p'}}", 1, False)
+@example('{$a["', 1, False)
 def test_hole_reader_agrees_with_reference(raw, line, heredoc):
     assert (_outcome(_build_interpolated, raw, line, heredoc)
             == _outcome(reference_interpolation.build_interpolated, raw, line, heredoc))

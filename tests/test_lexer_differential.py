@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_lexer
@@ -27,6 +27,11 @@ def assert_same_tokens(text: str) -> None:
 
 @settings(max_examples=1500, deadline=None)
 @given(php_text)
+@example('$q = "{$a["k"]}";')
+@example("$q = \"{$a['k']}\";")
+@example('$q = "{$a["{$b}"]}";')
+@example("$q = \"{$o->{'p'}}\";")
+@example('$q = "{$a[";')
 def test_tokenize_agrees_with_reference_lexer(text):
     assert_same_tokens("<?php " + text)
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from analogue.astree import SourceUnit, slice_statements
-from analogue import miner, php_parser
+from analogue import astree, miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet,
@@ -75,6 +75,30 @@ def test_single_repo_with_tutorial_yields_one_match_per_query(tmp_path):
     spans = sorted((m.line_start, m.line_end) for m in r.matches)
     assert spans == [(5, 6), (11, 12)]
     assert all(m.excerpt for m in r.matches)
+
+
+def test_a_seed_finds_a_plant_whose_hole_holds_double_quotes(tmp_path):
+    """A '"' inside a {$...} hole does not end the string, so the plant is an
+    assignment like the seed's, not an opaque statement."""
+    seed = parse_source("<?php\n$q = \"SELECT * FROM users WHERE id = {$_GET['id']}\";\n"
+                        "mysql_query($q);\n")
+    program = compile_template(derive_template(seed, seed.children_of(seed.nodes[seed.root])))
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    plant = ('<?php\necho "hi";\n'
+             '$sql = "SELECT name FROM accounts WHERE uid = {$_GET["uid"]}";\n'
+             "mysql_query($sql);\n")
+    (repo / "a.php").write_text(plant)
+    result = mine_repositories([repo], [program])[0]
+    assert [(m.line_start, m.line_end) for m in result.matches] == [(3, 4)]
+    unit = parse_source(plant)
+    assign = unit.children_of(unit.nodes[unit.root])[1]
+    encapsed = unit.children_of(assign)[1]
+    dim = unit.children_of(encapsed)[1]
+    assert (assign.kind, encapsed.kind, dim.kind) == \
+        (astree.ASSIGN, astree.ENCAPSED, astree.ARRAY_DIM)
+    assert [(n.kind, n.symbol, n.value) for n in unit.children_of(dim)] == \
+        [(astree.VAR, "$_GET", None), (astree.LITERAL, None, "uid")]
 
 
 def test_empty_repository(tmp_path):

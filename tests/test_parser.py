@@ -261,6 +261,37 @@ def test_malformed_block_heads_parse_in_linear_time(line):
     assert {n.kind for n in unit.children_of(unit.nodes[unit.root])} == {"Other:opaque"}
 
 
+# Each of these strings parses in time linear in its length.  A reader that
+# searched from each "{$" or "${" to the string's end for its "}" took 70.8 s
+# on the first and minutes on the second.
+@pytest.mark.parametrize("text", [
+    pytest.param('$x = "%s";' % ("{$a " * 16000), id="one string of {$a holes"),
+    pytest.param('$x = "%s";' % ("${a " * 16000), id="one string of ${a holes"),
+    pytest.param('$x = "{$a";\n' * 16000, id="one {$a string per line"),
+    pytest.param('$x = "{$a"; ' * 16000, id="{$a strings on one line"),
+    pytest.param("$x = '{$a \"'; $y = \"{$b\"; " * 16000, id="quotes after {$ on one line"),
+])
+def test_unclosed_string_holes_parse_in_linear_time(text):
+    t0 = time.perf_counter()
+    unit = parse_source("<?php\n" + text)
+    assert time.perf_counter() - t0 < 2.0
+    assert {n.kind for n in unit.children_of(unit.nodes[unit.root])} == {astree.ASSIGN}
+
+
+@pytest.mark.parametrize("body, hole", [
+    ('{$a["k"]}', True), ("{$o->{'p'}}", True), ('${a["k"]}', True),
+    ('{$a["{$b["{$c}"]}"]}', True),
+    ("{$a{{}}}", True), ("{$a{{{}}}}", False),  # braces nested three deep
+    ("{$a['k\n']}", False), ('{$a["k\n"]}', False),  # a string ends on its line
+    ("{$a['k']", False), ("${a", False),
+])
+def test_a_hole_is_code_up_to_the_brace_that_closes_it(body, hole):
+    unit = parse_source("<?php $q = <<<EOT\nx %s y $z\nEOT;\n" % body)
+    encapsed = kinds_path(unit, 0, 1)
+    assert encapsed.kind == astree.ENCAPSED
+    assert (unit.children_of(encapsed)[0].value == "x ") == hole
+
+
 def test_static_closures_are_closures_and_static_names_are_not():
     unit = parse_source("<?php $f = static fn ($x) => $x + $y; static::make($a);"
                         " static $n = 0; $g = static  FUNCTION () {};")
