@@ -284,9 +284,25 @@ class TreeBuilder:
 
     def add(self, kind: str, children: list[int] | tuple[int, ...] = (),
             symbol: str | None = None, value: str | None = None,
-            line_start: int = 1, line_end: int | None = None) -> int:
+            line_start: int | None = None, line_end: int | None = None) -> int:
+        """Add a node and return its id.  This is where a node's span is set:
+        line_start..line_end, the lines of the tokens the node owns, widened
+        to its first child's start and its last child's end, so a node covers
+        its children.  Children follow the text, so those two bound them all.
+        A node given no line_start starts at its first child (a leaf at line
+        1), and one given no line_end ends at line_start or its last child."""
         node_id = self._next
         self._next += 1
+        if children:
+            nodes = self._nodes
+            first = nodes[children[0]].line_start
+            last = nodes[children[-1]].line_end
+            if line_start is None or first < line_start:
+                line_start = first
+            if line_end is None or last > line_end:
+                line_end = last
+        elif line_start is None:
+            line_start = 1
         self._nodes[node_id] = AstNode(
             node_id, kind, tuple(children), symbol, value, line_start,
             line_start if line_end is None else line_end)
@@ -298,18 +314,6 @@ class TreeBuilder:
         for node_id in range(mark, self._next):
             self._nodes.pop(node_id, None)
         self._next = mark
-
-    def span_from_children(self, node_id: int) -> None:
-        nodes = self._nodes
-        n = nodes[node_id]
-        lo, hi = n.line_start, n.line_end
-        for c in n.children:
-            child = nodes[c]
-            if child.line_start < lo:
-                lo = child.line_start
-            if child.line_end > hi:
-                hi = child.line_end
-        n.line_start, n.line_end = lo, hi
 
     def finish(self, path: str, root: int) -> SourceUnit:
         return SourceUnit(path=path, root=root, nodes=self._nodes)

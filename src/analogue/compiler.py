@@ -88,9 +88,10 @@ class MatcherProgram:
     query_id: str
     symbol_policy: str = "preserve"
     origin: SeedOrigin | None = None
-    # The scan plan (Compiled) per exact_arity, built on first use in each
-    # process and never pickled: the verdicts are keyed by shape ids, which
-    # are per process.
+    # The scan plan (Compiled) per exact_arity, built on first use and never
+    # pickled: the verdicts are keyed by shape ids, which are per process.  A
+    # worker started by fork inherits the plans of its parent, and the shape
+    # ids with them.
     _matchers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -142,10 +143,6 @@ class MatcherProgram:
                 first, self.template_depth, self.statement_count,
                 _build(source, consts), tests, {}, self.comparison_steps)
         return c
-
-    def matcher(self, exact_arity: bool = False):
-        """The generated matcher for this option (see matcher_source), cached."""
-        return self.compiled(exact_arity).match
 
 
 class ProgramFormatError(Exception):

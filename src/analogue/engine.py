@@ -11,7 +11,7 @@ order, are those of an exhaustive scan.  Target nodes may have extra
 trailing children beyond what the program specifies (a call with more
 arguments still matches) unless exact_arity is requested.  An attempt runs
 the straight-line Python function generated from the program for the scan's
-options (MatcherProgram.matcher), unless its shape decides it (below).
+options (MatcherProgram.compiled), unless its shape decides it (below).
 
 Most attempts fail inside the first statement, on a test that reads only the
 statement's shape: its kind and its children's kinds, in order.  Shapes are
@@ -114,7 +114,7 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
         raise ValueError("anchor %d is not a StmtList" % stmt_list_id)
     if start_index < 0 or start_index + p.statement_count > len(sl.children):
         return None
-    found = p.matcher(opts.exact_arity)(unit.nodes, sl.children, start_index)
+    found = p.compiled(opts.exact_arity).match(unit.nodes, sl.children, start_index)
     failed = type(found) is int
     if counter is not None:
         counter.node_comparisons += found if failed else p.comparison_steps

@@ -292,7 +292,9 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
     then takes repository paths in batches of len(repos) // (4 * jobs), at
     least one.  No more workers start than there are repositories.  Results
     come back in input order whatever the scheduling, so two runs over the
-    same corpus are identical for any jobs value.  Each repository is logged
+    same corpus are identical for any jobs value.  Each program's scan plan
+    is built before the pool starts, so workers started by fork inherit it
+    instead of each building its own.  Each repository is logged
     at INFO as its result arrives: n/N, its id, the matches so far and the
     seconds since scanning began.  At jobs >= 2 results arrive a batch at a
     time, so the lines come in bursts and the seconds are those of the
@@ -306,6 +308,8 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
     paths = [str(r) for r in repos]
     if jobs == 1 or len(paths) <= 1:
         return _logged((_scan_one(p, programs, opts) for p in paths), len(paths))
+    for program in programs:
+        program.compiled(opts.scan.exact_arity)
     chunksize = max(1, len(paths) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=min(jobs, len(paths)),
                              initializer=_init_worker,

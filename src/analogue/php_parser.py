@@ -23,17 +23,20 @@ holds any, and raises ``LexError`` where the regex found no token.
 
 A dq token, a double-quoted string or a heredoc body, becomes one
 ``Literal`` if it has no holes and else an ``Encapsed`` node of its parts.
-``_build_interpolated`` finds the holes with one regex, ``_HOLE``, built
-from the lexer's own name and digit classes.  These holes become nodes:
-``$name``; ``$name[key]``, where the key up to the first ``]`` is ``$...``, a
-digit or ``-`` and any text, a name, or a quoted text; ``$name->prop``;
-``${text}``, a Var named ``$text``; and ``{$...}``, lexed and parsed as an
-expression.  A ``{$`` or ``${`` hole ends at the ``}`` that closes its
-``_GROUP``, the one pattern that also keeps the lexer from ending a string
-at a quote inside a ``{$`` hole.  An escape pair, and a ``${`` or ``{$`` that no
-group closes, stay text; the text between holes becomes ``Literal`` parts.
-Each part's line is the token's first line (for a heredoc, the line after
-its head) plus the line breaks before the part in the token's text.
+``_build_interpolated`` finds the holes with one regex, ``_HOLE``, and
+reads a ``[key]`` with ``_KEY``, both built from the lexer's own name and
+digit classes.  These holes become nodes: ``$name``; ``$name[key]``, where
+the key up to the first ``]`` is ``$...``, a digit or ``-`` and any text, a
+name, or a quoted text; ``$name->prop``; ``${text}``, a Var named
+``$text``; and ``{$...}``, lexed and parsed as an expression.  The first
+``]`` is searched for once per string, not once per key, so a string of
+keys that no ``]`` closes reads in linear time.  A ``{$`` or ``${`` hole
+ends at the ``}`` that closes its ``_GROUP``, the one pattern that also
+keeps the lexer from ending a string at a quote inside a ``{$`` hole.  An
+escape pair, and a ``${`` or ``{$`` that no group closes, stay text; the
+text between holes becomes ``Literal`` parts.  Each part's line is the
+token's first line (for a heredoc, the line after its head) plus the line
+breaks before the part in the token's text.
 Backtick strings are not read: a backtick is a ``LexError``.
 
 Each statement construct has one rule.  ``parse_statement`` dispatches on
@@ -46,6 +49,10 @@ closures, ``static`` ones included.  PHP puts the ``{`` of a ``switch``,
 class header or a function's return type ends at ``{``, ``;`` or ``}``; so no
 statement searches past itself for a ``{``, and a malformed one fails where
 it stands, which keeps recovery linear in the file.
+
+The parser passes each node the lines of the tokens it owns, and
+``TreeBuilder.add`` widens that span to the node's children; only
+``_finish_simple_statement`` widens a span later, to the statement's ``;``.
 
 ``parse_expr`` climbs these precedence levels, loosest first:
 
@@ -488,9 +495,7 @@ class _Parser:
             cond = self.parse_expr()
             self.expect_op(")")
             body, end_line = self._parse_block("endwhile")
-            node = self.b.add(astree.WHILE, [cond, body], line_start=t[2], line_end=end_line)
-            self.b.span_from_children(node)
-            return node
+            return self.b.add(astree.WHILE, [cond, body], line_start=t[2], line_end=end_line)
         if kw == "foreach":
             return self._parse_foreach(t)
         if kw == "for":
@@ -530,7 +535,6 @@ class _Parser:
             close = self.expect_op(")")
             node = self.b.add(astree.other("do"), [body, cond],
                               line_start=t[2], line_end=close[3])
-            self.b.span_from_children(node)
             self._finish_simple_statement(node)
             return node
         if kw in ("break", "continue"):
@@ -560,11 +564,13 @@ class _Parser:
     def _simple(self, kind: str, children: list[int], t: Token) -> int:
         """The node of keyword t's statement, spanning t and children; takes its ';'."""
         node = self.b.add(kind, children, line_start=t[2], line_end=t[3])
-        self.b.span_from_children(node)
         self._finish_simple_statement(node)
         return node
 
     def _finish_simple_statement(self, node_id: int) -> None:
+        """Take the ';' that ends statement node_id and widen its span to it.
+        This is the one span set outside TreeBuilder.add: an expression
+        statement is built before its ';' is read."""
         t = self.toks[self.pos]
         if t[0] == "op" and t[1] == ";":
             self.pos += 1
@@ -592,13 +598,9 @@ class _Parser:
                 children.append(else_sl)
         if elif_tok is not None:
             # the nested if is the else branch's only statement
-            else_sl = self.b.add(astree.STMT_LIST, [self._parse_if(elif_tok)],
-                                 line_start=elif_tok[2])
-            self.b.span_from_children(else_sl)
+            else_sl = self.b.add(astree.STMT_LIST, [self._parse_if(elif_tok)])
             children.append(else_sl)
-        node = self.b.add(astree.IF, children, line_start=t[2], line_end=end_line)
-        self.b.span_from_children(node)
-        return node
+        return self.b.add(astree.IF, children, line_start=t[2], line_end=end_line)
 
     def _parse_foreach(self, t: Token) -> int:
         self.expect_op("(")
@@ -620,9 +622,7 @@ class _Parser:
         self.expect_op(")")
         body, end_line = self._parse_block("endforeach")
         children = [iterable] + ([key] if key is not None else []) + [value, body]
-        node = self.b.add(astree.FOREACH, children, line_start=t[2], line_end=end_line)
-        self.b.span_from_children(node)
-        return node
+        return self.b.add(astree.FOREACH, children, line_start=t[2], line_end=end_line)
 
     def _parse_for(self, t: Token) -> int:
         self.expect_op("(")
@@ -638,9 +638,7 @@ class _Parser:
         self.expect_op(")")
         body, end_line = self._parse_block("endfor")
         children.append(body)
-        node = self.b.add(astree.other("for"), children, line_start=t[2], line_end=end_line)
-        self.b.span_from_children(node)
-        return node
+        return self.b.add(astree.other("for"), children, line_start=t[2], line_end=end_line)
 
     def _parse_block(self, alt_end: str | None,
                      alt_closers: tuple[str, ...] = ()) -> tuple[int, int]:
@@ -669,7 +667,6 @@ class _Parser:
                     end_line = self.next()[3]
             sl = self.b.add(astree.STMT_LIST, stmts,
                             line_start=open_tok[2], line_end=end_line)
-            self.b.span_from_children(sl)
             return sl, end_line
         if self.at_op(";"):
             semi = self.next()
@@ -677,8 +674,7 @@ class _Parser:
                             line_start=semi[2], line_end=semi[3])
             return sl, semi[3]
         stmt = self.parse_statement()
-        sl = self.b.add(astree.STMT_LIST, [stmt], line_start=self.b._nodes[stmt].line_start)
-        self.b.span_from_children(sl)
+        sl = self.b.add(astree.STMT_LIST, [stmt])
         return sl, self.b._nodes[sl].line_end
 
     def _parse_function(self, t: Token, tag: str) -> int:
@@ -750,8 +746,7 @@ class _Parser:
                     self.next()
                 continue
             self.next()  # unknown member token, skip
-        node = self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
-        return node
+        return self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
 
     def _skip_balanced(self, opener: str) -> int:
         """Skip the '(' or '{' that must be the next token, and its match;
@@ -856,8 +851,7 @@ class _Parser:
                 children.append(self.parse_expr(rhs_prec))
             else:
                 children = (left, self.parse_expr(rhs_prec))
-            left = b.add(kind, children, line_start=b._nodes[left].line_start)
-            b.span_from_children(left)
+            left = b.add(kind, children)
             t = toks[self.pos]
 
     def _parse_unary(self, t: Token) -> int:
@@ -867,9 +861,7 @@ class _Parser:
             if t[1] in _UNARY:
                 self.pos += 1
                 operand = self.parse_expr(_PREFIX_PREC)
-                node = self.b.add("UnaryOp:" + t[1], (operand,), line_start=t[2])
-                self.b.span_from_children(node)
-                return node
+                return self.b.add("UnaryOp:" + t[1], (operand,), line_start=t[2])
             if t[1] == "@" or t[1] == "&":
                 self.pos += 1  # error-suppression and references are transparent
                 return self.parse_expr(_PREFIX_PREC)
@@ -879,18 +871,13 @@ class _Parser:
                         and after[0] == "op" and after[1] == ")"):
                     self.pos += 3
                     operand = self.parse_expr(_PREFIX_PREC)
-                    node = self.b.add("Cast:" + nxt[1].lower(), (operand,),
-                                      line_start=t[2])
-                    self.b.span_from_children(node)
-                    return node
+                    return self.b.add("Cast:" + nxt[1].lower(), (operand,), line_start=t[2])
         elif t[0] == "ident":
             word = t[1].lower()
             if word == "new" or word == "clone" or word == "print":
                 self.pos += 1
                 operand = self.parse_expr(_WORD_PREC if word == "print" else _PREFIX_PREC)
-                node = self.b.add(astree.other(word), (operand,), line_start=t[2])
-                self.b.span_from_children(node)
-                return node
+                return self.b.add(astree.other(word), (operand,), line_start=t[2])
         return self._parse_primary(t)
 
     def _parse_postfix(self, node: int) -> int:
@@ -901,12 +888,11 @@ class _Parser:
             t = toks[self.pos]
             if t[0] != "op" or t[1] not in _POSTFIX:
                 return node
-            base = nodes[node]
             if t[1] == "(":
                 args = self._parse_arglist()
-                kind = astree.CALL if base.kind in (astree.NAME, astree.VAR) \
+                kind = astree.CALL if nodes[node].kind in (astree.NAME, astree.VAR) \
                     else astree.other("call")
-                node = self.b.add(kind, (node, args), line_start=base.line_start)
+                node = self.b.add(kind, (node, args))
             elif t[1] == "[":
                 self.pos += 1
                 if self.at_op("]"):
@@ -916,8 +902,7 @@ class _Parser:
                 else:
                     idx = self.parse_expr()
                     close = self.expect_op("]")
-                node = self.b.add(astree.ARRAY_DIM, (node, idx),
-                                  line_start=base.line_start, line_end=close[3])
+                node = self.b.add(astree.ARRAY_DIM, (node, idx), line_end=close[3])
             elif t[1] == "->" or t[1] == "::":
                 self.pos += 1
                 member_tok = toks[self.pos]
@@ -936,13 +921,10 @@ class _Parser:
                 else:
                     raise ParseError("expected member name after %r" % t[1], t[2])
                 tag = "prop" if t[1] == "->" else "static_prop"
-                node = self.b.add(astree.other(tag), (node, member),
-                                  line_start=base.line_start)
+                node = self.b.add(astree.other(tag), (node, member))
             else:  # postfix ++ / --
                 self.pos += 1
-                node = self.b.add("UnaryOp:post" + t[1], (node,),
-                                  line_start=base.line_start, line_end=t[3])
-            self.b.span_from_children(node)
+                node = self.b.add("UnaryOp:post" + t[1], (node,), line_end=t[3])
 
     def _parse_arglist(self) -> int:
         """The argument list whose '(' is the next token."""
@@ -957,7 +939,6 @@ class _Parser:
                     self.pos += 1
                     inner = self.parse_expr()
                     arg = self.b.add(astree.other("spread"), [inner], line_start=t[2])
-                    self.b.span_from_children(arg)
                 else:
                     arg = self.parse_expr()
                     t = toks[self.pos]
@@ -973,9 +954,7 @@ class _Parser:
                     continue
                 break
         close = self.expect_op(")")
-        node = self.b.add(astree.ARG_LIST, args,
-                          line_start=open_tok[2], line_end=close[3])
-        return node
+        return self.b.add(astree.ARG_LIST, args, line_start=open_tok[2], line_end=close[3])
 
     def _parse_primary(self, t: Token) -> int:
         """The primary that starts at token t, not a leaf: a string with
@@ -1002,9 +981,7 @@ class _Parser:
                 self._skip_balanced("(")
                 self.expect_op("=>")
                 body = self.parse_expr()
-                node = self.b.add(astree.other("closure"), [body], line_start=t[2])
-                self.b.span_from_children(node)
-                return node
+                return self.b.add(astree.other("closure"), [body], line_start=t[2])
             symbol = t[1]
         elif tt == "op":
             if t[1] == "(":
@@ -1023,9 +1000,7 @@ class _Parser:
                     return self.b.add(astree.other("varvar"), [inner],
                                       line_start=t[2], line_end=close[3])
                 inner = self.parse_expr(_PRIMARY_PREC)
-                node = self.b.add(astree.other("varvar"), [inner], line_start=t[2])
-                self.b.span_from_children(node)
-                return node
+                return self.b.add(astree.other("varvar"), [inner], line_start=t[2])
             if t[1] == "\\" and self.toks[self.pos + 1][0] == "ident":
                 symbol = ""  # a fully qualified name: the loop below takes "\\name"
         if symbol is None:
@@ -1057,18 +1032,13 @@ class _Parser:
             if t[0] == "op" and t[1] == ",":
                 self.pos += 1
         self.pos += 1
-        node = self.b.add(astree.other("array"), items,
-                          line_start=open_tok[2], line_end=t[3])
-        return node
+        return self.b.add(astree.other("array"), items, line_start=open_tok[2], line_end=t[3])
 
     def _kv(self, key: int) -> int:
         """The pair key => value, with '=>' the next token.  Callers parse
         the key themselves, so an item without '=>' costs no frame here."""
         self.next()
-        pair = self.b.add(astree.other("kv"), [key, self.parse_expr()],
-                          line_start=self.b._nodes[key].line_start)
-        self.b.span_from_children(pair)
-        return pair
+        return self.b.add(astree.other("kv"), [key, self.parse_expr()])
 
 
 # ---------------------------------------------------------------------------
@@ -1080,17 +1050,17 @@ class _Parser:
 # - an escape pair, which stays in the literal text;
 # - "{" and a _GROUP that starts with "$", an expression hole;
 # - "$" and a _GROUP, a ${name} hole;
-# - a simple hole: $name, the name the first group, then either a [key] or
-#   ->prop, the prop the fourth group.  A key is $... (second group), or a
-#   digit or "-" and any text, identifier characters, or a quoted text (third
-#   group); a key ends at the first "]".
+# - a simple hole: $name, the name the first group, then maybe ->prop, the
+#   prop the second group.  _build_interpolated reads a [key] after it.
 # The names are _IDENT, so the possessive quantifiers keep a name whole when
-# no [key] or ->prop follows it.
+# no ->prop follows it.
 _HOLE = re.compile(
-    r"\\.|(?=\{\$)%(group)s|\$(?:%(group)s|(%(ident)s)(?:\[(?:(\$[^\]]*+)"
-    r"|([-%(d)s][^\]]*+|%(c)s++|'[^\]]*'|\"[^\]]*\"))\]|->(%(ident)s))?)"
-    % {"ident": _IDENT, "c": _IDENT_CHAR, "d": _DIGIT, "group": _GROUP},
-    re.DOTALL)
+    r"\\.|(?=\{\$)%(group)s|\$(?:%(group)s|(%(ident)s)(?:->(%(ident)s))?)"
+    % {"ident": _IDENT, "group": _GROUP}, re.DOTALL)
+# A [key] matched with its "]" as endpos: "$" (the first group) or a digit or
+# "-", then any text; identifier characters up to the "]"; or a quote (the
+# second group), which the caller checks also ends the key.
+_KEY = re.compile(r"(\$)|[-%s]|%s++\Z|(['\"])" % (_DIGIT, _IDENT_CHAR))
 
 
 def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
@@ -1100,6 +1070,7 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
     raw = tok[1]
     parts: list[int] = []
     lit = pos = 0  # the pending literal text starts at lit
+    close = -1  # the first "]" at or after pos, or len(raw) if there is none
     lit_line = tok[2] + 1 if tok[4] else tok[2]
     add = b.add
     while m := _HOLE.search(raw, pos):
@@ -1118,16 +1089,22 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
             parts.append(add(astree.VAR, symbol="$" + inner, line_start=line,
                              line_end=line + inner.count("\n")))
         else:
-            name, var_key, key, prop = m.groups()
+            name, prop = m.groups()
             node = add(astree.VAR, symbol="$" + name, line_start=line)
             if prop is not None:
                 node = add(astree.other("prop"), [node, add(astree.NAME, symbol=prop,
-                                                            line_start=line)], line_start=line)
-            elif var_key is not None or key is not None:
-                idx = (add(astree.VAR, symbol=var_key, line_start=line) if key is None else
-                       add(astree.LITERAL, value=key[1:-1] if key[0] in "'\"" else key,
-                           line_start=line))
-                node = add(astree.ARRAY_DIM, [node, idx], line_start=line)
+                                                            line_start=line)])
+            elif raw.startswith("[", pos):
+                if close < pos:  # so each "]" is searched for once per string
+                    close = raw.find("]", pos) % (len(raw) + 1)  # -1 becomes len(raw)
+                if close < len(raw) and (k := _KEY.match(raw, pos + 1, close)) and (
+                        k.lastindex != 2 or close > pos + 2 and raw[close - 1] == k[2]):
+                    key = raw[pos + 1:close]
+                    idx = (add(astree.VAR, symbol=key, line_start=line) if k.lastindex == 1
+                           else add(astree.LITERAL, value=key[1:-1] if k.lastindex else key,
+                                    line_start=line))
+                    node = add(astree.ARRAY_DIM, [node, idx])
+                    pos = close + 1
             parts.append(node)
         lit, lit_line = pos, line + raw.count("\n", start, pos)
     if not parts:

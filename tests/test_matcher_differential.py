@@ -380,8 +380,8 @@ def test_hostile_strings_match_exactly_and_never_reach_the_source(kind):
 
 def test_matchers_are_cached_per_variant_and_not_pickled():
     p = program_for(random_snippet(random.Random(3)), "preserve")
-    assert p.matcher() is p.matcher(False)
-    assert p.matcher(True) is not p.matcher()
+    assert p.compiled() is p.compiled(False)
+    assert p.compiled(True) is not p.compiled()
     assert len(p._matchers) == 2
     again = pickle.loads(pickle.dumps(p))
     assert again == p and again._matchers == {} and len(p._matchers) == 2

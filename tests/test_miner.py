@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import gc
 import json
@@ -30,7 +31,7 @@ from analogue.miner import (MinerOptions, RepoScanResult, ScanStats,
                             SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
                             discover_files, mine_repositories,
                             scan_repository, write_mining_outputs)
-from analogue.engine import match_to_record
+from analogue.engine import ScanOptions, match_to_record
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
 
@@ -615,6 +616,22 @@ def test_no_more_workers_than_repositories(monkeypatch, many_repos):
     results = mine_repositories(repos[:3], programs, jobs=8)
     assert started == [3]
     assert [r.repo_id for r in results] == [p.name for p in repos[:3]]
+
+
+@pytest.mark.parametrize("exact_arity", [False, True])
+def test_scan_plans_are_built_before_the_pool_starts(monkeypatch, many_repos, exact_arity):
+    repos, programs = many_repos
+    programs = [dataclasses.replace(p) for p in programs]  # no plan built yet
+    built = []
+
+    def recording(**kwargs):
+        built.append([exact_arity in p._matchers for p in programs])
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", recording)
+    opts = MinerOptions(scan=ScanOptions(exact_arity=exact_arity))
+    mine_repositories(repos[:4], programs, jobs=2, opts=opts)
+    assert built == [[True] * len(programs)]
 
 
 def fork_workers(monkeypatch):

@@ -111,6 +111,19 @@ def test_depths_root_is_zero_and_literals_sit_deep(tutorial_books):
     assert lits and all(depth(lit) - depth(stmt.id) >= 4 for lit in lits)
 
 
+def test_tree_builder_widens_a_node_to_its_children():
+    b = TreeBuilder()
+    leaf = b.add(astree.VAR, symbol="$a", line_start=3, line_end=4)
+    later = b.add(astree.LITERAL, value="1", line_start=7, line_end=9)
+    assert (b._nodes[leaf].line_start, b._nodes[leaf].line_end) == (3, 4)
+    outside = b.add(astree.ASSIGN, [leaf, later], line_start=5, line_end=6)
+    assert (b._nodes[outside].line_start, b._nodes[outside].line_end) == (3, 9)
+    composite = b.add(astree.ARRAY_DIM, [later], line_end=8)
+    assert (b._nodes[composite].line_start, b._nodes[composite].line_end) == (7, 9)
+    owned = b.add(astree.STMT_LIST, [leaf], line_start=2, line_end=5)
+    assert (b._nodes[owned].line_start, b._nodes[owned].line_end) == (2, 5)
+
+
 def _random_tree_unit(rng: random.Random, n_nodes: int):
     b = TreeBuilder()
     root = b.add(astree.STMT_LIST, line_start=1, line_end=1)
@@ -263,13 +276,19 @@ def test_malformed_block_heads_parse_in_linear_time(line):
 
 # Each of these strings parses in time linear in its length.  A reader that
 # searched from each "{$" or "${" to the string's end for its "}" took 70.8 s
-# on the first and minutes on the second.
+# on the first and minutes on the second; one that searched from each "$a["
+# for its "]" took 5.6 s on the first of the [key] strings.
 @pytest.mark.parametrize("text", [
     pytest.param('$x = "%s";' % ("{$a " * 16000), id="one string of {$a holes"),
     pytest.param('$x = "%s";' % ("${a " * 16000), id="one string of ${a holes"),
     pytest.param('$x = "{$a";\n' * 16000, id="one {$a string per line"),
     pytest.param('$x = "{$a"; ' * 16000, id="{$a strings on one line"),
     pytest.param("$x = '{$a \"'; $y = \"{$b\"; " * 16000, id="quotes after {$ on one line"),
+    pytest.param('$x = "%s";' % ("$a['k " * 16000), id="one string of unclosed 'k keys"),
+    pytest.param('$x = "%s";' % ("$a[-k " * 16000), id="one string of unclosed -k keys"),
+    pytest.param('$x = "%s";' % ("$a[$k " * 16000), id="one string of unclosed $k keys"),
+    pytest.param('$x = "%s";' % ("{$a['k\n" * 16000), id="one string of {$a['k lines"),
+    pytest.param('$x = "%s]";' % ("$a['k " * 16000), id="'k keys that one ] ends"),
 ])
 def test_unclosed_string_holes_parse_in_linear_time(text):
     t0 = time.perf_counter()
