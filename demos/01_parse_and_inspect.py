@@ -2,7 +2,7 @@
 # Parse a PHP snippet into a normalized AST, walk it, and round-trip it
 # through the newline-delimited interchange format.
 
-from analogue import export_ast, import_ast, parse_source, structurally_equal
+from analogue import export_ast, import_ast, parse_source
 
 SOURCE = """<?php
 $title = $_POST['title'];
@@ -21,7 +21,7 @@ print("parsed %d nodes, max depth %d\n" % (unit.node_count,
 
 
 def show(node_id, indent=0):
-    n = unit.node(node_id)
+    n = unit.nodes[node_id]
     label = n.kind
     if n.symbol:
         label += " %s" % n.symbol
@@ -41,5 +41,7 @@ print("\nfirst interchange records:")
 for line in stream.splitlines()[:4]:
     print(" ", line)
 
+# Units are dataclasses, and the round trip keeps node ids, so == compares
+# every node: kind, symbol, value, children and line span.
 again = import_ast(stream)
-print("\nround-trip structurally identical:", structurally_equal(unit, again))
+print("\nround-trip identical:", unit == again)

@@ -4,10 +4,16 @@ Node kinds are plain strings.  The canonical kinds below cover the parsed
 subset; ``BinOp`` kinds carry their operator as ``BinOp:<op>`` and any other
 string (``Other:foo``, or an unknown kind from an imported stream) acts as an
 opaque tag that only ever participates in exact kind equality.
+
+Trees compare with ``==``: a SourceUnit and its AstNodes are dataclasses,
+so two units are equal when their paths, roots and node tables are, node
+ids and line spans included.  ``preorder`` is the one document-order walk,
+for units and templates alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 STMT_LIST = "StmtList"
 ASSIGN = "Assign"
@@ -74,6 +80,18 @@ class AstNode:
     line_end: int = 1
 
 
+def preorder(nodes: dict, roots) -> Iterator:
+    """Yield the nodes under each root in turn, in document order: a node
+    before its children, children left to right.  `nodes` maps an id to a
+    node with a tuple of child ids.  The walk keeps an explicit stack, so
+    depth is not limited by the recursion limit."""
+    stack = list(reversed(roots))
+    while stack:
+        n = nodes[stack.pop()]
+        yield n
+        stack.extend(reversed(n.children))
+
+
 # One scan position: (stmt_list_id, stmt_list_depth, start, sibling_count).
 Anchor = tuple[int, int, int, int]
 
@@ -120,26 +138,12 @@ class SourceUnit:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> AstNode:
-        return self.nodes[node_id]
-
     def children_of(self, n: AstNode) -> list[AstNode]:
         return [self.nodes[c] for c in n.children]
 
-    def parent_map(self) -> dict[int, int]:
-        parents: dict[int, int] = {}
-        for n in self.nodes.values():
-            for c in n.children:
-                parents[c] = n.id
-        return parents
-
-    def iter_preorder(self):
+    def iter_preorder(self) -> Iterator[AstNode]:
         """Yield nodes in document order (root first, children left to right)."""
-        stack = [self.root]
-        while stack:
-            n = self.nodes[stack.pop()]
-            yield n
-            stack.extend(reversed(n.children))
+        return preorder(self.nodes, (self.root,))
 
     def stmt_lists(self) -> list[AstNode]:
         return [n for n in self.iter_preorder() if n.kind == STMT_LIST]
@@ -252,27 +256,6 @@ def validate_unit(unit: SourceUnit) -> None:
             if n.symbol is not None or n.value is not None:
                 raise InvariantError("node %d (%s) carries symbol/value"
                                      % (node_id, n.kind), node_id)
-
-
-def structurally_equal(a: SourceUnit, b: SourceUnit, include_lines: bool = True) -> bool:
-    """Node-for-node tree equality: kind, symbol, value, child order (ids may differ).
-
-    Both units must be trees, as validate_unit checks.  Node pairs are
-    compared in pre-order, with an explicit stack, so depth is not limited
-    by the recursion limit.
-    """
-    stack = [(a.root, b.root)]
-    while stack:
-        ia, ib = stack.pop()
-        na, nb = a.nodes[ia], b.nodes[ib]
-        if (na.kind, na.symbol, na.value) != (nb.kind, nb.symbol, nb.value):
-            return False
-        if include_lines and (na.line_start, na.line_end) != (nb.line_start, nb.line_end):
-            return False
-        if len(na.children) != len(nb.children):
-            return False
-        stack.extend(zip(reversed(na.children), reversed(nb.children)))
-    return True
 
 
 class TreeBuilder:

@@ -19,7 +19,8 @@ from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
-from .engine import ScanOptions, attach_excerpt, match_to_record, scan_unit
+from .engine import (ScanOptions, attach_excerpt, match_to_record, scan_unit,
+                     source_lines)
 from .miner import (RECORD_ENCODER, SKIP_TOO_DEEP, MinerOptions, RepoScanResult,
                     mine_repositories, parse_file, write_mining_outputs)
 from .php_parser import LexError, ParseError
@@ -165,8 +166,9 @@ def cmd_scan(args) -> int:
     out_lines = []
     for f in args.files:
         unit, text = _parse_php(f)
+        lines = source_lines(text)  # once per file, for all of its excerpts
         for m in scan_unit(program, unit, opts)[0]:
-            attach_excerpt(m, text)
+            attach_excerpt(m, lines)
             out_lines.append(RECORD_ENCODER.encode(match_to_record(m)) + "\n")
     _write_out("".join(out_lines), args.out)
     return 0
@@ -175,9 +177,13 @@ def cmd_scan(args) -> int:
 def _mine(repos: list[str], programs: list[MatcherProgram],
           args) -> tuple[list[RepoScanResult], dict[str, Path]]:
     """Mine the repositories into args.out, name the failed ones on stderr,
-    and return the results and the paths of the written files."""
-    results = mine_repositories(repos, programs, jobs=args.jobs,
-                                opts=MinerOptions(scan=_scan_options(args)))
+    and return the results and the paths of the written files.  Two
+    repositories with one id are an error."""
+    try:
+        results = mine_repositories(repos, programs, jobs=args.jobs,
+                                    opts=MinerOptions(scan=_scan_options(args)))
+    except ValueError as e:
+        raise CliError(str(e))
     paths = write_mining_outputs(results, args.out)
     failed = [r.repo_id for r in results if r.error]
     if failed:
@@ -186,8 +192,8 @@ def _mine(repos: list[str], programs: list[MatcherProgram],
 
 
 def cmd_mine(args) -> int:
-    repo_list = [ln.strip() for ln in _read(args.repos).splitlines()
-                 if ln.strip() and not ln.startswith("#")]
+    repo_list = [ln for ln in map(str.strip, _read(args.repos).splitlines())
+                 if ln and not ln.startswith("#")]
     results, paths = _mine(repo_list, load_query_dir(Path(args.queries)), args)
     total = sum(len(r.matches) for r in results)
     print("scanned %d repositories, %d matches -> %s"

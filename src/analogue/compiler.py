@@ -136,7 +136,7 @@ class MatcherProgram:
         key = bool(exact_arity)
         c = self._matchers.get(key)
         if c is None:
-            source, consts, tests = _generate(self, key)
+            source, consts, tests = matcher_source(self, key)
             steps = self.steps
             first = steps[0].kind if steps and steps[0].op == KIND else None
             c = self._matchers[key] = Compiled(
@@ -292,8 +292,9 @@ def export_traversal_script(p: MatcherProgram) -> str:
 # Generated matchers
 # ---------------------------------------------------------------------------
 
-def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, tuple]:
-    """The Python source of the program's matcher, and the constants it takes.
+def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, tuple, tuple]:
+    """The Python source of the program's matcher, the constants it takes,
+    and the program's shape tests, from one walk of the steps.
 
     The source defines make(c0, c1, ...), which returns
     match(nodes, stmts, start): the program tried on the statements from
@@ -309,27 +310,6 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     arities, class ids and child indices are passed in as the constants c<i>,
     each distinct value once; the text holds only fixed fragments, numbered
     locals and comparison counts.
-    """
-    return _generate(p, exact_arity)[:2]
-
-
-def shape_verdict(tests: tuple[ShapeTest, ...], kind: str,
-                  child_kinds: tuple[str, ...]) -> int:
-    """What the shape tests decide about any statement of this shape: the
-    matcher's return value when one of them fails, else UNDECIDED."""
-    for child, want, arity, fails_at in tests:
-        if child < 0:
-            if kind != want or (arity is not None and len(child_kinds) != arity):
-                return fails_at
-        elif child >= len(child_kinds) or (want is not None
-                                           and child_kinds[child] != want):
-            return fails_at
-    return UNDECIDED
-
-
-def _generate(p: MatcherProgram, exact_arity: bool) -> tuple[str, tuple, tuple]:
-    """matcher_source's source and constants, and the program's shape tests,
-    from one walk of the steps.
 
     The shape tests are the leading tests of the first statement that read
     only its shape, each with the count the matcher returns when it fails.
@@ -424,6 +404,20 @@ def _generate(p: MatcherProgram, exact_arity: bool) -> tuple[str, tuple, tuple]:
               "    return match\n" % (", ".join("c%d" % k for k in range(len(consts))),
                                        "\n".join("        " + ln for ln in code)))
     return source, tuple(consts), tuple(tests)
+
+
+def shape_verdict(tests: tuple[ShapeTest, ...], kind: str,
+                  child_kinds: tuple[str, ...]) -> int:
+    """What the shape tests decide about any statement of this shape: the
+    matcher's return value when one of them fails, else UNDECIDED."""
+    for child, want, arity, fails_at in tests:
+        if child < 0:
+            if kind != want or (arity is not None and len(child_kinds) != arity):
+                return fails_at
+        elif child >= len(child_kinds) or (want is not None
+                                           and child_kinds[child] != want):
+            return fails_at
+    return UNDECIDED
 
 
 def _build(source: str, consts: tuple):

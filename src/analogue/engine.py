@@ -32,6 +32,9 @@ two cached lookups: the program's scan plan for the option's exact_arity
 shape tests, verdict table and comparison steps, in one tuple), and the
 unit's anchors for the plan's key.  A unit with no such anchor returns at
 once.
+
+attach_excerpt takes a file's source_lines, which the caller splits once
+for all of the file's matches.
 """
 from __future__ import annotations
 
@@ -46,6 +49,8 @@ MAX_SHAPES = 4096
 MAX_SHAPE_CHILDREN = 16
 # The shape id of a statement the table cannot hold.
 NO_SHAPE = -1
+# The most source lines a match's excerpt holds.
+EXCERPT_LINES = 10
 
 _shape_ids: dict[tuple[str, tuple[str, ...]], int] = {}
 _shapes: list[tuple[str, tuple[str, ...]]] = []    # by shape id
@@ -240,16 +245,15 @@ def source_lines(text: str) -> list[str]:
     return lines
 
 
-def attach_excerpt(m: Match, source: str | list[str], max_lines: int = 10) -> Match:
-    """Fill the excerpt with up to max_lines source lines from the match span.
+def attach_excerpt(m: Match, lines: list[str]) -> Match:
+    """Fill the excerpt with up to EXCERPT_LINES lines of the match span.
 
-    source is the unit's text, or its source_lines when one text gets many
-    excerpts.  Lines are numbered as the lexer numbers them, and each loses
-    one trailing carriage return, so a CRLF file gives the same excerpt as
-    its LF copy.
+    lines is the file's source_lines, split once for all of its matches.
+    Lines are numbered as the lexer numbers them, and each loses one
+    trailing carriage return, so a CRLF file gives the same excerpt as its
+    LF copy.
     """
-    lines = source_lines(source) if isinstance(source, str) else source
     lo = max(m.line_start - 1, 0)
     m.excerpt = "\n".join(ln[:-1] if ln.endswith("\r") else ln
-                          for ln in lines[lo:min(m.line_end, lo + max_lines)])
+                          for ln in lines[lo:min(m.line_end, lo + EXCERPT_LINES)])
     return m

@@ -102,12 +102,19 @@ class ScanStats:
 @dataclass
 class RepoScanResult:
     repo_id: str
-    path: str
     files_scanned: int = 0
     files_skipped: list[SkippedFile] = field(default_factory=list)
     matches: list[Match] = field(default_factory=list)
     stats: list[ScanStats] = field(default_factory=list)
     error: str | None = None
+
+
+def repo_id_of(path: str | Path) -> str:
+    """A repository's id: the name of the directory that path names, made
+    absolute first, so "." is named after the working directory; symbolic
+    links are not resolved.  Output records name the repository by it, and
+    its files as <id>/<relative path>."""
+    return os.path.basename(os.path.abspath(path))
 
 
 def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
@@ -184,8 +191,7 @@ def _load_unit(path: str, label: str,
 
 
 def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
-                    opts: MinerOptions | None = None,
-                    repo_id: str | None = None) -> RepoScanResult:
+                    opts: MinerOptions | None = None) -> RepoScanResult:
     """Parse one repository and run every program over it, one file at a time.
 
     Each file is read, parsed and scanned by every program before the next
@@ -196,8 +202,8 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     """
     opts = opts or MinerOptions()
     repo_path = Path(repo_path)
-    repo_id = repo_id or repo_path.name
-    result = RepoScanResult(repo_id=repo_id, path=str(repo_path))
+    repo_id = repo_id_of(repo_path)
+    result = RepoScanResult(repo_id=repo_id)
     if not repo_path.is_dir():
         result.error = "missing repository path"
         return result
@@ -262,8 +268,7 @@ def _scan_one(repo: str, programs: list[MatcherProgram],
     try:
         return scan_repository(repo, programs, opts)
     except Exception as e:
-        return RepoScanResult(repo_id=Path(repo).name, path=repo,
-                              error=_describe(e))
+        return RepoScanResult(repo_id=repo_id_of(repo), error=_describe(e))
     finally:
         if gc_was_on:
             gc.enable()
@@ -299,6 +304,10 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
     seconds since scanning began.  At jobs >= 2 results arrive a batch at a
     time, so the lines come in bursts and the seconds are those of the
     batch, not of the repository.
+
+    Two repositories with one id (repo_id_of), a path listed twice
+    included, are a ValueError naming both paths, since their records could
+    not be told apart.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -306,6 +315,13 @@ def mine_repositories(repos: list[str | Path], programs: list[MatcherProgram],
         raise ValueError("no programs to run")
     opts = opts or MinerOptions()
     paths = [str(r) for r in repos]
+    path_of: dict[str, str] = {}
+    for p in paths:
+        repo_id = repo_id_of(p)
+        if repo_id in path_of:
+            raise ValueError("%s and %s have the same repository id %r"
+                             % (path_of[repo_id], p, repo_id))
+        path_of[repo_id] = p
     if jobs == 1 or len(paths) <= 1:
         return _logged((_scan_one(p, programs, opts) for p in paths), len(paths))
     for program in programs:

@@ -5,6 +5,8 @@ echo, array indexing, superglobals, single/double-quoted strings with
 interpolation, concatenation, if/while/foreach, return and inline HTML.
 Anything else is represented as a tagged ``Other:*`` node with best-effort
 children, so files never need full-language support to be scannable.
+``parse_source`` takes text only: a file's bytes become text in one place,
+``miner.parse_file``.
 
 A token is a plain tuple ``(type, value, line, line_end, heredoc)``: type is
 one of html, var, ident, number, sq, dq, op and eof; line and line_end are
@@ -1119,15 +1121,13 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def parse_source(text: str | bytes, path: str = "<memory>") -> SourceUnit:
-    """Parse PHP source into a SourceUnit.
+def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
+    """Parse PHP source text into a SourceUnit; a leading BOM is dropped.
 
     Raises LexError / ParseError (both carry a line number) when the file
     cannot be tokenized or has unbalanced delimiters; callers scanning a
     corpus treat that as a skippable file.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
     if text.startswith("\ufeff"):
         text = text[1:]
     toks = tokenize(text)

@@ -34,6 +34,7 @@ VERY_POPULAR = "very-popular"     # 10+ stars
 
 DEFAULT_MAX_SIZE_KB = 3072        # strict: size must be < 3 MB
 DEFAULT_MIN_INTERVAL_S = 0.72     # 5000/hour spread evenly
+MAX_STALLS = 3                    # pages in a row without progress, then give up
 
 
 class AuthError(Exception):
@@ -249,12 +250,12 @@ def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
 def crawl(api_base: str, budget: RateBudget, *, token: str | None = None,
           session: requests.Session | None = None, clock=None,
           state_file: str | Path | None = None, per_page: int = 100,
-          max_repos: int | None = None, max_stalls: int = 3):
+          max_repos: int | None = None):
     """Yield RepoMeta records from the listing, resuming from state_file.
 
     The persisted cursor is a watermark of the highest repo id already
     emitted, so a resumed crawl never re-emits a repo and never skips one,
-    even when a previous run stopped mid-page.  Gives up after max_stalls
+    even when a previous run stopped mid-page.  Gives up after MAX_STALLS
     consecutive pages that made no progress.
     """
     cursor = (load_cursor(state_file) or 0) if state_file else 0
@@ -269,7 +270,7 @@ def crawl(api_base: str, budget: RateBudget, *, token: str | None = None,
                 return
             if not metas and next_cursor == cursor:
                 stalls += 1
-                if stalls >= max_stalls:
+                if stalls >= MAX_STALLS:
                     raise SpiderError("no progress after %d malformed pages" % stalls)
                 continue
             stalls = 0

@@ -104,13 +104,9 @@ class Template:
     seed_origin: SeedOrigin | None = None
 
     def iter_preorder(self, root: int | None = None) -> Iterator[TemplateNode]:
-        roots = [root] if root is not None else list(self.statements)
-        for r in roots:
-            stack = [r]
-            while stack:
-                n = self.nodes[stack.pop()]
-                yield n
-                stack.extend(reversed(n.children))
+        """Yield the nodes under `root`, or under each statement in turn, in
+        document order."""
+        return astree.preorder(self.nodes, self.statements if root is None else (root,))
 
     @cached_property
     def template_depth(self) -> int:
@@ -283,13 +279,13 @@ def deserialize_template(text: str) -> Template:
     return t
 
 
-def canonical_form(t: Template, include_origin: bool = False) -> str:
+def canonical_form(t: Template) -> str:
     """Deterministic serialization with walk-order ids; the query-id input.
 
     It holds the symbol policy, the statements and the nodes, each variable
     with its class id, so templates that fix the same data flow hash alike.
-    Origin is excluded by default so identical seeds from different files
-    hash alike.
+    The origin is left out, so identical seeds from different files hash
+    alike.
     """
     remap: dict[int, int] = {}
     order: list[TemplateNode] = []
@@ -302,18 +298,9 @@ def canonical_form(t: Template, include_origin: bool = False) -> str:
         "nodes": [[remap[n.id], n.kind, [remap[c] for c in n.children],
                    _role_to_json(n.leaf_role)] for n in order],
     }
-    if include_origin and t.seed_origin is not None:
-        payload["origin"] = [t.seed_origin.path, t.seed_origin.line_start,
-                             t.seed_origin.line_end]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def query_id_of(t: Template) -> str:
     """Stable content hash of the template (16 hex chars)."""
     return hashlib.sha256(canonical_form(t).encode("utf-8")).hexdigest()[:16]
-
-
-def templates_equal(a: Template, b: Template) -> bool:
-    if (a.seed_origin is None) != (b.seed_origin is None):
-        return False
-    return canonical_form(a, include_origin=True) == canonical_form(b, include_origin=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from analogue import cli
+from analogue import cli, engine
 from analogue.cli import build_parser, main
 from analogue.mock_api import MockHub
 from analogue.spider import SystemClock
@@ -741,3 +741,87 @@ def test_every_readme_cli_example_parses():
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert args.func is not None, line
+
+
+def _books_query(capsys, queries: Path) -> None:
+    queries.mkdir()
+    assert run(capsys, "derive", str(FIXTURES / "tutorial_books.php"), "--lines", "5:6",
+               "-o", str(queries / "sqli.tmpl.jsonl"))[0] == 0
+
+
+@pytest.mark.parametrize("listed", [["a/proj", "b/proj"], ["a/proj", "a/proj"],
+                                    ["a/proj", "./a/proj/"]])
+def test_two_repositories_with_one_id_are_an_error(tmp_path, capsys, monkeypatch,
+                                                   listed):
+    """Two repositories with one id would write records that cannot be told
+    apart, so mine refuses them as it refuses two files with one query."""
+    monkeypatch.chdir(tmp_path)
+    for rel in ("a/proj", "b/proj"):
+        (tmp_path / rel).mkdir(parents=True)
+        shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / rel / "x.php")
+    _books_query(capsys, tmp_path / "queries")
+    (tmp_path / "repos.txt").write_text("\n".join(listed) + "\n")
+    code, out, err = run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+                         "--out", "out")
+    assert (code, out) == (1, "")
+    assert err == "error: %s and %s have the same repository id 'proj'\n" % tuple(listed)
+    assert not (tmp_path / "out").exists()
+
+
+def test_mine_skips_an_indented_comment_in_the_repository_list(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "repo").mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / "repo" / "index.php")
+    _books_query(capsys, tmp_path / "queries")
+    (tmp_path / "repos.txt").write_text("# corpus\n  # its one repository\n\n  repo  \n")
+    code, out, err = run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+                         "--out", "out")
+    assert (code, err) == (0, "")
+    assert out.startswith("scanned 1 repositories, 1 matches")
+
+
+def test_pipeline_over_the_working_directory_names_it(tmp_path, capsys, monkeypatch):
+    """`pipeline seed .` mines the working directory as one repository named
+    after it, so its records name the repository and the file."""
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", proj / "x.php")
+    monkeypatch.chdir(proj)
+    out_dir = tmp_path / "out"
+    assert run(capsys, "pipeline", "x.php", ".", "--lines", "5:6",
+               "--out", str(out_dir))[0] == 0
+    [match] = [json.loads(ln) for ln in (out_dir / "matches.jsonl").read_text().splitlines()]
+    assert match["file"] == "proj/x.php"
+    stats = [json.loads(ln) for ln in (out_dir / "stats.jsonl").read_text().splitlines()]
+    assert [s["repo"] for s in stats] == ["proj"]
+
+
+def test_scan_splits_each_file_once(tmp_path, capsys, monkeypatch):
+    """A file's text is split into lines once, for all of its excerpts."""
+    seed = tmp_path / "seed.php"
+    seed.write_text("<?php\necho $a;\n")
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", str(seed), "--full", "-o", str(tmpl))[0] == 0
+    files = []
+    for name, count in (("a.php", 300), ("b.php", 200)):
+        (tmp_path / name).write_text("<?php\n" + "echo $x;\n" * count)
+        files.append(str(tmp_path / name))
+    calls = []
+    split = engine.source_lines
+
+    def counted(text):
+        calls.append(len(text))
+        return split(text)
+
+    # patched in both modules, so a split made by either is counted
+    monkeypatch.setattr(engine, "source_lines", counted)
+    monkeypatch.setattr(cli, "source_lines", counted, raising=False)
+    code, out, _ = run(capsys, "scan", str(tmpl), *files)
+    assert code == 0
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert len(records) == 500
+    assert records[-1] == {"query": records[0]["query"], "file": files[1],
+                           "lines": [201, 201], "stmt_index": 199,
+                           "bindings": {"0": "$x"}, "excerpt": "echo $x;"}
+    assert len(calls) == len(files)

@@ -21,8 +21,7 @@ from analogue.php_parser import parse_source
 from analogue.template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin,
                                VarWildcard, derive_template,
                                deserialize_template, query_id_of,
-                               serialize_template, template_stats,
-                               templates_equal)
+                               serialize_template, template_stats)
 
 
 def compile_from(text: str, lines=None, **kw):
@@ -202,7 +201,7 @@ def test_a_20000_term_chain_round_trips_compiles_and_matches_itself_once():
     unit = parse_source(text)
     t = derive_template(unit, unit.children_of(unit.nodes[unit.root]))
     again = deserialize_template(serialize_template(t))
-    assert templates_equal(again, t)
+    assert again == t
     p = compile_template(again)
     assert deserialize_program(serialize_program(p)) == p
     assert (p.var_class_count, p.template_depth) == (8, 20000)

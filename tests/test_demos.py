@@ -39,6 +39,16 @@ def test_package_import_loads_no_test_support():
     assert not loaded & {"analogue.oracle", "analogue.corpusgen", "analogue.mock_api"}
 
 
+def test_export_list_names_each_name_once_in_order_and_each_resolves():
+    import analogue
+    names = analogue.__all__
+    assert names == sorted(set(names))
+    assert [n for n in names if not hasattr(analogue, n)] == []
+    namespace: dict = {}
+    exec("from analogue import *", namespace)
+    assert set(names) <= set(namespace)
+
+
 # Each step runs in a fresh interpreter; sys.argv[1:] is the seed, the
 # queries directory, the repository list and the output directory.
 FOOTPRINT_STEPS = {

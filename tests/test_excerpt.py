@@ -23,7 +23,7 @@ def program():
 def excerpts(text: str) -> list[tuple[int, int, str]]:
     out = []
     for m in scan_unit(program(), parse_source(text))[0]:
-        attach_excerpt(m, text)
+        attach_excerpt(m, source_lines(text))
         out.append((m.line_start, m.line_end, m.excerpt))
     return out
 
@@ -56,8 +56,7 @@ def test_source_lines_splits_at_newline_only():
 def test_split_lines_give_the_same_excerpt_as_the_text():
     text = "<?php\n/* \f */\n" + BODY
     for m in scan_unit(program(), parse_source(text))[0]:
-        assert attach_excerpt(m, source_lines(text)).excerpt == \
-            attach_excerpt(m, text).excerpt == WANT
+        assert attach_excerpt(m, source_lines(text)).excerpt == WANT
 
 
 @pytest.mark.parametrize("prefix", ["", "\ufeff"])

@@ -23,6 +23,7 @@ import pytest
 from analogue import astree
 from analogue.corpusgen import distinct_snippets, generate_test_corpus, scaled_file
 from analogue.interchange import export_ast
+from analogue.miner import parse_file
 from analogue.php_parser import LexError, ParseError, parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -172,8 +173,12 @@ def expression_soup(rng: random.Random, count: int) -> list[str]:
 
 
 def _outcome(text: str | bytes, path: str) -> str:
+    """The export of text's tree, or its error; bytes are read as `mine`
+    reads a file."""
     try:
-        return export_ast(parse_source(text, path=path))
+        unit = (parse_file(text, path)[0] if isinstance(text, bytes)
+                else parse_source(text, path=path))
+        return export_ast(unit)
     except (LexError, ParseError) as e:
         return "%s: %s\n" % (type(e).__name__, e)
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from analogue.astree import structurally_equal
 from analogue.corpusgen import plant_file, random_snippet
 from analogue.interchange import InterchangeError, export_ast, import_ast
 from analogue.php_parser import parse_source
@@ -28,7 +27,7 @@ def rec(node_id, kind, children=(), symbol=None, value=None, line=(1, 1)):
 def test_roundtrip_identity_on_fixtures(tutorial_books, tutorial_search, clone_units):
     for unit, _ in [tutorial_books, tutorial_search, *clone_units.values()]:
         again = import_ast(export_ast(unit))
-        assert structurally_equal(unit, again)
+        assert unit == again
         assert again.node_count == unit.node_count
         assert again.anchor_index() == unit.anchor_index()
 
@@ -38,17 +37,16 @@ def test_roundtrip_identity_on_random_corpus():
     for _ in range(20):
         text, _ = plant_file(random_snippet(rng), "verbatim", rng)
         unit = parse_source(text)
-        assert structurally_equal(unit, import_ast(export_ast(unit)))
+        assert unit == import_ast(export_ast(unit))
 
 
 def test_deep_chain_roundtrips_and_compares_equal():
     terms = ["$v%d" % i for i in range(5000)]
     unit = parse_source("<?php $x = " + " . ".join(terms) + ";")
     assert unit.anchor_index().max_depth > 5000
-    assert structurally_equal(unit, import_ast(export_ast(unit)))
+    assert unit == import_ast(export_ast(unit))
     terms[0] = "$w"
-    assert not structurally_equal(
-        unit, parse_source("<?php $x = " + " . ".join(terms) + ";"))
+    assert unit != parse_source("<?php $x = " + " . ".join(terms) + ";")
 
 
 def test_hand_built_statement_tree_reproduces_paths():
@@ -105,7 +103,7 @@ def test_unknown_kinds_survive_roundtrip_verbatim():
     assert unit.nodes[1].kind == "MethodCallExpression"
     again = import_ast(export_ast(unit))
     assert again.nodes[again.root].children
-    assert structurally_equal(unit, again)
+    assert unit == again
 
 
 @pytest.mark.parametrize("lines,expect_record", [

@@ -367,7 +367,7 @@ def test_hostile_strings_match_exactly_and_never_reach_the_source(kind):
         plain = hostile_program("Plain", "Plain" if name == kind else "Other")
         unit = hostile_unit(kind, name, near=kind + name + "x")
         for exact in (False, True):
-            source, consts = matcher_source(p, exact)
+            source, consts, _ = matcher_source(p, exact)
             assert source == matcher_source(plain, exact)[0]
             assert "import" not in source
             assert kind in consts and name in consts

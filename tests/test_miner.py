@@ -512,7 +512,7 @@ def test_stats_line_equals_json_dumps(repo, query, wall, counts):
               "units_skipped": units_skipped}
     with tempfile.TemporaryDirectory() as out:
         paths = write_mining_outputs(
-            [RepoScanResult(repo_id=repo, path=repo, stats=[stats])], out)
+            [RepoScanResult(repo_id=repo, stats=[stats])], out)
         line = paths["stats"].read_bytes()
     assert line == (json.dumps(record, sort_keys=True) + "\n").encode()
 
@@ -768,11 +768,11 @@ def test_collector_is_paused_for_each_scan_and_then_restored(tmp_path, monkeypat
                                                              was_on, raises):
     seen = []
 
-    def scan(repo, programs, opts=None, repo_id=None):
+    def scan(repo, programs, opts=None):
         seen.append(gc.isenabled())
         if raises:
             raise RuntimeError("scan failed")
-        return RepoScanResult(repo_id=Path(repo).name, path=str(repo))
+        return RepoScanResult(repo_id=Path(repo).name)
 
     monkeypatch.setattr(miner, "scan_repository", scan)
     programs = strict_programs()
@@ -790,7 +790,7 @@ def test_collector_is_paused_for_each_scan_and_then_restored(tmp_path, monkeypat
 def test_workers_scan_with_the_collector_paused(monkeypatch, many_repos):
     repos, programs = many_repos
 
-    def scan(repo, programs, opts=None, repo_id=None):
+    def scan(repo, programs, opts=None):
         raise RuntimeError("gc enabled: %s" % gc.isenabled())
 
     monkeypatch.setattr(miner, "scan_repository", scan)
@@ -815,3 +815,56 @@ def test_each_repository_is_logged_in_input_order(tmp_path, caplog, many_repos, 
             n, r.repo_id, " (error)" if r.error else "", found))
     assert [r.repo_id for r in results] == [p.name for p in repos]
     assert lines[-1].startswith("6/6 missing (error): ") and found > 0
+
+
+def test_a_repository_is_named_after_the_directory_its_path_names(tmp_path, monkeypatch):
+    """One rule names a repository: the last component of its absolute path,
+    symbolic links unresolved; so "." is the working directory's name."""
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (tmp_path / "link").symlink_to(proj)
+    monkeypatch.chdir(proj)
+    paths = [".", "./", str(proj), "../proj/", "..", tmp_path / "link", "../link"]
+    assert [miner.repo_id_of(p) for p in paths] == [
+        "proj", "proj", "proj", "proj", tmp_path.name, "link", "link"]
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_the_working_directory_is_a_named_repository(tmp_path, monkeypatch, raises):
+    """Scanning "." names the repository and its files after the working
+    directory, also when the scan raises and the result carries the error."""
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", proj / "index.php")
+    monkeypatch.chdir(proj)
+    if raises:
+        def scan(repo, programs, opts=None):
+            raise RuntimeError("scan failed")
+        monkeypatch.setattr(miner, "scan_repository", scan)
+    [r] = mine_repositories(["."], strict_programs())
+    assert r.repo_id == "proj"
+    assert {s.repo for s in r.stats} <= {"proj"}
+    assert [m.unit_path for m in r.matches] == ([] if raises else ["proj/index.php"] * 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("repos,first,second", [
+    (["a/proj", "c", "b/proj"], "a/proj", "b/proj"),
+    (["c", "a/proj", "a/proj"], "a/proj", "a/proj"),
+    (["a/proj", "b/../a/proj/"], "a/proj", "b/../a/proj/"),
+])
+def test_two_repositories_with_one_id_are_refused(tmp_path, monkeypatch, jobs,
+                                                  repos, first, second):
+    """Records name a repository by its id, so two repositories with one id,
+    one path listed twice included, are refused before any is scanned."""
+    for rel in ("a/proj", "b/proj", "c"):
+        (tmp_path / rel).mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    scanned = []
+    monkeypatch.setattr(miner, "scan_repository",
+                        lambda repo, programs, opts=None: scanned.append(repo))
+    with pytest.raises(ValueError) as exc:
+        mine_repositories(repos, strict_programs(), jobs=jobs)
+    assert str(exc.value) == "%s and %s have the same repository id 'proj'" % (
+        first, second)
+    assert scanned == []

@@ -15,6 +15,7 @@ from analogue.compiler import compile_template
 from analogue.corpusgen import filler_file, plant_file, random_snippet
 from analogue.engine import scan_unit
 from analogue.interchange import export_ast
+from analogue.miner import parse_file
 from analogue.php_parser import LexError, ParseError, _Parser, parse_source, tokenize
 from analogue.template import derive_template
 
@@ -90,7 +91,7 @@ def test_thousand_assignments_against_emission_log():
 
 def test_depths_root_is_zero_and_literals_sit_deep(tutorial_books):
     unit, _ = tutorial_books
-    parents = unit.parent_map()
+    parents = {c: n.id for n in unit.nodes.values() for c in n.children}
 
     def depth(node_id: int) -> int:
         d = 0
@@ -201,7 +202,7 @@ def test_parser_raises_only_its_own_errors_on_php_like_text(prefix, text):
 @given(st.binary(max_size=200))
 def test_parser_accepts_arbitrary_bytes(data):
     try:
-        parse_source(data)
+        parse_file(data, "<memory>")
     except (LexError, ParseError) as e:
         assert e.line >= 1
 

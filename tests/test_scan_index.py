@@ -25,7 +25,7 @@ from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 plant_file, random_filler, random_snippet,
                                 render_file, render_snippet, render_stmt)
 from analogue.engine import (ComparisonCounter, ScanOptions, attach_excerpt,
-                             match_at, match_to_record, scan_unit)
+                             match_at, match_to_record, scan_unit, source_lines)
 from analogue.interchange import import_ast
 from analogue.miner import (MinerOptions, discover_files, scan_repository,
                             write_mining_outputs)
@@ -122,11 +122,12 @@ def test_mining_with_prefilter_equals_scanning_every_unit(tmp_path):
         units = []
         for rel in discover_files(repo, opts):
             text = (repo / rel).read_text(encoding="utf-8")
-            units.append((parse_source(text, path="%s/%s" % (repo.name, rel)), text))
+            units.append((parse_source(text, path="%s/%s" % (repo.name, rel)),
+                          source_lines(text)))
         want = []
         for p in programs:
-            for unit, text in units:
-                want.extend(attach_excerpt(m, text) for m in scan_unit(p, unit)[0])
+            for unit, lines in units:
+                want.extend(attach_excerpt(m, lines) for m in scan_unit(p, unit)[0])
         assert ([match_to_record(m) for m in result.matches]
                 == [match_to_record(m) for m in want])
     assert skipped > 0

@@ -13,8 +13,7 @@ from analogue.template import (ApiSymbol, CallWildcard, EmptyInput,
                                LiteralWildcard, Template, TemplateFormatError,
                                VarWildcard, derive_template,
                                deserialize_template, query_id_of,
-                               serialize_template, template_stats,
-                               templates_equal)
+                               serialize_template, template_stats)
 
 
 def derive_from(text: str, lines=None, **kw) -> Template:
@@ -201,7 +200,7 @@ def test_serialization_roundtrip(tutorial_books):
     unit, _ = tutorial_books
     t = derive_template(unit, slice_statements(unit, 5, 6))
     again = deserialize_template(serialize_template(t))
-    assert templates_equal(t, again)
+    assert t == again
     assert query_id_of(t) == query_id_of(again)
     assert again.seed_origin == t.seed_origin
     assert again.template_depth == t.template_depth
@@ -212,7 +211,7 @@ def test_serialization_roundtrip_random():
     for _ in range(100):
         t = derive_from(render_file(render_snippet(random_snippet(rng))),
                         symbol_policy=rng.choice(("preserve", "wildcard")))
-        assert templates_equal(t, deserialize_template(serialize_template(t)))
+        assert t == deserialize_template(serialize_template(t))
 
 
 def _raw_json_lines(text: str) -> str:
@@ -228,7 +227,7 @@ def test_deserialize_reads_an_api_name_holding_a_line_separator():
     raw = _raw_json_lines(serialize_template(t))
     assert "f\u2028g" in raw
     again = deserialize_template(raw)
-    assert templates_equal(t, again)
+    assert t == again
     assert query_id_of(again) == query_id_of(t)
 
 
