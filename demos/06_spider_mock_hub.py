@@ -3,7 +3,6 @@
 # bucket by stars, filter by size/language, and download one archive.
 
 import tempfile
-from pathlib import Path
 
 from analogue import (RateBudget, classify, download_repo, enumerate_repos,
                       filter_candidates)
@@ -22,7 +21,7 @@ hub.add_repo(5, "erin/notes", stars=1, size_kb=80, language="Python")
 clock = FakeClock()
 budget = RateBudget(capacity=5000, window_s=3600.0, min_interval_s=0.72)
 
-with hub:
+with hub, tempfile.TemporaryDirectory(prefix="analogue-spider-") as dest:
     metas, cursor = enumerate_repos(hub.base_url, 0, budget, clock=clock)
     print("page of %d repos, next cursor %s, budget spent %d"
           % (len(metas), cursor, budget.spent))
@@ -35,7 +34,6 @@ with hub:
     kept = filter_candidates(metas, "php", max_size_kb=3072)
     print("\nkept after filters:", [m.full_name for m in kept])
 
-    dest = Path(tempfile.mkdtemp(prefix="analogue-spider-"))
     local = download_repo(kept[1], dest, budget=budget, clock=clock)
     print("downloaded %s -> %s" % (kept[1].full_name, local))
     print("working tree:", sorted(str(p.relative_to(local))

@@ -21,8 +21,8 @@ from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        serialize_program)
 from .engine import (ScanOptions, attach_excerpt, match_to_record, scan_unit,
                      source_lines)
-from .miner import (RECORD_ENCODER, SKIP_TOO_DEEP, MinerOptions, RepoScanResult,
-                    mine_repositories, parse_file, write_mining_outputs)
+from .miner import (SKIP_TOO_DEEP, MinerOptions, RepoScanResult, mine_repositories,
+                    parse_file, write_mining_outputs)
 from .php_parser import LexError, ParseError
 from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
                        derive_template, deserialize_template, serialize_template)
@@ -77,7 +77,7 @@ def _parse_lines(value: str) -> tuple[int, int]:
 def load_query(path: Path) -> MatcherProgram:
     """Load a query file: either a serialized program or a template
     (compiled on the fly)."""
-    text = path.read_text(encoding="utf-8")
+    text = _read(str(path))
     try:
         return deserialize_program(text)
     except ProgramFormatError as e:
@@ -169,7 +169,7 @@ def cmd_scan(args) -> int:
         lines = source_lines(text)  # once per file, for all of its excerpts
         for m in scan_unit(program, unit, opts)[0]:
             attach_excerpt(m, lines)
-            out_lines.append(RECORD_ENCODER.encode(match_to_record(m)) + "\n")
+            out_lines.append(jsonl.line(match_to_record(m)))
     _write_out("".join(out_lines), args.out)
     return 0
 
@@ -229,7 +229,7 @@ def cmd_spider(args) -> int:
                 except spider_mod.DownloadError as e:
                     log.warning("download failed for %s: %s", meta.full_name, e)
                     rec["download_error"] = str(e)
-            out_fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            out_fh.write(jsonl.line(rec))
             kept += 1
     print("spidered %d matching repositories" % kept, file=sys.stderr)
     return 0
@@ -269,8 +269,8 @@ def cmd_pipeline(args) -> int:
     t = _derive_seed(args.seed, args.lines, args.symbols)
     program = compile_template(t)
     repos = sorted(str(p) for p in corpus.iterdir() if p.is_dir()) or [str(corpus)]
-    results, _ = _mine(repos, [program], args)
-    records = [match_to_record(m) for r in results for m in r.matches]
+    _, paths = _mine(repos, [program], args)
+    records, _ = report_mod.load_match_records(_read(str(paths["matches"])))
     rows = report_mod.rows_from_records(
         records, {program.query_id: _origin_label(t.seed_origin)})
     report_text = report_mod.render_text(rows)

@@ -9,10 +9,11 @@ must still match.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import jsonl
 
 _WORDS = ("alpha", "bravo", "cargo", "delta", "entry", "flags", "gamma",
           "hotel", "index", "juror", "kiosk", "lemma", "motif", "north",
@@ -323,11 +324,11 @@ class CorpusLedger:
         return {(p.seed, p.file) for p in self.plants if p.expect_match}
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps({
+        return "".join(jsonl.line({
             "repo": p.repo, "file": p.file, "seed": p.seed,
             "mutation": p.mutation, "expect_match": p.expect_match,
             "line_start": p.line_start,
-        }, sort_keys=True) for p in self.plants) + "\n"
+        }) for p in self.plants)
 
 
 def plant_file(seed: Snippet, mutation: str, rng: random.Random,

@@ -77,30 +77,22 @@ class ComparisonCounter:
 
 @dataclass
 class Match:
+    """A run of statements a program matched; == compares every field."""
     unit_path: str
     query_id: str
     stmt_list_id: int
     start_index: int
-    statement_span: int
     bindings: dict[int, str]
     line_start: int
     line_end: int
     excerpt: str = ""
-
-    def key(self) -> tuple:
-        """Identity for differential comparison (excerpt excluded)."""
-        return (self.unit_path, self.query_id, self.stmt_list_id,
-                self.start_index, self.statement_span,
-                tuple(sorted(self.bindings.items())),
-                self.line_start, self.line_end)
 
 
 def _new_match(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
                start_index: int, bindings: dict[int, str]) -> Match:
     stmts = unit.nodes[stmt_list_id].children
     return Match(unit_path=unit.path, query_id=p.query_id,
-                 stmt_list_id=stmt_list_id, start_index=start_index,
-                 statement_span=p.statement_count, bindings=bindings,
+                 stmt_list_id=stmt_list_id, start_index=start_index, bindings=bindings,
                  line_start=unit.nodes[stmts[start_index]].line_start,
                  line_end=unit.nodes[stmts[start_index + p.statement_count - 1]].line_end)
 

@@ -4,10 +4,11 @@ Lets external full-language frontends feed the pipeline: one JSON record per
 node after a header record.  Unknown kind strings are kept verbatim and act
 as opaque tags during matching.
 
-import_ast reads the records with jsonl, the reader of every JSON-lines
-format, and checks each on its own: valid JSON, the node-record core it
-shares with tmpl-v2 (an int id that does not repeat, a str kind, a list of
-int children), a non-empty kind, two int lines and str symbol and value.
+export_ast writes the records and import_ast reads them with jsonl, the
+writer and reader of every JSON-lines format.  import_ast checks each
+record on its own: valid JSON, the node-record core it shares with tmpl-v2
+(an int id that does not repeat, a str kind, a list of int children), a
+non-empty kind, two int lines and str symbol and value.
 The header needs an int root, and its path, if present, must be a str.
 An int field never takes a bool.  Everything that concerns the tree as a
 whole (shape, reachability, line spans, symbol and value placement) is
@@ -15,8 +16,6 @@ astree.validate_unit's, and its verdict is reported as an InterchangeError
 on the record of the node it blames, or on the header for a missing root.
 """
 from __future__ import annotations
-
-import json
 
 from . import jsonl
 from .astree import AstNode, InvariantError, SourceUnit, validate_unit
@@ -31,8 +30,7 @@ class InterchangeError(jsonl.RecordError):
 def export_ast(unit: SourceUnit) -> str:
     """Serialize a SourceUnit to ast-v1 text (header record first, then nodes
     in document order)."""
-    lines = [json.dumps({"format": FORMAT, "path": unit.path, "root": unit.root},
-                        sort_keys=True)]
+    lines = [jsonl.line({"format": FORMAT, "path": unit.path, "root": unit.root})]
     for n in unit.iter_preorder():
         rec: dict = {"id": n.id, "kind": n.kind, "children": list(n.children),
                      "line": [n.line_start, n.line_end]}
@@ -40,8 +38,8 @@ def export_ast(unit: SourceUnit) -> str:
             rec["symbol"] = n.symbol
         if n.value is not None:
             rec["value"] = n.value
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        lines.append(jsonl.line(rec))
+    return "".join(lines)
 
 
 def import_ast(text: str) -> SourceUnit:

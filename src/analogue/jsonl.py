@@ -1,5 +1,6 @@
-"""The one reader of the JSON-lines formats: ast-v1 and tmpl-v2 files, and
-the match, stats and repos records that `report` reads.
+"""The one writer and reader of the JSON-lines formats: ast-v1 and tmpl-v2
+files, and the match, stats, skipped and repos records.  line writes a
+record as json.dumps(value, sort_keys=True) does; read reads it back.
 
 Field checks are strict, as compiler.validate_program's are: a field takes
 a value of exactly its type, so an int field never takes a bool.  An error
@@ -23,6 +24,14 @@ class RecordError(Exception):
         if self.record is None:
             return self.args[0]
         return "record %d: %s" % (self.record, self.args[0])
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
+
+
+def line(value) -> str:
+    """json.dumps(value, sort_keys=True) plus a line break."""
+    return _encode(value) + "\n"
 
 
 def _no_constant(name: str):

@@ -2,8 +2,8 @@
 
 Per repository: find the candidate source files, parse each into an AST,
 run every query program over every parsed unit that holds all of the
-program's preserved symbols, and aggregate matches plus per-query
-statistics.
+program's preserved symbols, and gather one RepoScanResult: the matches,
+the repository's own counts, and per query only that query's ScanStats.
 
 Files are handled one at a time: each is read, parsed and scanned by every
 program, and its tree is freed before the next file is read.  So a scan
@@ -11,13 +11,13 @@ holds at most one parsed file, and its memory is bounded by the largest
 file plus the matches found, however many files the repository has.
 
 Discovery walks the repository with os.scandir.  A file is a candidate when
-its extension, lowercased, is one of MinerOptions.extensions and it is a
-regular file; every symbolic link, to a file or to a directory, is skipped,
-as is every FIFO, socket and device node, and the relative paths come back
-sorted.  Each candidate is opened once: its size is read from the open
-handle, and its bytes only when it is within max_file_bytes.  A file that
-cannot be opened or read, is too large, looks binary, fails to parse, nests
-too deep for the parser, or makes the parser raise anything else becomes a
+its extension, lowercased, is one of EXTENSIONS and it is a regular file;
+every symbolic link, to a file or to a directory, is skipped, as is every
+FIFO, socket and device node, and the relative paths come back sorted.
+Each candidate is opened once: its size is read from the open handle, and
+its bytes only when it is within max_file_bytes.  A file that cannot be
+opened or read, is too large, looks binary, fails to parse, nests too deep
+for the parser, or makes the parser raise anything else becomes a
 SkippedFile with a reason, and the repository's other files are still
 scanned.  A repository whose scan raises becomes a result carrying the
 error instead of aborting the run.
@@ -37,15 +37,16 @@ search for cycles waits until the repository is done.
 from __future__ import annotations
 
 import gc
-import json
 import logging
 import os
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from . import jsonl
 from .astree import SourceUnit
 from .compiler import MatcherProgram
 from .engine import (Match, ScanOptions, attach_excerpt, match_to_record, scan_unit,
@@ -61,10 +62,12 @@ SKIP_UNREADABLE = "unreadable"
 SKIP_TOO_DEEP = "too-deep"
 SKIP_ERROR = "error"
 
+# The extensions, lowercased, of the files a repository is scanned for.
+EXTENSIONS = (".php", ".inc", ".phtml")
+
 
 @dataclass(frozen=True)
 class MinerOptions:
-    extensions: tuple[str, ...] = (".php", ".inc", ".phtml")
     max_file_bytes: int = 2 * 1024 * 1024
     scan: ScanOptions = field(default_factory=ScanOptions)
 
@@ -76,33 +79,35 @@ class SkippedFile:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanStats:
-    """One query over one repository.
+    """One query over one repository; the repository is the RepoScanResult
+    that holds it.
 
     wall_time_s is the query's scan time summed over the repository's files.
     It leaves out building each file's anchor index, but the first query
     that asks for a key of the index's shared per-key anchor lists still
     pays for building that list.
-    nodes_scanned is the node count of all parsed units.  candidates_tried
-    sums the anchors the program was tried at after the kind index, depth
-    pruning and the arity window; units_skipped counts the units never scanned
-    because they lack one of the query's preserved symbols.
+    candidates_tried sums the anchors the program was tried at after the
+    kind index, depth pruning and the arity window; units_skipped counts the
+    units never scanned because they lack one of the query's preserved
+    symbols.
     """
     query_id: str
-    repo: str
     wall_time_s: float
-    nodes_scanned: int
     node_comparisons: int
     candidates_tried: int
     match_count: int
     units_skipped: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RepoScanResult:
+    """One repository's scan.  nodes_scanned is the node count of all its
+    parsed units, and stats holds one ScanStats per query."""
     repo_id: str
     files_scanned: int = 0
+    nodes_scanned: int = 0
     files_skipped: list[SkippedFile] = field(default_factory=list)
     matches: list[Match] = field(default_factory=list)
     stats: list[ScanStats] = field(default_factory=list)
@@ -117,14 +122,13 @@ def repo_id_of(path: str | Path) -> str:
     return os.path.basename(os.path.abspath(path))
 
 
-def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
+def discover_files(repo_path: str | Path) -> list[str]:
     """Relative paths of candidate source files, sorted.  Only regular files
     and directories count: symlinks, FIFOs, sockets and device nodes are
     ignored, since opening a FIFO would block.
 
     A directory that cannot be listed, in full, is passed over.
     """
-    extensions = opts.extensions
     splitext = os.path.splitext
     found: list[str] = []
     stack = [("", os.fspath(repo_path))]
@@ -138,7 +142,7 @@ def discover_files(repo_path: Path, opts: MinerOptions) -> list[str]:
                     if entry.is_dir(follow_symlinks=False):
                         stack.append((prefix + name + "/", entry.path))
                     elif (entry.is_file(follow_symlinks=False)
-                          and splitext(name)[1].lower() in extensions):
+                          and splitext(name)[1].lower() in EXTENSIONS):
                         found.append(prefix + name)
         except OSError:
             # Drop what a listing that failed part-way found.
@@ -214,15 +218,14 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     comparisons, candidates, units_skipped = [0] * n, [0] * n, [0] * n
     found: list[list[Match]] = [[] for _ in programs]
     needs = [(program, program.preserved_symbols) for program in programs]
-    nodes_total = 0
-    for rel in discover_files(repo_path, opts):
+    for rel in discover_files(repo_path):
         loaded = _load_unit(os.path.join(root, rel), "%s/%s" % (repo_id, rel), limit)
         if type(loaded) is SkippedFile:
             result.files_skipped.append(loaded)
             continue
         unit, text = loaded
         result.files_scanned += 1
-        nodes_total += unit.node_count
+        result.nodes_scanned += unit.node_count
         lines = None  # the file's source_lines, split at its first match
         symbols = unit.anchor_index().symbols
         t0 = time.perf_counter()  # after the index, which every query shares
@@ -247,8 +250,8 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
     for i, program in enumerate(programs):
         result.matches += found[i]
         result.stats.append(ScanStats(
-            query_id=program.query_id, repo=repo_id, wall_time_s=wall[i],
-            nodes_scanned=nodes_total, node_comparisons=comparisons[i],
+            query_id=program.query_id, wall_time_s=wall[i],
+            node_comparisons=comparisons[i],
             candidates_tried=candidates[i], match_count=len(found[i]),
             units_skipped=units_skipped[i]))
     return result
@@ -350,43 +353,40 @@ def _logged(results: Iterator[RepoScanResult], total: int) -> list[RepoScanResul
 # Output files
 # ---------------------------------------------------------------------------
 
-# One encoder for every record but the stats lines: json.dumps with keyword
-# arguments builds a new JSONEncoder per call.  `analogue scan` writes its
-# match lines through it too.
-RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-
-# A ScanStats record as json.dumps(record, sort_keys=True) writes it: keys in
-# sorted order, strings through the same ASCII escaper, the float by repr.
+# A stats record as jsonl.line writes it: keys in sorted order, strings
+# through the same ASCII escaper, the float by repr.  Formatting it here
+# takes a third of the time of building and encoding a dict per record.
 _STATS_LINE = ('{"candidates_tried": %d, "matches": %d, "node_comparisons": %d, '
                '"nodes_scanned": %d, "query": %s, "repo": %s, '
                '"units_skipped": %d, "wall_time_s": %r}\n')
 
 
 def write_mining_outputs(results: list[RepoScanResult], out_dir: str | Path) -> dict[str, Path]:
-    """Write matches.jsonl / stats.jsonl / skipped.jsonl; returns the paths."""
+    """Write matches.jsonl / stats.jsonl / skipped.jsonl; returns the paths.
+    Each record is a jsonl.line; the stats records take _STATS_LINE's
+    shortcut to the same text."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / (name + ".jsonl") for name in ("matches", "stats", "skipped")}
-    encode = RECORD_ENCODER.encode
-    quote = json.encoder.encode_basestring_ascii
+    line = jsonl.line
+    quote = encode_basestring_ascii
     with open(paths["matches"], "w", encoding="utf-8") as fh:
         for r in results:
             for m in r.matches:
-                fh.write(encode(match_to_record(m)) + "\n")
+                fh.write(line(match_to_record(m)))
     with open(paths["stats"], "w", encoding="utf-8") as fh:
         for r in results:
             if r.error:
-                fh.write(encode({"repo": r.repo_id, "error": r.error}) + "\n")
+                fh.write(line({"repo": r.repo_id, "error": r.error}))
+            repo = quote(r.repo_id)
             for s in r.stats:
                 fh.write(_STATS_LINE % (
                     s.candidates_tried, s.match_count, s.node_comparisons,
-                    s.nodes_scanned, quote(s.query_id), quote(s.repo),
+                    r.nodes_scanned, quote(s.query_id), repo,
                     s.units_skipped, round(s.wall_time_s, 6)))
     with open(paths["skipped"], "w", encoding="utf-8") as fh:
         for r in results:
             for s in r.files_skipped:
-                fh.write(encode({
-                    "repo": r.repo_id, "file": s.path,
-                    "reason": s.reason, "detail": s.detail,
-                }) + "\n")
+                fh.write(line({"repo": r.repo_id, "file": s.path,
+                               "reason": s.reason, "detail": s.detail}))
     return paths

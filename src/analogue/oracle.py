@@ -63,7 +63,6 @@ def brute_force_scan(t: Template, unit: SourceUnit,
                 last = unit.nodes[stmts[start + span - 1]]
                 matches.append(Match(
                     unit_path=unit.path, query_id=query_id,
-                    stmt_list_id=node.id, start_index=start,
-                    statement_span=span, bindings=bindings,
+                    stmt_list_id=node.id, start_index=start, bindings=bindings,
                     line_start=first.line_start, line_end=last.line_end))
     return matches

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonl
-from .spider import NOT_POPULAR, POPULAR, VERY_POPULAR
+from .spider import NOT_POPULAR, POPULAR, VERY_POPULAR, local_name
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +64,8 @@ def load_match_records(text: str) -> tuple[list[dict], int]:
 def bucket_resolver(repo_records: list[dict]):
     """Map a match file path to a popularity bucket via spidered metadata.
 
-    Matches are keyed by path components, so both `owner__name/...` download
-    trees and plain `name/...` mining trees resolve.
+    Matches are keyed by path components, so both download trees (named by
+    spider.local_name) and plain `name/...` mining trees resolve.
     """
     by_key: dict[str, str] = {}
     for rec in repo_records:
@@ -73,7 +73,7 @@ def bucket_resolver(repo_records: list[dict]):
         full_name = rec.get("full_name", "")
         if not bucket or not full_name:
             continue
-        by_key[full_name.replace("/", "__")] = bucket
+        by_key[local_name(full_name)] = bucket
         by_key.setdefault(full_name.split("/")[-1], bucket)
 
     def resolve(file_path: str) -> str | None:

@@ -6,7 +6,8 @@ one token, one request stream, one shared budget for listing and downloads.
 Listing pages and archives are fetched through one request helper (_get),
 so both follow one retry rule.  _get is also the one place that imports
 requests, so the HTTP client is loaded only once a request is sent and
-`import analogue` does not pay for it.
+`import analogue` does not pay for it.  download_repo puts each repository
+under local_name, the one rule that report.bucket_resolver reads back.
 """
 from __future__ import annotations
 
@@ -99,10 +100,6 @@ class RateBudget:
                 now = clock.now()
         self.spent += 1
         self.last_request = now
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.capacity - self.spent)
 
 
 @dataclass(frozen=True)
@@ -320,8 +317,10 @@ def load_cursor(path: str | Path) -> int | None:
 # Downloads
 # ---------------------------------------------------------------------------
 
-def _local_dir(meta: RepoMeta, dest: Path) -> Path:
-    return dest / meta.full_name.replace("/", "__")
+def local_name(full_name: str) -> str:
+    """The directory a repository is downloaded to: its owner/name as
+    owner__name."""
+    return full_name.replace("/", "__")
 
 
 def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *,
@@ -346,7 +345,7 @@ def download_repo(meta: RepoMeta, dest: str | Path, strategy: str = "archive", *
         raise ValueError("strategy must be 'archive' or 'clone'")
     clock = clock or SystemClock()
     dest = Path(dest)
-    target = _local_dir(meta, dest)
+    target = dest / local_name(meta.full_name)
     if target.is_dir() and any(target.iterdir()):
         return target
     part = dest / (".partial-" + target.name)

@@ -11,8 +11,8 @@ A template is its tree.  ``Template.template_depth`` is derived from it, and
 the query id hashes the symbol policy, the statements and the nodes with
 their class ids, nothing else.  A ``tmpl-v2`` file is a header and one record
 per node; its header ``template_depth``, when present, must equal what the
-tree implies.  ``tmpl-v2`` records are read with jsonl, the reader of every
-JSON-lines format: node records through the core they share with
+tree implies.  ``tmpl-v2`` records are written and read with jsonl, the
+writer and reader of every JSON-lines format: node records through the core they share with
 ``ast-v1``, and the tree through ``astree.check_forest``.  An int field
 never takes a bool.
 """
@@ -228,14 +228,14 @@ def serialize_template(t: Template) -> str:
         "roots": list(t.statements),
         "template_depth": t.template_depth,
     }
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [jsonl.line(header)]
     for n in t.iter_preorder():
         rec = {"id": n.id, "kind": n.kind, "children": list(n.children)}
         role = _role_to_json(n.leaf_role)
         if role is not None:
             rec["leaf_role"] = role
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        lines.append(jsonl.line(rec))
+    return "".join(lines)
 
 
 def deserialize_template(text: str) -> Template:

@@ -71,5 +71,5 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
     last = unit.nodes[stmts[start_index + p.statement_count - 1]]
     return Match(unit_path=unit.path, query_id=p.query_id,
                  stmt_list_id=stmt_list_id, start_index=start_index,
-                 statement_span=p.statement_count, bindings=dict(bindings),
+                 bindings=dict(bindings),
                  line_start=first.line_start, line_end=last.line_end)

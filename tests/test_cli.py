@@ -825,3 +825,48 @@ def test_scan_splits_each_file_once(tmp_path, capsys, monkeypatch):
                            "lines": [201, 201], "stmt_index": 199,
                            "bindings": {"0": "$x"}, "excerpt": "echo $x;"}
     assert len(calls) == len(files)
+
+
+@pytest.mark.parametrize("command", ["mine", "scan", "report"])
+def test_a_query_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                                    monkeypatch, command):
+    """A query file is read as every other text input is, so bytes that are
+    not UTF-8 make it neither a program nor a template."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "repo").mkdir()
+    shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / "repo" / "index.php")
+    (tmp_path / "repos.txt").write_text("repo\n")
+    (tmp_path / "matches.jsonl").write_text(json.dumps(MATCH) + "\n")
+    (tmp_path / "q").mkdir()
+    (tmp_path / "q" / "bad.json").write_bytes(b'{"format": "prog-v1"\xff}\n')
+    argv = {"mine": ["mine", "--repos", "repos.txt", "--queries", "q", "--out", "out"],
+            "scan": ["scan", str(Path("q", "bad.json")), str(Path("repo", "index.php"))],
+            "report": ["report", "matches.jsonl", "--queries", "q"]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s is neither a program (" % Path("q", "bad.json"))
+    assert ") nor a template (" in err
+
+
+def test_pipeline_reports_as_report_does_over_its_matches(tmp_path, capsys):
+    """pipeline renders report.txt from the matches.jsonl it wrote, so it
+    equals `report` over that file with the seed's template as the query."""
+    corpus = tmp_path / "corpus"
+    seed = FIXTURES / "tutorial_search.php"
+    for repo, source in (("repoX", "clone_users.php"), ("repoY", "tutorial_search.php"),
+                         ("repoZ", "tutorial_books.php")):
+        (corpus / repo).mkdir(parents=True)
+        shutil.copy(FIXTURES / source, corpus / repo / "page.php")
+    out_dir = tmp_path / "out"
+    code, piped, _ = run(capsys, "pipeline", str(seed), str(corpus), "--lines", "4:6",
+                         "--out", str(out_dir))
+    assert code == 0
+    queries = tmp_path / "q"
+    queries.mkdir()
+    assert run(capsys, "derive", str(seed), "--lines", "4:6",
+               "-o", str(queries / "seed.tmpl.jsonl"))[0] == 0
+    code, reported, _ = run(capsys, "report", str(out_dir / "matches.jsonl"),
+                            "--queries", str(queries))
+    assert code == 0
+    assert piped == reported == (out_dir / "report.txt").read_text()
+    assert "3 analogues" in reported and "  seed: " in reported

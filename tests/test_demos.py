@@ -18,11 +18,13 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script, tmp_path):
-    # TMPDIR keeps the demos' scratch directories inside the test's tmp_path
+    # TMPDIR keeps the demos' scratch directories inside the test's tmp_path,
+    # where none may be left behind
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.glob("analogue-*")) == []
 
 
 def test_package_import_loads_no_test_support():

@@ -20,7 +20,7 @@ def agree(t, unit, **opt_kw) -> bool:
     p = compile_template(t)
     engine_ms, _ = scan_unit(p, unit, ScanOptions(**opt_kw))
     oracle_ms = brute_force_scan(t, unit, exact_arity=opt_kw.get("exact_arity", False))
-    return [m.key() for m in engine_ms] == [m.key() for m in oracle_ms]
+    return engine_ms == oracle_ms
 
 
 def test_oracle_agrees_on_tutorial_scans(tutorial_books, tutorial_search, clone_units):
@@ -147,7 +147,7 @@ def test_oracle_agrees_on_arbitrary_tree_shapes():
         p = compile_template(t)
         engine_ms, _ = scan_unit(p, unit)
         oracle_ms = brute_force_scan(t, unit)
-        assert [m.key() for m in engine_ms] == [m.key() for m in oracle_ms]
+        assert engine_ms == oracle_ms
         # the originating window itself is always found, wherever it nests
         assert any(m.stmt_list_id == src.id and m.start_index == start
                    for m in engine_ms)
@@ -155,8 +155,7 @@ def test_oracle_agrees_on_arbitrary_tree_shapes():
         # cross-scan another random unit: mostly negative, still must agree
         other = random_unit(rng)
         cross_engine, _ = scan_unit(p, other)
-        assert [m.key() for m in cross_engine] == \
-            [m.key() for m in brute_force_scan(t, other)]
+        assert cross_engine == brute_force_scan(t, other)
     assert agreements >= 100
 
 

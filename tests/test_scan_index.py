@@ -84,7 +84,7 @@ def test_indexed_scan_equals_exhaustive_loop():
                 for opts in OPTION_GRID:
                     got, _ = scan_unit(p, u, opts)
                     want = exhaustive_scan(p, u, opts)
-                    assert [m.key() for m in got] == [m.key() for m in want]
+                    assert got == want
                     seen_matches += len(got)
     assert seen_matches
 
@@ -101,7 +101,7 @@ def test_program_not_opening_with_kind_falls_back_to_every_anchor():
     unit = parse_source("<?php\necho $x;\nif ($c) {\n  return $y;\n}\nprint_it($z);\n")
     for opts in OPTION_GRID:
         got, _ = scan_unit(loose, unit, opts)
-        assert [m.key() for m in got] == [m.key() for m in exhaustive_scan(loose, unit, opts)]
+        assert got == exhaustive_scan(loose, unit, opts)
     got, _ = scan_unit(loose, unit)
     assert [unit.nodes[unit.nodes[m.stmt_list_id].children[m.start_index]].kind
             for m in got] == ["Echo", "If", "Return"]
@@ -120,7 +120,7 @@ def test_mining_with_prefilter_equals_scanning_every_unit(tmp_path):
         result = scan_repository(repo, programs, opts)
         skipped += sum(s.units_skipped for s in result.stats)
         units = []
-        for rel in discover_files(repo, opts):
+        for rel in discover_files(repo):
             text = (repo / rel).read_text(encoding="utf-8")
             units.append((parse_source(text, path="%s/%s" % (repo.name, rel)),
                           source_lines(text)))
