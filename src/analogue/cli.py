@@ -1,8 +1,9 @@
 """Command-line entry point: derive, compile, scan, mine, spider, report.
 
-Match absence is success (exit 0); a nonzero exit means the operation itself
-failed.  `--config FILE` supplies JSON defaults for the optional options,
-keyed by their dest names.
+`scan` runs `mine`'s file loop, miner.scan_files, so it skips, with a
+warning, what `mine` skips.  Match absence is success (exit 0); a nonzero
+exit means the operation itself failed.  `--config FILE` supplies JSON
+defaults for the optional options, keyed by their dest names.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
 from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
-from .engine import (ScanOptions, attach_excerpt, match_to_record, scan_unit,
-                     source_lines)
+from .engine import ScanOptions, match_to_record
 from .miner import (SKIP_TOO_DEEP, MinerOptions, RepoScanResult, mine_repositories,
-                    parse_file, write_mining_outputs)
+                    parse_file, scan_files, write_mining_outputs)
 from .php_parser import LexError, ParseError
 from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
                        derive_template, deserialize_template, serialize_template)
@@ -155,22 +155,18 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _scan_options(args) -> ScanOptions:
-    return ScanOptions(depth_pruning=not args.no_depth_pruning,
-                       exact_arity=args.exact_arity)
+def _miner_options(args) -> MinerOptions:
+    return MinerOptions(scan=ScanOptions(depth_pruning=not args.no_depth_pruning,
+                                         exact_arity=args.exact_arity))
 
 
 def cmd_scan(args) -> int:
     program = load_query(Path(args.query))
-    opts = _scan_options(args)
-    out_lines = []
-    for f in args.files:
-        unit, text = _parse_php(f)
-        lines = source_lines(text)  # once per file, for all of its excerpts
-        for m in scan_unit(program, unit, opts)[0]:
-            attach_excerpt(m, lines)
-            out_lines.append(jsonl.line(match_to_record(m)))
-    _write_out("".join(out_lines), args.out)
+    result = scan_files([(f, f) for f in args.files], [program], _miner_options(args))
+    for s in result.files_skipped:
+        print("warning: skipped %s" % ": ".join(filter(None, (s.path, s.reason, s.detail))),
+              file=sys.stderr)
+    _write_out("".join(jsonl.line(match_to_record(m)) for m in result.matches), args.out)
     return 0
 
 
@@ -180,8 +176,7 @@ def _mine(repos: list[str], programs: list[MatcherProgram],
     and return the results and the paths of the written files.  Two
     repositories with one id are an error."""
     try:
-        results = mine_repositories(repos, programs, jobs=args.jobs,
-                                    opts=MinerOptions(scan=_scan_options(args)))
+        results = mine_repositories(repos, programs, args.jobs, _miner_options(args))
     except ValueError as e:
         raise CliError(str(e))
     paths = write_mining_outputs(results, args.out)

@@ -1,14 +1,13 @@
 """Mine repositories for code analogues.
 
-Per repository: find the candidate source files, parse each into an AST,
-run every query program over every parsed unit that holds all of the
-program's preserved symbols, and gather one RepoScanResult: the matches,
-the repository's own counts, and per query only that query's ScanStats.
-
-Files are handled one at a time: each is read, parsed and scanned by every
-program, and its tree is freed before the next file is read.  So a scan
-holds at most one parsed file, and its memory is bounded by the largest
-file plus the matches found, however many files the repository has.
+Per repository: find the candidate source files and hand them to
+scan_files, the one file loop, which `analogue scan` runs too.  It parses
+each file into an AST, runs every query program over every parsed unit that
+holds all of the program's preserved symbols, and gathers one
+RepoScanResult: the matches, the files' counts, and per query only that
+query's ScanStats.  Each file is read, parsed and scanned by every program,
+and its tree is freed before the next file is read, so memory is bounded by
+the largest file plus the matches found, however many files there are.
 
 Discovery walks the repository with os.scandir.  A file is a candidate when
 its extension, lowercased, is one of EXTENSIONS and it is a regular file;
@@ -39,6 +38,7 @@ from __future__ import annotations
 import gc
 import logging
 import os
+import sys
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import jsonl
+from . import engine, jsonl
 from .astree import SourceUnit
 from .compiler import MatcherProgram
-from .engine import (Match, ScanOptions, attach_excerpt, match_to_record, scan_unit,
-                     source_lines)
+from .engine import Match, ScanOptions, attach_excerpt, match_to_record, scan_unit
 from .php_parser import LexError, ParseError, parse_source
 
 log = logging.getLogger(__name__)
@@ -103,8 +102,8 @@ class ScanStats:
 
 @dataclass(slots=True)
 class RepoScanResult:
-    """One repository's scan.  nodes_scanned is the node count of all its
-    parsed units, and stats holds one ScanStats per query."""
+    """One repository's scan (or scan_files' over any files): nodes_scanned
+    is the node count of all parsed units; stats has one ScanStats per query."""
     repo_id: str
     files_scanned: int = 0
     nodes_scanned: int = 0
@@ -172,14 +171,17 @@ def parse_file(data: bytes, path: str) -> tuple[SourceUnit, str]:
 def _load_unit(path: str, label: str,
                limit: int) -> tuple[SourceUnit, str] | SkippedFile:
     """One candidate file as parse_file's (unit, text), or the SkippedFile
-    that says why it cannot be scanned."""
+    that says why it cannot be scanned.  The path "-" is standard input."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            data = fh.read() if size <= limit else None
+        if path == "-":
+            size = len(data := sys.stdin.buffer.read())
+        else:
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                data = fh.read() if size <= limit else None
     except OSError as e:
         return SkippedFile(label, SKIP_UNREADABLE, str(e))
-    if data is None:
+    if size > limit:
         return SkippedFile(label, SKIP_TOO_LARGE, "%d bytes" % size)
     if b"\x00" in data[:8192]:
         return SkippedFile(label, SKIP_BINARY)
@@ -196,30 +198,33 @@ def _load_unit(path: str, label: str,
 
 def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
                     opts: MinerOptions | None = None) -> RepoScanResult:
-    """Parse one repository and run every program over it, one file at a time.
-
-    Each file is read, parsed and scanned by every program before the next
-    file is read, so at most one parsed file is alive at once.  Each
-    program's matches are kept apart and joined in program order at the
-    end, so the matches come out program by program, as if each program had
-    scanned the whole repository in turn.
-    """
-    opts = opts or MinerOptions()
+    """Parse one repository and run every program over it: scan_files over
+    its discovered files, each labelled <repo id>/<relative path>."""
     repo_path = Path(repo_path)
     repo_id = repo_id_of(repo_path)
-    result = RepoScanResult(repo_id=repo_id)
     if not repo_path.is_dir():
-        result.error = "missing repository path"
-        return result
+        return RepoScanResult(repo_id=repo_id, error="missing repository path")
     root = os.fspath(repo_path)
+    return scan_files([(os.path.join(root, rel), "%s/%s" % (repo_id, rel))
+                       for rel in discover_files(repo_path)], programs, opts, repo_id)
+
+
+def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
+               opts: MinerOptions | None = None, repo_id: str = "") -> RepoScanResult:
+    """The one file loop of `mine` and `scan`: read, parse and scan each
+    (path, label) of files in order, one at a time, with every program.  A
+    file that cannot be scanned becomes a SkippedFile; the matches come out
+    program by program, as if each program had scanned the files in turn."""
+    opts = opts or MinerOptions()
+    result = RepoScanResult(repo_id=repo_id)
     limit = opts.max_file_bytes
     n = len(programs)
     wall = [0.0] * n
     comparisons, candidates, units_skipped = [0] * n, [0] * n, [0] * n
     found: list[list[Match]] = [[] for _ in programs]
     needs = [(program, program.preserved_symbols) for program in programs]
-    for rel in discover_files(repo_path):
-        loaded = _load_unit(os.path.join(root, rel), "%s/%s" % (repo_id, rel), limit)
+    for path, label in files:
+        loaded = _load_unit(path, label, limit)
         if type(loaded) is SkippedFile:
             result.files_skipped.append(loaded)
             continue
@@ -238,7 +243,7 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
                 candidates[i] += counter.candidates_tried
                 if matches:
                     if lines is None:
-                        lines = source_lines(text)
+                        lines = engine.source_lines(text)
                     for m in matches:
                         attach_excerpt(m, lines)
                     found[i] += matches

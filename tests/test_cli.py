@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import re
 import shlex
 import shutil
@@ -12,6 +13,9 @@ import pytest
 
 from analogue import cli, engine
 from analogue.cli import build_parser, main
+from analogue.corpusgen import (distinct_snippets, generate_test_corpus, render_file,
+                                render_snippet)
+from analogue.miner import discover_files
 from analogue.mock_api import MockHub
 from analogue.spider import SystemClock
 
@@ -870,3 +874,111 @@ def test_pipeline_reports_as_report_does_over_its_matches(tmp_path, capsys):
     assert code == 0
     assert piped == reported == (out_dir / "report.txt").read_text()
     assert "3 analogues" in reported and "  seed: " in reported
+
+
+def _scan_files_of_every_kind(tmp_path: Path, capsys) -> tuple[str, dict[str, Path]]:
+    """A query on tutorial_books.php's lines 5:6, and files that match it
+    (good, other), hold a NUL byte (bin), do not parse (broken) and do not
+    exist (missing)."""
+    seed = FIXTURES / "tutorial_books.php"
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", str(seed), "--lines", "5:6", "-o", str(tmpl))[0] == 0
+    files = {name: tmp_path / (name + ".php")
+             for name in ("good", "bin", "broken", "missing", "other")}
+    shutil.copy(seed, files["good"])
+    shutil.copy(seed, files["other"])
+    files["bin"].write_bytes(b"<?php\x00\n" + seed.read_bytes())
+    files["broken"].write_text("<?php\nmysql_query(\n")
+    return str(tmpl), files
+
+
+def test_scan_skips_what_mine_skips_and_goes_on(tmp_path, capsys):
+    """A file that cannot be scanned is a warning on stderr; the other files'
+    records are still written, in file order, and the exit status is 0."""
+    tmpl, files = _scan_files_of_every_kind(tmp_path, capsys)
+    want = ""
+    for name in ("good", "other"):
+        code, out, err = run(capsys, "scan", tmpl, str(files[name]))
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+        want += out
+    code, out, err = run(capsys, "scan", tmpl, *map(str, files.values()))
+    assert (code, out) == (0, want)
+    warnings = err.splitlines()
+    assert len(warnings) == 3
+    assert warnings[0] == "warning: skipped %s: binary" % files["bin"]
+    assert warnings[1].startswith("warning: skipped %s: parse-error: " % files["broken"])
+    assert warnings[2].startswith("warning: skipped %s: unreadable: " % files["missing"])
+
+    out_file = tmp_path / "matches.jsonl"
+    code, out, err2 = run(capsys, "scan", tmpl, *map(str, files.values()),
+                          "--out", str(out_file))
+    assert (code, out, err2) == (0, "", err)
+    assert out_file.read_text() == want
+
+
+def test_scan_skips_a_file_that_nests_too_deep(tmp_path, capsys):
+    tmpl, files = _scan_files_of_every_kind(tmp_path, capsys)
+    deep = tmp_path / "deep.php"
+    deep.write_text("<?php\n$x = " + "(" * 3000 + "$y" + ")" * 3000 + ";\n")
+    code, out, err = run(capsys, "scan", tmpl, str(files["good"]), str(deep),
+                         str(files["other"]))
+    assert (code, len(out.splitlines())) == (0, 2)
+    assert err == ("warning: skipped %s: too-deep: nesting exceeds the parser's "
+                   "recursion limit\n" % deep)
+
+
+def test_scan_reads_standard_input_for_a_dash(tmp_path, capsys, monkeypatch):
+    seed = FIXTURES / "tutorial_books.php"
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", str(seed), "--lines", "5:6", "-o", str(tmpl))[0] == 0
+    from_file = run(capsys, "scan", str(tmpl), str(seed))[1]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(seed.read_bytes())))
+    code, out, err = run(capsys, "scan", str(tmpl), "-")
+    assert (code, err) == (0, "")
+    assert [dict(json.loads(r), file=str(seed)) for r in out.splitlines()] \
+        == [json.loads(r) for r in from_file.splitlines()]
+    assert [json.loads(r)["file"] for r in out.splitlines()] == ["-"]
+
+
+def test_scan_agrees_with_mine(tmp_path, capsys):
+    """scan over a repository's files gives each query's records in mine's
+    matches.jsonl, and warns of the files in skipped.jsonl, for the same
+    reasons: a binary file, an unparsable one, and one with a NUL byte
+    inside a string literal, which mine takes for binary."""
+    seeds = distinct_snippets(random.Random(5), 3, n_statements=2)
+    generate_test_corpus(seeds, tmp_path / "corpus", repo_count=1, files_per_repo=4)
+    repo = tmp_path / "corpus" / "repo000"
+    planted = (repo / "src" / "file0.php").read_bytes()
+    (repo / "src" / "nul_in_string.php").write_bytes(planted + b'$pad = "a\x00b";\n')
+    (repo / "src" / "bin.php").write_bytes(b"\x00\x01" + planted)
+    (repo / "broken.php").write_text("<?php\nfunction (\n")
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    for s in seeds:
+        (tmp_path / (s.name + ".php")).write_text(render_file(render_snippet(s)))
+        assert run(capsys, "derive", str(tmp_path / (s.name + ".php")), "--full",
+                   "-o", str(queries / (s.name + ".tmpl.jsonl")))[0] == 0
+    (tmp_path / "repos.txt").write_text(str(repo) + "\n")
+    assert run(capsys, "mine", "--repos", str(tmp_path / "repos.txt"),
+               "--queries", str(queries), "--out", str(tmp_path / "out"))[0] == 0
+    mined = [json.loads(r) for r in (tmp_path / "out" / "matches.jsonl").read_text()
+             .splitlines()]
+    skipped = [json.loads(r) for r in (tmp_path / "out" / "skipped.jsonl").read_text()
+               .splitlines()]
+    assert {s["reason"] for s in skipped} == {"binary", "parse-error"}
+    assert len(skipped) == 3
+
+    path_of = {"repo000/" + rel: str(repo / rel) for rel in discover_files(repo)}
+    want_err = "".join("warning: skipped %s\n" % ": ".join(
+        filter(None, (path_of[s["file"]], s["reason"], s["detail"])))
+        for s in skipped)
+    found = 0
+    for tmpl in sorted(queries.iterdir()):
+        qid = cli.load_query(tmpl).query_id
+        code, out, err = run(capsys, "scan", str(tmpl), *path_of.values())
+        assert (code, err) == (0, want_err)
+        scanned = [json.loads(r) for r in out.splitlines()]
+        assert scanned == [dict(r, file=path_of[r["file"]]) for r in mined
+                           if r["query"] == qid]
+        found += len(scanned)
+    assert found == len(mined) > 0
