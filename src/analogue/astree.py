@@ -100,9 +100,9 @@ Anchor = tuple[int, int, int, int]
 class AnchorIndex:
     """Where a statement program can start in one unit.
 
-    Every (StmtList, start) position is listed once in `anchors` and once
-    under the kind of the statement at that position in `by_kind`; both are
-    in document order (StmtLists in pre-order, starts ascending).  `symbols`
+    Every (StmtList, start) position is listed once, under the kind of the
+    statement at that position in `by_kind`, each list in document order
+    (StmtLists in pre-order, starts ascending).  `symbols`
     holds every node's symbol, None included.  `max_depth` is the depth of
     the deepest node, the root being at depth 0.
 
@@ -118,7 +118,6 @@ class AnchorIndex:
     (engine.shape_id), and `tries` maps a program's first kind, depth limit
     and statement count to the anchors such a program is tried at.
     """
-    anchors: list[Anchor]
     by_kind: dict[str, list[Anchor]]
     symbols: frozenset
     max_depth: int
@@ -155,7 +154,6 @@ class SourceUnit:
         """
         if self._index is None:
             nodes = self.nodes
-            anchors: list[Anchor] = []
             by_kind: dict[str, list[Anchor]] = {}
             max_depth = 0
             # Pre-order with an explicit stack of (node id, depth) pairs:
@@ -171,9 +169,8 @@ class SourceUnit:
                 if n.kind == STMT_LIST:
                     count = len(children)
                     for start, c in enumerate(children):
-                        a = (node_id, depth, start, count)
-                        anchors.append(a)
-                        by_kind.setdefault(nodes[c].kind, []).append(a)
+                        by_kind.setdefault(nodes[c].kind, []).append(
+                            (node_id, depth, start, count))
                 depth += 1
                 for c in reversed(children):
                     if nodes[c].children:
@@ -181,8 +178,7 @@ class SourceUnit:
                     elif depth > max_depth:
                         max_depth = depth
             self._index = AnchorIndex(
-                anchors, by_kind, frozenset([n.symbol for n in nodes.values()]),
-                max_depth)
+                by_kind, frozenset([n.symbol for n in nodes.values()]), max_depth)
         return self._index
 
 

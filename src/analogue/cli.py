@@ -1,9 +1,10 @@
 """Command-line entry point: derive, compile, scan, mine, spider, report.
 
-`scan` runs `mine`'s file loop, miner.scan_files, so it skips, with a
-warning, what `mine` skips.  Match absence is success (exit 0); a nonzero
-exit means the operation itself failed.  `--config FILE` supplies JSON
-defaults for the optional options, keyed by their dest names.
+Every command reads PHP with miner.load_file: `scan` warns of what `mine`
+skips, and `derive`, `ast export` and `pipeline` refuse it, in one text.
+Other text inputs are strict UTF-8.  Match absence is success (exit 0); a
+nonzero exit means the operation itself failed.  `--config FILE` supplies
+JSON defaults for the optional options, keyed by their dest names.
 """
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program)
 from .engine import ScanOptions, match_to_record
-from .miner import (SKIP_TOO_DEEP, MinerOptions, RepoScanResult, mine_repositories,
-                    parse_file, scan_files, write_mining_outputs)
-from .php_parser import LexError, ParseError
+from .miner import (MinerOptions, RepoScanResult, SkippedFile, load_file,
+                    mine_repositories, scan_files, write_mining_outputs)
 from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
                        derive_template, deserialize_template, serialize_template)
 
@@ -35,15 +35,20 @@ class CliError(Exception):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8", errors="replace")
-
-
-def _parse_php(path: str) -> tuple[SourceUnit, str]:
-    """Parse a PHP file, or stdin for "-", as `mine` reads files."""
+    """A text input, or stdin for "-", as strict UTF-8, else a CliError naming it."""
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    return parse_file(data, path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError("%s: not UTF-8: %s" % (path, e))
+
+
+def _unit_of(path: str) -> SourceUnit:
+    """A PHP file, or stdin for "-", read as `mine` reads it; a skip is a CliError."""
+    loaded = load_file(path, path, MinerOptions().max_file_bytes)
+    if type(loaded) is SkippedFile:
+        raise CliError(str(loaded))
+    return loaded[0]
 
 
 def _read_records(path: str, types: dict[str, type | tuple]) -> list[dict]:
@@ -112,7 +117,7 @@ def load_query_dir(path: Path) -> list[MatcherProgram]:
 # ---------------------------------------------------------------------------
 
 def cmd_ast(args) -> int:
-    unit = (_parse_php(args.file)[0] if args.action == "export"
+    unit = (_unit_of(args.file) if args.action == "export"
             else interchange.import_ast(_read(args.file)))
     _write_out(interchange.export_ast(unit), args.out)
     return 0
@@ -121,7 +126,7 @@ def cmd_ast(args) -> int:
 def _derive_seed(path: str, lines: str | None, symbols: str) -> Template:
     """The template of a seed file: the `lines` slice, or every top-level
     statement but inline HTML."""
-    unit, _ = _parse_php(path)
+    unit = _unit_of(path)
     if lines:
         first, last = _parse_lines(lines)
         stmts = slice_statements(unit, first, last)
@@ -164,8 +169,7 @@ def cmd_scan(args) -> int:
     program = load_query(Path(args.query))
     result = scan_files([(f, f) for f in args.files], [program], _miner_options(args))
     for s in result.files_skipped:
-        print("warning: skipped %s" % ": ".join(filter(None, (s.path, s.reason, s.detail))),
-              file=sys.stderr)
+        print("warning: skipped %s" % s, file=sys.stderr)
     _write_out("".join(jsonl.line(match_to_record(m)) for m in result.matches), args.out)
     return 0
 
@@ -383,7 +387,7 @@ def _apply_config(ap: argparse.ArgumentParser, path: str) -> None:
     option's type, as it does the command line, which still wins."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
@@ -419,14 +423,10 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except (CliError, OSError, LexError, ParseError, EmptySlice, AmbiguousSlice,
-            EmptyInput, jsonl.RecordError, ProgramFormatError,
-            spider_mod.AuthError, spider_mod.SpiderError) as e:
+    except (CliError, OSError, EmptySlice, AmbiguousSlice, EmptyInput,
+            jsonl.RecordError, ProgramFormatError, spider_mod.AuthError,
+            spider_mod.SpiderError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: %s: nesting exceeds the recursion limit" % SKIP_TOO_DEEP,
-              file=sys.stderr)
         return 1
 
 

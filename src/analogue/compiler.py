@@ -3,11 +3,12 @@
 A program is a flat sequence of filter/bind/check steps plus explicit tree
 navigation, emitted in pre-order per statement: the in-process equivalent of
 a generated graph traversal.  Programs are immutable and safe to share across
-scan workers.  Each process turns a program into a straight-line Python
-function on first use (MatcherProgram.compiled); that function is the only
-code that runs a program.  From the same walk of the steps come the
-program's shape tests (ShapeTest), which the engine decides once per
-statement shape.  The function, the shape tests and the header values the
+scan workers.  Each is checked once, when it is made, by one walk of its
+steps that also yields the counts the engine and the prog-v1 writer read
+(validate_program).  Each process turns a program into a straight-line
+Python function on first use (MatcherProgram.compiled), the only code that
+runs a program, and from the same walk of the steps come the program's
+shape tests (ShapeTest), which the engine decides once per statement shape.  The function, the shape tests and the header values the
 engine reads on every scan make up the program's scan plan (Compiled), one
 tuple per exact_arity value.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -68,12 +68,11 @@ class Compiled(NamedTuple):
     """A program's scan plan for one exact_arity value: what engine.scan_unit
     reads of the program on every call, in one tuple.
 
-    first is the kind of the program's first KIND step (None when it does
-    not open with one); template_depth, statement_count and comparison_steps
-    are the program's.  match is the generated matcher, shape_tests come
-    from the same step walk, and verdicts holds the verdicts worked out so
-    far (shape id -> shape_verdict)."""
-    first: str | None
+    first is the kind of the program's opening KIND step; template_depth,
+    statement_count and comparison_steps are the program's.  match is the
+    generated matcher, shape_tests come from the same step walk, and
+    verdicts holds the verdicts worked out so far (shape id -> shape_verdict)."""
+    first: str
     template_depth: int
     statement_count: int
     match: Callable
@@ -84,10 +83,19 @@ class Compiled(NamedTuple):
 
 @dataclass(frozen=True)
 class MatcherProgram:
+    """A program, checked however it is made (compile_template, deserialize_program,
+    dataclasses.replace): __post_init__ runs validate_program, keeps its facts."""
     steps: tuple[MatcherStep, ...]
     query_id: str
     symbol_policy: str = "preserve"
     origin: SeedOrigin | None = None
+    # The facts, not compared: statements a match spans, classes bound, the
+    # deepest DESCEND (roots at 0), SYMBOL names, steps but navigation.
+    statement_count: int = field(init=False, repr=False, compare=False)
+    var_class_count: int = field(init=False, repr=False, compare=False)
+    template_depth: int = field(init=False, repr=False, compare=False)
+    preserved_symbols: frozenset = field(init=False, repr=False, compare=False)
+    comparison_steps: int = field(init=False, repr=False, compare=False)
     # The scan plan (Compiled) per exact_arity, built on first use and never
     # pickled: the verdicts are keyed by shape ids, which are per process.  A
     # worker started by fork inherits the plans of its parent, and the shape
@@ -95,40 +103,11 @@ class MatcherProgram:
     _matchers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
+    def __post_init__(self) -> None:
+        self.__dict__.update(validate_program(self))  # frozen: past __setattr__
+
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_matchers": {}}
-
-    @cached_property
-    def statement_count(self) -> int:
-        """The statements a match spans: one more than the NEXT steps."""
-        return 1 + sum(1 for s in self.steps if s.op == NEXT)
-
-    @cached_property
-    def var_class_count(self) -> int:
-        """The distinct classes the BIND steps bind."""
-        return len({s.class_id for s in self.steps if s.op == BIND})
-
-    @cached_property
-    def template_depth(self) -> int:
-        """The deepest DESCEND nesting, each statement root at depth 0."""
-        depth = deepest = 0
-        for s in self.steps:
-            if s.op == DESCEND:
-                depth += 1
-                deepest = max(deepest, depth)
-            elif s.op == ASCEND:
-                depth -= 1
-        return deepest
-
-    @cached_property
-    def preserved_symbols(self) -> frozenset:
-        """The SYMBOL names: a unit lacking one of them cannot match."""
-        return frozenset(s.name for s in self.steps if s.op == SYMBOL)
-
-    @cached_property
-    def comparison_steps(self) -> int:
-        """Node comparisons of an attempt that matches: every step but navigation."""
-        return sum(1 for s in self.steps if s.op not in NAVIGATION)
 
     def compiled(self, exact_arity: bool = False) -> Compiled:
         """The scan plan for this option, built on first use and cached in
@@ -137,10 +116,8 @@ class MatcherProgram:
         c = self._matchers.get(key)
         if c is None:
             source, consts, tests = matcher_source(self, key)
-            steps = self.steps
-            first = steps[0].kind if steps and steps[0].op == KIND else None
             c = self._matchers[key] = Compiled(
-                first, self.template_depth, self.statement_count,
+                self.steps[0].kind, self.template_depth, self.statement_count,
                 _build(source, consts), tests, {}, self.comparison_steps)
         return c
 
@@ -188,26 +165,30 @@ def compile_template(t: Template) -> MatcherProgram:
                               MatcherStep(DESCEND, c, None, None, None, None, k))
 
     return MatcherProgram(steps=tuple(steps), query_id=query_id_of(t),
-                          symbol_policy=t.symbol_policy,
-                          origin=t.seed_origin)
+                          symbol_policy=t.symbol_policy, origin=t.seed_origin)
 
 
-def validate_program(p: MatcherProgram) -> None:
+def validate_program(p: MatcherProgram) -> dict:
     """Check every field of the program, as the generated matcher and the
-    prog-v1 writer rely on them.
+    prog-v1 writer rely on them, and return its facts, by MatcherProgram
+    field name, from the same walk.  MatcherProgram.__post_init__ calls it.
 
     Every op is known, its node id is an int, and it holds a value of its
     type in each field it reads and None in every other: a KIND step reads
     a str kind and an int arity >= 0 or none, a SYMBOL step a str name, a
     BIND or CHECK step an int class id, a DESCEND step an int child index
-    >= 0, and ASCEND and NEXT steps nothing.  Navigation is balanced per
-    statement, and a class binds before it is checked.  The query id is a
-    str, the symbol policy one of SYMBOL_POLICIES, and the origin None or a
-    SeedOrigin.  Raises ProgramFormatError naming the first offending step
-    or field.
+    >= 0, and ASCEND and NEXT steps nothing.  Each statement opens with a
+    KIND step: the first step and each one after a NEXT.  Navigation is
+    balanced per statement, and a class binds before it is checked.  The
+    query id is a str, the symbol policy one of SYMBOL_POLICIES, and the
+    origin None or a SeedOrigin.  Raises ProgramFormatError naming the first
+    offending step or field; a step's own checks come before the opening
+    rule.
     """
-    depth = 0
+    depth = deepest = comparisons = 0
+    statements, opening = 1, 0      # opening: the index of a statement's first step
     bound: set[int] = set()
+    symbols: set[str] = set()
     for i, (op, node_id, kind, arity, name, class_id, child) in enumerate(p.steps):
         if op == KIND:
             if type(kind) is not str:
@@ -218,6 +199,7 @@ def validate_program(p: MatcherProgram) -> None:
         elif op == SYMBOL:
             if type(name) is not str:
                 raise ProgramFormatError("step %d: name must be a string" % i)
+            symbols.add(name)
             unused = kind, arity, class_id, child
         elif op in (BIND, CHECK):
             if type(class_id) is not int:
@@ -232,6 +214,7 @@ def validate_program(p: MatcherProgram) -> None:
             if not _is_index(child):
                 raise ProgramFormatError("step %d: child must be an int >= 0" % i)
             depth += 1
+            deepest = max(deepest, depth)
             unused = kind, arity, name, class_id
         elif op == ASCEND:
             depth -= 1
@@ -242,6 +225,7 @@ def validate_program(p: MatcherProgram) -> None:
             if depth != 0:
                 raise ProgramFormatError("step %d: statement boundary inside a subtree"
                                          % i)
+            statements, opening = statements + 1, i + 1
             unused = kind, arity, name, class_id, child
         else:
             raise ProgramFormatError("step %d: unknown op %r" % (i, op))
@@ -250,6 +234,13 @@ def validate_program(p: MatcherProgram) -> None:
         if unused.count(None) != len(unused):
             raise ProgramFormatError("step %d: a %s step carries a field it does not read"
                                      % (i, op))
+        if i == opening and op != KIND:
+            raise ProgramFormatError("step %d: a statement opens with a kind step, "
+                                     "not a %s step" % (i, op))
+        comparisons += op not in NAVIGATION
+    if opening == len(p.steps):
+        raise ProgramFormatError("step %d: a statement opens with a kind step, "
+                                 "not the end of the program" % opening)
     if depth != 0:
         raise ProgramFormatError("unbalanced navigation at end of program")
     if type(p.query_id) is not str:
@@ -258,6 +249,9 @@ def validate_program(p: MatcherProgram) -> None:
         raise ProgramFormatError("symbol_policy must be one of %s" % (SYMBOL_POLICIES,))
     if p.origin is not None and type(p.origin) is not SeedOrigin:
         raise ProgramFormatError("origin must be a SeedOrigin")
+    return {"statement_count": statements, "var_class_count": len(bound),
+            "template_depth": deepest, "preserved_symbols": frozenset(symbols),
+            "comparison_steps": comparisons}
 
 
 def _is_index(value) -> bool:
@@ -285,7 +279,7 @@ def export_traversal_script(p: MatcherProgram) -> str:
             lines.append(".parent()")
         elif s.op == NEXT:
             lines.append(".nextStatement()")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +295,7 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     stmts[start] on, nodes being the unit's node table.  match returns the
     bindings (class id -> name) when they match.  Otherwise it returns the
     number of KIND, SYMBOL, BIND and CHECK steps run up to the failing test;
-    a match runs all p.comparison_steps of them.  A step with an unknown op
-    counts as a comparison and does nothing else.
+    a match runs all p.comparison_steps of them.
 
     The code is straight-line: one local n<i> per tree position (h<i> for
     its children), one v<j> per variable class, one early return per test.
@@ -316,8 +309,8 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
     The run takes KIND steps on the statement, DESCEND steps to its children
     and, without exact_arity, KIND steps on those children; a BIND step
     counts one comparison and never fails.  It ends at the first CHECK,
-    SYMBOL or NEXT step, DESCEND below a child, exact-arity KIND on a child
-    or unknown op.
+    SYMBOL or NEXT step, DESCEND below a child or exact-arity KIND on a
+    child.  The opening KIND step is always a shape test.
     """
     consts: list = []
     const_names: dict = {}
@@ -392,11 +385,8 @@ def matcher_source(p: MatcherProgram, exact_arity: bool = False) -> tuple[str, t
                     var_of[s.class_id] = len(var_keys)
                     var_keys.append(const(s.class_id))
                 code.append("v%d = %s.symbol or ''" % (var_of[s.class_id], node))
-            elif op == CHECK:
-                if s.class_id in var_of:
-                    fail_if("v%d != (%s.symbol or '')" % (var_of[s.class_id], node))
-                else:
-                    code.append("return %d" % done)
+            else:  # CHECK, of a class bound before it
+                fail_if("v%d != (%s.symbol or '')" % (var_of[s.class_id], node))
             shaping = shaping and op in (KIND, BIND)
     code.append("return {%s}" % ", ".join("%s: v%d" % (k, j)
                                            for j, k in enumerate(var_keys)))
@@ -433,7 +423,7 @@ def _build(source: str, consts: tuple):
 # ---------------------------------------------------------------------------
 
 def serialize_program(p: MatcherProgram) -> str:
-    """The program, one that validate_program accepts, as prog-v1 text:
+    """The program, checked when it was made, as prog-v1 text:
     json.dumps(doc, sort_keys=True, indent=1) plus a line break, doc holding
     the header fields (the counts derived from the steps), the origin and
     one record per step with op, node and each of the step's other fields
@@ -463,26 +453,24 @@ def serialize_program(p: MatcherProgram) -> str:
             ' "template_depth": %s,\n "var_class_count": %s\n}\n'
             % (_json(FORMAT), origin, _json(p.query_id),
                _json(p.statement_count),
-               "[\n%s\n ]" % ",\n".join(steps) if steps else "[]",
+               "[\n%s\n ]" % ",\n".join(steps),
                _json(p.symbol_policy), _json(p.template_depth),
                _json(p.var_class_count)))
 
 
-def _json(value: str | int | None) -> str:
+def _json(value: str | int) -> str:
     """value as json encodes it."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return "null" if value is None else int.__repr__(value)
+    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)
 
 
 def deserialize_program(text: str) -> MatcherProgram:
     """Read a prog-v1 document; any defect raises ProgramFormatError.
 
-    The program is checked by validate_program, and each header count the
-    document holds must equal the one its steps imply."""
+    The program is checked as it is made (validate_program), and each
+    header count the document holds must equal the one its steps imply."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ProgramFormatError("not valid JSON: %s" % e) from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ProgramFormatError("missing %r header" % FORMAT)
@@ -500,10 +488,8 @@ def deserialize_program(text: str) -> MatcherProgram:
         origin = origin_from_json(doc.get("origin"))
     except ValueError as e:
         raise ProgramFormatError(str(e)) from None
-    p = MatcherProgram(steps=tuple(steps), query_id=doc.get("query_id", ""),
-                       symbol_policy=doc.get("symbol_policy", "preserve"),
-                       origin=origin)
-    validate_program(p)
+    p = MatcherProgram(tuple(steps), doc.get("query_id", ""),
+                       doc.get("symbol_policy", "preserve"), origin)
     for key in ("statement_count", "var_class_count", "template_depth"):
         if key in doc and (type(doc[key]) is not int or doc[key] != getattr(p, key)):
             raise ProgramFormatError("%s is %s, but the steps imply %d"

@@ -3,9 +3,9 @@
 Matching is anchored: a program of k statements matches a run of k
 consecutive sibling statements under some StmtList.  The scan does not try
 every run.  It reads the unit's cached AnchorIndex and tries only the starts
-whose statement has the kind named by the program's first KIND step (every
-start when the program does not open with one), skipping StmtLists too deep
-for the template and starts with fewer than k statements left.  The runs it
+whose statement has the kind of the program's first step, a KIND step in
+every program (compiler.validate_program), skipping StmtLists too deep for
+the template and starts with fewer than k statements left.  The runs it
 skips would fail on the first step, so the matches, and their document
 order, are those of an exhaustive scan.  Target nodes may have extra
 trailing children beyond what the program specifies (a call with more
@@ -135,18 +135,17 @@ def shape_id(n: AstNode, nodes: dict[int, AstNode]) -> int:
     return sid
 
 
-def _tries(unit: SourceUnit, first: str | None, depth_limit: int | None,
+def _tries(unit: SourceUnit, first: str, depth_limit: int | None,
            k: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     """The anchors a program of k statements is tried at: those whose
-    statement has kind `first` (any kind when None), in a StmtList shallower
-    than depth_limit (any depth when None), with k statements left.  Each is
-    (StmtList id, its children, start, shape id of the statement at start),
-    in document order."""
+    statement has kind `first`, in a StmtList shallower than depth_limit
+    (any depth when None), with k statements left.  Each is (StmtList id,
+    its children, start, shape id of the statement at start), in document
+    order."""
     index = unit.anchor_index()
     nodes, shapes = unit.nodes, index.shapes
     out = []
-    for sl_id, sl_depth, start, siblings in (
-            index.anchors if first is None else index.by_kind.get(first, ())):
+    for sl_id, sl_depth, start, siblings in index.by_kind.get(first, ()):
         if (depth_limit is not None and sl_depth >= depth_limit) or start + k > siblings:
             continue
         stmts = nodes[sl_id].children
@@ -194,14 +193,13 @@ def scan_unit(p: MatcherProgram, unit: SourceUnit,
     matches: list[Match] = []
     comparisons = 0
     for sl_id, stmts, start, sid in tries:
-        if tests:
-            verdict = verdicts.get(sid)
-            if verdict is None:
-                verdict = verdicts[sid] = (UNDECIDED if sid == NO_SHAPE else
-                                           shape_verdict(tests, *_shapes[sid]))
-            if verdict != UNDECIDED:
-                comparisons += verdict
-                continue
+        verdict = verdicts.get(sid)
+        if verdict is None:
+            verdict = verdicts[sid] = (UNDECIDED if sid == NO_SHAPE else
+                                       shape_verdict(tests, *_shapes[sid]))
+        if verdict != UNDECIDED:
+            comparisons += verdict
+            continue
         found = match(nodes, stmts, start)
         if type(found) is int:
             comparisons += found

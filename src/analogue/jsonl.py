@@ -46,8 +46,9 @@ _decode = json.JSONDecoder(parse_constant=_no_constant).decode
 def read(text: str, error: type[RecordError] = RecordError,
          skip: Callable[[RecordError], Any] | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (index, value) for each non-blank line of text.  A line that is
-    not JSON (NaN, Infinity and -Infinity included) raises `error` naming it,
-    or, with `skip` given, is passed to skip as that error and left out.
+    not JSON (NaN, Infinity and -Infinity included) or nests too deep raises
+    `error` naming it, or, with `skip` given, is passed to skip as that error
+    and left out.
     A line ends at "\n" only: a JSON string may hold U+2028, U+2029 and U+0085
     unescaped, where str.splitlines would break it, and a "\r" before the
     "\n" is JSON whitespace."""
@@ -55,7 +56,7 @@ def read(text: str, error: type[RecordError] = RecordError,
         if line.strip():
             try:
                 yield i, _decode(line)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:
                 bad = error("not valid JSON: %s" % e, i)
                 if skip is None:
                     raise bad from None

@@ -18,8 +18,9 @@ its bytes only when it is within max_file_bytes.  A file that cannot be
 opened or read, is too large, looks binary, fails to parse, nests too deep
 for the parser, or makes the parser raise anything else becomes a
 SkippedFile with a reason, and the repository's other files are still
-scanned.  A repository whose scan raises becomes a result carrying the
-error instead of aborting the run.
+scanned; every command reads PHP so, with load_file.  A repository whose
+scan raises becomes a result carrying the error instead of aborting the
+run.
 
 Repositories are independent, so they can be scanned by parallel worker
 processes.  The programs and options are shipped once per worker, when it
@@ -76,6 +77,10 @@ class SkippedFile:
     path: str
     reason: str
     detail: str = ""
+
+    def __str__(self) -> str:
+        """How `scan` warns of the file and the one-file commands refuse it."""
+        return ": ".join(filter(None, (self.path, self.reason, self.detail)))
 
 
 @dataclass(slots=True)
@@ -168,10 +173,11 @@ def parse_file(data: bytes, path: str) -> tuple[SourceUnit, str]:
     return parse_source(text, path=path), text.removeprefix("\ufeff")
 
 
-def _load_unit(path: str, label: str,
-               limit: int) -> tuple[SourceUnit, str] | SkippedFile:
-    """One candidate file as parse_file's (unit, text), or the SkippedFile
-    that says why it cannot be scanned.  The path "-" is standard input."""
+def load_file(path: str, label: str,
+              limit: int) -> tuple[SourceUnit, str] | SkippedFile:
+    """The one way every command reads PHP: the file as parse_file's (unit,
+    text), or the SkippedFile, labelled `label`, that says why it cannot be
+    read.  A file over limit bytes is too large; "-" is standard input."""
     try:
         if path == "-":
             size = len(data := sys.stdin.buffer.read())
@@ -222,9 +228,8 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
     wall = [0.0] * n
     comparisons, candidates, units_skipped = [0] * n, [0] * n, [0] * n
     found: list[list[Match]] = [[] for _ in programs]
-    needs = [(program, program.preserved_symbols) for program in programs]
     for path, label in files:
-        loaded = _load_unit(path, label, limit)
+        loaded = load_file(path, label, limit)
         if type(loaded) is SkippedFile:
             result.files_skipped.append(loaded)
             continue
@@ -234,8 +239,8 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
         lines = None  # the file's source_lines, split at its first match
         symbols = unit.anchor_index().symbols
         t0 = time.perf_counter()  # after the index, which every query shares
-        for i, (program, preserved) in enumerate(needs):
-            if not preserved <= symbols:
+        for i, program in enumerate(programs):
+            if not program.preserved_symbols <= symbols:
                 units_skipped[i] += 1
             else:
                 matches, counter = scan_unit(program, unit, opts.scan)

@@ -314,7 +314,7 @@ def _lex_error(err: str, line: int) -> LexError:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = frozenset({
-    "echo", "print", "if", "elseif", "else", "while", "foreach", "for",
+    "echo", "if", "elseif", "else", "while", "foreach", "for",
     "return", "function", "class", "interface", "trait", "abstract", "final",
     "global", "include", "include_once", "require", "require_once", "switch",
     "do", "break", "continue", "try", "throw", "namespace", "use", "enum",
@@ -486,8 +486,6 @@ class _Parser:
                 self.next()
                 exprs.append(self.parse_expr())
             return self._simple(astree.ECHO, exprs, t)
-        if kw == "print":
-            return self._simple(astree.other("print"), [self.parse_expr()], t)
         if kw == "if":
             return self._parse_if(t)
         if kw in ("endif", "endwhile", "endforeach", "endfor", "endswitch"):

@@ -305,7 +305,7 @@ def load_cursor(path: str | Path) -> int | None:
         raise SpiderError("cannot read state file %s: %s" % (p, e)) from None
     try:
         doc = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise SpiderError("state file %s is not valid JSON: %s" % (p, e)) from None
     if type(doc) is not dict or "cursor" not in doc or not (
             doc["cursor"] is None or type(doc["cursor"]) is int):

@@ -464,17 +464,35 @@ def test_derive_ast_and_pipeline_read_files_as_mine_does(tmp_path, capsys,
     assert [json.loads(m)["lines"] for m in matches] == [[3, 4]]
 
 
-def test_too_deep_input_is_an_error_not_a_traceback(tmp_path, capsys):
-    # a chain of any length derives; 3,000 nested parentheses do not parse
-    deep = tmp_path / "deep.php"
-    deep.write_text("<?php\n$x = " + "(" * 3000 + "$y" + ")" * 3000 + ";\n")
+# Seeds that `mine` and `scan` skip, and the reason and detail they give:
+# a NUL byte, one byte over MinerOptions().max_file_bytes, and 3,000 nested
+# parentheses (a chain of any length derives; these do not parse).
+UNREADABLE_SEEDS = {
+    "binary": (b"<?php\x00\n$a = 1;\n", "binary"),
+    "too-large": (b"<?php\n#".ljust(2 * 1024 * 1024 + 1, b"x"), "too-large: 2097153 bytes"),
+    "too-deep": (("<?php\n$x = " + "(" * 3000 + "$y" + ")" * 3000 + ";\n").encode(),
+                 "too-deep: nesting exceeds the parser's recursion limit"),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_SEEDS)
+def test_derive_pipeline_and_ast_export_refuse_a_seed_as_scan_skips_it(tmp_path, capsys,
+                                                                       kind):
+    """The commands that read one PHP file read it as `mine` does, and
+    refuse what `scan` skips, in the words `scan` warns with."""
+    data, reason = UNREADABLE_SEEDS[kind]
+    seed = tmp_path / (kind + ".php")
+    seed.write_bytes(data)
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", str(FIXTURES / "tutorial_books.php"), "--lines", "5:6",
+               "-o", str(tmpl))[0] == 0
+    text = "%s: %s\n" % (seed, reason)
+    assert run(capsys, "scan", str(tmpl), str(seed)) == (0, "", "warning: skipped " + text)
     (tmp_path / "corpus" / "repo").mkdir(parents=True)
-    for argv in (["derive", str(deep)],
-                 ["pipeline", str(deep), str(tmp_path / "corpus"),
+    for argv in (["derive", str(seed)], ["ast", "export", str(seed)],
+                 ["pipeline", str(seed), str(tmp_path / "corpus"),
                   "--out", str(tmp_path / "out")]):
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert err.startswith("error: too-deep: ") and "Traceback" not in err
+        assert run(capsys, *argv) == (1, "", "error: " + text)
 
 
 def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
@@ -834,8 +852,8 @@ def test_scan_splits_each_file_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["mine", "scan", "report"])
 def test_a_query_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, capsys,
                                                                     monkeypatch, command):
-    """A query file is read as every other text input is, so bytes that are
-    not UTF-8 make it neither a program nor a template."""
+    """A query file is read as every other text input is, as strict UTF-8,
+    so bytes that are not UTF-8 are an error that names the file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "repo").mkdir()
     shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / "repo" / "index.php")
@@ -848,8 +866,67 @@ def test_a_query_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, cap
             "report": ["report", "matches.jsonl", "--queries", "q"]}[command]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: %s is neither a program (" % Path("q", "bad.json"))
-    assert ") nor a template (" in err
+    assert err.startswith("error: %s: not UTF-8: " % Path("q", "bad.json"))
+
+
+@pytest.mark.parametrize("source", ["template", "stdin", "repos", "matches"])
+def test_a_stray_byte_in_a_text_input_is_an_error_naming_it(tmp_path, capsys,
+                                                            monkeypatch, source):
+    """A byte that is not UTF-8 is not read as U+FFFD: in a template's
+    callee name that would make a query that matches nothing, and `scan`
+    would exit 0 without naming the file."""
+    monkeypatch.chdir(tmp_path)
+    seed = str(FIXTURES / "tutorial_books.php")
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", seed, "--lines", "5:6", "-o", str(tmpl))[0] == 0
+    good = tmpl.read_bytes()
+    bad = good.replace(b'"name": "mysql_query"', b'"name": "mysql_query\xff"')
+    assert bad != good
+    (tmp_path / "q").mkdir()
+    shutil.copy(tmpl, tmp_path / "q" / "q.tmpl.jsonl")
+    name, argv = {
+        "template": ("q.tmpl.jsonl", ["scan", "q.tmpl.jsonl", seed]),
+        "stdin": ("-", ["scan", "-", seed]),
+        "repos": ("repos.txt", ["mine", "--repos", "repos.txt", "--queries", "q",
+                                "--out", "out"]),
+        "matches": ("matches.jsonl", ["report", "matches.jsonl"]),
+    }[source]
+    if source == "template":
+        tmpl.write_bytes(bad)
+    elif source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad)))
+    elif source == "repos":
+        (tmp_path / "repos.txt").write_bytes(b"repo\xff\n")
+    else:
+        (tmp_path / "matches.jsonl").write_bytes(
+            json.dumps(MATCH).encode().replace(b'"a.php"', b'"a\xff.php"') + b"\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+                          % name)
+
+
+@pytest.mark.parametrize("source", ["query", "stats", "config", "ast"])
+def test_json_nested_too_deep_is_invalid_json_where_it_is_read(tmp_path, capsys,
+                                                              monkeypatch, source):
+    """JSON nested past the decoder's recursion limit is invalid JSON where
+    it is read, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    (tmp_path / "matches.jsonl").write_text(json.dumps(MATCH) + "\n")
+    seed = str(FIXTURES / "tutorial_books.php")
+    argv, start = {
+        "query": (["scan", "deep.json", seed],
+                  "error: deep.json is neither a program (not valid JSON: "),
+        "stats": (["report", "matches.jsonl", "--format", "summary", "--stats",
+                   "deep.json"], "error: deep.json line 1: not valid JSON: "),
+        "config": (["--config", "deep.json", "scan", "deep.json", seed],
+                   "error: cannot read config deep.json: "),
+        "ast": (["ast", "import", "deep.json"], "error: record 0: not valid JSON: "),
+    }[source]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(start) and "recursion" in err
 
 
 def test_pipeline_reports_as_report_does_over_its_matches(tmp_path, capsys):

@@ -243,8 +243,8 @@ def reference_text(p: MatcherProgram) -> str:
 
 
 def random_program(rng: random.Random) -> MatcherProgram:
-    """A valid program of up to three statements (none: empty steps) with
-    odd strings in every kind, name, query id and path."""
+    """A valid program of one to three statements, each opening with a KIND
+    step, with odd strings in every kind, name, query id and path."""
     def odd() -> str:
         return rng.choice(ODD) + rng.choice(ODD)
 
@@ -266,8 +266,7 @@ def random_program(rng: random.Random) -> MatcherProgram:
             node(node_id + 1, depth + 1)
             steps.append(MatcherStep(ASCEND, node_id))
 
-    statements = rng.randrange(4)
-    for i in range(statements):
+    for i in range(rng.randrange(1, 4)):
         if i:
             steps.append(MatcherStep(NEXT, i))
         node(rng.randrange(-5, 100), 0)
@@ -282,9 +281,9 @@ def test_writer_equals_json_dumps():
     programs = [random_program(rng) for _ in range(300)]
     programs += [compile_from(render_file(render_snippet(random_snippet(rng))))[2]
                  for _ in range(20)]
-    assert any(not p.steps for p in programs) and any(p.origin is None for p in programs)
+    assert any(p.statement_count == 1 for p in programs) and \
+        any(p.origin is None for p in programs)
     for p in programs:
-        validate_program(p)
         text = serialize_program(p)
         assert text == reference_text(p)
         assert deserialize_program(text) == p
@@ -302,19 +301,47 @@ def test_a_value_of_no_field_type_is_rejected_in_every_field(value):
     fields, so the writer sees only str, int and None."""
     steps = (MatcherStep(KIND, 0, "K", 1), MatcherStep(DESCEND, 1, child_index=0),
              MatcherStep(BIND, 1, class_id=0), MatcherStep(ASCEND, 0),
-             MatcherStep(NEXT, 2), MatcherStep(SYMBOL, 2, name="f"))
+             MatcherStep(NEXT, 2), MatcherStep(KIND, 2, "L"),
+             MatcherStep(SYMBOL, 2, name="f"))
     p = MatcherProgram(steps=steps, query_id="q", origin=SeedOrigin("s.php", 1, 2))
-    validate_program(p)
     for origin in ((value, 1, 2), ("s.php", value, 2), ("s.php", 1, value)):
         with pytest.raises(ValueError, match="malformed origin"):
             SeedOrigin(*origin)
-    bad = [dataclasses.replace(p, symbol_policy=value),
-           dataclasses.replace(p, query_id=value),
-           dataclasses.replace(p, origin=value)]
+    edits = [{"symbol_policy": value}, {"query_id": value}, {"origin": value}]
     for i, s in enumerate(steps):
         for field in range(1, len(s)):      # node id and every field after it
             edited = steps[:i] + (s[:field] + (value,) + s[field + 1:],) + steps[i + 1:]
-            bad.append(dataclasses.replace(p, steps=tuple(map(MatcherStep._make, edited))))
-    for q in bad:
+            edits.append({"steps": tuple(map(MatcherStep._make, edited))})
+    for edit in edits:
         with pytest.raises(ProgramFormatError):
-            validate_program(q)
+            dataclasses.replace(p, **edit)
+
+
+def old_facts(p: MatcherProgram) -> dict:
+    """The five facts as MatcherProgram's properties found them, one walk
+    of the steps each: the oracle for what validate_program returns."""
+    depth = deepest = 0
+    for s in p.steps:
+        if s.op == DESCEND:
+            depth += 1
+            deepest = max(deepest, depth)
+        elif s.op == ASCEND:
+            depth -= 1
+    return {"statement_count": 1 + sum(1 for s in p.steps if s.op == NEXT),
+            "var_class_count": len({s.class_id for s in p.steps if s.op == BIND}),
+            "template_depth": deepest,
+            "preserved_symbols": frozenset(s.name for s in p.steps if s.op == SYMBOL),
+            "comparison_steps": sum(1 for s in p.steps
+                                    if s.op not in (DESCEND, ASCEND, NEXT))}
+
+
+def test_validate_program_returns_the_facts_the_old_walks_found():
+    rng = random.Random(71)
+    programs = [random_program(rng) for _ in range(500)]
+    programs += [compile_from(render_file(render_snippet(random_snippet(rng))),
+                              symbol_policy=rng.choice(SYMBOL_POLICIES))[2]
+                 for _ in range(50)]
+    for p in programs:
+        facts = old_facts(p)
+        assert validate_program(p) == facts
+        assert {name: getattr(p, name) for name in facts} == facts

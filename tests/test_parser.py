@@ -100,8 +100,8 @@ def test_depths_root_is_zero_and_literals_sit_deep(tutorial_books):
         return d
 
     index = unit.anchor_index()
-    assert [a[1] for a in index.anchors if a[0] == unit.root] \
-        == [0] * len(unit.nodes[unit.root].children)
+    assert [a[1] for anchors in index.by_kind.values() for a in anchors
+            if a[0] == unit.root] == [0] * len(unit.nodes[unit.root].children)
     assert index.max_depth == max(map(depth, unit.nodes))
     # literal leaves inside the interpolated query string sit >= 4 levels
     # below their statement node
@@ -158,9 +158,58 @@ def test_depths_match_recursive_oracle():
     index = unit.anchor_index()
     stmt_lists = [n for n in unit.iter_preorder()
                   if n.kind == astree.STMT_LIST and n.children]
-    assert index.anchors == [(n.id, oracle[n.id], start, len(n.children))
-                             for n in stmt_lists for start in range(len(n.children))]
+    anchors = [(n.id, oracle[n.id], start, len(n.children))
+               for n in stmt_lists for start in range(len(n.children))]
+
+    def kind_at(a):
+        return unit.nodes[unit.nodes[a[0]].children[a[2]]].kind
+
+    # every anchor in exactly one list, its statement's kind's, in document order
+    assert index.by_kind == {k: [a for a in anchors if kind_at(a) == k]
+                             for k in map(kind_at, anchors)}
     assert index.max_depth == max(oracle.values())
+
+
+def tree_text(unit, node_id: int) -> str:
+    """A node and its subtree: kind, symbol or value, line span, children."""
+    n = unit.nodes[node_id]
+    text = " ".join(filter(None, (n.kind, n.symbol, None if n.value is None
+                                  else repr(n.value), "%d-%d" % (n.line_start, n.line_end))))
+    if n.children:
+        text += " (%s)" % ", ".join(tree_text(unit, c) for c in n.children)
+    return text
+
+
+# print is read by one rule, as an operator at the loosest level, in
+# statement position too; these are the trees it gave as a statement keyword.
+@pytest.mark.parametrize("text,tree", [
+    ("<?php print $a;", "StmtList 1-1 (Other:print 1-1 (Var $a 1-1))"),
+    ("<?php print $a or die();",
+     "StmtList 1-1 (Other:print 1-1 (BinOp:or 1-1 (Var $a 1-1, "
+     "Call 1-1 (Name die 1-1, ArgList 1-1))))"),
+    ("<?php print($x) ;", "StmtList 1-1 (Other:print 1-1 (Var $x 1-1))"),
+    ("<?php print;", "StmtList 1-1 (Other:opaque 1-1)"),
+    ("<?php print $a, $b;", "StmtList 1-1 (Other:opaque 1-1)"),
+    ("<?php if ($x) print 'a'; else print 'b';",
+     "StmtList 1-1 (If 1-1 (Var $x 1-1, StmtList 1-1 (Other:print 1-1 (Literal 'a' 1-1)), "
+     "StmtList 1-1 (Other:print 1-1 (Literal 'b' 1-1))))"),
+    ("<?php PRINT $a = 1;",
+     "StmtList 1-1 (Other:print 1-1 (Assign 1-1 (Var $a 1-1, Literal '1' 1-1)))"),
+    ("<?php $b = print $c;",
+     "StmtList 1-1 (Assign 1-1 (Var $b 1-1, Other:print 1-1 (Var $c 1-1)))"),
+    ("<?php print $a ?>", "StmtList 1-1 (Other:print 1-1 (Var $a 1-1))"),
+    ("<?php print $a ?>tail", "StmtList 1-1 (Other:print 1-1 (Var $a 1-1), Html 1-1)"),
+    ("<?php print\n  $a\n  . $b\n;",
+     "StmtList 1-4 (Other:print 1-4 (BinOp:concat 2-3 (Var $a 2-2, Var $b 3-3)))"),
+    ("<?php print $a;\nprint\n$b;",
+     "StmtList 1-3 (Other:print 1-1 (Var $a 1-1), Other:print 2-3 (Var $b 3-3))"),
+    ("<?php\nprint 1 +\n2\n?>x",
+     "StmtList 1-4 (Other:print 2-3 (BinOp:+ 2-3 (Literal '1' 2-2, Literal '2' 3-3)), "
+     "Html 4-4)"),
+])
+def test_print_trees(text, tree):
+    unit = parse_source(text)
+    assert tree_text(unit, unit.root) == tree
 
 
 def test_parent_spans_contain_child_spans_over_generated_corpus():

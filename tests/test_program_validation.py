@@ -7,11 +7,12 @@ a defect in a program file must stop the load with ProgramFormatError, and
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from analogue.cli import main
-from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, SYMBOL,
+from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT, SYMBOL,
                                ProgramFormatError, compile_template,
                                deserialize_program, serialize_program,
                                validate_program)
@@ -187,3 +188,39 @@ def test_scan_reports_a_bad_program_with_its_reason(tmp_path, capsys):
     assert err.startswith("error: %s is neither a program (step " % prog)
     assert "statement boundary inside a subtree" in err
     assert "Traceback" not in err
+
+
+# Program files the engine would once have tried at every statement, or
+# beyond the end of a run: each statement must open with a KIND step.
+UNOPENED = {
+    "step-less": ([], "step 0: a statement opens with a kind step, "
+                      "not the end of the program"),
+    "bind-only": ([{"op": BIND, "node": 0, "class": 0}],
+                  "step 0: a statement opens with a kind step, not a bind step"),
+    "trailing-next": ([{"op": KIND, "node": 0, "kind": "Assign"},
+                       {"op": NEXT, "node": 1}],
+                      "step 2: a statement opens with a kind step, "
+                      "not the end of the program"),
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "mine"])
+@pytest.mark.parametrize("name", UNOPENED)
+def test_a_program_file_whose_statement_does_not_open_with_a_kind_step_is_refused(
+        tmp_path, capsys, monkeypatch, name, command):
+    steps, reason = UNOPENED[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q").mkdir()
+    prog = Path("q", "bad.prog.json")
+    prog.write_text(json.dumps({"format": "prog-v1", "query_id": "q", "steps": steps}))
+    (tmp_path / "repo").mkdir()
+    (tmp_path / "repo" / "a.php").write_text("<?php $a = 1; foo(); if ($x) { echo 2; }\n")
+    (tmp_path / "repos.txt").write_text("repo\n")
+    argv = {"scan": ["scan", str(prog), "repo/a.php"],
+            "mine": ["mine", "--repos", "repos.txt", "--queries", "q", "--out", "out"]}
+    assert main(argv[command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s is neither a program (%s) nor a template ("
+                          % (prog, reason))
+    assert not (tmp_path / "out").exists()

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,8 @@ from genutil import php_text
 
 from analogue import miner
 from analogue.astree import STMT_LIST, AstNode, SourceUnit
-from analogue.compiler import (KIND, compile_template, deserialize_program,
-                               serialize_program)
+from analogue.compiler import (DESCEND, KIND, ProgramFormatError, compile_template,
+                               deserialize_program, serialize_program)
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 plant_file, random_filler, random_snippet,
                                 render_file, render_snippet, render_stmt)
@@ -89,23 +90,19 @@ def test_indexed_scan_equals_exhaustive_loop():
     assert seen_matches
 
 
-def test_program_not_opening_with_kind_falls_back_to_every_anchor():
+def test_program_not_opening_with_kind_is_refused():
+    """Without its statement-root KIND step a program would be tried at
+    every anchor; it is refused where it is made and where it is read."""
     seed = parse_source("<?php echo $a;")
     echo = compile_template(derive_template(seed, seed.children_of(seed.nodes[seed.root])))
-    assert echo.steps[0].op == KIND
-    # Without its statement-root KIND step the program is still valid prog-v1
-    # and matches any statement whose first child is a variable.
-    loose = deserialize_program(serialize_program(
-        dataclasses.replace(echo, steps=echo.steps[1:])))
-    assert loose.steps[0].op != KIND
-    unit = parse_source("<?php\necho $x;\nif ($c) {\n  return $y;\n}\nprint_it($z);\n")
-    for opts in OPTION_GRID:
-        got, _ = scan_unit(loose, unit, opts)
-        assert got == exhaustive_scan(loose, unit, opts)
-    got, _ = scan_unit(loose, unit)
-    assert [unit.nodes[unit.nodes[m.stmt_list_id].children[m.start_index]].kind
-            for m in got] == ["Echo", "If", "Return"]
-    assert len(scan_unit(echo, unit)[0]) == 1
+    assert [s.op for s in echo.steps[:2]] == [KIND, DESCEND]
+    refusal = "^step 0: a statement opens with a kind step, not a descend step$"
+    with pytest.raises(ProgramFormatError, match=refusal):
+        dataclasses.replace(echo, steps=echo.steps[1:])
+    doc = json.loads(serialize_program(echo))
+    del doc["steps"][0]
+    with pytest.raises(ProgramFormatError, match=refusal):
+        deserialize_program(json.dumps(doc))
 
 
 def test_mining_with_prefilter_equals_scanning_every_unit(tmp_path):
@@ -172,9 +169,14 @@ def full_walk_index(unit):
 
 
 def assert_index_is_full_walk(unit):
+    """The index holds the walk's lists: every anchor in exactly one, its
+    statement's kind's, and each list in document order."""
     index = unit.anchor_index()
-    assert (index.anchors, list(index.by_kind.items()), index.symbols,
-            index.max_depth) == full_walk_index(unit)
+    anchors, by_kind, symbols, max_depth = full_walk_index(unit)
+    assert sorted(a for kind_anchors in index.by_kind.values()
+                  for a in kind_anchors) == sorted(anchors)
+    assert (list(index.by_kind.items()), index.symbols, index.max_depth) == \
+        (by_kind, symbols, max_depth)
 
 
 def shuffled_import(unit, rng):
@@ -245,7 +247,7 @@ def test_anchor_index_of_leaf_roots():
     empty = parse_source("<?php ")
     assert not empty.nodes[empty.root].children
     assert_index_is_full_walk(empty)
-    assert empty.anchor_index().anchors == [] and empty.anchor_index().max_depth == 0
+    assert empty.anchor_index().by_kind == {} and empty.anchor_index().max_depth == 0
     leaf = SourceUnit(path="leaf", root=7, nodes={7: AstNode(7, "Var", symbol="$a")})
     assert_index_is_full_walk(leaf)
     assert leaf.anchor_index().symbols == {"$a"}

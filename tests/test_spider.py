@@ -234,6 +234,7 @@ BAD_STATES = {
     "float-cursor": '{"cursor": 1.5}',
     "no-cursor": "{}",
     "invalid-json": '{"cursor": ',
+    "too-deep": "[" * 100_000 + "]" * 100_000,
     "not-utf-8": b'{"cursor": "\xff"}',
 }
 
