@@ -18,14 +18,13 @@ from pathlib import Path
 
 from . import astree, interchange, jsonl, report as report_mod, spider as spider_mod
 from .astree import AmbiguousSlice, EmptySlice, SourceUnit, slice_statements
-from .compiler import (MatcherProgram, ProgramFormatError, compile_template,
-                       deserialize_program, export_traversal_script,
-                       serialize_program)
+from .compiler import (MatcherProgram, NotAProgram, ProgramFormatError, compile_template,
+                       deserialize_program, export_traversal_script, serialize_program)
 from .engine import ScanOptions, match_to_record
 from .miner import (MinerOptions, RepoScanResult, SkippedFile, load_file,
                     mine_repositories, scan_files, write_mining_outputs)
-from .template import (EmptyInput, SeedOrigin, Template, TemplateFormatError,
-                       derive_template, deserialize_template, serialize_template)
+from .template import (EmptyInput, SeedOrigin, Template, derive_template,
+                       deserialize_template, serialize_template)
 
 log = logging.getLogger("analogue")
 
@@ -34,13 +33,19 @@ class CliError(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    """A text input, or stdin for "-", as strict UTF-8, else a CliError naming it."""
+def _read(path: str, reader=str):
+    """reader of a text input, or of stdin for "-", read as strict UTF-8.  A
+    defect is a CliError naming the file, and the line of a record the
+    reader rejects."""
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return reader(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         raise CliError("%s: not UTF-8: %s" % (path, e))
+    except (jsonl.RecordError, ProgramFormatError) as e:
+        line = getattr(e, "record", None)
+        raise CliError("%s%s: %s" % (path, "" if line is None else " line %d" % (line + 1),
+                                     e.args[0]))
 
 
 def _unit_of(path: str) -> SourceUnit:
@@ -52,13 +57,9 @@ def _unit_of(path: str) -> SourceUnit:
 
 
 def _read_records(path: str, types: dict[str, type | tuple]) -> list[dict]:
-    """The records of path, each a JSON object whose fields have `types`
-    (jsonl.read and jsonl.fields); a record they reject is a CliError
-    naming the file and the line."""
-    try:
-        return [jsonl.fields(rec, types, i) for i, rec in jsonl.read(_read(path))]
-    except jsonl.RecordError as e:
-        raise CliError("%s line %d: %s" % (path, e.record + 1, e.args[0]))
+    """The records of path, each a JSON object whose fields have `types`."""
+    return _read(path, lambda text: [jsonl.fields(rec, types, i)
+                                     for i, rec in jsonl.read(text)])
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -79,19 +80,18 @@ def _parse_lines(value: str) -> tuple[int, int]:
     return first, last
 
 
-def load_query(path: Path) -> MatcherProgram:
-    """Load a query file: either a serialized program or a template
-    (compiled on the fly)."""
-    text = _read(str(path))
+def _query(text: str) -> MatcherProgram:
+    """A program, or a template compiled on the fly if the text is no prog-v1
+    document at all: one reader, chosen by the format, reports a defect."""
     try:
         return deserialize_program(text)
-    except ProgramFormatError as e:
-        not_a_program = e
-    try:
+    except NotAProgram:
         return compile_template(deserialize_template(text))
-    except TemplateFormatError as e:
-        raise CliError("%s is neither a program (%s) nor a template (%s)"
-                       % (path, not_a_program, e))
+
+
+def load_query(path: Path) -> MatcherProgram:
+    """Load a query file, a program or a template (see _query)."""
+    return _read(str(path), _query)
 
 
 def load_query_dir(path: Path) -> list[MatcherProgram]:
@@ -118,7 +118,7 @@ def load_query_dir(path: Path) -> list[MatcherProgram]:
 
 def cmd_ast(args) -> int:
     unit = (_unit_of(args.file) if args.action == "export"
-            else interchange.import_ast(_read(args.file)))
+            else _read(args.file, interchange.import_ast))
     _write_out(interchange.export_ast(unit), args.out)
     return 0
 
@@ -147,8 +147,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    t = deserialize_template(_read(args.template))
-    p = compile_template(t)
+    p = compile_template(_read(args.template, deserialize_template))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prog_path = out_dir / ("%s.prog.json" % p.query_id)
@@ -424,8 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (CliError, OSError, EmptySlice, AmbiguousSlice, EmptyInput,
-            jsonl.RecordError, ProgramFormatError, spider_mod.AuthError,
-            spider_mod.SpiderError) as e:
+            ProgramFormatError, spider_mod.AuthError, spider_mod.SpiderError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -126,6 +126,10 @@ class ProgramFormatError(Exception):
     pass
 
 
+class NotAProgram(ProgramFormatError):
+    """Text that is no prog-v1 document at all: not JSON, or no such header."""
+
+
 def compile_template(t: Template) -> MatcherProgram:
     """Linearize a template: one kind filter per node in pre-order, a symbol
     filter for preserved callee names, and bind/check steps so that the first
@@ -467,13 +471,14 @@ def deserialize_program(text: str) -> MatcherProgram:
     """Read a prog-v1 document; any defect raises ProgramFormatError.
 
     The program is checked as it is made (validate_program), and each
-    header count the document holds must equal the one its steps imply."""
+    header count the document holds must equal the one its steps imply.
+    Text that is no prog-v1 document at all raises NotAProgram."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
-        raise ProgramFormatError("not valid JSON: %s" % e) from None
+        raise NotAProgram("not valid JSON: %s" % e) from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ProgramFormatError("missing %r header" % FORMAT)
+        raise NotAProgram("missing %r header" % FORMAT)
     raw_steps = doc.get("steps")
     if not isinstance(raw_steps, list):
         raise ProgramFormatError("missing steps")

@@ -45,12 +45,22 @@ Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
 statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
 statement position too), an alternative ``: ... endwhile;`` block or a
-single statement.  ``_parse_function`` reads functions, methods and
-closures, ``static`` ones included.  PHP puts the ``{`` of a ``switch``,
-``try``, ``catch (...)`` or ``finally`` body right after its head, and a
-class header or a function's return type ends at ``{``, ``;`` or ``}``; so no
-statement searches past itself for a ``{``, and a malformed one fails where
-it stands, which keeps recovery linear in the file.
+single statement; a try, catch, finally or namespace body must be
+``{ ... }``.  ``Other:switch`` holds the subject, then an ``Other:case`` per
+case: its label (none for ``default``) and body.  ``_parse_function`` reads
+functions, methods and closures, ``static`` ones included.  Only parameter
+lists, group uses and class-member blocks are skipped unread.  PHP puts a
+body's ``{`` right after its head, and a class header or a function's
+return type ends at ``{``, ``;`` or ``}``; so no statement searches past
+itself for a ``{``, and a malformed one fails where it stands.
+
+A statement that raises ``ParseError`` is recovered as an opaque node
+(``_recover_statement``), and its start is kept in ``failed_starts``: a
+statement's parse depends only on where it starts, so one that starts there
+again is recovered at once, with the tree a re-parse would give (the failure
+memo of packrat parsing, Ford, ICFP 2002).  Without it each unclosed
+``if ($a):`` re-parsed the ones after it, in time exponential in their
+number; now k unclosed heads re-read what follows them k times.
 
 The parser passes each node the lines of the tokens it owns, and
 ``TreeBuilder.add`` widens that span to the node's children; only
@@ -94,7 +104,8 @@ row.  A closure is four frames below its statement (an assignment's two
 ``parse_expr`` calls, unary, primary), so ``_parse_function`` builds its
 body inline instead of through ``_parse_block``, which would cost one more
 frame per nested closure; 141 closures nest.  A nested block costs what its
-statement rule costs: 247 ``if`` blocks or 495 bare blocks nest.
+statement rule costs: 247 ``if``, ``try``, ``catch`` or ``finally`` blocks,
+330 ``switch`` blocks or 495 bare blocks nest.
 """
 from __future__ import annotations
 
@@ -368,7 +379,7 @@ class _Parser:
         self.pos = 0
         self.b = builder
         self.last_line = toks[-1][3] if toks else 1
-        self.switch_fails: set[int] = set()   # ':' positions _skip_alt_switch fails from
+        self.failed_starts: set[int] = set()  # see parse_statements_until
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -398,7 +409,10 @@ class _Parser:
     # -- statements --------------------------------------------------------
     def parse_statements_until(self, closers: tuple[str, ...],
                                kw_closers: tuple[str, ...] = ()) -> list[int]:
+        """The statements up to a closer op, a kw_closers word or the end; a
+        statement that fails is recovered (see the module docstring)."""
         out: list[int] = []
+        failed_starts = self.failed_starts
         while True:
             t = self.toks[self.pos]
             if t[0] == "eof":
@@ -415,57 +429,47 @@ class _Parser:
                 continue
             elif kw_closers and t[0] == "ident" and t[1].lower() in kw_closers:
                 break
-            start_pos = self.pos
-            node_mark = self.b._next
-            try:
-                if t[0] == "op" and t[1] == "{":
-                    sid = self._parse_block(None)[0]
-                else:
-                    sid = self.parse_statement()
-            except ParseError:
-                self.pos = start_pos
-                self.b.rollback(node_mark)
+            if self.pos in failed_starts:
                 sid = self._recover_statement()
-            if sid is not None:
-                out.append(sid)
+            else:
+                start_pos, node_mark = self.pos, self.b._next
+                try:
+                    if t[0] == "op" and t[1] == "{":
+                        sid = self._parse_block(None)[0]
+                    else:
+                        sid = self.parse_statement()
+                except ParseError:
+                    failed_starts.add(start_pos)
+                    self.pos = start_pos
+                    self.b.rollback(node_mark)
+                    sid = self._recover_statement()
+            out.append(sid)
         return out
 
-    def _recover_statement(self) -> int | None:
-        """Swallow a malformed statement: skip to ';' at bracket depth 0.
-
-        A closing bracket at depth 0 ends the statement before it, or, when
-        the statement starts with one, is the whole statement."""
-        t0 = self.peek()
+    def _recover_statement(self) -> int:
+        """Swallow a malformed statement: skip to ';' at bracket depth 0.  A
+        closing bracket or '?>' at depth 0 ends the statement before it, or,
+        when the statement starts with a bracket, is the whole statement."""
+        start = self.pos
         depth = 0
-        last = t0
-        progressed = False
         while True:
-            t = self.peek()
+            t = self.toks[self.pos]
             if t[0] == "eof":
-                if depth > 0:
-                    raise ParseError("unbalanced delimiters", last[3])
+                if depth:
+                    raise ParseError("unbalanced delimiters", self.toks[self.pos - 1][3])
                 break
             if t[0] == "op":
                 if t[1] in "([{":
                     depth += 1
-                elif t[1] in ")]}":
-                    if depth == 0:
-                        if not progressed:
-                            last = self.next()
-                            progressed = True
-                        break
+                elif depth and t[1] in ")]}":
                     depth -= 1
-                elif t[1] == ";" and depth == 0:
-                    last = self.next()
-                    progressed = True
+                elif not depth and (t[1] in ")]};" or t[1] == "?>"):
+                    if t[1] == ";" or t[1] != "?>" and self.pos == start:
+                        self.pos += 1
                     break
-                elif t[1] == "?>" and depth == 0:
-                    break
-            last = self.next()
-            progressed = True
-        if not progressed:
-            return None
-        return self.b.add(astree.other("opaque"), line_start=t0[2], line_end=last[3])
+            self.pos += 1
+        return self.b.add(astree.other("opaque"), line_start=self.toks[start][2],
+                          line_end=self.toks[self.pos - 1][3])
 
     def parse_statement(self) -> int:
         """One statement that does not start with '{' (see parse_statements_until)."""
@@ -520,11 +524,7 @@ class _Parser:
         if kw in ("include", "include_once", "require", "require_once", "throw"):
             return self._simple(astree.other(kw), [self.parse_expr()], t)
         if kw == "switch":
-            self.expect_op("(")
-            cond = self.parse_expr()
-            self.expect_op(")")
-            end_line = self._skip_alt_switch() if self.at_op(":") else self._skip_balanced("{")
-            return self.b.add(astree.other("switch"), [cond], line_start=t[2], line_end=end_line)
+            return self._parse_switch(t)
         if kw == "do":
             body, _ = self._parse_block(None)
             if not self.at_kw("while"):
@@ -542,17 +542,19 @@ class _Parser:
                 self.next()
             return self._simple(astree.other(kw), [], t)
         if kw == "try":
-            end_line = self._skip_balanced("{")
+            bodies = [self._parse_braced()]
             while self.at_kw("catch", "finally"):
                 self.next()
                 if self.at_op("("):
                     self._skip_balanced("(")
-                end_line = self._skip_balanced("{")
-            return self.b.add(astree.other("try"), line_start=t[2], line_end=end_line)
+                bodies.append(self._parse_braced())
+            return self.b.add(astree.other("try"), bodies, line_start=t[2])
         if kw in ("namespace", "use"):
             last = t
             while not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
-                if self.at_op("{"):
+                if self.at_op("{") and kw == "namespace":
+                    return self.b.add(astree.other(kw), [self._parse_braced()], line_start=t[2])
+                if self.at_op("{"):  # a group use
                     end_line = self._skip_balanced("{")
                     return self.b.add(astree.other(kw), line_start=t[2], line_end=end_line)
                 last = self.next()
@@ -677,6 +679,40 @@ class _Parser:
         sl = self.b.add(astree.STMT_LIST, [stmt])
         return sl, self.b._nodes[sl].line_end
 
+    def _parse_braced(self) -> int:
+        """The StmtList of the {...} block that must come next."""
+        if not self.at_op("{"):
+            self.expect_op("{")  # raises
+        return self._parse_block(None)[0]
+
+    def _parse_switch(self, t: Token) -> int:
+        """A switch after its keyword t; a '?>' or blank HTML before the
+        first case, as PHP templates write it, is skipped."""
+        self.expect_op("(")
+        children = [self.parse_expr()]
+        self.expect_op(")")
+        alt = self.expect_op(":" if self.at_op(":") else "{")[1] == ":"
+        while True:
+            tok = self.next()
+            word = tok[1].lower() if tok[0] == "ident" else ""
+            if word == "case" or word == "default":
+                label = [self.parse_expr()] if word == "case" else []
+                colon = self.expect_op(";" if self.at_op(";") else ":")
+                stmts = self.parse_statements_until(() if alt else ("}",),
+                                                    ("case", "default", "endswitch"))
+                body = self.b.add(astree.STMT_LIST, stmts, line_start=colon[2])
+                children.append(self.b.add(astree.other("case"), label + [body],
+                                           line_start=tok[2]))
+            elif (word == "endswitch") if alt else (tok[0] == "op" and tok[1] == "}"):
+                if alt and self.at_op(";"):
+                    tok = self.next()
+                return self.b.add(astree.other("switch"), children, line_start=t[2],
+                                  line_end=tok[3])
+            elif not (tok[0] == "op" and tok[1] in ("?>", ";")
+                      or tok[0] == "html" and tok[1].isspace()):
+                raise ParseError("expected 'case', found %r" % (tok[1] or tok[0]),
+                                 tok[2] or self.last_line)
+
     def _parse_function(self, t: Token, tag: str) -> int:
         """A function or method (tag "function") or a closure (tag "closure")
         after its keyword t; its name, parameters, use list and return type
@@ -749,10 +785,7 @@ class _Parser:
         return self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
 
     def _skip_balanced(self, opener: str) -> int:
-        """Skip the '(' or '{' that must be the next token, and its match;
-        return the match's end line.  PHP puts the '{' of a switch, try,
-        catch or finally body right after its head, so no caller searches
-        for one."""
+        """Skip the '(' or '{' that must come next and its match; return its end line."""
         self.expect_op(opener)
         closer = ")" if opener == "(" else "}"
         depth = 1
@@ -767,41 +800,6 @@ class _Parser:
                 elif tok[1] == closer:
                     depth -= 1
         return tok[3]
-
-    def _skip_alt_switch(self) -> int:
-        """Skip the ':' that opens an alternative-syntax switch body, the body
-        and its matching 'endswitch' with its ';'; return the end line.  A
-        nested switch counts only in the ':' form, a ':' after its ')'.
-
-        A scan from a ':' reads the same tokens whatever statement it opens,
-        so when a scan fails, the scan from each nested ':' still open fails
-        too.  Those positions are kept, and a scan from one of them fails at
-        once (packrat parsing memoises failures the same way); otherwise each
-        unterminated switch would rescan the rest of the file."""
-        opens = [self.pos]      # the ':' of each switch not yet ended
-        open_tok = self.next()
-        if opens[0] in self.switch_fails:
-            raise ParseError("unterminated 'endswitch' block", open_tok[2])
-        try:
-            while True:
-                prev, tok = self.toks[self.pos - 1], self.next()
-                if tok[0] == "eof":
-                    raise ParseError("unterminated 'endswitch' block", open_tok[2])
-                if tok[0] != "ident" or prev[0] == "op" and prev[1] in ("->", "::"):
-                    continue
-                word = tok[1].lower()
-                if word == "switch" and self.at_op("("):
-                    self._skip_balanced("(")
-                    if self.at_op(":"):
-                        opens.append(self.pos)
-                        self.next()
-                elif word == "endswitch":
-                    opens.pop()
-                    if not opens:
-                        return self.next()[3] if self.at_op(";") else tok[3]
-        except ParseError:
-            self.switch_fails.update(opens)
-            raise
 
     # -- expressions -------------------------------------------------------
     def parse_expr(self, min_prec: int = _WORD_PREC) -> int:
@@ -1131,9 +1129,7 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
     toks = tokenize(text)
     b = TreeBuilder()
     p = _Parser(toks, b)
-    stmts = p.parse_statements_until(())
-    if p.peek()[0] != "eof":
-        raise ParseError("unexpected %r at top level" % p.peek()[1], p.peek()[2])
+    stmts = p.parse_statements_until(())  # reads to the end: it has no closers
     # token lines never decrease, so the last token ends on the last line
     root = b.add(astree.STMT_LIST, stmts, line_start=1, line_end=p.last_line)
     return b.finish(path, root)

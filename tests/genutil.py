@@ -1,7 +1,9 @@
 """Shared helpers for randomized differential tests and acceptance reporting."""
 from __future__ import annotations
 
+import dataclasses
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 # pytest_terminal_summary hook in conftest.py
 ACCEPTANCE_LINES: list[str] = []
 
-from analogue.corpusgen import MUTATIONS, plant_file, random_snippet, render_file, render_snippet
+from analogue.corpusgen import (MUTATIONS, CorpusLedger, plant_file, random_snippet,
+                                render_file, render_snippet)
 from analogue.php_parser import parse_source
 from analogue.template import Template, derive_template
 
@@ -63,3 +66,33 @@ def random_pair(rng: random.Random):
         body = text.split("\n", 1)[1]
         text = "<?php\nwhile ($gate%d) {\n%s}\n" % (rng.randrange(100), body)
     return t, parse_source(text)
+
+
+# The lines around a plant in each block that real PHP keeps code in: a
+# function, method, closure, try, catch, finally, case, default or braced
+# namespace body.
+HOST_CONTEXTS = {
+    "function": "function host() {\n%s}",
+    "method": "class Host {\npublic function run() {\n%s}\n}",
+    "closure": "$host = function () use ($gate) {\n%s};",
+    "try": "try {\n%s} catch (Exception $e) {\nlog_error($e);\n}",
+    "catch": "try {\nstart();\n} catch (Exception $e) {\n%s}",
+    "finally": "try {\nstart();\n} finally {\n%s}",
+    "case": "switch ($_GET['action']) {\ncase 'list':\n%sbreak;\n}",
+    "default": "switch ($_GET['action']) {\ncase 'list':\nbreak;\ndefault:\n%s}",
+    "namespace": "namespace App\\Host {\n%s}",
+}
+
+
+def move_into_context(ledger: CorpusLedger, context: str) -> CorpusLedger:
+    """Move the body of each PHP file of ledger's corpus, as render_file
+    wrote it, into the host context's block; return the ledger with each
+    plant's line moved with it."""
+    wrapper = HOST_CONTEXTS[context]
+    shift = wrapper.split("%s")[0].count("\n")
+    for path in Path(ledger.root).glob("*/src/*.php"):
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("<?php\n")
+        path.write_text("<?php\n%s\n" % (wrapper % text[len("<?php\n"):]), encoding="utf-8")
+    return CorpusLedger(ledger.root, [dataclasses.replace(p, line_start=p.line_start + shift)
+                                      for p in ledger.plants])

@@ -148,7 +148,7 @@ def test_ast_import_rejects_bad_stream(tmp_path, capsys):
                    '{"id": 0, "kind": "StmtList", "children": [9]}\n')
     code, _, err = run(capsys, "ast", "import", str(bad))
     assert code == 1
-    assert "dangling" in err
+    assert err.startswith("error: %s line 2: " % bad) and "dangling" in err
 
 
 def test_mine_and_report(tmp_path, capsys):
@@ -906,7 +906,7 @@ def test_a_stray_byte_in_a_text_input_is_an_error_naming_it(tmp_path, capsys,
                           % name)
 
 
-@pytest.mark.parametrize("source", ["query", "stats", "config", "ast"])
+@pytest.mark.parametrize("source", ["query", "stats", "config", "ast", "compile"])
 def test_json_nested_too_deep_is_invalid_json_where_it_is_read(tmp_path, capsys,
                                                               monkeypatch, source):
     """JSON nested past the decoder's recursion limit is invalid JSON where
@@ -916,17 +916,40 @@ def test_json_nested_too_deep_is_invalid_json_where_it_is_read(tmp_path, capsys,
     (tmp_path / "matches.jsonl").write_text(json.dumps(MATCH) + "\n")
     seed = str(FIXTURES / "tutorial_books.php")
     argv, start = {
-        "query": (["scan", "deep.json", seed],
-                  "error: deep.json is neither a program (not valid JSON: "),
+        "query": (["scan", "deep.json", seed], "error: deep.json line 1: not valid JSON: "),
         "stats": (["report", "matches.jsonl", "--format", "summary", "--stats",
                    "deep.json"], "error: deep.json line 1: not valid JSON: "),
         "config": (["--config", "deep.json", "scan", "deep.json", seed],
                    "error: cannot read config deep.json: "),
-        "ast": (["ast", "import", "deep.json"], "error: record 0: not valid JSON: "),
+        "ast": (["ast", "import", "deep.json"], "error: deep.json line 1: not valid JSON: "),
+        "compile": (["compile", "deep.json"], "error: deep.json line 1: not valid JSON: "),
     }[source]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(start) and "recursion" in err
+
+
+def test_a_query_file_is_read_by_the_one_reader_its_format_chooses(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A prog-v1 document is read as a program and anything else as a
+    template; the error is that reader's alone, naming the file, and for a
+    template the line."""
+    monkeypatch.chdir(tmp_path)
+    seed = str(FIXTURES / "tutorial_books.php")
+    assert run(capsys, "derive", seed, "--lines", "5:6", "-o", "q.tmpl.jsonl")[0] == 0
+    lines = Path("q.tmpl.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = '{"id": "x", "kind": "Var"}\n'
+    Path("bad.tmpl.jsonl").write_text("".join(lines))
+    Path("empty.json").write_text("")
+    Path("empty.prog.json").write_text('{"format": "prog-v1", "query_id": "q", "steps": []}')
+    node = "a node record needs an int 'id' and a str 'kind'"
+    for argv, message in [
+            (["scan", "bad.tmpl.jsonl", seed], "bad.tmpl.jsonl line 3: " + node),
+            (["compile", "bad.tmpl.jsonl"], "bad.tmpl.jsonl line 3: " + node),
+            (["scan", "empty.json", seed], "empty.json: missing 'tmpl-v2' header"),
+            (["scan", "empty.prog.json", seed], "empty.prog.json: step 0: a statement "
+             "opens with a kind step, not the end of the program")]:
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
 def test_pipeline_reports_as_report_does_over_its_matches(tmp_path, capsys):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genutil import HOST_CONTEXTS, move_into_context
 from analogue.astree import SourceUnit, slice_statements
 from analogue import astree, miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
@@ -472,6 +473,25 @@ def test_corpus_ledger_reconciliation(tmp_path):
     for r in results:
         for m in r.matches:
             assert m.line_start == plant_line[(names[m.query_id], m.unit_path)]
+
+
+@pytest.mark.parametrize("context", sorted(HOST_CONTEXTS))
+def test_plants_are_found_in_every_host_context(tmp_path, context):
+    """Plants moved into a function, method, closure, try, catch, finally,
+    case, default or braced namespace body are found as at the top level:
+    ledger recall and precision are 1."""
+    rng = random.Random(42)
+    seeds = distinct_snippets(rng, 3, n_statements=3)
+    ledger = move_into_context(
+        generate_test_corpus(seeds, tmp_path / "corpus", repo_count=6, rng_seed=7), context)
+    programs, names = seed_programs(seeds)
+    repos = sorted(p for p in (tmp_path / "corpus").iterdir() if p.is_dir())
+    found = {(names[m.query_id], m.unit_path, m.line_start)
+             for r in mine_repositories(repos, programs) for m in r.matches}
+    expected = {(p.seed, p.file, p.line_start) for p in ledger.plants if p.expect_match}
+    hits = len(found & expected)
+    assert len(expected) == 8
+    assert (hits / len(expected), hits / max(len(found), 1)) == (1.0, 1.0)
 
 
 def test_mining_is_deterministic_across_job_counts(tmp_path):

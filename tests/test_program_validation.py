@@ -171,8 +171,7 @@ def test_a_template_depth_too_deep_for_the_steps_is_reported_by_scan(tmp_path, c
     capsys.readouterr()
     assert main(["scan", str(prog), seed]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: %s is neither a program (template_depth is 50, "
-                          "but the steps imply 4)" % prog)
+    assert err == "error: %s: template_depth is 50, but the steps imply 4\n" % prog
 
 
 def test_scan_reports_a_bad_program_with_its_reason(tmp_path, capsys):
@@ -185,7 +184,7 @@ def test_scan_reports_a_bad_program_with_its_reason(tmp_path, capsys):
     target.write_text(SEED)
     assert main(["scan", str(prog), str(target)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: %s is neither a program (step " % prog)
+    assert err.startswith("error: %s: step " % prog)
     assert "statement boundary inside a subtree" in err
     assert "Traceback" not in err
 
@@ -221,6 +220,5 @@ def test_a_program_file_whose_statement_does_not_open_with_a_kind_step_is_refuse
     assert main(argv[command]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: %s is neither a program (%s) nor a template ("
-                          % (prog, reason))
+    assert err == "error: %s: %s\n" % (prog, reason)
     assert not (tmp_path / "out").exists()
