@@ -25,9 +25,11 @@ run.
 Repositories are independent, so they can be scanned by parallel worker
 processes.  The programs and options are shipped once per worker, when it
 starts; each task then carries only a repository path, and the paths are
-handed out in batches.  Output order always follows input order regardless
-of scheduling, and each repository is logged at INFO (`-v`) as its result
-arrives.
+handed out in batches.  Each result comes back pickled as plain tuples (see
+RepoScanResult.__reduce__): its skipped files, matches and ScanStats travel
+as the tuples of their fields and are built again in the parent.  Output
+order always follows input order regardless of scheduling, and each
+repository is logged at INFO (`-v`) as its result arrives.
 
 The cyclic garbage collector is paused while one repository is scanned (see
 _scan_one).  This is safe because a scan builds no reference cycle: reference
@@ -43,8 +45,10 @@ import sys
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 from . import engine, jsonl
@@ -116,6 +120,40 @@ class RepoScanResult:
     matches: list[Match] = field(default_factory=list)
     stats: list[ScanStats] = field(default_factory=list)
     error: str | None = None
+
+    def __reduce__(self):
+        """Pickle as plain tuples, the one wire format of a worker's result.
+
+        Each skipped file, match and ScanStats travels as the tuple of its
+        fields in declaration order, and _unpickle_result builds the same
+        objects again in the parent.  Pickled one by one, each object would
+        carry a dict of its fields, to be rebuilt and set field by field.
+        """
+        return (_unpickle_result, (
+            self.repo_id, self.files_scanned, self.nodes_scanned,
+            list(map(_skipped_fields, self.files_skipped)),
+            list(map(_match_fields, self.matches)),
+            list(map(_stats_fields, self.stats)), self.error))
+
+
+def _fields_getter(cls: type) -> attrgetter:
+    """The tuple of an instance's fields, in the order cls takes them."""
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
+_skipped_fields = _fields_getter(SkippedFile)
+_match_fields = _fields_getter(Match)
+_stats_fields = _fields_getter(ScanStats)
+
+
+def _unpickle_result(repo_id: str, files_scanned: int, nodes_scanned: int,
+                     skipped: list[tuple], matches: list[tuple], stats: list[tuple],
+                     error: str | None) -> RepoScanResult:
+    """The RepoScanResult that RepoScanResult.__reduce__ took apart."""
+    return RepoScanResult(repo_id, files_scanned, nodes_scanned,
+                          list(starmap(SkippedFile, skipped)),
+                          list(starmap(Match, matches)),
+                          list(starmap(ScanStats, stats)), error)
 
 
 def repo_id_of(path: str | Path) -> str:
@@ -206,13 +244,12 @@ def scan_repository(repo_path: str | Path, programs: list[MatcherProgram],
                     opts: MinerOptions | None = None) -> RepoScanResult:
     """Parse one repository and run every program over it: scan_files over
     its discovered files, each labelled <repo id>/<relative path>."""
-    repo_path = Path(repo_path)
-    repo_id = repo_id_of(repo_path)
-    if not repo_path.is_dir():
-        return RepoScanResult(repo_id=repo_id, error="missing repository path")
     root = os.fspath(repo_path)
+    repo_id = repo_id_of(root)
+    if not os.path.isdir(root):
+        return RepoScanResult(repo_id=repo_id, error="missing repository path")
     return scan_files([(os.path.join(root, rel), "%s/%s" % (repo_id, rel))
-                       for rel in discover_files(repo_path)], programs, opts, repo_id)
+                       for rel in discover_files(root)], programs, opts, repo_id)
 
 
 def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
@@ -259,11 +296,9 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
         del loaded, unit, text, lines, symbols
     for i, program in enumerate(programs):
         result.matches += found[i]
-        result.stats.append(ScanStats(
-            query_id=program.query_id, wall_time_s=wall[i],
-            node_comparisons=comparisons[i],
-            candidates_tried=candidates[i], match_count=len(found[i]),
-            units_skipped=units_skipped[i]))
+        # positional: a keyword construction costs twice as much
+        result.stats.append(ScanStats(program.query_id, wall[i], comparisons[i],
+                                      candidates[i], len(found[i]), units_skipped[i]))
     return result
 
 

@@ -43,16 +43,19 @@ Backtick strings are not read: a backtick is a ``LexError``.
 
 Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
-statement.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
+statement; ``namespace\\foo`` is a name, so it starts an expression
+statement too.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
 statement position too), an alternative ``: ... endwhile;`` block or a
 single statement; a try, catch, finally or namespace body must be
 ``{ ... }``.  ``Other:switch`` holds the subject, then an ``Other:case`` per
-case: its label (none for ``default``) and body.  ``_parse_function`` reads
-functions, methods and closures, ``static`` ones included.  Only parameter
-lists, group uses and class-member blocks are skipped unread.  PHP puts a
-body's ``{`` right after its head, and a class header or a function's
-return type ends at ``{``, ``;`` or ``}``; so no statement searches past
-itself for a ``{``, and a malformed one fails where it stands.
+case: its label (none for ``default``) and body.  ``Other:declare`` holds
+its body, ``{ ... }`` or ``: ... enddeclare;``, and nothing after
+``declare(...);``.  ``_parse_function`` reads functions, methods and
+closures, ``static`` ones included.  Only parameter lists, group uses and
+class-member blocks are skipped unread.  PHP puts a body's ``{`` right after
+its head, and a class header or a function's return type ends at ``{``,
+``;`` or ``}``; so no statement searches past itself for a ``{``, and a
+malformed one fails where it stands.
 
 A statement that raises ``ParseError`` is recovered as an opaque node
 (``_recover_statement``), and its start is kept in ``failed_starts``: a
@@ -329,7 +332,7 @@ _KEYWORDS = frozenset({
     "return", "function", "class", "interface", "trait", "abstract", "final",
     "global", "include", "include_once", "require", "require_once", "switch",
     "do", "break", "continue", "try", "throw", "namespace", "use", "enum",
-    "endif", "endwhile", "endforeach", "endfor", "endswitch",
+    "declare", "endif", "endwhile", "endforeach", "endfor", "endswitch", "enddeclare",
 })
 
 _BIN_PREC = {
@@ -475,6 +478,8 @@ class _Parser:
         """One statement that does not start with '{' (see parse_statements_until)."""
         t = self.toks[self.pos]
         kw = t[1].lower() if t[0] == "ident" else ""
+        if kw == "namespace" and self.toks[self.pos + 1][:2] == ("op", "\\"):
+            kw = ""  # namespace\foo is a name: an expression statement
         if kw not in _KEYWORDS:
             expr = self.parse_expr()
             t = self.toks[self.pos]
@@ -492,7 +497,7 @@ class _Parser:
             return self._simple(astree.ECHO, exprs, t)
         if kw == "if":
             return self._parse_if(t)
-        if kw in ("endif", "endwhile", "endforeach", "endfor", "endswitch"):
+        if kw in ("endif", "endwhile", "endforeach", "endfor", "endswitch", "enddeclare"):
             raise ParseError("'%s' without matching block" % kw, t[2])
         if kw == "while":
             self.expect_op("(")
@@ -549,6 +554,12 @@ class _Parser:
                     self._skip_balanced("(")
                 bodies.append(self._parse_braced())
             return self.b.add(astree.other("try"), bodies, line_start=t[2])
+        if kw == "declare":
+            self._skip_balanced("(")  # the directives
+            if self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof":
+                return self._simple(astree.other(kw), [], t)
+            body, end_line = self._parse_block("enddeclare")
+            return self.b.add(astree.other(kw), [body], line_start=t[2], line_end=end_line)
         if kw in ("namespace", "use"):
             last = t
             while not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):

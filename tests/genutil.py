@@ -69,8 +69,8 @@ def random_pair(rng: random.Random):
 
 
 # The lines around a plant in each block that real PHP keeps code in: a
-# function, method, closure, try, catch, finally, case, default or braced
-# namespace body.
+# function, method, closure, try, catch, finally, case, default, braced
+# namespace or braced declare body.
 HOST_CONTEXTS = {
     "function": "function host() {\n%s}",
     "method": "class Host {\npublic function run() {\n%s}\n}",
@@ -81,6 +81,7 @@ HOST_CONTEXTS = {
     "case": "switch ($_GET['action']) {\ncase 'list':\n%sbreak;\n}",
     "default": "switch ($_GET['action']) {\ncase 'list':\nbreak;\ndefault:\n%s}",
     "namespace": "namespace App\\Host {\n%s}",
+    "declare": "declare(strict_types=1) {\n%s}",
 }
 
 

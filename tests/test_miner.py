@@ -7,6 +7,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import random
 import shutil
 import subprocess
@@ -28,11 +29,11 @@ from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet,
                                 scaled_file)
 from analogue.miner import (EXTENSIONS, MinerOptions, RepoScanResult, ScanStats,
-                            SKIP_BINARY, SKIP_ERROR, SKIP_PARSE_ERROR,
+                            SkippedFile, SKIP_BINARY, SKIP_ERROR, SKIP_PARSE_ERROR,
                             SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
                             discover_files, mine_repositories,
                             scan_repository, write_mining_outputs)
-from analogue.engine import ScanOptions, match_to_record
+from analogue.engine import Match, ScanOptions, match_to_record
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
 
@@ -478,8 +479,8 @@ def test_corpus_ledger_reconciliation(tmp_path):
 @pytest.mark.parametrize("context", sorted(HOST_CONTEXTS))
 def test_plants_are_found_in_every_host_context(tmp_path, context):
     """Plants moved into a function, method, closure, try, catch, finally,
-    case, default or braced namespace body are found as at the top level:
-    ledger recall and precision are 1."""
+    case, default, braced namespace or braced declare body are found as at
+    the top level: ledger recall and precision are 1."""
     rng = random.Random(42)
     seeds = distinct_snippets(rng, 3, n_statements=3)
     ledger = move_into_context(
@@ -597,6 +598,55 @@ def test_batched_mining_is_identical_across_job_counts(tmp_path, many_repos):
     assert len(stats) == len(repos) * len(programs)
     assert outs[1] == outs[0]
     assert outs[2] == outs[0]
+
+
+# The classes a RepoScanResult holds lists of, by the name its annotations use.
+RESULT_ITEMS = {cls.__name__: cls for cls in (SkippedFile, Match, ScanStats)}
+
+
+def default_of(f: dataclasses.Field):
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return None if f.default is dataclasses.MISSING else f.default
+
+
+def filled(cls, n: int):
+    """An instance of the dataclass cls with every field, found by
+    dataclasses.fields, set by its declared type to a value unlike its
+    default; n varies the values.  A field of a type not named here is a
+    KeyError, so a new field cannot be left out."""
+    def value(f: dataclasses.Field, i: int):
+        if f.type.startswith("list["):
+            return [filled(RESULT_ITEMS[f.type[5:-1]], n + k) for k in (1, 2)]
+        return {"str": "%s %d \u00e9\u2028\u20ac\U0001F600" % (f.name, n),
+                "str | None": "RuntimeError: \u00e9chec %d" % n,
+                "int": 7 * n + i + 1,
+                "float": n + i / 8 + 0.5,
+                "dict[int, str]": {n: "$\u00e9%d" % i, n + 1: "'x'"}}[f.type]
+    obj = cls(**{f.name: value(f, i) for i, f in enumerate(dataclasses.fields(cls))})
+    for f in dataclasses.fields(cls):
+        assert getattr(obj, f.name) != default_of(f), f.name
+    return obj
+
+
+def test_every_field_of_a_result_survives_pickling():
+    """Workers hand each result to the parent pickled; every field of the
+    result and of each skipped file, match and ScanStats comes back equal, a
+    non-ASCII excerpt and an error result included."""
+    full = filled(RepoScanResult, 1)
+    assert "\U0001F600" in full.matches[0].excerpt
+    scanned = dataclasses.replace(full, error=None)
+    failed = RepoScanResult(repo_id="r\u00e9po", error="OSError: \u00e9 [Errno 5]")
+    for r in (full, scanned, failed):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(r, protocol)) == r
+
+
+def test_a_result_pickles_what_it_holds_as_plain_tuples():
+    """No skipped file, match or ScanStats is pickled object by object:
+    RepoScanResult.__reduce__ is the one wire format."""
+    data = pickle.dumps(filled(RepoScanResult, 1))
+    assert [name for name in RESULT_ITEMS if name.encode() in data] == []
 
 
 def test_programs_are_shipped_once_per_worker(monkeypatch, many_repos):

@@ -401,7 +401,11 @@ def test_switch_try_and_namespace_bodies_are_statement_lists():
     unit = parse_source("<?php\nswitch ($a) {\n  case 1:\n    $b = 1;\n    break;\n"
                         "  default:\n}\nswitch ($a): ?>\n<?php case 'x': echo 1; endswitch;\n"
                         "try { $c = 1; }\ncatch (E $e) { $d = 1; }\nfinally { $f = 1; }\n"
-                        "namespace N {\n  $g = 1;\n}\nnamespace M;\n")
+                        "namespace N {\n  $g = 1;\n}\nnamespace M;\n"
+                        "namespace\\foo($_GET['id']);\n"
+                        "declare(strict_types=1) { $h = 1; }\n"
+                        "declare(ticks=1):\n  $i = 1;\nenddeclare;\n"
+                        "declare(strict_types=1);\n")
     validate_unit(unit)
     assign = lambda line: (astree.ASSIGN, line, line, [  # noqa: E731
         (astree.VAR, line, line, []), (astree.LITERAL, line, line, [])])
@@ -419,7 +423,15 @@ def test_switch_try_and_namespace_bodies_are_statement_lists():
         ("Other:try", 10, 12, [(astree.STMT_LIST, line, line, [assign(line)])
                                for line in (10, 11, 12)]),
         ("Other:namespace", 13, 15, [(astree.STMT_LIST, 13, 15, [assign(14)])]),
-        ("Other:namespace", 16, 16, [])]
+        ("Other:namespace", 16, 16, []),
+        # a namespace-relative name is no namespace declaration
+        (astree.CALL, 17, 17, [(astree.NAME, 17, 17, []), (astree.ARG_LIST, 17, 17, [
+            (astree.ARRAY_DIM, 17, 17, [(astree.VAR, 17, 17, []),
+                                        (astree.LITERAL, 17, 17, [])])])]),
+        ("Other:declare", 18, 18, [(astree.STMT_LIST, 18, 18, [assign(18)])]),
+        ("Other:declare", 19, 21, [(astree.STMT_LIST, 19, 21, [assign(20)])]),
+        ("Other:declare", 22, 22, [])]
+    assert kinds_path(unit, 5, 0).symbol == "namespace\\foo"
 
 
 def test_a_case_outside_its_switch_or_text_before_the_first_case_is_malformed():
