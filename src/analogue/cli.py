@@ -190,7 +190,7 @@ def _mine(repos: list[str], programs: list[MatcherProgram],
 
 
 def cmd_mine(args) -> int:
-    repo_list = [ln for ln in map(str.strip, _read(args.repos).splitlines())
+    repo_list = [ln for ln in map(str.strip, _read(args.repos).split("\n"))
                  if ln and not ln.startswith("#")]
     results, paths = _mine(repo_list, load_query_dir(Path(args.queries)), args)
     total = sum(len(r.matches) for r in results)
@@ -385,8 +385,8 @@ def _apply_config(ap: argparse.ArgumentParser, path: str) -> None:
     as its text) within the option's choices.  Parsing converts it by the
     option's type, as it does the command line, which still wins."""
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as e:
+        cfg = jsonl.decode(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
+from . import jsonl
 from .template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin, Template,
                        VarWildcard, origin_from_json, query_id_of)
 
@@ -474,9 +475,9 @@ def deserialize_program(text: str) -> MatcherProgram:
     header count the document holds must equal the one its steps imply.
     Text that is no prog-v1 document at all raises NotAProgram."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise NotAProgram("not valid JSON: %s" % e) from None
+        doc = jsonl.decode(text)
+    except ValueError as e:
+        raise NotAProgram(str(e)) from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise NotAProgram("missing %r header" % FORMAT)
     raw_steps = doc.get("steps")

@@ -2,6 +2,13 @@
 files, and the match, stats, skipped and repos records.  line writes a
 record as json.dumps(value, sort_keys=True) does; read reads it back.
 
+decode is the one place the program turns JSON text into values, under one
+rule: NaN, Infinity, -Infinity and a number too large for a float are not
+JSON, and nesting too deep to decode is invalid JSON, never a crash.  Its
+readers are read (each line of an ast-v1 or tmpl-v2 file and of the
+records `report` reads), compiler.deserialize_program (prog-v1), the cli's
+--config file, and the spider's --state file and listing pages.
+
 Field checks are strict, as compiler.validate_program's are: a field takes
 a value of exactly its type, so an int field never takes a bool.  An error
 names its record by the index of its line, from 0, blank lines included.
@@ -9,6 +16,7 @@ names its record by the index of its line, from 0, blank lines included.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Iterator
 
 
@@ -38,26 +46,44 @@ def _no_constant(name: str):
     raise ValueError("%s is not a JSON number" % name)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%s is too large for a float" % text)
+    return value
+
+
 # Python's json module takes NaN, Infinity and -Infinity, which JSON does
-# not have; this decoder refuses them like any other text that is not JSON.
-_decode = json.JSONDecoder(parse_constant=_no_constant).decode
+# not have, and reads 1e400 as infinity; this decoder refuses them like any
+# other text that is not JSON, so no value it yields holds a float that is
+# not finite.
+_decode = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite).decode
+
+
+def decode(text: str):
+    """The value of the JSON text `text`.  Text that is not JSON (NaN,
+    Infinity, -Infinity and a number too large for a float included), or
+    that nests too deep to decode, raises ValueError("not valid JSON: ...")."""
+    try:
+        return _decode(text)
+    except (ValueError, RecursionError) as e:
+        raise ValueError("not valid JSON: %s" % e) from None
 
 
 def read(text: str, error: type[RecordError] = RecordError,
          skip: Callable[[RecordError], Any] | None = None) -> Iterator[tuple[int, Any]]:
-    """Yield (index, value) for each non-blank line of text.  A line that is
-    not JSON (NaN, Infinity and -Infinity included) or nests too deep raises
-    `error` naming it, or, with `skip` given, is passed to skip as that error
-    and left out.
+    """Yield (index, value) for each non-blank line of text.  A line that
+    decode refuses raises `error` naming it, or, with `skip` given, is
+    passed to skip as that error and left out.
     A line ends at "\n" only: a JSON string may hold U+2028, U+2029 and U+0085
     unescaped, where str.splitlines would break it, and a "\r" before the
     "\n" is JSON whitespace."""
     for i, line in enumerate(text.split("\n")):
         if line.strip():
             try:
-                yield i, _decode(line)
-            except (ValueError, RecursionError) as e:
-                bad = error("not valid JSON: %s" % e, i)
+                yield i, decode(line)
+            except ValueError as e:
+                bad = error(str(e), i)
                 if skip is None:
                     raise bad from None
                 skip(bad)

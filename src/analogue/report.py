@@ -118,8 +118,8 @@ def render_text(rows: list[ReportRow]) -> str:
             out.append("  bindings: " + " ".join(
                 "%s=%s" % (k, v) for k, v in sorted(r.bindings.items(),
                                                     key=lambda kv: int(kv[0]))))
-        for ln in r.excerpt.splitlines():
-            out.append("  | " + ln)
+        if r.excerpt:
+            out.extend("  | " + ln for ln in r.excerpt.split("\n"))
         out.append("")
     out.append("%d analogue%s" % (len(rows), "" if len(rows) == 1 else "s"))
     return "\n".join(out) + "\n"

@@ -6,13 +6,15 @@ one token, one request stream, one shared budget for listing and downloads.
 Listing pages and archives are fetched through one request helper (_get),
 so both follow one retry rule.  _get is also the one place that imports
 requests, so the HTTP client is loaded only once a request is sent and
-`import analogue` does not pay for it.  download_repo puts each repository
-under local_name, the one rule that report.bucket_resolver reads back.
+`import analogue` does not pay for it.  A listing page and the state file
+are decoded by jsonl.decode, and a listing entry is checked by jsonl.fields,
+as every other record is.  download_repo puts each repository under
+local_name, the one rule that report.bucket_resolver reads back.
 """
 from __future__ import annotations
 
-import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from . import jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -36,14 +40,16 @@ VERY_POPULAR = "very-popular"     # 10+ stars
 DEFAULT_MAX_SIZE_KB = 3072        # strict: size must be < 3 MB
 DEFAULT_MIN_INTERVAL_S = 0.72     # 5000/hour spread evenly
 MAX_STALLS = 3                    # pages in a row without progress, then give up
+MAX_RESET_WAIT_S = 3600.0         # one budget window; a later reset is ignored
 
 
 class AuthError(Exception):
     """The API rejected our credentials (HTTP 401); fatal."""
 
 
-class MalformedResponse(Exception):
-    """A listing page did not have the expected shape."""
+class MalformedResponse(jsonl.RecordError):
+    """A listing page did not have the expected shape; `record` is the index
+    of the entry to blame, if one is."""
 
 
 class DownloadError(Exception):
@@ -146,17 +152,26 @@ def filter_candidates(metas: list[RepoMeta], language_filter: str = "php",
             if (not want or m.language.lower() == want) and m.size_kb < max_size_kb]
 
 
-def _meta_from_record(rec: dict, fetched_at: float) -> RepoMeta:
-    if not isinstance(rec, dict):
-        raise MalformedResponse("listing entry is not an object")
-    repo_id = rec.get("id")
-    full_name = rec.get("full_name")
-    if not isinstance(repo_id, int) or not isinstance(full_name, str):
-        raise MalformedResponse("listing entry lacks id/full_name")
+# The type of each listing entry field read; an absent or null optional
+# field takes RepoMeta's default.
+_ENTRY_FIELDS = {"id": int, "full_name": str,
+                 **dict.fromkeys(("stargazers_count", "size"), (int, type(None))),
+                 **dict.fromkeys(("language", "clone_url", "archive_url", "tarball_url"),
+                                 (str, type(None)))}
+
+
+def _meta_from_record(rec, index: int, fetched_at: float) -> RepoMeta:
+    """The RepoMeta of entry `index` of a listing page; MalformedResponse
+    unless its fields have the types of _ENTRY_FIELDS, with an id and a
+    full_name, and its counts are not negative."""
+    jsonl.fields(rec, _ENTRY_FIELDS, index, MalformedResponse)
+    if "id" not in rec or "full_name" not in rec:
+        raise MalformedResponse("an entry needs an 'id' and a 'full_name'", index)
+    stars, size_kb = rec.get("stargazers_count") or 0, rec.get("size") or 0
+    if stars < 0 or size_kb < 0:
+        raise MalformedResponse("a count is negative", index)
     return RepoMeta(
-        repo_id=repo_id, full_name=full_name,
-        stars=int(rec.get("stargazers_count") or 0),
-        size_kb=int(rec.get("size") or 0),
+        repo_id=rec["id"], full_name=rec["full_name"], stars=stars, size_kb=size_kb,
         language=rec.get("language") or "",
         clone_url=rec.get("clone_url") or "",
         archive_url=rec.get("archive_url") or rec.get("tarball_url") or "",
@@ -169,11 +184,12 @@ def _get(url: str, budget: RateBudget | None, clock,
     """GET url under the budget, with the token and the API's Accept header,
     retrying what may pass.
 
-    A 403 or 429 that carries X-RateLimit-Reset sleeps until that time; any
-    other 403 or 429, a 5xx or a network error sleeps a backoff of 1, 2, 4,
-    ... seconds, capped at 60.  A 401 raises AuthError, and when max_attempts
-    requests have all been retried, `error` is raised.  Any other response
-    is returned.  Without a session, a new requests.Session sends them.
+    A 403 or 429 whose X-RateLimit-Reset is a finite time at most
+    MAX_RESET_WAIT_S ahead sleeps until that time; any other 403 or 429, a
+    5xx or a network error sleeps a backoff of 1, 2, 4, ... seconds, capped
+    at 60.  A 401 raises AuthError, and when max_attempts requests have all
+    been retried, `error` is raised.  Any other response is returned.
+    Without a session, a new requests.Session sends them.
     """
     import requests
 
@@ -185,7 +201,7 @@ def _get(url: str, budget: RateBudget | None, clock,
     for _attempt in range(max_attempts):
         if budget is not None:
             budget.acquire(clock)
-        reset = None
+        wait = None
         try:
             resp = session.get(url, headers=headers, **request)
         except requests.RequestException as e:
@@ -194,18 +210,27 @@ def _get(url: str, budget: RateBudget | None, clock,
             if resp.status_code == 401:
                 raise AuthError("API rejected credentials (401)")
             if resp.status_code in (403, 429):
-                reset = resp.headers.get("X-RateLimit-Reset")
+                wait = _reset_wait(resp.headers.get("X-RateLimit-Reset"), clock.now())
             elif resp.status_code < 500:
                 return resp
             failure = "status %d" % resp.status_code
-        if reset is not None:
-            wait = max(0.0, float(reset) - clock.now())
-        else:
+        if wait is None:
             wait = min(backoff, 60.0)
             backoff *= 2
         log.warning("GET %s: %s; retrying in %.1fs", url, failure, wait)
         clock.sleep(wait)
     raise error("GET %s failed after %d attempts: %s" % (url, max_attempts, failure))
+
+
+def _reset_wait(header: str | None, now: float) -> float | None:
+    """The seconds until the epoch time an X-RateLimit-Reset header names;
+    None when there is no header, or it is no finite number at most
+    MAX_RESET_WAIT_S ahead."""
+    try:
+        wait = float(header) - now
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, wait) if math.isfinite(wait) and wait <= MAX_RESET_WAIT_S else None
 
 
 def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
@@ -231,11 +256,11 @@ def enumerate_repos(api_base: str, cursor: int | None, budget: RateBudget, *,
     try:
         if resp.status_code != 200:
             raise MalformedResponse("unexpected status %d" % resp.status_code)
-        payload = resp.json()
+        payload = jsonl.decode(resp.content.decode("utf-8"))    # RFC 8259
         if not isinstance(payload, list):
             raise MalformedResponse("listing body is not a list")
         fetched = clock.now()
-        metas = [_meta_from_record(rec, fetched) for rec in payload]
+        metas = [_meta_from_record(rec, i, fetched) for i, rec in enumerate(payload)]
     except (ValueError, MalformedResponse) as e:
         log.warning("skipping malformed listing page: %s", e)
         return [], cursor
@@ -286,7 +311,15 @@ def crawl(api_base: str, budget: RateBudget, *, token: str | None = None,
 
 
 def save_cursor(path: str | Path, cursor: int | None) -> None:
-    Path(path).write_text(json.dumps({"cursor": cursor}), encoding="utf-8")
+    """Write the cursor to path through a temporary sibling that is renamed
+    into place, so a write that stops part-way leaves the old file whole."""
+    p = Path(path)
+    part = p.with_name(".partial-" + p.name)
+    try:
+        part.write_text(jsonl.line({"cursor": cursor}), encoding="utf-8")
+        os.replace(part, p)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def load_cursor(path: str | Path) -> int | None:
@@ -304,9 +337,9 @@ def load_cursor(path: str | Path) -> int | None:
     except (OSError, ValueError) as e:
         raise SpiderError("cannot read state file %s: %s" % (p, e)) from None
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise SpiderError("state file %s is not valid JSON: %s" % (p, e)) from None
+        doc = jsonl.decode(text)
+    except ValueError as e:
+        raise SpiderError("state file %s is %s" % (p, e)) from None
     if type(doc) is not dict or "cursor" not in doc or not (
             doc["cursor"] is None or type(doc["cursor"]) is int):
         raise SpiderError('state file %s must hold {"cursor": <int or null>}' % p)

@@ -8,6 +8,7 @@ import re
 import shlex
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -319,8 +320,9 @@ def test_spider_whose_listing_retries_run_out_is_an_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"cursor": "abc"}', '{"cursor": true}',
-                                  '{"cursor": '],
-                         ids=["list", "string-cursor", "bool-cursor", "invalid-json"])
+                                  '{"cursor": ', '{"cursor": 5, "at": NaN}'],
+                         ids=["list", "string-cursor", "bool-cursor", "invalid-json",
+                              "nan"])
 def test_spider_with_a_malformed_state_file_is_an_error(tmp_path, capsys, text):
     state = tmp_path / "st.json"
     state.write_text(text)
@@ -331,6 +333,36 @@ def test_spider_with_a_malformed_state_file_is_an_error(tmp_path, capsys, text):
     assert (code, out) == (1, "")
     assert err.startswith("error: state file %s " % state)
     assert state.read_text() == text
+
+
+@pytest.mark.parametrize("page", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'[{"id": 1, "full_name": "o/r", "size": 1e400}]',
+    b'[{"id": true, "full_name": "o/r"}]',
+    b'[{"id": 1, "full_name": "o/r", "stargazers_count": 3.9}]',
+    b'[{"id": 1, "full_name": "o/r", "stargazers_count": NaN}]',
+], ids=["too-deep", "size-1e400", "bool-id", "float-stars", "nan-stars"])
+def test_spider_whose_listing_pages_are_malformed_is_an_error(tmp_path, capsys,
+                                                               monkeypatch, page):
+    """A malformed listing page is skipped without progress; three in a row
+    end the crawl with an error, never a traceback, and leave the state
+    file's cursor where it was."""
+    import requests
+    pages = []
+
+    def get(self, url, **request):
+        pages.append(url)
+        return SimpleNamespace(status_code=200, content=page, headers={})
+
+    monkeypatch.setattr(requests.Session, "get", get)
+    state = tmp_path / "st.json"
+    code, out, err = run(capsys, "spider", "--api-base", "http://127.0.0.1:1",
+                         "--min-interval", "0", "--state", str(state),
+                         "--out", str(tmp_path / "r.jsonl"))
+    assert (code, out) == (1, "")
+    assert err.endswith("error: no progress after 3 malformed pages\n")
+    assert len(pages) == 3
+    assert json.loads(state.read_text()) == {"cursor": 0}
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -347,6 +379,33 @@ def test_unknown_config_is_an_error(tmp_path, capsys):
                        "derive", "x.php", "--full")
     assert code == 1
     assert "config" in err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('{"min_interval": Infinity}', "Infinity is not a JSON number"),
+    ('{"min_interval": NaN}', "NaN is not a JSON number"),
+    ('{"min_interval": 1e400}', "1e400 is too large for a float"),
+])
+def test_a_config_that_is_not_json_is_an_error(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(capsys, "--config", str(cfg), "derive", str(FIXTURES / "clone_users.php"),
+               "--full") == (1, "", "error: cannot read config %s: not valid JSON: %s\n"
+                             % (cfg, reason))
+
+
+def test_a_program_that_holds_nan_is_not_a_program(tmp_path, capsys, monkeypatch):
+    """A prog-v1 document that holds NaN is not JSON, so it is read as a
+    template, whose reader refuses its line as not valid JSON."""
+    monkeypatch.chdir(tmp_path)
+    seed = str(FIXTURES / "tutorial_books.php")
+    assert run(capsys, "derive", seed, "--lines", "5:6", "-o", "q.tmpl.jsonl")[0] == 0
+    code, out, _ = run(capsys, "compile", "q.tmpl.jsonl", "--out-dir", ".")
+    assert code == 0
+    doc = json.loads(Path(out.strip()).read_text())
+    Path("nan.prog.json").write_text(json.dumps({**doc, "note": float("nan")}))
+    assert run(capsys, "scan", "nan.prog.json", seed) == (
+        1, "", "error: nan.prog.json line 1: not valid JSON: NaN is not a JSON number\n")
 
 
 def test_scan_reads_files_as_mine_does(tmp_path, capsys, monkeypatch):
@@ -788,6 +847,25 @@ def test_two_repositories_with_one_id_are_an_error(tmp_path, capsys, monkeypatch
     assert (code, out) == (1, "")
     assert err == "error: %s and %s have the same repository id 'proj'\n" % tuple(listed)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_repository_list_line_ends_at_newline_only(tmp_path, capsys, monkeypatch):
+    """A listed path may hold U+2028, U+2029, \\x85 or a form feed, which
+    str.splitlines would break it at."""
+    monkeypatch.chdir(tmp_path)
+    names = ["a\u2028b", "c\x85d", "e\u2029f", "g\x0ch"]
+    for name in names:
+        (tmp_path / name).mkdir()
+        shutil.copy(FIXTURES / "tutorial_books.php", tmp_path / name / "index.php")
+    _books_query(capsys, tmp_path / "queries")
+    Path("repos.txt").write_text("".join(n + "\n" for n in names), encoding="utf-8")
+    code, out, err = run(capsys, "mine", "--repos", "repos.txt", "--queries", "queries",
+                         "--out", "out")
+    assert (code, err) == (0, "")
+    assert out.startswith("scanned 4 repositories, 4 matches")
+    stats = [json.loads(ln) for ln in Path("out", "stats.jsonl").read_text().split("\n")
+             if ln]
+    assert sorted({s["repo"] for s in stats}) == sorted(names)
 
 
 def test_mine_skips_an_indented_comment_in_the_repository_list(tmp_path, capsys,

@@ -66,6 +66,15 @@ def test_text_report_contains_excerpt_bindings_and_origin():
     assert "1 analogue" in text
 
 
+def test_text_report_breaks_an_excerpt_at_newlines_only():
+    """An excerpt's lines end at "\\n", as attach_excerpt joins them: a form
+    feed, U+2028 or \\x85 in a comment stays inside its line."""
+    rows = rows_from_records([rec(excerpt="$a = 1; // \f\n$b = 2; // \u2028 \x85"),
+                              rec(file="b/y.php", excerpt="")])
+    excerpt = [ln for ln in render_text(rows).split("\n") if ln.startswith("  |")]
+    assert excerpt == ["  | $a = 1; // \f", "  | $b = 2; // \u2028 \x85"]
+
+
 def test_empty_report():
     assert render_text([]) == "0 analogues\n"
 

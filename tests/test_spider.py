@@ -6,6 +6,8 @@ import io
 import re
 import subprocess
 import tarfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -194,6 +196,82 @@ def test_malformed_page_is_skipped_with_cursor_unchanged():
         assert budget.spent == 1
 
 
+class FakeSession:
+    """Answers each GET with the next of its (status, body, headers)."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+
+    def get(self, url, **request):
+        status, content, headers = self.responses.pop(0)
+        return SimpleNamespace(status_code=status, content=content, headers=headers)
+
+
+# listing page -> what makes it malformed
+BAD_PAGES = {
+    "not-a-list": b'{"not": "a list"}',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "nan": b'[{"id": 1, "full_name": "o/r", "size": NaN}]',
+    "infinity": b'[{"id": 1, "full_name": "o/r", "stargazers_count": Infinity}]',
+    "size-1e400": b'[{"id": 1, "full_name": "o/r", "size": 1e400}]',
+    "bool-id": b'[{"id": true, "full_name": "o/r"}]',
+    "float-id": b'[{"id": 1.0, "full_name": "o/r"}]',
+    "float-stars": b'[{"id": 1, "full_name": "o/r", "stargazers_count": 3.9}]',
+    "bool-size": b'[{"id": 1, "full_name": "o/r", "size": false}]',
+    "negative-stars": b'[{"id": 1, "full_name": "o/r", "stargazers_count": -1}]',
+    "int-language": b'[{"id": 1, "full_name": "o/r", "language": 5}]',
+    "list-archive-url": b'[{"id": 1, "full_name": "o/r", "archive_url": []}]',
+    "no-full-name": b'[{"id": 1}, {"id": 2, "full_name": "o/r"}]',
+    "not-an-object": b'[{"id": 1, "full_name": "o/r"}, 2]',
+    "not-utf-8": b'[{"id": 1, "full_name": "o/\xff"}]',
+    "utf-16": '[{"id": 1, "full_name": "o/r"}]'.encode("utf-16"),
+}
+
+
+@pytest.mark.parametrize("page", BAD_PAGES.values(), ids=BAD_PAGES)
+def test_a_listing_page_with_a_wrong_entry_is_skipped(page, caplog):
+    budget = RateBudget()
+    metas, cursor = enumerate_repos("http://hub", 17, budget, clock=FakeClock(),
+                                    session=FakeSession((200, page, {})))
+    assert (metas, cursor) == ([], 17)
+    assert budget.spent == 1
+    assert "skipping malformed listing page" in caplog.text
+
+
+def test_an_absent_or_null_listing_field_takes_its_default():
+    page = (b'[{"id": 7, "full_name": "o/r", "stargazers_count": null, "size": null,'
+            b' "language": null, "clone_url": null, "archive_url": null,'
+            b' "tarball_url": "t"}, {"id": 8, "full_name": "o/s"}]')
+    clock = FakeClock(current=5.0)
+    metas, cursor = enumerate_repos("http://hub", None, RateBudget(), clock=clock,
+                                    session=FakeSession((200, page, {})))
+    assert metas == [RepoMeta(7, "o/r", archive_url="t", fetched_at=5.0),
+                     RepoMeta(8, "o/s", fetched_at=5.0)]
+    assert cursor == 8
+
+
+@pytest.mark.parametrize("reset", ["soon", "", "1e300", "1e12", "inf", "-inf", "nan",
+                                   "4600.5"])
+def test_a_reset_header_that_is_no_time_within_a_window_is_ignored(reset):
+    """A reset that is not a finite time at most one budget window (3,600 s)
+    ahead is treated as absent, so the backoff applies."""
+    clock = FakeClock(current=1000.0)
+    session = FakeSession((403, b"{}", {"X-RateLimit-Reset": reset}), (200, b"[]", {}))
+    assert enumerate_repos("http://hub", None, RateBudget(), clock=clock,
+                           session=session) == ([], None)
+    assert clock.sleeps == [1.0]
+
+
+@pytest.mark.parametrize("reset,wait", [("4600", 3600.0), ("1000", 0.0), ("10", 0.0),
+                                        ("1250.5", 250.5)])
+def test_a_reset_header_within_a_window_is_waited_for(reset, wait):
+    clock = FakeClock(current=1000.0)
+    session = FakeSession((429, b"{}", {"X-RateLimit-Reset": reset}), (200, b"[]", {}))
+    assert enumerate_repos("http://hub", None, RateBudget(), clock=clock,
+                           session=session) == ([], None)
+    assert clock.sleeps == [wait]
+
+
 def test_crawl_resumes_from_persisted_cursor_without_duplicates(tmp_path):
     state = tmp_path / "cursor.json"
     with make_hub(250) as hub:
@@ -226,6 +304,27 @@ def test_cursor_state_roundtrip(tmp_path):
     assert load_cursor(p) is None
 
 
+def test_a_state_write_that_stops_part_way_leaves_the_old_cursor(tmp_path,
+                                                                  monkeypatch):
+    p = tmp_path / "s.json"
+    save_cursor(p, 12)
+    write_text = Path.write_text
+
+    def half_then_disk_full(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        save_cursor(p, 345)
+    monkeypatch.undo()
+    assert load_cursor(p) == 12
+    assert list(tmp_path.iterdir()) == [p]
+    save_cursor(p, 345)
+    assert load_cursor(p) == 345
+    assert list(tmp_path.iterdir()) == [p]
+
+
 # state file text -> what it breaks: a cursor must be an int or null
 BAD_STATES = {
     "list": "[1]",
@@ -247,6 +346,17 @@ def test_malformed_state_file_is_an_error_naming_it(tmp_path, text):
     else:
         p.write_text(text)
     with pytest.raises(SpiderError, match="state file %s" % p):
+        load_cursor(p)
+
+
+@pytest.mark.parametrize("text", ['{"cursor": 3, "at": NaN}',
+                                  '{"cursor": 3, "at": [-Infinity]}',
+                                  '{"cursor": 3, "at": 1e400}'])
+def test_a_state_file_that_is_not_json_is_refused_as_such(tmp_path, text):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    with pytest.raises(SpiderError, match="^state file %s is not valid JSON: "
+                       % re.escape(str(p))):
         load_cursor(p)
 
 
