@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import astree, interchange, jsonl, report as report_mod, spider as spider_mod
@@ -287,6 +288,17 @@ def _at_least_one(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str) -> float:
+    """A wait from 0 to the longest one this platform's sleep accepts."""
+    try:
+        if 0 <= (seconds := float(text)) <= threading.TIMEOUT_MAX:  # nan is not
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a number of seconds from 0 to %d, got %r"
+                                     % (threading.TIMEOUT_MAX, text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Options that several commands take, each declared once and passed to
     # those commands as parents: seed selection, scan options and --jobs.
@@ -353,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["archive", "clone"], default="archive")
     p.add_argument("--api-base", default="https://api.github.com")
     p.add_argument("--state", help="cursor state file for resumable crawls")
-    p.add_argument("--per-page", type=int, default=100)
-    p.add_argument("--max-repos", type=int)
-    p.add_argument("--min-interval", type=float,
+    p.add_argument("--per-page", type=_at_least_one, default=100)
+    p.add_argument("--max-repos", type=_at_least_one)
+    p.add_argument("--min-interval", type=_seconds,
                    default=spider_mod.DEFAULT_MIN_INTERVAL_S)
     p.set_defaults(func=cmd_spider)
 

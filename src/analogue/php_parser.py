@@ -8,11 +8,11 @@ children, so files never need full-language support to be scannable.
 ``parse_source`` takes text only: a file's bytes become text in one place,
 ``miner.parse_file``.
 
-A token is a plain tuple ``(type, value, line, line_end, heredoc)``: type is
-one of html, var, ident, number, sq, dq, op and eof; line and line_end are
-the first and last line of its text; heredoc is True only for the sq/dq
-token of a heredoc or nowdoc body, whose text starts on the line after
-``line``.
+A token is a plain tuple ``(type, value, line, line_end)``: type is one of
+html, var, ident, number, sq, dq, op and eof; line is the line the token
+starts on and line_end the line its value ends on.  So a value's first line
+is line_end less the line breaks in the value: ``line`` for a string, and
+the line after the head for the body of a heredoc or nowdoc.
 
 The lexer is one ``findall`` pass of one regex, ``_TOKEN``, over the file.
 The regex holds the whole lexical grammar, HTML mode and heredoc bodies
@@ -37,8 +37,7 @@ ends at the ``}`` that closes its ``_GROUP``, the one pattern that also
 keeps the lexer from ending a string at a quote inside a ``{$`` hole.  An
 escape pair, and a ``${`` or ``{$`` that no group closes, stay text; the
 text between holes becomes ``Literal`` parts.  Each part's line is the
-token's first line (for a heredoc, the line after its head) plus the line
-breaks before the part in the token's text.
+value's first line plus the line breaks before the part in the value.
 Backtick strings are not read: a backtick is a ``LexError``.
 
 Each statement construct has one rule.  ``parse_statement`` dispatches on
@@ -51,11 +50,26 @@ single statement; a try, catch, finally or namespace body must be
 case: its label (none for ``default``) and body.  ``Other:declare`` holds
 its body, ``{ ... }`` or ``: ... enddeclare;``, and nothing after
 ``declare(...);``.  ``_parse_function`` reads functions, methods and
-closures, ``static`` ones included.  Only parameter lists, group uses and
-class-member blocks are skipped unread.  PHP puts a body's ``{`` right after
-its head, and a class header or a function's return type ends at ``{``,
-``;`` or ``}``; so no statement searches past itself for a ``{``, and a
-malformed one fails where it stands.
+closures, ``static`` ones included.
+
+Two rules skip tokens unread.  ``_skip_to(*stops)`` runs up to the next of
+its stop operators or the end of the file: past a namespace or use name, a
+function's use list and return type, an arrow function's return type, a
+class header and a class member that ends at ``;`` or at its ``{``.
+``_skip_balanced(opener)`` skips a bracketed group, counting brackets of
+every kind: a parameter list, a catch head, declare directives, a group
+use, a class member's block, and each group of a malformed statement.  PHP
+puts a body's ``{`` right after its head, and a class header or a function's
+return type ends at ``{``, ``;`` or ``}``, an arrow function's at ``=>``; so
+no statement searches past itself for its body, and a malformed one fails
+where it stands.
+
+``_parse_list(closer, kind)`` reads every comma list: an argument list, so
+also the items of ``array(...)``, as an ``ArgList``, and the items of
+``[...]`` as an ``Other:array``.  An item is an expression, an
+``Other:spread`` (``...`` and an expression) or an ``Other:kv`` pair
+(``key => value``).  A comma separates the items and may follow the last
+one, so ``[1 2]`` is malformed, as ``f(1 2)`` is.
 
 A statement that raises ``ParseError`` is recovered as an opaque node
 (``_recover_statement``), and its start is kept in ``failed_starts``: a
@@ -92,23 +106,29 @@ and extends the node already built.  A prefix operator reads its operand as
 one operand and its postfix operators.  ``$`` reads its operand as
 ``parse_expr(_PRIMARY_PREC)``, a primary without postfix operators, so
 ``$$a[0]`` is ``ArrayDim(Other:varvar, 0)``.  So each leaf rule is written
-once.  The hot loops (argument lists, array literals, statement lists and
-an expression statement's ``;``) test token fields in place; the other
-paths use the ``at_op``/``expect_op`` helpers.
+once.  The hot loops (comma lists, statement lists, ``_skip_to`` and an
+expression statement's ``;``) test token fields in place; the other paths
+use the ``at_op``/``expect_op`` helpers.
 
 Every call on these paths costs one stack frame per nesting level, and the
 recursion limit (1,000 by default) turns frames into the deepest nesting a
 file may have.  A parenthesis costs three frames (``parse_expr``,
 ``_parse_unary``, ``_parse_primary``), a ``$a . (`` group four (the binary
-operator's right operand is one more ``parse_expr``), an array literal four
-and a prefix operator two.  Outside pytest that allows 330 parentheses, 247
-``$a . (`` groups, 247 nested array literals and 990 prefix operators in a
-row.  A closure is four frames below its statement (an assignment's two
-``parse_expr`` calls, unary, primary), so ``_parse_function`` builds its
-body inline instead of through ``_parse_block``, which would cost one more
-frame per nested closure; 141 closures nest.  A nested block costs what its
-statement rule costs: 247 ``if``, ``try``, ``catch`` or ``finally`` blocks,
-330 ``switch`` blocks or 495 bare blocks nest.
+operator's right operand is one more ``parse_expr``), an argument list three
+(``parse_expr``, ``_parse_postfix``, ``_parse_list``), a ``[...]`` literal
+four (``parse_expr``, ``_parse_unary``, ``_parse_primary``, ``_parse_list``)
+and a prefix operator two (``parse_expr``, ``_parse_unary``).  A pair's
+value costs what an item costs: ``_parse_list`` reads it in place.  From a
+script that calls ``parse_source``, that allows 330 parentheses, 247
+``$a . (`` groups, 330 nested argument lists or ``array(...)`` literals,
+247 nested ``[...]`` literals, with or without keys, and about 495 prefix
+operators in a row.  A closure is four frames below its statement (an
+assignment's two ``parse_expr`` calls, unary, primary), so
+``_parse_function`` builds its body inline instead of through
+``_parse_block``, which would cost one more frame per nested closure; 141
+closures nest.  A nested block costs what its statement rule costs: 247
+``if``, ``try``, ``catch`` or ``finally`` blocks, 330 ``switch`` blocks or
+495 bare blocks nest.
 """
 from __future__ import annotations
 
@@ -131,8 +151,8 @@ class ParseError(Exception):
         self.line = line
 
 
-# (type, value, line, line_end, heredoc); see the module docstring.
-Token = tuple[str, str, int, int, bool]
+# (type, value, line, line_end); see the module docstring.
+Token = tuple[str, str, int, int]
 
 
 _OPS3 = ("===", "!==", "<=>", "**=", "<<=", ">>=", "??=", "...")
@@ -268,26 +288,26 @@ def _lex(text: str, pos: int, line: int, toks: list[Token], fragment: bool) -> N
                 raise _lex_error(err, line) from None
             return
         if kind:
-            append((kind, tok, line, line, False))
+            append((kind, tok, line, line))
             continue
         c = tok[0]
         if c == "$":
-            append(("var" if len(tok) > 1 else "op", tok, line, line, False))
+            append(("var" if len(tok) > 1 else "op", tok, line, line))
         elif c == "'" or c == '"':
             end = line + tok.count("\n")
-            append(("sq" if c == "'" else "dq", tok[1:-1], line, end, False))
+            append(("sq" if c == "'" else "dq", tok[1:-1], line, end))
             line = end
         elif c == ".":
-            append(("op" if tok in _DOT_OPS else "number", tok, line, line, False))
+            append(("op" if tok in _DOT_OPS else "number", tok, line, line))
         elif label:
             nl, last = tok.find("\n"), tok.rfind("\n")
             nowdoc = tok[3:nl].lstrip(" \t").startswith("'")
             end = line + tok.count("\n")  # the terminator's line
             append(("sq" if nowdoc else "dq", tok[nl + 1:last] if last > nl else "",
-                    line, end - 1, True))
+                    line, end - 1))
             line = end
         elif c == "?" and tok[1:2] == ">":
-            append(("op", "?>", line, line, False))
+            append(("op", "?>", line, line))
             if fragment:
                 return
             i = 3 if tok[2:3] == "\r" else 2
@@ -296,7 +316,7 @@ def _lex(text: str, pos: int, line: int, toks: list[Token], fragment: bool) -> N
                 line += 1
             line = _html(tok, i, len(tok), line, toks)
         else:
-            append(("op", tok, line, line, False))
+            append(("op", tok, line, line))
 
 
 def _html(s: str, i: int, end: int, line: int, toks: list[Token]) -> int:
@@ -308,10 +328,10 @@ def _html(s: str, i: int, end: int, line: int, toks: list[Token]) -> int:
     if tag > i:
         seg = s[i:tag]
         line_end = line + seg.count("\n")
-        toks.append(("html", seg, line, line_end, False))
+        toks.append(("html", seg, line, line_end))
         line = line_end
     if s.startswith("<?=", tag):
-        toks.append(("ident", "echo", line, line, False))
+        toks.append(("ident", "echo", line, line))
     return line
 
 
@@ -368,8 +388,9 @@ _OPERATORS["?"] = (_TERNARY_PREC, _ASSIGN_PREC, astree.other("ternary"))
 
 _UNARY = frozenset({"!", "-", "+", "~", "++", "--"})
 _POSTFIX = frozenset({"(", "[", "->", "::", "++", "--"})
+_OPENERS, _CLOSERS = ("(", "[", "{"), (")", "]", "}")
 
-_EOF = ("eof", "", 0, 0, False)
+_EOF = ("eof", "", 0, 0)
 # Lookahead reads at most two tokens past pos, and pos passes the first EOF
 # (by one) only right before a ParseError, so three EOFs after the last token
 # keep every read in range without a bounds check.
@@ -450,26 +471,14 @@ class _Parser:
         return out
 
     def _recover_statement(self) -> int:
-        """Swallow a malformed statement: skip to ';' at bracket depth 0.  A
-        closing bracket or '?>' at depth 0 ends the statement before it, or,
-        when the statement starts with a bracket, is the whole statement."""
+        """Swallow a malformed statement: skip to ';', skipping bracketed
+        groups whole.  A closing bracket or '?>' outside them ends the
+        statement before it, or, when the statement starts with a closing
+        bracket, is the whole statement."""
         start = self.pos
-        depth = 0
-        while True:
-            t = self.toks[self.pos]
-            if t[0] == "eof":
-                if depth:
-                    raise ParseError("unbalanced delimiters", self.toks[self.pos - 1][3])
-                break
-            if t[0] == "op":
-                if t[1] in "([{":
-                    depth += 1
-                elif depth and t[1] in ")]}":
-                    depth -= 1
-                elif not depth and (t[1] in ")]};" or t[1] == "?>"):
-                    if t[1] == ";" or t[1] != "?>" and self.pos == start:
-                        self.pos += 1
-                    break
+        while (t := self._skip_to(*_OPENERS, *_CLOSERS, ";", "?>"))[1] in _OPENERS:
+            self._skip_balanced(t[1])
+        if t[1] == ";" or t[1] in _CLOSERS and self.pos == start:
             self.pos += 1
         return self.b.add(astree.other("opaque"), line_start=self.toks[start][2],
                           line_end=self.toks[self.pos - 1][3])
@@ -561,17 +570,16 @@ class _Parser:
             body, end_line = self._parse_block("enddeclare")
             return self.b.add(astree.other(kw), [body], line_start=t[2], line_end=end_line)
         if kw in ("namespace", "use"):
-            last = t
-            while not (self.at_op(";") or self.at_op("?>") or self.peek()[0] == "eof"):
-                if self.at_op("{") and kw == "namespace":
-                    return self.b.add(astree.other(kw), [self._parse_braced()], line_start=t[2])
-                if self.at_op("{"):  # a group use
-                    end_line = self._skip_balanced("{")
-                    return self.b.add(astree.other(kw), line_start=t[2], line_end=end_line)
-                last = self.next()
-            if self.at_op(";"):
-                last = self.next()
-            return self.b.add(astree.other(kw), line_start=t[2], line_end=last[3])
+            stop = self._skip_to("{", ";", "?>")[1]
+            if stop == "{" and kw == "namespace":
+                return self.b.add(astree.other(kw), [self._parse_braced()], line_start=t[2])
+            if stop == "{":  # a group use
+                end_line = self._skip_balanced("{")
+                return self.b.add(astree.other(kw), line_start=t[2], line_end=end_line)
+            if stop == ";":
+                self.pos += 1
+            return self.b.add(astree.other(kw), line_start=t[2],
+                              line_end=self.toks[self.pos - 1][3])
         raise ParseError("'%s' without matching if" % kw, t[2])  # elseif, else
 
     def _simple(self, kind: str, children: list[int], t: Token) -> int:
@@ -621,20 +629,13 @@ class _Parser:
         if not self.at_kw("as"):
             raise ParseError("expected 'as' in foreach", self.peek()[2])
         self.next()
-        if self.at_op("&"):
-            self.next()
-        first = self.parse_expr()
-        key = None
-        value = first
+        children = [iterable, self.parse_expr()]  # a prefix '&' is transparent there
         if self.at_op("=>"):
             self.next()
-            if self.at_op("&"):
-                self.next()
-            key = first
-            value = self.parse_expr()
+            children.append(self.parse_expr())
         self.expect_op(")")
         body, end_line = self._parse_block("endforeach")
-        children = [iterable] + ([key] if key is not None else []) + [value, body]
+        children.append(body)
         return self.b.add(astree.FOREACH, children, line_start=t[2], line_end=end_line)
 
     def _parse_for(self, t: Token) -> int:
@@ -736,11 +737,9 @@ class _Parser:
         self._skip_balanced("(")
         # the use list and return type end at '{'; a '}' there ends the
         # statement as a malformed one
-        while not (self.at_op("{") or self.at_op("}")) and self.peek()[0] != "eof":
-            if self.at_op(";"):  # abstract/interface signature
-                semi = self.next()
-                return self.b.add(astree.other(tag), line_start=t[2], line_end=semi[3])
-            self.next()
+        if self._skip_to("{", ";", "}")[1] == ";":  # abstract/interface signature
+            semi = self.next()
+            return self.b.add(astree.other(tag), line_start=t[2], line_end=semi[3])
         open_tok = self.expect_op("{")
         stmts = self.parse_statements_until(("}",))
         close = self.expect_op("}")
@@ -757,10 +756,7 @@ class _Parser:
             self.next()  # class name
         # the extends/implements clause ends at '{'; a ';' or '}' there, or
         # the end of the file, ends the statement as a malformed one
-        while not (self.at_op("{") or self.at_op(";") or self.at_op("}")):
-            if self.peek()[0] == "eof":
-                raise ParseError("unterminated class declaration", t[2])
-            self.next()
+        self._skip_to("{", ";", "}")
         self.expect_op("{")
         members: list[int] = []
         end_line = t[2]
@@ -783,34 +779,38 @@ class _Parser:
             if tok[0] == "var" or tok[0] == "ident" and tok[1].lower() in (
                     "const", "use", "case"):
                 # a property, constant, trait use or enum case ends at ';' or
-                # with a {...} block: property hooks or trait adaptations
-                while not self.at_op(";") and self.peek()[0] != "eof":
-                    if self.at_op("{"):
-                        self._skip_balanced("{")
-                        break
-                    self.next()
-                if self.at_op(";"):
-                    self.next()
+                # with a {...} block: property hooks or trait adaptations; its
+                # ';' is then skipped as an unknown member token
+                if self._skip_to(";", "{")[1] == "{":
+                    self._skip_balanced("{")
                 continue
             self.next()  # unknown member token, skip
         return self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
 
+    def _skip_to(self, *stops: str) -> Token:
+        """Skip up to the next op token in stops, or the end; return that token."""
+        toks = self.toks
+        while True:
+            t = toks[self.pos]
+            if t[0] == "op" and t[1] in stops or t[0] == "eof":
+                return t
+            self.pos += 1
+
     def _skip_balanced(self, opener: str) -> int:
-        """Skip the '(' or '{' that must come next and its match; return its end line."""
+        """Skip the bracket opener, which must come next, and the brackets of
+        any kind up to the one that closes it; return that one's end line."""
         self.expect_op(opener)
-        closer = ")" if opener == "(" else "}"
         depth = 1
         while depth:
-            tok = self.next()
-            if tok[0] == "eof":
-                raise ParseError("unbalanced parentheses" if opener == "("
-                                 else "unbalanced braces", self.last_line)
-            if tok[0] == "op":
-                if tok[1] == opener:
+            t = self.next()
+            if t[0] == "op":
+                if t[1] in _OPENERS:
                     depth += 1
-                elif tok[1] == closer:
+                elif t[1] in _CLOSERS:
                     depth -= 1
-        return tok[3]
+            elif t[0] == "eof":
+                raise ParseError("unbalanced delimiters", self.last_line)
+        return t[3]
 
     # -- expressions -------------------------------------------------------
     def parse_expr(self, min_prec: int = _WORD_PREC) -> int:
@@ -898,7 +898,7 @@ class _Parser:
             if t[0] != "op" or t[1] not in _POSTFIX:
                 return node
             if t[1] == "(":
-                args = self._parse_arglist()
+                args = self._parse_list(")", astree.ARG_LIST)
                 kind = astree.CALL if nodes[node].kind in (astree.NAME, astree.VAR) \
                     else astree.other("call")
                 node = self.b.add(kind, (node, args))
@@ -935,35 +935,35 @@ class _Parser:
                 self.pos += 1
                 node = self.b.add("UnaryOp:post" + t[1], (node,), line_end=t[3])
 
-    def _parse_arglist(self) -> int:
-        """The argument list whose '(' is the next token."""
+    def _parse_list(self, closer: str, kind: str) -> int:
+        """The comma list whose opening bracket is the next token: an
+        argument list, or the items of array(...) or [...].  An item is an
+        expression, a '...' spread or a 'key => value' pair, and a comma may
+        follow the last one."""
         toks = self.toks
         open_tok = toks[self.pos]
         self.pos += 1
-        args: list[int] = []
+        items: list[int] = []
         t = toks[self.pos]
-        if not (t[0] == "op" and t[1] == ")"):
-            while True:
-                if t[0] == "op" and t[1] == "...":
-                    self.pos += 1
-                    inner = self.parse_expr()
-                    arg = self.b.add(astree.other("spread"), [inner], line_start=t[2])
-                else:
-                    arg = self.parse_expr()
-                    t = toks[self.pos]
-                    if t[0] == "op" and t[1] == "=>":  # array(...) literals share this path
-                        arg = self._kv(arg)
-                args.append(arg)
+        while not (t[0] == "op" and t[1] == closer):
+            if t[0] == "op" and t[1] == "...":
+                self.pos += 1
+                item = self.b.add(astree.other("spread"), [self.parse_expr()],
+                                  line_start=t[2])
+            else:
+                item = self.parse_expr()
                 t = toks[self.pos]
-                if t[0] == "op" and t[1] == ",":
+                if t[0] == "op" and t[1] == "=>":  # the item read is a pair's key
                     self.pos += 1
-                    t = toks[self.pos]
-                    if t[0] == "op" and t[1] == ")":
-                        break
-                    continue
+                    item = self.b.add(astree.other("kv"), [item, self.parse_expr()])
+            items.append(item)
+            t = toks[self.pos]
+            if not (t[0] == "op" and t[1] == ","):
                 break
-        close = self.expect_op(")")
-        return self.b.add(astree.ARG_LIST, args, line_start=open_tok[2], line_end=close[3])
+            self.pos += 1
+            t = toks[self.pos]
+        close = self.expect_op(closer)
+        return self.b.add(kind, items, line_start=open_tok[2], line_end=close[3])
 
     def _parse_primary(self, t: Token) -> int:
         """The primary that starts at token t, not a leaf: a string with
@@ -988,6 +988,7 @@ class _Parser:
                 return self._parse_function(t, "closure")
             if word == "fn":
                 self._skip_balanced("(")
+                self._skip_to("=>", ";", "{", "}")  # the return type
                 self.expect_op("=>")
                 body = self.parse_expr()
                 return self.b.add(astree.other("closure"), [body], line_start=t[2])
@@ -999,7 +1000,7 @@ class _Parser:
                 self.expect_op(")")
                 return inner
             if t[1] == "[":
-                return self._parse_array_literal()
+                return self._parse_list("]", astree.other("array"))
             if t[1] == "$":
                 self.pos += 1
                 if self.at_op("{"):
@@ -1019,35 +1020,6 @@ class _Parser:
             symbol += "\\" + self.toks[self.pos + 1][1]
             self.pos += 2
         return self.b.add(astree.NAME, symbol=symbol, line_start=t[2])
-
-    def _parse_array_literal(self) -> int:
-        """The array literal whose '[' is the next token."""
-        toks = self.toks
-        open_tok = toks[self.pos]
-        self.pos += 1
-        items: list[int] = []
-        while True:
-            t = toks[self.pos]
-            if t[0] == "op" and t[1] == "]":
-                break
-            if t[0] == "eof":
-                raise ParseError("unterminated array literal", open_tok[2])
-            item = self.parse_expr()
-            t = toks[self.pos]
-            if t[0] == "op" and t[1] == "=>":
-                item = self._kv(item)
-                t = toks[self.pos]
-            items.append(item)
-            if t[0] == "op" and t[1] == ",":
-                self.pos += 1
-        self.pos += 1
-        return self.b.add(astree.other("array"), items, line_start=open_tok[2], line_end=t[3])
-
-    def _kv(self, key: int) -> int:
-        """The pair key => value, with '=>' the next token.  Callers parse
-        the key themselves, so an item without '=>' costs no frame here."""
-        self.next()
-        return self.b.add(astree.other("kv"), [key, self.parse_expr()])
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1052,7 @@ def _build_interpolated(b: TreeBuilder, tok: Token) -> int:
     parts: list[int] = []
     lit = pos = 0  # the pending literal text starts at lit
     close = -1  # the first "]" at or after pos, or len(raw) if there is none
-    lit_line = tok[2] + 1 if tok[4] else tok[2]
+    lit_line = tok[3] - raw.count("\n")  # a heredoc body starts below its head
     add = b.add
     while m := _HOLE.search(raw, pos):
         start, pos = m.span()

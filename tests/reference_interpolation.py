@@ -1,11 +1,12 @@
 """The character-by-character reader of double-quoted strings that
 php_parser's _HOLE regex replaced.
 
-Kept as a test oracle, unchanged but for two mends.  A simple hole whose
-[key] spans a line break now moves the line count past it, so the rest of
-the string is numbered from the line the hole ends on.  And a "${" or "{$"
-hole ends where reference_lexer.hole_end says, the rule php_parser's
-_GROUP regex follows.
+Kept as a test oracle, unchanged but for two mends and the token it reads.
+A simple hole whose [key] spans a line break now moves the line count past
+it, so the rest of the string is numbered from the line the hole ends on.
+And a "${" or "{$" hole ends where reference_lexer.hole_end says, the rule
+php_parser's _GROUP regex follows.  The token carries no heredoc flag, so
+the string's first line is its last line less its line breaks.
 tests/test_interpolation_differential.py checks that php_parser builds the
 same nodes, with the same ids and line spans, or raises the same error, as
 `build_interpolated` here.
@@ -24,7 +25,7 @@ def build_interpolated(b: TreeBuilder, tok: Token) -> int:
     parts: list[int] = []
     buf: list[str] = []
     i, n = 0, len(raw)
-    line = tok[2] + 1 if tok[4] else tok[2]  # heredoc bodies start on the next line
+    line = tok[3] - raw.count("\n")  # a heredoc body starts on the line below its head
     seg_line = line
 
     def flush(end_line: int) -> None:

@@ -73,7 +73,7 @@ def tokenize(text: str) -> list[Token]:
             m = n
         if m > i:
             seg = text[i:m]
-            toks.append(("html", seg, line, line + seg.count("\n"), False))
+            toks.append(("html", seg, line, line + seg.count("\n")))
             line += seg.count("\n")
             i = m
         if i >= n:
@@ -81,7 +81,7 @@ def tokenize(text: str) -> list[Token]:
         if text.startswith("<?php", i):
             i += 5
         elif text.startswith("<?=", i):
-            toks.append(("ident", "echo", line, line, False))
+            toks.append(("ident", "echo", line, line))
             i += 3
         else:
             i += 2
@@ -101,7 +101,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             i += 1
             continue
         if text.startswith("?>", i):
-            toks.append(("op", "?>", line, line, False))
+            toks.append(("op", "?>", line, line))
             i += 2
             for nl in ("\r\n", "\n", "\r"):  # PHP swallows one newline after ?>
                 if text.startswith(nl, i):
@@ -128,17 +128,17 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 k = j + 1
                 while k < n and _is_ident_char(text[k]):
                     k += 1
-                toks.append(("var", text[i:k], line, line, False))
+                toks.append(("var", text[i:k], line, line))
                 i = k
                 continue
-            toks.append(("op", "$", line, line, False))
+            toks.append(("op", "$", line, line))
             i += 1
             continue
         if _is_ident_start(ch):
             k = i + 1
             while k < n and _is_ident_char(text[k]):
                 k += 1
-            toks.append(("ident", text[i:k], line, line, False))
+            toks.append(("ident", text[i:k], line, line))
             i = k
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -162,7 +162,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                         k += 2 if text[k + 1] in "+-" else 1
                     else:
                         break
-            toks.append(("number", text[i:k], line, line, False))
+            toks.append(("number", text[i:k], line, line))
             i = k
             continue
         if ch == "'":
@@ -184,7 +184,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 j += 1
             if j >= n:
                 raise LexError("unterminated single-quoted string", line)
-            toks.append(("sq", "".join(buf), line, ln, False))
+            toks.append(("sq", "".join(buf), line, ln))
             i = j + 1
             line = ln
             continue
@@ -209,7 +209,7 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
                 j += 1
             if j >= n:
                 raise LexError("unterminated double-quoted string", line)
-            toks.append(("dq", text[i + 1:j], line, ln, False))
+            toks.append(("dq", text[i + 1:j], line, ln))
             i = j + 1
             line = ln
             continue
@@ -217,16 +217,16 @@ def _lex_php(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]
             i, line = _lex_heredoc(text, i, line, toks)
             continue
         if text.startswith(_OPS3, i):
-            toks.append(("op", text[i:i + 3], line, line, False))
+            toks.append(("op", text[i:i + 3], line, line))
             i += 3
             continue
         two = text[i:i + 2]
         if two in _OPS2:
-            toks.append(("op", two, line, line, False))
+            toks.append(("op", two, line, line))
             i += 2
             continue
         if ch in _OPS1:
-            toks.append(("op", ch, line, line, False))
+            toks.append(("op", ch, line, line))
             i += 1
             continue
         raise LexError("unexpected character %r" % ch, line)
@@ -271,7 +271,7 @@ def _lex_heredoc(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, 
             body = text[body_start:pos]
             if body.endswith("\n"):
                 body = body[:-1]
-            toks.append(("sq" if nowdoc else "dq", body, line, max(line, ln - 1), True))
+            toks.append(("sq" if nowdoc else "dq", body, line, max(line, ln - 1)))
             indent = len(raw_line) - len(stripped)
             # resume lexing right after the terminator label
             return pos + indent + len(label), ln

@@ -785,6 +785,56 @@ def test_jobs_below_one_is_a_usage_error_from_either_source(tmp_path, capsys, jo
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, value, configured, expected", [
+    ("--min-interval", "inf", "inf", "a number of seconds from 0"),
+    ("--min-interval", "1e300", 1e300, "a number of seconds from 0"),
+    ("--min-interval", "nan", "nan", "a number of seconds from 0"),
+    ("--min-interval", "-1", -1, "a number of seconds from 0"),
+    ("--min-interval", "soon", "soon", "a number of seconds from 0"),
+    ("--max-repos", "0", 0, "a whole number >= 1"),
+    ("--max-repos", "-2", -2, "a whole number >= 1"),
+    ("--per-page", "0", 0, "a whole number >= 1"),
+], ids=["inf", "1e300", "nan", "negative", "word", "max-repos-0", "max-repos-negative",
+        "per-page-0"])
+def test_a_spider_option_out_of_range_is_a_usage_error_from_either_source(
+        tmp_path, capsys, monkeypatch, option, value, configured, expected):
+    """Before, inf and 1e300 ended in an OverflowError from time.sleep, nan
+    and -1 spaced no requests, --max-repos 0 and -2 wrote one repository and
+    --per-page 0 wrote none."""
+    monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    hub = MockHub()
+    for i in range(3):
+        hub.add_repo(i + 1, "o/r%d" % i, language="PHP")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option[2:].replace("-", "_"): configured}))
+    out = tmp_path / "repos.jsonl"
+    with hub:
+        argv = ["spider", "--api-base", hub.base_url, "--out", str(out)]
+        for source in ([*argv, option, value], ["--config", str(cfg), *argv]):
+            with pytest.raises(SystemExit) as exc:
+                main(source)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: analogue spider")
+            assert "argument %s: expected %s" % (option, expected) in err
+            assert "Traceback" not in err
+        assert hub.requests_seen == [] and not out.exists()
+
+
+def test_spider_options_at_the_edge_of_their_range_are_taken(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    hub = MockHub()
+    for i in range(3):
+        hub.add_repo(i + 1, "o/r%d" % i, language="PHP")
+    out = tmp_path / "repos.jsonl"
+    with hub:
+        code, _, _ = run(capsys, "spider", "--api-base", hub.base_url, "--out", str(out),
+                         "--min-interval", "0", "--per-page", "1", "--max-repos", "1")
+    assert code == 0
+    assert [json.loads(ln)["full_name"] for ln in out.read_text().splitlines()] == ["o/r0"]
+
+
 def test_spider_filters_language_and_size_as_the_library_does(tmp_path, capsys,
                                                               monkeypatch):
     monkeypatch.delenv("GITHUB_TOKEN", raising=False)
@@ -1160,3 +1210,23 @@ def test_scan_agrees_with_mine(tmp_path, capsys):
                            if r["query"] == qid]
         found += len(scanned)
     assert found == len(mined) > 0
+
+
+def test_a_seed_that_unpacks_an_array_finds_its_copy_not_a_malformed_statement(tmp_path,
+                                                                               capsys):
+    """The seed's first statement unpacks an array.  Read as a malformed
+    statement, it was an Other:opaque node, and the query matched any
+    malformed statement followed by the same call."""
+    seed = tmp_path / "seed.php"
+    seed.write_text('<?php\n$opts = [...$defaults, $_GET["id"]];\n'
+                    'mysql_query("SELECT * FROM t WHERE id = " . $opts[1]);\n')
+    target = tmp_path / "target.php"
+    target.write_text('<?php\n$cfg = [...$base, $_GET["id"]];\n'
+                      'mysql_query("SELECT * FROM t WHERE id = " . $cfg[1]);\n'
+                      '$opts = f(1 2);\n'
+                      'mysql_query("SELECT * FROM t WHERE id = " . $opts[1]);\n')
+    tmpl = tmp_path / "q.tmpl.jsonl"
+    assert run(capsys, "derive", str(seed), "--full", "-o", str(tmpl))[0] == 0
+    code, out, err = run(capsys, "scan", str(tmpl), str(target))
+    assert (code, err) == (0, "")
+    assert [json.loads(r)["lines"] for r in out.splitlines()] == [[2, 3]]

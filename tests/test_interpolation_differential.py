@@ -27,7 +27,7 @@ string_bodies = st.lists(st.sampled_from(STRING_PIECES), max_size=16).map("".joi
 
 def _outcome(build, raw: str, line: int, heredoc: bool):
     """The nodes build makes of a dq token with text raw, or its error."""
-    tok = ("dq", raw, line, line + raw.count("\n") + heredoc, heredoc)
+    tok = ("dq", raw, line, line + raw.count("\n") + heredoc)  # a heredoc's head is a line above
     b = TreeBuilder()
     b.add("Name", symbol="before")  # so that ids do not start at 0
     try:

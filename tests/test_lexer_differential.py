@@ -16,7 +16,7 @@ from analogue.php_parser import _DIGIT, LexError, lex_fragment, tokenize
 
 def _outcome(lex, *args):
     try:
-        return lex(*args)  # (type, value, line, line_end, heredoc) tuples
+        return lex(*args)  # (type, value, line, line_end) tuples
     except LexError as e:
         return ("LexError", str(e), e.line)
 

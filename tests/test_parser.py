@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import php_text
+from genutil import QUOTED_HOLES, php_text
 from analogue import astree
 from analogue.astree import TreeBuilder, validate_unit
 from analogue.compiler import compile_template
@@ -670,3 +670,84 @@ def test_closure_body_is_a_statement_list(closure):
     body = unit.children_of(node)[0]
     assert body.kind == astree.STMT_LIST
     assert [n.kind for n in unit.children_of(body)] == [astree.RETURN]
+
+
+@pytest.mark.parametrize("text, tree", [
+    ('<?php $a = [...$b, $_GET["id"]];',
+     "StmtList 1-1 (Assign 1-1 (Var $a 1-1, Other:array 1-1 (Other:spread 1-1 (Var $b 1-1), "
+     "ArrayDim 1-1 (Var $_GET 1-1, Literal 'id' 1-1))))"),
+    ("<?php $f = fn(int $x): ?int => $x * 2;",
+     "StmtList 1-1 (Assign 1-1 (Var $f 1-1, Other:closure 1-1 (BinOp:* 1-1 (Var $x 1-1, "
+     "Literal '2' 1-1))))"),
+    ("<?php $f = static fn(): int => 1;",
+     "StmtList 1-1 (Assign 1-1 (Var $f 1-1, Other:closure 1-1 (Literal '1' 1-1)))"),
+    ("<?php foreach ($a as &$v) {}",
+     "StmtList 1-1 (Foreach 1-1 (Var $a 1-1, Var $v 1-1, StmtList 1-1))"),
+])
+def test_array_unpacking_typed_arrow_functions_and_foreach_references(text, tree):
+    unit = parse_source(text)
+    assert tree_text(unit, unit.root) == tree
+
+
+@pytest.mark.parametrize("text", [
+    "<?php $a = [1 2];", "<?php $a = array(1 2);", "<?php f(1 2);",
+    "<?php $a = [1, , 2];", "<?php $a = [,];", "<?php $f = fn($x) $x;",
+    "<?php $f = fn($x): int { return $x; };",
+])
+def test_a_list_without_its_commas_or_an_arrow_without_its_arrow_is_malformed(text):
+    assert top_level(parse_source(text)) == [("Other:opaque", 1, 1)]
+
+
+def _list_shape(opener: str, items: list[str], separators: list[str]):
+    """What `$x = <opener>items<closer>;` parses to: the subtrees of the
+    list's items when the statement is that assignment, else the kinds and
+    spans of the top-level statements, or the error."""
+    closer = "]" if opener == "[" else ")"
+    body = "".join(item + sep for item, sep in zip(items, separators))
+    try:
+        unit = parse_source("<?php\n$x = %s%s%s;\n" % (opener, body, closer))
+    except (LexError, ParseError) as e:
+        return type(e).__name__
+    first = unit.children_of(unit.nodes[unit.root])[0]
+    if first.kind == astree.ASSIGN:
+        value = unit.nodes[first.children[1]]
+        if opener == "array(" and value.kind == astree.CALL:
+            value = unit.nodes[value.children[1]]
+        if value.kind in (astree.ARG_LIST, "Other:array"):
+            return [tree_text(unit, c) for c in value.children]
+    return top_level(unit)
+
+
+# Items of both lists: mostly expressions, nested lists and strings with
+# holes, and sometimes genutil's PHP pieces without brackets, whose quotes,
+# comments, tags and stray operators end most statements as malformed ones.
+# Most separators are commas.
+_EXPRS = st.sampled_from(["$a", "1", "-2", "'k'", "$_GET['id']", "f($b)", "[1, 2]",
+                          "array(3 => $c)", "[...$d]", '"x $a"', "$o->p", "fn() => 1"]
+                         + ['"%s"' % h for h in QUOTED_HOLES])
+_ITEM_PART = st.one_of(_EXPRS, _EXPRS, _EXPRS,
+                       php_text.filter(lambda s: not set(s) & set("()[]{}")))
+_ITEMS = st.lists(st.one_of(_ITEM_PART, _ITEM_PART.map("...".__add__),
+                            st.tuples(_ITEM_PART, _ITEM_PART).map(" => ".join)),
+                  max_size=6)
+_SEPARATORS = st.lists(st.sampled_from([",", ", ", ",\n"] * 6 + ["\n", " "]), min_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ITEMS, _SEPARATORS)
+def test_array_call_and_bracket_literal_read_their_items_by_one_rule(items, separators):
+    """array(...) and [...] hold the same item subtrees, spans included;
+    where a comma is missing, both are malformed or neither is.  The last
+    item takes a trailing comma or nothing."""
+    separators[len(items) - 1:] = ["," if separators[-1].startswith(",") else ""]
+    assert _list_shape("array(", items, separators) == _list_shape("[", items, separators)
+
+
+def test_a_bracket_list_holds_what_the_array_call_holds():
+    items = ["...$a", "'k' => [1,\n2]", "$_GET['id']"]
+    shape = _list_shape("[", items, [", ", ",\n", ","])
+    assert shape == _list_shape("array(", items, [", ", ",\n", ","])
+    assert shape == ["Other:spread 2-2 (Var $a 2-2)",
+                     "Other:kv 2-3 (Literal 'k' 2-2, Other:array 2-3 (Literal '1' 2-2, "
+                     "Literal '2' 3-3))",
+                     "ArrayDim 4-4 (Var $_GET 4-4, Literal 'id' 4-4)"]
