@@ -4,8 +4,9 @@
 # the same concrete name in a match. The classes are the template's data flow.
 
 from analogue import (derive_template, parse_source, serialize_template,
-                      slice_statements, template_stats)
+                      slice_statements)
 from analogue.template import ApiSymbol, CallWildcard, LiteralWildcard, VarWildcard
+from analogue.testing import template_stats
 
 TUTORIAL = """<?php
 $con = mysql_connect("localhost", "peter", "abc123");

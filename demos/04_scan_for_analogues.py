@@ -4,7 +4,7 @@
 
 from analogue import (ScanOptions, compile_template, derive_template,
                       parse_source, scan_unit, slice_statements)
-from analogue.oracle import brute_force_scan
+from analogue.testing import brute_force_scan
 
 SEED = """<?php
 $term = $_POST['q'];

@@ -6,7 +6,7 @@ import tempfile
 
 from analogue import (RateBudget, classify, download_repo, enumerate_repos,
                       filter_candidates)
-from analogue.mock_api import FakeClock, MockHub
+from analogue.testing import FakeClock, MockHub
 
 hub = MockHub()
 hub.add_repo(1, "alice/guestbook", stars=2, size_kb=300,

@@ -12,7 +12,7 @@ from .php_parser import LexError, ParseError, parse_source
 from .interchange import InterchangeError, export_ast, import_ast
 from .template import (EmptyInput, Template, TemplateFormatError,
                        derive_template, deserialize_template, query_id_of,
-                       serialize_template, template_stats)
+                       serialize_template)
 from .compiler import (MatcherProgram, MatcherStep, compile_template,
                        deserialize_program, export_traversal_script,
                        serialize_program, validate_program)
@@ -41,5 +41,5 @@ __all__ = [
     "mine_repositories", "parse_source", "query_id_of", "render_summary",
     "render_text", "rows_from_records", "scan_repository", "scan_unit",
     "serialize_program", "serialize_template", "slice_statements",
-    "template_stats", "validate_program", "validate_unit", "write_mining_outputs",
+    "validate_program", "validate_unit", "write_mining_outputs",
 ]

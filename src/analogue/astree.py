@@ -145,6 +145,8 @@ class SourceUnit:
         return preorder(self.nodes, (self.root,))
 
     def stmt_lists(self) -> list[AstNode]:
+        """Every StmtList, in pre-order.  The pipeline never calls it: it
+        stays here only because perfbench wraps it (ROADMAP item 3b)."""
         return [n for n in self.iter_preorder() if n.kind == STMT_LIST]
 
     def anchor_index(self) -> AnchorIndex:

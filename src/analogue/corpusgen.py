@@ -6,6 +6,10 @@ variables, and insertions either go between seed statements (destroying the
 consecutive run) or around them (leaving it intact).  A generated corpus
 ships with a plant ledger stating, per planted file, whether the seed's query
 must still match.
+
+This is test and benchmark input, not pipeline: ``import analogue`` does not
+load it.  It stays in the package only because perfbench imports it
+(ROADMAP item 3b).
 """
 from __future__ import annotations
 

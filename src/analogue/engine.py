@@ -104,6 +104,8 @@ def match_at(p: MatcherProgram, unit: SourceUnit, stmt_list_id: int,
 
     A fresh binding environment is used per attempt; absence of a match is a
     normal result.  Runs the program's generated matcher, as scan_unit does.
+    The pipeline never calls it: it stays here only because perfbench hooks
+    it (ROADMAP item 3b).
     """
     opts = opts or ScanOptions()
     sl = unit.nodes[stmt_list_id]

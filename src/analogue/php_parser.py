@@ -58,18 +58,26 @@ function's use list and return type, an arrow function's return type, a
 class header and a class member that ends at ``;`` or at its ``{``.
 ``_skip_balanced(opener)`` skips a bracketed group, counting brackets of
 every kind: a parameter list, a catch head, declare directives, a group
-use, a class member's block, and each group of a malformed statement.  PHP
-puts a body's ``{`` right after its head, and a class header or a function's
-return type ends at ``{``, ``;`` or ``}``, an arrow function's at ``=>``; so
-no statement searches past itself for its body, and a malformed one fails
-where it stands.
+use, a class member's block, and each group of a malformed statement.
+``_skip_head`` skips a function's head by the two: a ``&``, the name, the
+parameter list, then ``_skip_to`` its stops; so ``function &f()`` and
+``fn&($x) =>`` lose their ``&`` in one place.  PHP puts a body's ``{``
+right after its head, and a class header or a function's return type ends
+at ``{``, ``;`` or ``}``, an arrow function's at ``=>``; so no statement
+searches past itself for its body, and a malformed one fails where it
+stands.
 
-``_parse_list(closer, kind)`` reads every comma list: an argument list, so
-also the items of ``array(...)``, as an ``ArgList``, and the items of
-``[...]`` as an ``Other:array``.  An item is an expression, an
-``Other:spread`` (``...`` and an expression) or an ``Other:kv`` pair
-(``key => value``).  A comma separates the items and may follow the last
-one, so ``[1 2]`` is malformed, as ``f(1 2)`` is.
+``_parse_list(closer, kind, callee)`` reads every comma list: an argument
+list, so also the items of ``array(...)`` and ``list(...)``, as an
+``ArgList``, and the items of ``[...]`` as an ``Other:array``.  An item is
+an expression, an ``Other:spread`` (``...`` and an expression) or an
+``Other:kv`` pair (``key => value``).  A comma separates the items and may
+follow the last one, so ``[1 2]`` is malformed, as ``f(1 2)`` is.  The
+three lists of PHP's ``array_pair_list``, ``[...]``, ``array(...)`` and
+``list(...)``, also take an empty item, as a destructuring that skips one
+writes it: a comma with no item before it is an ``Other:skip`` leaf, so
+``[, $b] = $arr;`` reads.  Any other argument list refuses one, so
+``f(, $b);`` is malformed, as PHP has it.
 
 A statement that raises ``ParseError`` is recovered as an opaque node
 (``_recover_statement``), and its start is kept in ``failed_starts``: a
@@ -727,17 +735,12 @@ class _Parser:
 
     def _parse_function(self, t: Token, tag: str) -> int:
         """A function or method (tag "function") or a closure (tag "closure")
-        after its keyword t; its name, parameters, use list and return type
-        are skipped.  The body is built here, not by _parse_block, to save a
-        frame per nested closure (see the module docstring)."""
-        if self.at_op("&"):
-            self.next()
-        if self.peek()[0] == "ident":
-            self.next()  # function name, not preserved
-        self._skip_balanced("(")
+        after its keyword t; its head is skipped.  The body is built here,
+        not by _parse_block, to save a frame per nested closure (see the
+        module docstring)."""
         # the use list and return type end at '{'; a '}' there ends the
         # statement as a malformed one
-        if self._skip_to("{", ";", "}")[1] == ";":  # abstract/interface signature
+        if self._skip_head("{", ";", "}")[1] == ";":  # abstract/interface signature
             semi = self.next()
             return self.b.add(astree.other(tag), line_start=t[2], line_end=semi[3])
         open_tok = self.expect_op("{")
@@ -786,6 +789,16 @@ class _Parser:
                 continue
             self.next()  # unknown member token, skip
         return self.b.add(astree.other("class"), members, line_start=t[2], line_end=end_line)
+
+    def _skip_head(self, *stops: str) -> Token:
+        """Skip a function's head after its keyword: a '&', the name, the
+        parameter list and up to the next of stops; return that stop."""
+        if self.at_op("&"):
+            self.pos += 1
+        if self.peek()[0] == "ident":
+            self.pos += 1  # function name, not preserved
+        self._skip_balanced("(")
+        return self._skip_to(*stops)
 
     def _skip_to(self, *stops: str) -> Token:
         """Skip up to the next op token in stops, or the end; return that token."""
@@ -898,7 +911,7 @@ class _Parser:
             if t[0] != "op" or t[1] not in _POSTFIX:
                 return node
             if t[1] == "(":
-                args = self._parse_list(")", astree.ARG_LIST)
+                args = self._parse_list(")", astree.ARG_LIST, node)
                 kind = astree.CALL if nodes[node].kind in (astree.NAME, astree.VAR) \
                     else astree.other("call")
                 node = self.b.add(kind, (node, args))
@@ -935,11 +948,13 @@ class _Parser:
                 self.pos += 1
                 node = self.b.add("UnaryOp:post" + t[1], (node,), line_end=t[3])
 
-    def _parse_list(self, closer: str, kind: str) -> int:
-        """The comma list whose opening bracket is the next token: an
-        argument list, or the items of array(...) or [...].  An item is an
+    def _parse_list(self, closer: str, kind: str, callee: int | None = None) -> int:
+        """The comma list whose opening bracket is the next token: the
+        argument list of the node callee, so also the items of array(...)
+        and list(...), or else the items of [...].  An item is an
         expression, a '...' spread or a 'key => value' pair, and a comma may
-        follow the last one."""
+        follow the last one.  In [...], array(...) and list(...) an item may
+        be empty: a comma with no item before it is an Other:skip leaf."""
         toks = self.toks
         open_tok = toks[self.pos]
         self.pos += 1
@@ -950,6 +965,10 @@ class _Parser:
                 self.pos += 1
                 item = self.b.add(astree.other("spread"), [self.parse_expr()],
                                   line_start=t[2])
+            elif t[0] == "op" and t[1] == "," and (
+                    callee is None
+                    or (self.b._nodes[callee].symbol or "").lower() in ("array", "list")):
+                item = self.b.add(astree.other("skip"), line_start=t[2])
             else:
                 item = self.parse_expr()
                 t = toks[self.pos]
@@ -987,8 +1006,7 @@ class _Parser:
             if word == "function":
                 return self._parse_function(t, "closure")
             if word == "fn":
-                self._skip_balanced("(")
-                self._skip_to("=>", ";", "{", "}")  # the return type
+                self._skip_head("=>", ";", "{", "}")  # the return type ends at '=>'
                 self.expect_op("=>")
                 body = self.parse_expr()
                 return self.b.add(astree.other("closure"), [body], line_start=t[2])

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -155,30 +154,6 @@ def derive_template(unit: SourceUnit, statements: list[AstNode],
                         line_end=max(s.line_end for s in statements))
     return Template(statements=tuple(statement_ids), nodes=nodes,
                     symbol_policy=symbol_policy, seed_origin=origin)
-
-
-@dataclass(frozen=True)
-class TemplateStats:
-    node_count: int
-    statement_count: int
-    var_wildcards: int
-    literal_wildcards: int
-    api_symbols: int
-    call_wildcards: int
-    var_class_count: int
-    depth: int
-
-
-def template_stats(t: Template) -> TemplateStats:
-    nodes = list(t.iter_preorder())
-    roles = Counter(type(n.leaf_role) for n in nodes)
-    return TemplateStats(node_count=len(nodes), statement_count=len(t.statements),
-                         var_wildcards=roles[VarWildcard],
-                         literal_wildcards=roles[LiteralWildcard],
-                         api_symbols=roles[ApiSymbol], call_wildcards=roles[CallWildcard],
-                         var_class_count=len({n.leaf_role.class_id for n in nodes
-                                              if type(n.leaf_role) is VarWildcard}),
-                         depth=t.template_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,26 @@
-"""In-memory GitHub-compatible REST server for tests and demos.
+"""Test support: a mock GitHub server, a brute-force matcher and template
+statistics.  Tests and demos import it by name; ``import analogue`` loads
+none of it, and nothing in the pipeline calls it.
 
-Serves the minimal API shape the spider consumes:
+``MockHub`` is an in-memory GitHub-compatible REST server.  It serves the
+minimal API shape the spider consumes:
 
     GET /repositories?since=<id>&per_page=<n>   paginated listing
     GET /archive/<id>.tar.gz                    source tarball
 
 Failure behaviors (transient errors, rate-limit responses) are injectable so
-retry and budget handling can be exercised deterministically.
+retry and budget handling can be exercised deterministically.  ``FakeClock``
+stands in for the spider's clock.
+
+``brute_force_scan`` is the reference matcher for differential testing.  It
+implements the same matching semantics as the compiled engine by direct
+tree comparison with an explicit binding map.  Both walks use explicit
+stacks, so a tree or template of any depth the parser reads is compared
+without recursion.  It deliberately shares no matching code with
+engine.scan_unit: it walks template and target trees side by side, the
+engine replays a flat step program.
+
+``template_stats`` counts a template's nodes, statements and leaf roles.
 """
 from __future__ import annotations
 
@@ -15,10 +29,20 @@ import io
 import json
 import tarfile
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from .astree import SourceUnit, AstNode, STMT_LIST
+from .engine import Match
+from .template import (ApiSymbol, CallWildcard, LiteralWildcard, Template,
+                       VarWildcard, query_id_of)
+
+
+# ---------------------------------------------------------------------------
+# Mock GitHub server
+# ---------------------------------------------------------------------------
 
 @dataclass
 class FakeClock:
@@ -185,3 +209,87 @@ def _make_handler(hub: MockHub):
             self._reply(404, b"{}")
 
     return Handler
+
+# ---------------------------------------------------------------------------
+# Brute-force reference matcher
+# ---------------------------------------------------------------------------
+
+def _subtree_matches(t: Template, tmpl_id: int, unit: SourceUnit, node: AstNode,
+                     bindings: dict[int, str], exact_arity: bool) -> bool:
+    stack = [(tmpl_id, node)]  # template and target nodes, compared in pre-order
+    while stack:
+        tmpl_id, node = stack.pop()
+        tn = t.nodes[tmpl_id]
+        if node.kind != tn.kind:
+            return False
+        role = tn.leaf_role
+        if isinstance(role, ApiSymbol):
+            if node.symbol != role.name:
+                return False
+        elif isinstance(role, VarWildcard):
+            name = node.symbol or ""
+            if role.class_id in bindings:
+                if bindings[role.class_id] != name:
+                    return False
+            else:
+                bindings[role.class_id] = name
+        # LiteralWildcard / CallWildcard constrain only the kind.
+        if exact_arity:
+            if len(node.children) != len(tn.children):
+                return False
+        elif len(node.children) < len(tn.children):
+            return False
+        stack.extend(reversed([(tc, unit.nodes[uc])
+                               for tc, uc in zip(tn.children, node.children)]))
+    return True
+
+
+def brute_force_scan(t: Template, unit: SourceUnit,
+                     exact_arity: bool = False) -> list[Match]:
+    """All matches of the template in the unit, in document order."""
+    query_id = query_id_of(t)
+    span = len(t.statements)
+    matches: list[Match] = []
+    for node in unit.iter_preorder():
+        if node.kind != STMT_LIST:
+            continue
+        stmts = node.children
+        for start in range(0, len(stmts) - span + 1):
+            bindings: dict[int, str] = {}
+            if all(_subtree_matches(t, tmpl_root, unit, unit.nodes[stmts[start + offset]],
+                                    bindings, exact_arity)
+                   for offset, tmpl_root in enumerate(t.statements)):
+                first = unit.nodes[stmts[start]]
+                last = unit.nodes[stmts[start + span - 1]]
+                matches.append(Match(
+                    unit_path=unit.path, query_id=query_id,
+                    stmt_list_id=node.id, start_index=start, bindings=bindings,
+                    line_start=first.line_start, line_end=last.line_end))
+    return matches
+
+# ---------------------------------------------------------------------------
+# Template statistics
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TemplateStats:
+    node_count: int
+    statement_count: int
+    var_wildcards: int
+    literal_wildcards: int
+    api_symbols: int
+    call_wildcards: int
+    var_class_count: int
+    depth: int
+
+
+def template_stats(t: Template) -> TemplateStats:
+    nodes = list(t.iter_preorder())
+    roles = Counter(type(n.leaf_role) for n in nodes)
+    return TemplateStats(node_count=len(nodes), statement_count=len(t.statements),
+                         var_wildcards=roles[VarWildcard],
+                         literal_wildcards=roles[LiteralWildcard],
+                         api_symbols=roles[ApiSymbol], call_wildcards=roles[CallWildcard],
+                         var_class_count=len({n.leaf_role.class_id for n in nodes
+                                              if type(n.leaf_role) is VarWildcard}),
+                         depth=t.template_depth)

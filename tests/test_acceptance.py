@@ -20,13 +20,12 @@ from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 scaled_file)
 from analogue.engine import ScanOptions, scan_unit
 from analogue.miner import mine_repositories, scan_repository, write_mining_outputs
-from analogue.mock_api import FakeClock, MockHub
-from analogue.oracle import brute_force_scan
 from analogue.php_parser import parse_source
 from analogue.spider import (NOT_POPULAR, POPULAR, VERY_POPULAR, RateBudget,
                              classify, crawl, enumerate_repos,
                              filter_candidates, load_cursor)
 from analogue.template import derive_template
+from analogue.testing import FakeClock, MockHub, brute_force_scan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -17,8 +17,8 @@ from analogue.cli import build_parser, main
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus, render_file,
                                 render_snippet)
 from analogue.miner import discover_files
-from analogue.mock_api import MockHub
 from analogue.spider import SystemClock
+from analogue.testing import MockHub
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -21,7 +21,8 @@ from analogue.php_parser import parse_source
 from analogue.template import (SYMBOL_POLICIES, ApiSymbol, SeedOrigin,
                                VarWildcard, derive_template,
                                deserialize_template, query_id_of,
-                               serialize_template, template_stats)
+                               serialize_template)
+from analogue.testing import template_stats
 
 
 def compile_from(text: str, lines=None, **kw):

@@ -28,7 +28,7 @@ def test_demo_runs(script, tmp_path):
 
 
 def test_package_import_loads_no_test_support():
-    """oracle, corpusgen and mock_api are imported by name, never by
+    """testing and corpusgen are imported by name, never by
     `import analogue`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, analogue; print(' '.join(sorted(m for m in sys.modules "
@@ -38,10 +38,11 @@ def test_package_import_loads_no_test_support():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "analogue.miner" in loaded
-    assert not loaded & {"analogue.oracle", "analogue.corpusgen", "analogue.mock_api"}
+    assert not loaded & {"analogue.testing", "analogue.corpusgen"}
 
 
 def test_export_list_names_each_name_once_in_order_and_each_resolves():
+    """... and none of them is test support."""
     import analogue
     names = analogue.__all__
     assert names == sorted(set(names))
@@ -49,6 +50,8 @@ def test_export_list_names_each_name_once_in_order_and_each_resolves():
     namespace: dict = {}
     exec("from analogue import *", namespace)
     assert set(names) <= set(namespace)
+    support = {"analogue.testing", "analogue.corpusgen"}
+    assert [n for n in names if getattr(analogue, n).__module__ in support] == []
 
 
 # Each step runs in a fresh interpreter; sys.argv[1:] is the seed, the

@@ -11,9 +11,9 @@ from analogue import astree
 from analogue.astree import TreeBuilder, slice_statements
 from analogue.compiler import compile_template
 from analogue.engine import ScanOptions, scan_unit
-from analogue.oracle import brute_force_scan
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
+from analogue.testing import brute_force_scan
 
 
 def agree(t, unit, **opt_kw) -> bool:

@@ -689,10 +689,29 @@ def test_array_unpacking_typed_arrow_functions_and_foreach_references(text, tree
     assert tree_text(unit, unit.root) == tree
 
 
+@pytest.mark.parametrize("text, tree", [
+    ("<?php $f = fn&($x) => $x;",
+     "StmtList 1-1 (Assign 1-1 (Var $f 1-1, Other:closure 1-1 (Var $x 1-1)))"),
+    ("<?php $f = static fn&(array $x): array => $x;",
+     "StmtList 1-1 (Assign 1-1 (Var $f 1-1, Other:closure 1-1 (Var $x 1-1)))"),
+    ("<?php $f = fn($x) => $x;",
+     "StmtList 1-1 (Assign 1-1 (Var $f 1-1, Other:closure 1-1 (Var $x 1-1)))"),
+    ("<?php function &f() {}", "StmtList 1-1 (Other:function 1-1 (StmtList 1-1))"),
+    ("<?php [, $b] = $arr;",
+     "StmtList 1-1 (Assign 1-1 (Other:array 1-1 (Other:skip 1-1, Var $b 1-1), Var $arr 1-1))"),
+    ("<?php list($a, , $b) = $arr;",
+     "StmtList 1-1 (Assign 1-1 (Call 1-1 (Name list 1-1, ArgList 1-1 (Var $a 1-1, "
+     "Other:skip 1-1, Var $b 1-1)), Var $arr 1-1))"),
+])
+def test_by_reference_arrow_functions_and_empty_destructuring_items(text, tree):
+    unit = parse_source(text)
+    assert tree_text(unit, unit.root) == tree
+
+
 @pytest.mark.parametrize("text", [
     "<?php $a = [1 2];", "<?php $a = array(1 2);", "<?php f(1 2);",
-    "<?php $a = [1, , 2];", "<?php $a = [,];", "<?php $f = fn($x) $x;",
-    "<?php $f = fn($x): int { return $x; };",
+    "<?php f(1, , 2);", "<?php f(,);", "<?php f(, $b);", "<?php $o->list(, $b);",
+    "<?php $f = fn($x) $x;", "<?php $f = fn($x): int { return $x; };",
 ])
 def test_a_list_without_its_commas_or_an_arrow_without_its_arrow_is_malformed(text):
     assert top_level(parse_source(text)) == [("Other:opaque", 1, 1)]

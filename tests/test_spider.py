@@ -14,12 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from analogue import spider
-from analogue.mock_api import FakeClock, MockHub
 from analogue.spider import (NOT_POPULAR, POPULAR, VERY_POPULAR, AuthError,
                              DownloadError, RateBudget, RepoMeta, SpiderError,
                              classify, classify_stars, crawl, download_repo,
                              enumerate_repos, filter_candidates, load_cursor,
                              save_cursor)
+from analogue.testing import FakeClock, MockHub
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from analogue.template import (ApiSymbol, CallWildcard, EmptyInput,
                                LiteralWildcard, Template, TemplateFormatError,
                                VarWildcard, derive_template,
                                deserialize_template, query_id_of,
-                               serialize_template, template_stats)
+                               serialize_template)
+from analogue.testing import template_stats
 
 
 def derive_from(text: str, lines=None, **kw) -> Template:

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 from analogue.cli import main
-from analogue.mock_api import MockHub
+from analogue.testing import MockHub
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
