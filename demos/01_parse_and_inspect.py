@@ -3,6 +3,7 @@
 # through the newline-delimited interchange format.
 
 from analogue import export_ast, import_ast, parse_source
+from analogue.engine import anchor_index
 
 SOURCE = """<?php
 $title = $_POST['title'];
@@ -13,7 +14,7 @@ echo "<p>" . $row['title'] . "</p>";
 
 unit = parse_source(SOURCE, path="snippet.php")
 print("parsed %d nodes, max depth %d\n" % (unit.node_count,
-                                              unit.anchor_index().max_depth))
+                                            anchor_index(unit).max_depth))
 
 # The tree keeps identifiers on Var/Name nodes and raw content on Literals.
 # Note how the interpolated query string becomes an Encapsed node whose

@@ -12,7 +12,7 @@ for units and templates alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 STMT_LIST = "StmtList"
@@ -92,46 +92,11 @@ def preorder(nodes: dict, roots) -> Iterator:
         stack.extend(reversed(n.children))
 
 
-# One scan position: (stmt_list_id, stmt_list_depth, start, sibling_count).
-Anchor = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class AnchorIndex:
-    """Where a statement program can start in one unit.
-
-    Every (StmtList, start) position is listed once, under the kind of the
-    statement at that position in `by_kind`, each list in document order
-    (StmtLists in pre-order, starts ascending).  `symbols`
-    holds every node's symbol, None included.  `max_depth` is the depth of
-    the deepest node, the root being at depth 0.
-
-    SourceUnit.anchor_index builds it from the root, not in id order, so an
-    imported unit whose ids are not in pre-order gets the same index.  Its
-    pre-order walk pushes only the nodes that have children; a leaf child is
-    never visited, and only raises `max_depth` to its depth.  `symbols`
-    comes from one pass over the node table, which holds every node of a
-    valid unit.
-
-    The engine fills the last two as its scans go, and every program shares
-    them: `shapes` maps each statement scanned to its shape id
-    (engine.shape_id), and `tries` maps a program's first kind, depth limit
-    and statement count to the anchors such a program is tried at.
-    """
-    by_kind: dict[str, list[Anchor]]
-    symbols: frozenset
-    max_depth: int
-    shapes: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    tries: dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
-
-
 @dataclass
 class SourceUnit:
     path: str
     root: int
     nodes: dict[int, AstNode]
-    _index: AnchorIndex | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def node_count(self) -> int:
@@ -148,40 +113,6 @@ class SourceUnit:
         """Every StmtList, in pre-order.  The pipeline never calls it: it
         stays here only because perfbench wraps it (ROADMAP item 3b)."""
         return [n for n in self.iter_preorder() if n.kind == STMT_LIST]
-
-    def anchor_index(self) -> AnchorIndex:
-        """The unit's AnchorIndex, built on first use and cached.
-
-        The cache assumes the tree is not edited after it is first scanned.
-        """
-        if self._index is None:
-            nodes = self.nodes
-            by_kind: dict[str, list[Anchor]] = {}
-            max_depth = 0
-            # Pre-order with an explicit stack of (node id, depth) pairs:
-            # children are pushed in reverse so they pop left to right.  Only
-            # the root and nodes with children are pushed; a leaf child can
-            # only be the deepest node so far.
-            stack = [(self.root, 0)]
-            pop, push = stack.pop, stack.append
-            while stack:
-                node_id, depth = pop()
-                n = nodes[node_id]
-                children = n.children
-                if n.kind == STMT_LIST:
-                    count = len(children)
-                    for start, c in enumerate(children):
-                        by_kind.setdefault(nodes[c].kind, []).append(
-                            (node_id, depth, start, count))
-                depth += 1
-                for c in reversed(children):
-                    if nodes[c].children:
-                        push((c, depth))
-                    elif depth > max_depth:
-                        max_depth = depth
-            self._index = AnchorIndex(
-                by_kind, frozenset([n.symbol for n in nodes.values()]), max_depth)
-        return self._index
 
 
 def check_forest(nodes: dict, roots) -> int:

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import astree, interchange, jsonl, report as report_mod, spider as spider_mod
@@ -178,11 +179,14 @@ def _mine(repos: list[str], programs: list[MatcherProgram],
           args) -> tuple[list[RepoScanResult], dict[str, Path]]:
     """Mine the repositories into args.out, name the failed ones on stderr,
     and return the results and the paths of the written files.  Two
-    repositories with one id are an error."""
+    repositories with one id are an error, and so is a worker process that
+    dies: nothing is written then."""
     try:
         results = mine_repositories(repos, programs, args.jobs, _miner_options(args))
     except ValueError as e:
         raise CliError(str(e))
+    except BrokenProcessPool:
+        raise CliError("a mining worker died; no output was written") from None
     paths = write_mining_outputs(results, args.out)
     failed = [r.repo_id for r in results if r.error]
     if failed:

@@ -257,7 +257,11 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
     """The one file loop of `mine` and `scan`: read, parse and scan each
     (path, label) of files in order, one at a time, with every program.  A
     file that cannot be scanned becomes a SkippedFile; the matches come out
-    program by program, as if each program had scanned the files in turn."""
+    program by program, as if each program had scanned the files in turn.
+    Each parsed file's AnchorIndex is built once, here: its symbols decide
+    which programs skip the file, and every scan_unit of the file reads it.
+    The index walk is charged to no query; the anchors of an opening kind
+    are listed within the first scan that asks for them."""
     opts = opts or MinerOptions()
     result = RepoScanResult(repo_id=repo_id)
     limit = opts.max_file_bytes
@@ -274,13 +278,14 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
         result.files_scanned += 1
         result.nodes_scanned += unit.node_count
         lines = None  # the file's source_lines, split at its first match
-        symbols = unit.anchor_index().symbols
-        t0 = time.perf_counter()  # after the index, which every query shares
+        index = engine.anchor_index(unit)
+        symbols = index.symbols
+        t0 = time.perf_counter()  # after the index walk, which every query shares
         for i, program in enumerate(programs):
             if not program.preserved_symbols <= symbols:
                 units_skipped[i] += 1
             else:
-                matches, counter = scan_unit(program, unit, opts.scan)
+                matches, counter = scan_unit(program, unit, opts.scan, index)
                 comparisons[i] += counter.node_comparisons
                 candidates[i] += counter.candidates_tried
                 if matches:
@@ -293,7 +298,7 @@ def scan_files(files: list[tuple[str, str]], programs: list[MatcherProgram],
             wall[i] += t1 - t0
             t0 = t1
         # Free this file's tree and text before the next file is parsed.
-        del loaded, unit, text, lines, symbols
+        del loaded, unit, text, lines, index, symbols
     for i, program in enumerate(programs):
         result.matches += found[i]
         # positional: a keyword construction costs twice as much

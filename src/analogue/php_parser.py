@@ -43,14 +43,16 @@ Backtick strings are not read: a backtick is a ``LexError``.
 Each statement construct has one rule.  ``parse_statement`` dispatches on
 a leading keyword of ``_KEYWORDS`` and reads anything else as an expression
 statement; ``namespace\\foo`` is a name, so it starts an expression
-statement too.  ``_parse_block`` reads every body: ``{ ... }`` (a ``{`` in
-statement position too), an alternative ``: ... endwhile;`` block or a
-single statement; a try, catch, finally or namespace body must be
-``{ ... }``.  ``Other:switch`` holds the subject, then an ``Other:case`` per
-case: its label (none for ``default``) and body.  ``Other:declare`` holds
-its body, ``{ ... }`` or ``: ... enddeclare;``, and nothing after
-``declare(...);``.  ``_parse_function`` reads functions, methods and
-closures, ``static`` ones included.
+statement too.  An identifier, not a keyword, followed by ``:`` is a goto
+label: an ``Other:label`` leaf of its own, so the statement after it is
+read; ``case`` and ``default`` stay the switch's.  ``_parse_block`` reads
+every body: ``{ ... }`` (a ``{`` in statement position too), an alternative
+``: ... endwhile;`` block or a single statement; a try, catch, finally or
+namespace body must be ``{ ... }``.  ``Other:switch`` holds the subject,
+then an ``Other:case`` per case: its label (none for ``default``) and body.
+``Other:declare`` holds its body, ``{ ... }`` or ``: ... enddeclare;``, and
+nothing after ``declare(...);``.  ``_parse_function`` reads functions,
+methods and closures, ``static`` ones included.
 
 Two rules skip tokens unread.  ``_skip_to(*stops)`` runs up to the next of
 its stop operators or the end of the file: past a namespace or use name, a
@@ -497,6 +499,10 @@ class _Parser:
         kw = t[1].lower() if t[0] == "ident" else ""
         if kw == "namespace" and self.toks[self.pos + 1][:2] == ("op", "\\"):
             kw = ""  # namespace\foo is a name: an expression statement
+        if kw and kw not in _KEYWORDS and self.toks[self.pos + 1][:2] == ("op", ":"):
+            self.pos += 2  # a goto label: the statement after it is read on its own
+            return self.b.add(astree.other("label"), line_start=t[2],
+                              line_end=self.toks[self.pos - 1][3])
         if kw not in _KEYWORDS:
             expr = self.parse_expr()
             t = self.toks[self.pos]

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import multiprocessing
+import os
 import random
 import re
 import shlex
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -563,10 +567,10 @@ def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
         shutil.copy(FIXTURES / "clone_users.php", corpus / name / "page.php")
     real_scan = miner.scan_unit
 
-    def flaky_scan(program, unit, opts=None):
+    def flaky_scan(program, unit, opts=None, index=None):
         if unit.path.startswith("repoA/"):
             raise ValueError("cannot handle %s" % unit.path)
-        return real_scan(program, unit, opts)
+        return real_scan(program, unit, opts, index)
 
     monkeypatch.setattr(miner, "scan_unit", flaky_scan)
     seed = str(FIXTURES / "tutorial_search.php")
@@ -592,6 +596,43 @@ def test_pipeline_names_failed_repositories_as_mine_does(tmp_path, capsys,
             piped, mined = ([{k: v for k, v in json.loads(ln).items() if k != "wall_time_s"}
                              for ln in text.splitlines()] for text in (piped, mined))
         assert piped == mined
+
+
+def _die(path):
+    """A mining worker's task that ends its process at once."""
+    os._exit(3)
+
+
+@pytest.mark.parametrize("command", ["mine", "pipeline"])
+def test_a_dead_mining_worker_is_an_error_line(tmp_path, capfd, monkeypatch, command):
+    """A worker process that dies ends `mine` and `pipeline` with one error
+    line and exit 1, not a BrokenProcessPool traceback, and nothing is
+    written.  The workers start by fork, so they inherit the patch."""
+    from analogue import miner
+    corpus = tmp_path / "corpus"
+    for name in ("repoA", "repoB"):
+        (corpus / name).mkdir(parents=True)
+        shutil.copy(FIXTURES / "clone_users.php", corpus / name / "page.php")
+    seed = str(FIXTURES / "tutorial_search.php")
+    queries = tmp_path / "q"
+    queries.mkdir()
+    assert main(["derive", seed, "--lines", "4:6", "-o", str(queries / "q.tmpl.jsonl")]) == 0
+    (tmp_path / "repos.txt").write_text("%s\n%s\n" % (corpus / "repoA", corpus / "repoB"))
+    capfd.readouterr()
+    monkeypatch.setattr(miner, "_scan_in_worker", _die)
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    out = tmp_path / "out"
+    if command == "mine":
+        argv = ["mine", "--repos", str(tmp_path / "repos.txt"), "--queries", str(queries)]
+    else:
+        argv = ["pipeline", seed, str(corpus), "--lines", "4:6"]
+    code = main(argv + ["--jobs", "2", "--out", str(out)])
+    captured = capfd.readouterr()
+    assert code == 1
+    assert captured.err == "error: a mining worker died; no output was written\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert not (out / "matches.jsonl").exists()
 
 
 # Each command's options as `analogue` declared them before they were shared

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from analogue import astree
+from analogue.engine import anchor_index
 from analogue.corpusgen import distinct_snippets, generate_test_corpus, scaled_file
 from analogue.interchange import export_ast
 from analogue.miner import parse_file
@@ -286,11 +287,11 @@ def test_nested_blocks_parse(head, opener, inner, closer, tail, depth, levels):
     # each nesting step adds `levels` tree levels (If > StmtList, Assign >
     # closure > StmtList, ...); the innermost statement's operands sit two
     # levels below the last step
-    assert unit.anchor_index().max_depth == levels * depth + 2
+    assert anchor_index(unit).max_depth == levels * depth + 2
 
 
 @pytest.mark.parametrize("depth", [1, 215])
 def test_nested_concatenations_parse(depth):
     unit = parse_source("<?php $x = " + "$a . (" * depth + "$y" + ")" * depth + ";")
     # StmtList > Assign > depth concatenations > the innermost Var
-    assert unit.anchor_index().max_depth == depth + 2
+    assert anchor_index(unit).max_depth == depth + 2

@@ -23,7 +23,7 @@ from analogue.compiler import (ASCEND, BIND, CHECK, DESCEND, KIND, NEXT, SYMBOL,
                                matcher_source, serialize_program, shape_verdict)
 from analogue.corpusgen import random_snippet
 from analogue.engine import (MAX_SHAPE_CHILDREN, NO_SHAPE, ComparisonCounter,
-                             ScanOptions, match_at, scan_unit)
+                             ScanOptions, anchor_index, match_at, scan_unit)
 
 import reference_matcher
 from test_scan_index import OPTION_GRID, planted_unit, program_for
@@ -93,8 +93,8 @@ def test_match_at_equals_the_step_interpreter_everywhere():
 
 def interpreted_scan(p: MatcherProgram, unit, opts: ScanOptions):
     """scan_unit's result, from the step interpreter at the same anchors."""
-    index = unit.anchor_index()
-    tried = index.by_kind.get(p.steps[0].kind, ())
+    index = anchor_index(unit)
+    tried = index.anchors(p.steps[0].kind)
     depth_limit = index.max_depth - p.template_depth + 1
     want, want_c = [], ComparisonCounter()
     for sl_id, depth, start, siblings in tried:
@@ -246,11 +246,12 @@ def test_programs_sharing_a_unit_keep_their_own_verdicts():
     decided, undecided = ps["descend-to-a-missing-child"], ps["check-before-child-kind"]
     for order in ((decided, undecided), (undecided, decided)):
         unit = shape_unit()
+        index = anchor_index(unit)
         for p in order:
             for opts in OPTION_GRID:
-                assert scan_unit(p, unit, opts) == interpreted_scan(p, unit, opts)
+                assert scan_unit(p, unit, opts, index) == interpreted_scan(p, unit, opts)
         var_var = unit.nodes[unit.root].children[0]     # Assign($a, $a)
-        sid = unit.anchor_index().shapes[var_var]
+        sid = index.shapes[var_var]
         assert sid != NO_SHAPE
         for exact in (False, True):
             assert decided.compiled(exact).verdicts[sid] == 1
@@ -265,9 +266,10 @@ def test_a_full_shape_table_leaves_new_shapes_to_the_matcher(monkeypatch):
     monkeypatch.setattr(engine, "MAX_SHAPES", before)
     for p in shape_programs("Assign:full").values():
         unit = shape_unit("Assign:full")
+        index = anchor_index(unit)
         for opts in OPTION_GRID:
-            assert scan_unit(p, unit, opts) == interpreted_scan(p, unit, opts)
-        shapes = unit.anchor_index().shapes
+            assert scan_unit(p, unit, opts, index) == interpreted_scan(p, unit, opts)
+        shapes = index.shapes
         assert all(shapes[stmt] == NO_SHAPE for stmt in shapes
                    if unit.nodes[stmt].kind == "Assign:full")
     assert len(engine._shapes) == before

@@ -22,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genutil import HOST_CONTEXTS, move_into_context
-from analogue.astree import SourceUnit, slice_statements
-from analogue import astree, miner, php_parser
+from analogue.astree import slice_statements
+from analogue import astree, engine, miner, php_parser
 from analogue.compiler import MatcherProgram, compile_template
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 random_snippet, render_file, render_snippet,
@@ -33,7 +33,7 @@ from analogue.miner import (EXTENSIONS, MinerOptions, RepoScanResult, ScanStats,
                             SKIP_TOO_DEEP, SKIP_TOO_LARGE, SKIP_UNREADABLE,
                             discover_files, mine_repositories,
                             scan_repository, write_mining_outputs)
-from analogue.engine import Match, ScanOptions, match_to_record
+from analogue.engine import Match, ScanOptions, anchor_index, match_to_record
 from analogue.php_parser import parse_source
 from analogue.template import derive_template
 
@@ -205,9 +205,9 @@ def test_each_file_is_scanned_by_every_program_before_the_next_is_parsed(
         events.append(("parse", unit))
         return unit
 
-    def scan_unit(program, unit, opts=None):
+    def scan_unit(program, unit, opts=None, index=None):
         events.append(("scan", program, unit))
-        return real_scan(program, unit, opts)
+        return real_scan(program, unit, opts, index)
 
     real_parse, real_scan = miner.parse_source, miner.scan_unit
     monkeypatch.setattr(miner, "parse_source", parse_source)
@@ -221,7 +221,7 @@ def test_each_file_is_scanned_by_every_program_before_the_next_is_parsed(
         if e[0] == "parse":
             latest = e[1]
             expected += [("scan", p, latest) for p in programs
-                         if p.preserved_symbols <= latest.anchor_index().symbols]
+                         if p.preserved_symbols <= anchor_index(latest).symbols]
         else:
             assert e[2] is latest
     assert [e for e in events if e[0] == "scan"] == expected
@@ -442,9 +442,8 @@ def test_wall_time_leaves_out_the_shared_anchor_index(tmp_path, monkeypatch):
         def perf_counter():
             return clock[0]
 
-    def anchor_index(unit, real=SourceUnit.anchor_index):
-        if unit._index is None:  # built on first use, then cached
-            clock[0] += 100.0
+    def anchor_index(unit, real=engine.anchor_index):
+        clock[0] += 100.0
         return real(unit)
 
     def scan_unit(*args, real=miner.scan_unit):
@@ -452,10 +451,50 @@ def test_wall_time_leaves_out_the_shared_anchor_index(tmp_path, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(miner, "time", FakeTime)
-    monkeypatch.setattr(SourceUnit, "anchor_index", anchor_index)
+    monkeypatch.setattr(engine, "anchor_index", anchor_index)
     monkeypatch.setattr(miner, "scan_unit", scan_unit)
     r = miner.scan_repository(repo, strict_programs())
     assert [s.wall_time_s for s in r.stats] == [1.0, 1.0]
+
+
+def test_scan_files_builds_one_index_per_parsed_file_for_every_scan(tmp_path,
+                                                                    monkeypatch):
+    """Over a corpus of several repositories, scan_files builds exactly one
+    AnchorIndex per parsed file and hands that same object to every scan of
+    the file; a skipped file gets none, and the matches are those of scans
+    that build their own."""
+    rng = random.Random(11)
+    seeds = distinct_snippets(rng, 3, n_statements=3)
+    generate_test_corpus(seeds, tmp_path / "corpus", repo_count=4, rng_seed=3)
+    repos = sorted(p for p in (tmp_path / "corpus").iterdir() if p.is_dir())
+    (repos[0] / "broken.php").write_text("<?php { $a = 1;\n")
+    programs, _ = seed_programs(seeds)
+    want = mine_repositories(repos, programs)
+    built, scans = [], []
+
+    def anchor_index(unit, real=engine.anchor_index):
+        built.append((unit, real(unit)))
+        return built[-1][1]
+
+    def scan_unit(program, unit, opts=None, index=None, real=miner.scan_unit):
+        scans.append((unit, index))
+        return real(program, unit, opts, index)
+
+    monkeypatch.setattr(engine, "anchor_index", anchor_index)
+    monkeypatch.setattr(miner, "scan_unit", scan_unit)
+    got = mine_repositories(repos, programs)
+
+    def outcome(results):
+        return [(r.matches, [dataclasses.replace(s, wall_time_s=0.0) for s in r.stats])
+                for r in results]
+
+    assert outcome(got) == outcome(want)
+    parsed = sum(r.files_scanned for r in got)
+    assert parsed > 4 and sum(len(r.files_skipped) for r in got) == 1
+    assert len(built) == parsed == len({id(u) for u, _ in built})
+    index_of = {id(u): index for u, index in built}
+    assert len(scans) > parsed
+    assert all(index is index_of[id(u)] for u, index in scans)
 
 
 def test_corpus_ledger_reconciliation(tmp_path):
@@ -716,10 +755,10 @@ def test_failing_repository_is_isolated(tmp_path, monkeypatch, many_repos, jobs)
     before = mine_repositories(repos, programs, jobs=jobs)
     real_scan = miner.scan_unit
 
-    def flaky_scan(program, unit, opts=None):
+    def flaky_scan(program, unit, opts=None, index=None):
         if unit.path.startswith("repo002/"):
             raise ValueError("cannot handle %s" % unit.path)
-        return real_scan(program, unit, opts)
+        return real_scan(program, unit, opts, index)
 
     monkeypatch.setattr(miner, "scan_unit", flaky_scan)
     fork_workers(monkeypatch)
@@ -804,10 +843,10 @@ def test_mining_makes_no_reference_cycles(tmp_path, monkeypatch):
             raise ValueError("cannot handle %s" % path)
         return real_parse(text, path=path)
 
-    def flaky_scan(program, unit, opts=None):
+    def flaky_scan(program, unit, opts=None, index=None):
         if unit.path.startswith("failing/"):
             raise ValueError("cannot handle %s" % unit.path)
-        return real_scan(program, unit, opts)
+        return real_scan(program, unit, opts, index)
 
     monkeypatch.setattr(miner, "open", fake_open, raising=False)
     monkeypatch.setattr(miner, "parse_source", flaky_parse)

@@ -13,7 +13,7 @@ from analogue import astree
 from analogue.astree import TreeBuilder, validate_unit
 from analogue.compiler import compile_template
 from analogue.corpusgen import filler_file, plant_file, random_snippet
-from analogue.engine import scan_unit
+from analogue.engine import anchor_index, scan_unit
 from analogue.interchange import export_ast
 from analogue.miner import parse_file
 from analogue.php_parser import LexError, ParseError, _Parser, parse_source, tokenize
@@ -99,9 +99,9 @@ def test_depths_root_is_zero_and_literals_sit_deep(tutorial_books):
             node_id, d = parents[node_id], d + 1
         return d
 
-    index = unit.anchor_index()
-    assert [a[1] for anchors in index.by_kind.values() for a in anchors
-            if a[0] == unit.root] == [0] * len(unit.nodes[unit.root].children)
+    index = anchor_index(unit)
+    assert [(sl_id, depth) for sl_id, depth, _ in index.stmt_lists
+            if sl_id == unit.root] == [(unit.root, 0)]
     assert index.max_depth == max(map(depth, unit.nodes))
     # literal leaves inside the interpolated query string sit >= 4 levels
     # below their statement node
@@ -155,7 +155,7 @@ def test_depths_match_recursive_oracle():
             walk(c, depth + 1)
 
     walk(unit.root, 0)
-    index = unit.anchor_index()
+    index = anchor_index(unit)
     stmt_lists = [n for n in unit.iter_preorder()
                   if n.kind == astree.STMT_LIST and n.children]
     anchors = [(n.id, oracle[n.id], start, len(n.children))
@@ -165,8 +165,9 @@ def test_depths_match_recursive_oracle():
         return unit.nodes[unit.nodes[a[0]].children[a[2]]].kind
 
     # every anchor in exactly one list, its statement's kind's, in document order
-    assert index.by_kind == {k: [a for a in anchors if kind_at(a) == k]
-                             for k in map(kind_at, anchors)}
+    assert index.stmt_lists == [(n.id, oracle[n.id], n.children) for n in stmt_lists]
+    assert {k: index.anchors(k) for k in map(kind_at, anchors)} == \
+        {k: [a for a in anchors if kind_at(a) == k] for k in map(kind_at, anchors)}
     assert index.max_depth == max(oracle.values())
 
 
@@ -653,8 +654,8 @@ $x = $_GET['a']; mysql_query($x);
     assert [(n.kind, n.line_start, n.line_end) for n in unit.children_of(root)] \
         == [("Other:class", 2, 4), (astree.ASSIGN, 5, 5), (astree.CALL, 5, 5)]
     # both statements are scan positions of the top-level StmtList
-    index = unit.anchor_index()
-    assert [index.by_kind[k] for k in (astree.ASSIGN, astree.CALL)] \
+    index = anchor_index(unit)
+    assert [index.anchors(k) for k in (astree.ASSIGN, astree.CALL)] \
         == [[(unit.root, 0, 1, 3)], [(unit.root, 0, 2, 3)]]
 
 
@@ -715,6 +716,34 @@ def test_by_reference_arrow_functions_and_empty_destructuring_items(text, tree):
 ])
 def test_a_list_without_its_commas_or_an_arrow_without_its_arrow_is_malformed(text):
     assert top_level(parse_source(text)) == [("Other:opaque", 1, 1)]
+
+
+def test_a_statement_after_a_label_is_read():
+    """A goto label is an Other:label leaf spanning its name and colon, so a
+    plant after it, on its own line or on the label's, is found; `case` and
+    `default` stay the switch's, `else:` its keyword's, and `A::b()` is a
+    call through one `::` token."""
+    seed = parse_source("<?php\n$a = $_GET[1];\nmysql_query($a);\n")
+    p = compile_template(derive_template(seed, seed.children_of(seed.nodes[seed.root])))
+    own_line = parse_source("<?php\nstart:\n$a = $_GET[1];\nmysql_query($a);\n")
+    assert top_level(own_line) == [("Other:label", 2, 2), (astree.ASSIGN, 3, 3),
+                                   (astree.CALL, 4, 4)]
+    same_line = parse_source("<?php\nretry: $a = $_GET[1]; mysql_query($a);\n")
+    assert top_level(same_line) == [("Other:label", 2, 2), (astree.ASSIGN, 2, 2),
+                                    (astree.CALL, 2, 2)]
+    for unit, lines in ((own_line, (3, 4)), (same_line, (2, 2))):
+        assert [(m.line_start, m.line_end) for m in scan_unit(p, unit)[0]] == [lines]
+    split = parse_source("<?php\nagain\n:\n$a = 1;")
+    assert tree_text(split, split.root) == \
+        "StmtList 1-4 (Other:label 2-3, Assign 4-4 (Var $a 4-4, Literal '1' 4-4))"
+    switch = parse_source("<?php switch ($x) { case A: f(); default: g(); }")
+    assert tree_text(switch, switch.root) == (
+        "StmtList 1-1 (Other:switch 1-1 (Var $x 1-1, Other:case 1-1 (Name A 1-1, "
+        "StmtList 1-1 (Call 1-1 (Name f 1-1, ArgList 1-1))), Other:case 1-1 "
+        "(StmtList 1-1 (Call 1-1 (Name g 1-1, ArgList 1-1)))))")
+    alt = parse_source("<?php if ($a): f(); else: g(); endif; A::b();")
+    assert [n.kind for n in alt.children_of(alt.nodes[alt.root])] == [astree.IF, "Other:call"]
+    assert "Other:label" not in {n.kind for n in (*switch.nodes.values(), *alt.nodes.values())}
 
 
 def _list_shape(opener: str, items: list[str], separators: list[str]):

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 
 from genutil import php_text
 
-from analogue import miner
+from analogue import engine, miner
 from analogue.astree import STMT_LIST, AstNode, SourceUnit
 from analogue.compiler import (DESCEND, KIND, ProgramFormatError, compile_template,
                                deserialize_program, serialize_program)
 from analogue.corpusgen import (distinct_snippets, generate_test_corpus,
                                 plant_file, random_filler, random_snippet,
                                 render_file, render_snippet, render_stmt)
-from analogue.engine import (ComparisonCounter, ScanOptions, attach_excerpt,
-                             match_at, match_to_record, scan_unit, source_lines)
+from analogue.engine import (NO_SHAPE, ComparisonCounter, ScanOptions, anchor_index,
+                             attach_excerpt, match_at, match_to_record, scan_unit,
+                             source_lines)
 from analogue.interchange import import_ast
 from analogue.miner import (MinerOptions, discover_files, scan_repository,
                             write_mining_outputs)
@@ -150,33 +151,55 @@ def test_absent_callee_skips_every_unit(tmp_path):
 
 
 def full_walk_index(unit):
-    """What anchor_index() must hold, from a pre-order walk that visits every
-    node: (anchors, by_kind items in order, symbols, max_depth)."""
-    anchors, by_kind, symbols, max_depth = [], {}, set(), 0
+    """What anchor_index(unit) must hold, from a pre-order walk that visits
+    every node: (each StmtList with a statement as (id, depth, children),
+    each present kind's anchors in document order, symbols, max_depth)."""
+    stmt_lists, by_kind, symbols, max_depth = [], {}, set(), 0
     stack = [(unit.root, 0)]
     while stack:
         node_id, depth = stack.pop()
         n = unit.nodes[node_id]
         symbols.add(n.symbol)
         max_depth = max(max_depth, depth)
-        if n.kind == STMT_LIST:
+        if n.kind == STMT_LIST and n.children:
+            stmt_lists.append((node_id, depth, n.children))
             for start, c in enumerate(n.children):
-                a = (node_id, depth, start, len(n.children))
-                anchors.append(a)
-                by_kind.setdefault(unit.nodes[c].kind, []).append(a)
+                by_kind.setdefault(unit.nodes[c].kind, []).append(
+                    (node_id, depth, start, len(n.children)))
         stack.extend((c, depth + 1) for c in reversed(n.children))
-    return anchors, list(by_kind.items()), frozenset(symbols), max_depth
+    return stmt_lists, by_kind, frozenset(symbols), max_depth
 
 
 def assert_index_is_full_walk(unit):
-    """The index holds the walk's lists: every anchor in exactly one, its
-    statement's kind's, and each list in document order."""
-    index = unit.anchor_index()
-    anchors, by_kind, symbols, max_depth = full_walk_index(unit)
-    assert sorted(a for kind_anchors in index.by_kind.values()
-                  for a in kind_anchors) == sorted(anchors)
-    assert (list(index.by_kind.items()), index.symbols, index.max_depth) == \
-        (by_kind, symbols, max_depth)
+    """The index holds the walk's StmtLists, symbols and depth; it lists a
+    kind's anchors only when asked, and those of every present kind are the
+    walk's.  For every first kind, depth limit and statement count, the
+    anchors tried are the walk's anchors of that kind in a StmtList
+    shallower than the limit with k statements left, each with its
+    statement's shape id, and they stay cached under their key."""
+    index = anchor_index(unit)
+    stmt_lists, by_kind, symbols, max_depth = full_walk_index(unit)
+    assert (index.stmt_lists, index.symbols, index.max_depth) == \
+        (stmt_lists, symbols, max_depth)
+    assert index.by_kind == {} and index.tries == {}
+    assert index.anchors("NoSuchKind") == [] and list(index.by_kind) == ["NoSuchKind"]
+    assert {kind: index.anchors(kind) for kind in by_kind} == by_kind
+    sl_depths = [depth for _, depth, _ in stmt_lists]
+    widest = max((len(stmts) for _, _, stmts in stmt_lists), default=0)
+    for kind, anchors in by_kind.items():
+        for depth_limit in [None, *range(max(sl_depths) + 2)]:
+            for k in range(1, widest + 2):
+                tried = index.tried_at(kind, depth_limit, k)
+                assert index.tries[kind, depth_limit, k] is tried
+                assert [t[:3] for t in tried] == [
+                    (sl_id, unit.nodes[sl_id].children, start)
+                    for sl_id, depth, start, siblings in anchors
+                    if (depth_limit is None or depth < depth_limit)
+                    and start + k <= siblings]
+                for _, stmts, start, sid in tried:
+                    stmt = unit.nodes[stmts[start]]
+                    assert sid == NO_SHAPE or engine._shapes[sid] == (
+                        stmt.kind, tuple(unit.nodes[c].kind for c in stmt.children))
 
 
 def shuffled_import(unit, rng):
@@ -229,7 +252,7 @@ def test_anchor_index_equals_a_full_walk(body, rng):
     assert_index_is_full_walk(unit)
     again = shuffled_import(unit, rng)
     assert_index_is_full_walk(again)
-    assert again.anchor_index().max_depth == unit.anchor_index().max_depth
+    assert anchor_index(again).max_depth == anchor_index(unit).max_depth
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,10 +270,23 @@ def test_anchor_index_of_leaf_roots():
     empty = parse_source("<?php ")
     assert not empty.nodes[empty.root].children
     assert_index_is_full_walk(empty)
-    assert empty.anchor_index().by_kind == {} and empty.anchor_index().max_depth == 0
+    index = anchor_index(empty)
+    assert (index.stmt_lists, index.anchors(STMT_LIST), index.max_depth) == ([], [], 0)
     leaf = SourceUnit(path="leaf", root=7, nodes={7: AstNode(7, "Var", symbol="$a")})
     assert_index_is_full_walk(leaf)
-    assert leaf.anchor_index().symbols == {"$a"}
+    assert anchor_index(leaf).symbols == {"$a"}
+
+
+def test_a_source_unit_is_plain_tree_data():
+    """A unit holds its path, root and node table and nothing the scan
+    builds; the engine's index is built from it and left outside it."""
+    assert [f.name for f in dataclasses.fields(SourceUnit)] == ["path", "root", "nodes"]
+    unit = parse_source("<?php $a = 1; if ($a) { f($a); }")
+    before = dataclasses.replace(unit, nodes=dict(unit.nodes))
+    index = anchor_index(unit)
+    index.tried_at("Assign", None, 1)
+    assert unit == before and vars(unit) == vars(before)
+    assert not hasattr(SourceUnit, "anchor_index")
 
 
 def test_unit_without_an_anchor_for_the_first_kind_returns_zero_counts(tmp_path,
@@ -267,8 +303,8 @@ def test_unit_without_an_anchor_for_the_first_kind_returns_zero_counts(tmp_path,
     (repo / "a.php").write_text("<?php\necho mysql_query('q');\nif ($b) { f($b); }\n")
     calls = []
 
-    def scan_unit_spy(p, unit, opts=None, real=miner.scan_unit):
-        out = real(p, unit, opts)
+    def scan_unit_spy(p, unit, opts=None, index=None, real=miner.scan_unit):
+        out = real(p, unit, opts, index)
         calls.append(out)
         return out
 
